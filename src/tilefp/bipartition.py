@@ -50,7 +50,6 @@ __all__ = [
 Axis = Literal["vertical", "horizontal"]
 Point = tuple[float, float]
 
-SIDE_FRACTION = 0.75
 EXACT_LIMIT = 16
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -166,30 +165,49 @@ def placement_side(
     candidate: PlacementCandidate, child0: Partition, child1: Partition
 ) -> int | None:
     """Child index holding at least 75% of the candidate's area, else None."""
-    area = candidate.rect.tile_count
-    for side, child in enumerate((child0, child1)):
-        inside = _overlap_area(candidate.rect, child.rect)
-        if inside * 4 >= area * 3:
-            return side
-    return None
+    p0, p1 = _split_by_side((candidate,), child0.rect, child1.rect)
+    return 0 if p0 else 1 if p1 else None
 
 
-def _overlap_area(a: Rect, b: Rect) -> int:
-    rows = min(a.row1, b.row1) - max(a.row0, b.row0) + 1
-    cols = min(a.col1, b.col1) - max(a.col0, b.col0) + 1
-    return max(rows, 0) * max(cols, 0)
+def _split_by_side(
+    candidates: Sequence[PlacementCandidate], rect0: Rect, rect1: Rect
+) -> tuple[list[PlacementCandidate], list[PlacementCandidate]]:
+    """Candidates with at least 75% of their area in ``rect0``, then in ``rect1``.
+
+    Candidates in neither keep to the parent and are dropped. This is the one
+    definition of the 75% rule; it runs for every candidate at every halving,
+    so the overlap arithmetic is written out inline.
+    """
+    a_r0, a_c0, a_r1, a_c1 = rect0
+    b_r0, b_c0, b_r1, b_c1 = rect1
+    p0: list[PlacementCandidate] = []
+    p1: list[PlacementCandidate] = []
+    for cand in candidates:
+        r0, c0, r1, c1 = cand.rect
+        area3 = (r1 - r0 + 1) * (c1 - c0 + 1) * 3
+        rows = (r1 if r1 < a_r1 else a_r1) - (r0 if r0 > a_r0 else a_r0) + 1
+        cols = (c1 if c1 < a_c1 else a_c1) - (c0 if c0 > a_c0 else a_c0) + 1
+        if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
+            p0.append(cand)
+            continue
+        rows = (r1 if r1 < b_r1 else b_r1) - (r0 if r0 > b_r0 else b_r0) + 1
+        cols = (c1 if c1 < b_c1 else b_c1) - (c0 if c0 > b_c0 else b_c0) + 1
+        if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
+            p1.append(cand)
+    return p0, p1
 
 
-def _extent(rect: Rect, axis: Axis) -> int:
-    return rect.width if axis == "vertical" else rect.height
+def _mean_extent(cands: Sequence[PlacementCandidate], axis: Axis) -> float:
+    """Mean candidate width (vertical cuts) or height (horizontal cuts)."""
+    if axis == "vertical":
+        spans = sum(c.rect.col1 - c.rect.col0 for c in cands)
+    else:
+        spans = sum(c.rect.row1 - c.rect.row0 for c in cands)
+    return (spans + len(cands)) / len(cands)
 
 
 def _min_occupancy(cands: Sequence[PlacementCandidate]) -> ResourceVector:
-    return ResourceVector(
-        min(c.resources.clb for c in cands),
-        min(c.resources.bram for c in cands),
-        min(c.resources.dsp for c in cands),
-    )
+    return ResourceVector(*map(min, zip(*(c.resources for c in cands))))
 
 
 def side_data(
@@ -200,22 +218,13 @@ def side_data(
     axis: Axis,
 ) -> SideData:
     """Split a module's candidates between two halves and summarize them."""
-    by_side: tuple[list, list] = ([], [])
-    for cand in candidates:
-        side = placement_side(cand, child0, child1)
-        if side is not None:
-            by_side[side].append(cand)
-    p0, p1 = by_side
-
-    def mean_extent(cands: list) -> float:
-        return sum(_extent(c.rect, axis) for c in cands) / len(cands)
-
+    p0, p1 = _split_by_side(candidates, child0.rect, child1.rect)
     return SideData(
         module.id,
         tuple(p0),
         tuple(p1),
-        mean_extent(p0) if p0 else None,
-        mean_extent(p1) if p1 else None,
+        _mean_extent(p0, axis) if p0 else None,
+        _mean_extent(p1, axis) if p1 else None,
         _min_occupancy(p0) if p0 else None,
         _min_occupancy(p1) if p1 else None,
     )
@@ -588,16 +597,6 @@ def solve_bqp(model: BqpModel, node_budget: int = DEFAULT_NODE_BUDGET) -> dict[s
     return dict(zip(model.variables, bits))
 
 
-def _mean_extents(
-    candidates: Mapping[str, Sequence[PlacementCandidate]], axis: Axis
-) -> dict[str, float]:
-    return {
-        m: sum(_extent(c.rect, axis) for c in cands) / len(cands)
-        for m, cands in candidates.items()
-        if cands
-    }
-
-
 def recursive_bipartition(
     fabric: Fabric,
     design: Design,
@@ -617,7 +616,7 @@ def recursive_bipartition(
     bounds = fabric.bounds
     module_ids = [m.id for m in design.modules]
     anchors: dict[str, Point] = {m: bounds.center for m in module_ids}
-    extents = _mean_extents(candidates, axis)
+    extents = {m: _mean_extent(c, axis) for m, c in candidates.items() if c}
     requirements = {m.id: m.req for m in design.modules}
 
     root = Partition(bounds, tuple(module_ids), fabric.available_in_rect(bounds))

@@ -10,6 +10,7 @@ exits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -91,21 +92,22 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         print("aspect-ratio bounds must satisfy 0 < min <= max", file=sys.stderr)
         return finish("PARSE_ERROR", EXIT_PARSE)
 
+    # The solver log opens before any real work, so an unwritable path
+    # fails fast; its open, writes and close are the only I/O in this block.
     try:
-        candidates = generate_placements(fabric, design, ar_bounds)
+        log = open(args.solver_log, "w") if args.solver_log else contextlib.nullcontext()
+        with log as log_handle:
+            candidates = generate_placements(fabric, design, ar_bounds)
+            anchors = compute_anchors(fabric, design, candidates, log=log_handle)
     except InfeasibleModuleError as exc:
         print(exc, file=sys.stderr)
         return finish("INFEASIBLE_MODULE", EXIT_INFEASIBLE_MODULE)
-
-    log_handle = open(args.solver_log, "w") if args.solver_log else None
-    try:
-        anchors = compute_anchors(fabric, design, candidates, log=log_handle)
     except InfeasibleModelError as exc:
         print(exc, file=sys.stderr)
         return finish("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN)
-    finally:
-        if log_handle is not None:
-            log_handle.close()
+    except OSError as exc:
+        print(exc, file=sys.stderr)
+        return finish("PARSE_ERROR", EXIT_PARSE)
 
     scored = {
         m: normalize_candidates(lst, anchors[m], alpha, beta)

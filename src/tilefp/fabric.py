@@ -168,6 +168,7 @@ class Fabric:
         for kind, per_tile in self._frames.items():
             if per_tile < 1:
                 raise FabricError(f"frames per {kind.name} tile must be positive")
+        self._frame_weights = tuple(self._frames[kind] for kind in ResourceKind)
 
         cols = len(kinds)
         # Per-kind column prefix counts: _kind_prefix[k][c] counts columns of
@@ -233,11 +234,6 @@ class Fabric:
             raise FabricError(f"column {col} out of range")
         return self._kinds[col]
 
-    def kind_at(self, row: int, col: int) -> ResourceKind:
-        if not 0 <= row < self._rows:
-            raise FabricError(f"row {row} out of range")
-        return self.kind_of(col)
-
     def columns_of(self, kind: ResourceKind) -> tuple[int, ...]:
         return self._columns_by_kind[kind]
 
@@ -259,6 +255,29 @@ class Fabric:
             pref = self._kind_prefix[k]
             counts.append((pref[rect.col1 + 1] - pref[rect.col0]) * rect.height)
         return ResourceVector(*counts)
+
+    def resources_if_free(
+        self, row0: int, col0: int, row1: int, col1: int
+    ) -> ResourceVector | None:
+        """Tile counts by kind of a rect, or None when it holds a reserved tile.
+
+        Unchecked: the caller guarantees ``0 <= row0 <= row1 < rows`` and
+        ``0 <= col0 <= col1 < cols``; other coordinates give meaningless
+        counts instead of a FabricError. This is the hot-path form of
+        ``reserved_tiles_in`` plus ``resources_in_rect`` for callers that
+        build rects in bounds by construction, such as tessellation.
+        """
+        pref = self._reserved_prefix
+        top, bottom = pref[row1 + 1], pref[row0]
+        if top[col1 + 1] - bottom[col1 + 1] - top[col0] + bottom[col0]:
+            return None
+        height = row1 - row0 + 1
+        clb, bram, dsp = self._kind_prefix
+        return ResourceVector(
+            (clb[col1 + 1] - clb[col0]) * height,
+            (bram[col1 + 1] - bram[col0]) * height,
+            (dsp[col1 + 1] - dsp[col0]) * height,
+        )
 
     def reserved_tiles_in(self, rect: Rect) -> int:
         self._check_rect(rect)
@@ -283,11 +302,8 @@ class Fabric:
 
     def frames_of(self, vec: ResourceVector) -> int:
         """Reconfiguration frame count of a tile bundle."""
-        return (
-            vec.clb * self._frames[ResourceKind.CLB]
-            + vec.bram * self._frames[ResourceKind.BRAM]
-            + vec.dsp * self._frames[ResourceKind.DSP]
-        )
+        clb, bram, dsp = self._frame_weights
+        return vec.clb * clb + vec.bram * bram + vec.dsp * dsp
 
     def total_resources(self) -> ResourceVector:
         return ResourceVector(

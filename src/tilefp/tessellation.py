@@ -13,7 +13,7 @@ filter something to choose from.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple
 
 from .design import (
@@ -67,14 +67,16 @@ class PlacementCandidate(NamedTuple):
 
 
 def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
-    """Column from ``columns`` closest to ``col``; ties go left."""
-    best = None
-    best_key = None
-    for c in columns:
-        key = (abs(c - col), c)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    """Column from the sorted ``columns`` closest to ``col``; ties go left."""
+    if not columns:
+        return None
+    i = bisect_left(columns, col)
+    if i == 0:
+        return columns[0]
+    if i == len(columns):
+        return columns[-1]
+    left, right = columns[i - 1], columns[i]
+    return left if col - left <= right - col else right
 
 
 def base_kernels_for_row(fabric: Fabric, row: int, cls: PriorityClass) -> list[Kernel]:
@@ -88,19 +90,21 @@ def base_kernels_for_row(fabric: Fabric, row: int, cls: PriorityClass) -> list[K
     """
     pair_kind = cls.secondary if cls.secondary in (ResourceKind.BRAM, ResourceKind.DSP) else None
     sec_cols = fabric.columns_of(pair_kind) if pair_kind else ()
+    price = fabric.resources_if_free
     kernels = []
     for c in fabric.columns_of(cls.primary):
-        rect = Rect(row, c, row, c)
+        found = None
         if pair_kind is not None:
             near = _nearest_column(sec_cols, c)
             if near is None:
                 continue
-            paired = Rect(row, min(c, near), row, max(c, near))
-            if not fabric.reserved_tiles_in(paired):
-                rect = paired
-        if fabric.reserved_tiles_in(rect):
-            continue
-        kernels.append(Kernel(rect, fabric.resources_in_rect(rect)))
+            col0, col1 = min(c, near), max(c, near)
+            found = price(row, col0, row, col1)
+        if found is None:
+            col0 = col1 = c
+            found = price(row, c, row, c)
+        if found is not None:
+            kernels.append(Kernel(Rect(row, col0, row, col1), found))
     return kernels
 
 
@@ -119,19 +123,18 @@ def merge_row_kernels(
     """
     if any(k.resources.of(primary) >= needed_primary for k in kernels):
         return list(kernels)
+    price = fabric.resources_if_free
+    k = primary.index
     merged = []
-    for i in range(len(kernels)):
-        row = kernels[i].rect.row0
-        col0 = kernels[i].rect.col0
-        col1 = kernels[i].rect.col1
+    for i, (rect, _) in enumerate(kernels):
+        row, col0, _, col1 = rect
         for j in range(i + 1, len(kernels)):
             col1 = max(col1, kernels[j].rect.col1)
-            rect = Rect(row, col0, row, col1)
-            if fabric.reserved_tiles_in(rect):
+            res = price(row, col0, row, col1)
+            if res is None:
                 break
-            res = fabric.resources_in_rect(rect)
-            if res.of(primary) >= needed_primary:
-                merged.append(Kernel(rect, res))
+            if res[k] >= needed_primary:
+                merged.append(Kernel(Rect(row, col0, row, col1), res))
                 break
     return merged
 
@@ -162,23 +165,24 @@ def _columns_outward(
     step: int,
     target: ResourceKind,
     blocked: ResourceKind | None,
-) -> list[int]:
+) -> tuple[int, ...]:
     """Positions of target-kind columns walking outward from ``start``.
 
     The walk absorbs any column kind except ``blocked``, which ends it;
     engulfing another column of the seed resource would just recreate a
-    wider kernel that exists on its own.
+    wider kernel that exists on its own. Both column lists are sorted, so
+    the walk is two bisections: find the nearest ``blocked`` column past
+    ``start`` and take the target columns strictly between the two.
     """
-    out = []
-    c = start + step
-    while 0 <= c < fabric.cols:
-        kind = fabric.kind_of(c)
-        if blocked is not None and kind is blocked:
-            break
-        if kind is target:
-            out.append(c)
-        c += step
-    return out
+    cols = fabric.columns_of(target)
+    stops = fabric.columns_of(blocked) if blocked is not None else ()
+    if step < 0:
+        i = bisect_left(stops, start)
+        lo = stops[i - 1] + 1 if i else 0
+        return cols[bisect_left(cols, lo):bisect_left(cols, start)][::-1]
+    i = bisect_right(stops, start)
+    hi = stops[i] if i < len(stops) else fabric.cols
+    return cols[bisect_right(cols, start):bisect_left(cols, hi)]
 
 
 def expand_horizontal(
@@ -200,30 +204,34 @@ def expand_horizontal(
     variants of the same footprint are emitted too.
     """
     out = []
-    rect, res = kernel
+    (row0, col0, row1, col1), res = kernel
+    # The columns stay fixed while the kernel grows upward, so the outward
+    # walks are shared by every height; every split is in bounds.
+    lefts = _columns_outward(fabric, col0, -1, target, blocked)
+    rights = _columns_outward(fabric, col1, +1, target, blocked)
+    price = fabric.resources_if_free
+    k = target.index
+    have = res[k]
+    height = row1 - row0 + 1
     while True:
-        height = rect.height
-        have = res.of(target)
-        n_cols = 0 if have >= needed else math.ceil((needed - have) / height)
-        lefts = _columns_outward(fabric, rect.col0, -1, target, blocked)
-        rights = _columns_outward(fabric, rect.col1, +1, target, blocked)
-        for l in range(n_cols + 1):
+        n_cols = 0 if have >= needed else -((have - needed) // height)  # ceiling
+        for l in range(max(0, n_cols - len(rights)), min(n_cols, len(lefts)) + 1):
             r = n_cols - l
-            if l > len(lefts) or r > len(rights):
-                continue
-            col0 = lefts[l - 1] if l else rect.col0
-            col1 = rights[r - 1] if r else rect.col1
-            grown = Rect(rect.row0, col0, rect.row1, col1)
-            if fabric.reserved_tiles_in(grown):
-                continue
-            out.append(Kernel(grown, fabric.resources_in_rect(grown)))
-        top = rect.row1 + 1
+            c0 = lefts[l - 1] if l else col0
+            c1 = rights[r - 1] if r else col1
+            found = price(row0, c0, row1, c1)
+            if found is not None:
+                out.append(Kernel(Rect(row0, c0, row1, c1), found))
+        top = row1 + 1
         if top >= fabric.rows:
             break
-        if fabric.reserved_tiles_in(Rect(top, rect.col0, top, rect.col1)):
+        top_row = price(top, col0, top, col1)
+        if top_row is None:
             break
-        rect = Rect(rect.row0, rect.col0, top, rect.col1)
-        res = fabric.resources_in_rect(rect)
+        # every row of the kernel spans the same columns as the new top row
+        row1 = top
+        height += 1
+        have = top_row[k] * height
     return out
 
 

@@ -4,10 +4,12 @@ These enumerate exhaustively and independently of the production code, so
 tests can compare algorithm output against ground truth on small inputs.
 """
 
+import math
 from itertools import combinations, product
 
 from tilefp.bipartition import BqpModel
 from tilefp.fabric import Fabric, Rect, ResourceVector
+from tilefp.tessellation import Kernel
 
 
 def brute_force_rects(fabric, req, ar_bounds):
@@ -29,6 +31,51 @@ def brute_force_rects(fabric, req, ar_bounds):
                         if not ar_bounds[0] <= ar <= ar_bounds[1]:
                             continue
                     out[rect] = fabric.frames_of(res - req)
+    return out
+
+
+def columns_outward_walk(fabric, start, step, target, blocked):
+    """Target-kind columns met walking outward from ``start`` one column at
+    a time; a ``blocked`` column ends the walk."""
+    out = []
+    c = start + step
+    while 0 <= c < fabric.cols:
+        kind = fabric.kind_of(c)
+        if blocked is not None and kind is blocked:
+            break
+        if kind is target:
+            out.append(c)
+        c += step
+    return out
+
+
+def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
+    """Reference sideways expansion: redo both column walks and recount the
+    rect at every height, then try every left/right split in order."""
+    out = []
+    rect, res = kernel
+    while True:
+        have = res.of(target)
+        n_cols = 0 if have >= needed else math.ceil((needed - have) / rect.height)
+        lefts = columns_outward_walk(fabric, rect.col0, -1, target, blocked)
+        rights = columns_outward_walk(fabric, rect.col1, +1, target, blocked)
+        for l in range(n_cols + 1):
+            r = n_cols - l
+            if l > len(lefts) or r > len(rights):
+                continue
+            col0 = lefts[l - 1] if l else rect.col0
+            col1 = rights[r - 1] if r else rect.col1
+            grown = Rect(rect.row0, col0, rect.row1, col1)
+            if fabric.reserved_tiles_in(grown):
+                continue
+            out.append(Kernel(grown, fabric.resources_in_rect(grown)))
+        top = rect.row1 + 1
+        if top >= fabric.rows:
+            break
+        if fabric.reserved_tiles_in(Rect(top, rect.col0, top, rect.col1)):
+            break
+        rect = Rect(rect.row0, rect.col0, top, rect.col1)
+        res = fabric.resources_in_rect(rect)
     return out
 
 
@@ -131,3 +178,14 @@ def bqp_enumeration_min(model):
         if best is None or cost < best[1]:
             best = (bits, cost)
     return best
+
+
+def overlap_side(rect, child0, child1):
+    """Child index (0 or 1) holding at least 75% of ``rect``'s area, else
+    None, from plain overlap areas."""
+    for side, child in enumerate((child0, child1)):
+        rows = min(rect.row1, child.row1) - max(rect.row0, child.row0) + 1
+        cols = min(rect.col1, child.col1) - max(rect.col0, child.col0) + 1
+        if max(rows, 0) * max(cols, 0) >= 0.75 * rect.tile_count:
+            return side
+    return None

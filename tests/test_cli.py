@@ -163,6 +163,26 @@ def test_solver_log_written(tmp_path):
     assert {"axis", "rect", "variables", "objective", "solve_ms"} <= set(records[0])
 
 
+@pytest.mark.parametrize("where", ["missing-dir/solves.jsonl", ".", "/dev/full"])
+def test_unwritable_solver_log_is_a_parse_error(tmp_path, capsys, where):
+    log = tmp_path / where  # an absolute ``where`` replaces tmp_path
+    if where.startswith("/") and not log.exists():
+        pytest.skip(f"{where} not on this system")
+    out = tmp_path / "plan.fp"
+    code = main([
+        "floorplan", "--fabric", FX, "--design", SDR, "--no-ar",
+        "--out", str(out), "--solver-log", str(log),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PARSE_ERROR wastage=0")
+    assert "Traceback" not in captured.err
+    # a log that cannot be opened fails before tessellation and one that
+    # cannot be written fails before the document is written
+    assert not out.exists()
+
+
 def test_generate_roundtrip_and_determinism(tmp_path, capsys):
     fab = str(fixture_path("xc7k410t.fabric"))
     texts = []

@@ -1,0 +1,113 @@
+"""Differential properties: the fast tessellation and halving paths against
+the plain step-by-step reference versions in ``helpers``."""
+
+from hypothesis import given, settings, strategies as st
+
+from tilefp.bipartition import Partition, placement_side, side_data, split_partition
+from tilefp.design import ModuleSpec
+from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
+from tilefp.tessellation import (
+    Kernel,
+    PlacementCandidate,
+    _columns_outward,
+    _nearest_column,
+    expand_horizontal,
+)
+
+from helpers import columns_outward_walk, expand_horizontal_walk, overlap_side
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+kinds = st.sampled_from(list(ResourceKind))
+
+
+@st.composite
+def rects_in(draw, rows, cols):
+    r0 = draw(st.integers(0, rows - 1))
+    r1 = draw(st.integers(r0, rows - 1))
+    c0 = draw(st.integers(0, cols - 1))
+    c1 = draw(st.integers(c0, cols - 1))
+    return Rect(r0, c0, r1, c1)
+
+
+@st.composite
+def fabrics(draw, max_rows=5, max_cols=16):
+    rows = draw(st.integers(1, max_rows))
+    columns = draw(st.text(alphabet="CBD", min_size=1, max_size=max_cols))
+    reserved = draw(st.lists(rects_in(rows, len(columns)), max_size=2))
+    return Fabric(rows, columns, reserved)
+
+
+@PROPERTY
+@given(st.data())
+def test_resources_if_free_matches_checked_queries(data):
+    fab = data.draw(fabrics())
+    rect = data.draw(rects_in(fab.rows, fab.cols))
+    found = fab.resources_if_free(*rect)
+    if fab.reserved_tiles_in(rect):
+        assert found is None
+    else:
+        assert found == fab.resources_in_rect(rect)
+        assert isinstance(found, ResourceVector)
+
+
+@PROPERTY
+@given(fabrics(), kinds, st.one_of(st.none(), kinds))
+def test_columns_outward_matches_walk(fab, target, blocked):
+    for start in range(fab.cols):
+        for step in (-1, +1):
+            assert list(_columns_outward(fab, start, step, target, blocked)) == (
+                columns_outward_walk(fab, start, step, target, blocked)
+            )
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 30), unique=True), st.integers(-2, 32))
+def test_nearest_column_matches_scan(columns, col):
+    columns = tuple(sorted(columns))
+    expected = min(columns, key=lambda c: (abs(c - col), c)) if columns else None
+    assert _nearest_column(columns, col) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_expand_horizontal_matches_walk(data):
+    fab = data.draw(fabrics())
+    rect = data.draw(rects_in(fab.rows, fab.cols))
+    kernel = Kernel(rect, fab.resources_in_rect(rect))
+    needed = data.draw(st.integers(0, fab.rows * fab.cols))
+    target = data.draw(kinds)
+    blocked = data.draw(st.one_of(st.none(), kinds))
+    assert expand_horizontal(fab, kernel, needed, target, blocked) == (
+        expand_horizontal_walk(fab, kernel, needed, target, blocked)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_side_data_split_matches_placement_side(data):
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 12))
+    fab = Fabric(rows, "C" * cols)
+    axes = [a for a, span in (("vertical", cols), ("horizontal", rows)) if span >= 2]
+    if not axes:
+        return
+    axis = data.draw(st.sampled_from(axes))
+    parent_rect = data.draw(rects_in(rows, cols).filter(
+        lambda r: (r.width if axis == "vertical" else r.height) >= 2
+    ))
+    parent = Partition(parent_rect, ("m",), fab.available_in_rect(parent_rect))
+    child0, child1 = split_partition(parent, axis, fab)
+    cands = [
+        PlacementCandidate("m", r, fab.resources_in_rect(r), 0, r.center)
+        for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
+    ]
+    split = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), cands, child0, child1, axis)
+    for side, placements in ((0, split.placements0), (1, split.placements1)):
+        expected = [
+            c for c in cands if overlap_side(c.rect, child0.rect, child1.rect) == side
+        ]
+        assert list(placements) == expected
+        assert all(placement_side(c, child0, child1) == side for c in placements)
+    kept = set(split.placements0) | set(split.placements1)
+    assert all(placement_side(c, child0, child1) is None for c in cands if c not in kept)
