@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Literal, Mapping, Sequence
 
-import numpy as np
-
 from .design import Connection, Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceVector
 from .tessellation import PlacementCandidate
@@ -391,47 +389,19 @@ def objective_of(model: BqpModel, assignment: Sequence[int]) -> float:
     return total
 
 
-def assignment_feasible(model: BqpModel, assignment: Sequence[int]) -> bool:
-    """Whether an assignment satisfies all six capacity rows."""
+def _overflow(model: BqpModel, assignment: Sequence[int]) -> float:
+    """Summed excess of the side loads over the six capacity rows."""
+    total = 0.0
     for k in range(3):
         load0 = sum(model.occ0[i][k] for i, v in enumerate(assignment) if v == 0)
         load1 = sum(model.occ1[i][k] for i, v in enumerate(assignment) if v == 1)
-        if load0 > model.avail0[k] or load1 > model.avail1[k]:
-            return False
-    return True
+        total += max(load0 - model.avail0[k], 0.0) + max(load1 - model.avail1[k], 0.0)
+    return total
 
 
-def _solve_exhaustive(model: BqpModel) -> list[int] | None:
-    """Vectorized sweep of every assignment; first minimum wins ties."""
-    n = len(model.variables)
-    count = 1 << n
-    rows = np.arange(count, dtype=np.int64)
-    bits = (rows[:, None] >> (n - 1 - np.arange(n))) & 1
-    a = bits.astype(np.float64)
-
-    e = np.asarray(model.linear)
-    obj = np.full(count, model.const) + a @ e[:, 1] + (1.0 - a) @ e[:, 0]
-    for (i, j), c in model.pairs.items():
-        ai, aj = a[:, i], a[:, j]
-        obj += (
-            c[0][0] * (1 - ai) * (1 - aj)
-            + c[0][1] * (1 - ai) * aj
-            + c[1][0] * ai * (1 - aj)
-            + c[1][1] * ai * aj
-        )
-
-    occ0 = np.asarray(model.occ0, dtype=np.float64)
-    occ1 = np.asarray(model.occ1, dtype=np.float64)
-    load0 = (1.0 - a) @ occ0
-    load1 = a @ occ1
-    feasible = np.all(load0 <= np.asarray(model.avail0), axis=1) & np.all(
-        load1 <= np.asarray(model.avail1), axis=1
-    )
-    if not feasible.any():
-        return None
-    obj[~feasible] = np.inf
-    best = int(np.argmin(obj))
-    return [int(b) for b in bits[best]]
+def assignment_feasible(model: BqpModel, assignment: Sequence[int]) -> bool:
+    """Whether an assignment satisfies all six capacity rows."""
+    return _overflow(model, assignment) == 0
 
 
 def _greedy_assignment(model: BqpModel) -> list[int]:
@@ -462,15 +432,6 @@ def _greedy_assignment(model: BqpModel) -> list[int]:
         for k in range(3):
             target[k] += occ[k]
     return out
-
-
-def _overflow(model: BqpModel, assignment: Sequence[int]) -> float:
-    total = 0.0
-    for k in range(3):
-        load0 = sum(model.occ0[i][k] for i, v in enumerate(assignment) if v == 0)
-        load1 = sum(model.occ1[i][k] for i, v in enumerate(assignment) if v == 1)
-        total += max(load0 - model.avail0[k], 0.0) + max(load1 - model.avail1[k], 0.0)
-    return total
 
 
 def _repair(model: BqpModel, assignment: list[int]) -> list[int] | None:
@@ -526,16 +487,17 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
 
 
 def _solve_branch_and_bound(
-    model: BqpModel, node_budget: int
+    model: BqpModel, seed: list[int] | None, node_budget: float
 ) -> list[int] | None:
-    """Depth-first search with a nonnegativity bound and a node cap."""
+    """Depth-first search from ``seed`` with a nonnegativity bound and a node cap.
+
+    Side 0 is tried before side 1 and only a strictly cheaper leaf replaces
+    the incumbent, so without a seed and without a cap the result is the
+    lexicographically first optimum.
+    """
     n = len(model.variables)
-    seed = _repair(model, _greedy_assignment(model))
-    best: list[int] | None = None
-    best_obj = math.inf
-    if seed is not None:
-        seed = _local_search(model, seed)
-        best, best_obj = seed.copy(), objective_of(model, seed)
+    best = seed
+    best_obj = math.inf if seed is None else objective_of(model, seed)
 
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -580,18 +542,23 @@ def _solve_branch_and_bound(
 def solve_bqp(model: BqpModel, node_budget: int = DEFAULT_NODE_BUDGET) -> dict[str, int] | None:
     """Best side assignment found for the model's free variables.
 
-    Exhaustive (and therefore exact) up to 16 variables; beyond that a
-    greedy seed, local search and budgeted branch-and-bound. The budget is
-    counted in search nodes, not seconds, so results are reproducible.
-    Returns None when no feasible assignment exists (or none was found
-    within budget).
+    One branch-and-bound search serves every size. Up to 16 variables it
+    runs unseeded and uncapped, so it is exact and ``node_budget`` is
+    ignored; ties go to the lexicographically first assignment. Beyond
+    that it starts from a greedy seed, repaired to fit and improved by
+    local search, and stops after ``node_budget`` search nodes, so results
+    are reproducible. Returns None when no feasible assignment exists (or
+    none was found within budget).
     """
     if not model.variables:
         return {}
     if len(model.variables) <= EXACT_LIMIT:
-        bits = _solve_exhaustive(model)
+        bits = _solve_branch_and_bound(model, None, math.inf)
     else:
-        bits = _solve_branch_and_bound(model, node_budget)
+        seed = _repair(model, _greedy_assignment(model))
+        if seed is not None:
+            seed = _local_search(model, seed)
+        bits = _solve_branch_and_bound(model, seed, node_budget)
     if bits is None:
         return None
     return dict(zip(model.variables, bits))
@@ -602,7 +569,6 @@ def recursive_bipartition(
     design: Design,
     candidates: Mapping[str, Sequence[PlacementCandidate]],
     axis: Axis,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
     """Anchor every module by recursive halving along one axis.
@@ -638,7 +604,7 @@ def recursive_bipartition(
                 partition, data, design.connections, snapshot, axis,
                 extents, (child0, child1), requirements,
             )
-            assignment = solve_bqp(model, node_budget)
+            assignment = solve_bqp(model)
         except InfeasibleModelError:
             model, assignment = None, None
         if assignment is None or model is None:
@@ -689,10 +655,9 @@ def compute_anchors(
     fabric: Fabric,
     design: Design,
     candidates: Mapping[str, Sequence[PlacementCandidate]],
-    node_budget: int = DEFAULT_NODE_BUDGET,
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
     """Final anchors: x from the vertical-cut pass, y from the horizontal."""
-    vertical = recursive_bipartition(fabric, design, candidates, "vertical", node_budget, log)
-    horizontal = recursive_bipartition(fabric, design, candidates, "horizontal", node_budget, log)
+    vertical = recursive_bipartition(fabric, design, candidates, "vertical", log)
+    horizontal = recursive_bipartition(fabric, design, candidates, "horizontal", log)
     return {m: (vertical[m][0], horizontal[m][1]) for m in vertical}

@@ -224,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--ar-max", type=float, default=0.7, help="highest allowed width/height")
     fp.add_argument("--no-ar", action="store_true", help="drop the aspect-ratio window")
     fp.add_argument(
-        "--seed", type=int, default=0,
-        help="unused by the deterministic pipeline; reserved for future stages",
-    )
-    fp.add_argument(
         "--time-budget", type=float, default=60.0,
         help="placement search budget in seconds",
     )

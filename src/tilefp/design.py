@@ -26,7 +26,6 @@ __all__ = [
     "classify_modules",
     "generate_random_design",
     "parse_design",
-    "total_frames",
     "write_design",
 ]
 
@@ -47,7 +46,6 @@ class ModuleSpec:
 
     id: str
     req: ResourceVector
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not self.id or any(ch.isspace() for ch in self.id):
@@ -56,8 +54,6 @@ class ModuleSpec:
             raise DesignError(f"module {self.id}: negative requirement")
         if self.req.total == 0:
             raise DesignError(f"module {self.id}: requirement is all zero")
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,6 @@ class Connection:
                 f"connection {self.a}-{self.b}: signal count must be positive"
             )
 
-    def other(self, module_id: str) -> str:
-        return self.b if module_id == self.a else self.a
-
 
 @dataclass
 class Design:
@@ -88,15 +81,15 @@ class Design:
     connections: list[Connection] = field(default_factory=list)
     alpha: float = 0.5
     beta: float = 0.5
+    _by_id: dict[str, ModuleSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [m.id for m in self.modules]
-        if len(set(ids)) != len(ids):
+        self._by_id = {m.id: m for m in self.modules}
+        if len(self._by_id) != len(self.modules):
             raise DesignError("duplicate module ids")
-        known = set(ids)
         seen_pairs = set()
         for conn in self.connections:
-            if conn.a not in known or conn.b not in known:
+            if conn.a not in self._by_id or conn.b not in self._by_id:
                 raise DesignError(f"connection references unknown module: {conn}")
             pair = frozenset((conn.a, conn.b))
             if pair in seen_pairs:
@@ -106,13 +99,7 @@ class Design:
             raise DesignError("objective weights must be non-negative, not both zero")
 
     def module(self, module_id: str) -> ModuleSpec:
-        for m in self.modules:
-            if m.id == module_id:
-                return m
-        raise KeyError(module_id)
-
-    def connections_of(self, module_id: str) -> list[Connection]:
-        return [c for c in self.connections if module_id in (c.a, c.b)]
+        return self._by_id[module_id]
 
 
 @dataclass(frozen=True)
@@ -167,11 +154,6 @@ def classify_modules(design: Design) -> dict[str, list[ModuleSpec]]:
         kinds = _CLASS_BY_TAG[tag].kinds
         members.sort(key=lambda m: tuple(m.req.of(k) for k in kinds) + (m.id,))
     return groups
-
-
-def total_frames(design: Design, fabric: Fabric) -> int:
-    """Frames needed by all module requirements together."""
-    return sum(fabric.frames_of(m.req) for m in design.modules)
 
 
 def parse_design(text: str) -> Design:

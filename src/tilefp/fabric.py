@@ -128,14 +128,6 @@ class Rect(NamedTuple):
             or other.row1 < self.row0
         )
 
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.row0 <= other.row0
-            and self.col0 <= other.col0
-            and other.row1 <= self.row1
-            and other.col1 <= self.col1
-        )
-
 
 class Fabric:
     """Immutable device grid with O(1) rectangle resource queries.
@@ -304,11 +296,6 @@ class Fabric:
         """Reconfiguration frame count of a tile bundle."""
         clb, bram, dsp = self._frame_weights
         return vec.clb * clb + vec.bram * bram + vec.dsp * dsp
-
-    def total_resources(self) -> ResourceVector:
-        return ResourceVector(
-            *(len(self._columns_by_kind[k]) * self._rows for k in ResourceKind)
-        )
 
     def available_in_rect(self, rect: Rect) -> ResourceVector:
         """Tile counts by kind inside ``rect`` but outside reserved areas."""

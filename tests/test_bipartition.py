@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tilefp.bipartition import (
+    EXACT_LIMIT,
     BqpModel,
     InfeasibleModelError,
     Partition,
@@ -292,15 +293,20 @@ def test_build_bqp_costs_nonnegative_property():
 
 def test_solver_matches_enumeration():
     rng = random.Random(23)
-    for trial in range(60):
-        model = random_bqp_model(rng, rng.randint(2, 10))
+    # the last four models span the top of the exact range
+    sizes = [rng.randint(2, 10) for _ in range(60)] + list(range(13, EXACT_LIMIT + 1))
+    for n_vars in sizes:
+        model = random_bqp_model(rng, n_vars)
         got = solve_bqp(model)
         want = bqp_enumeration_min(model)
+        # the exact range ignores the node budget
+        assert solve_bqp(model, node_budget=1) == got
         if want is None:
             assert got is None
         else:
+            # the oracle, too, keeps the lexicographically first minimum
             bits = [got[m] for m in model.variables]
-            assert assignment_feasible(model, bits)
+            assert bits == list(want[0])
             assert objective_of(model, bits) == want[1]
 
 

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from tilefp.design import (
-    Connection,
     Design,
     DesignError,
     GenerationError,
@@ -15,7 +14,6 @@ from tilefp.design import (
     class_of,
     generate_random_design,
     parse_design,
-    total_frames,
     write_design,
 )
 from tilefp.fabric import Fabric, ResourceVector, parse_fabric
@@ -72,7 +70,6 @@ def test_total_frames_of_benchmark():
         "decoder": 462,
         "video_decoder": 2180,
     }
-    assert total_frames(design, fab) == 4202
 
 
 def test_parse_merges_duplicate_connections():
@@ -195,9 +192,3 @@ def test_generated_design_round_trips():
     assert write_design(again) == text
     assert [m.req for m in again.modules] == [m.req for m in design.modules]
     assert again.connections == design.connections
-
-
-def test_connection_other_endpoint():
-    conn = Connection("a", "b", 8)
-    assert conn.other("a") == "b"
-    assert conn.other("b") == "a"

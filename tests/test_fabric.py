@@ -146,7 +146,6 @@ def test_resource_vector_subtraction_guards_negative():
 
 def test_available_resources_excludes_reserved():
     fab = parse_fabric("rows 2\ncolumns CBD\nreserved 0 0 1 0\n")
-    assert fab.total_resources() == ResourceVector(2, 2, 2)
     assert fab.available_resources() == ResourceVector(0, 2, 2)
 
 
