@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -75,14 +76,17 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
     try:
         fabric = parse_fabric(_read(args.fabric, "fabric"))
         design = parse_design(_read(args.design, "design"))
+        design = dataclasses.replace(
+            design,
+            alpha=design.alpha if args.alpha is None else args.alpha,
+            beta=design.beta if args.beta is None else args.beta,
+        )
     except (FabricError, DesignError) as exc:
         print(exc, file=sys.stderr)
         return finish("PARSE_ERROR", EXIT_PARSE)
 
-    alpha = design.alpha if args.alpha is None else args.alpha
-    beta = design.beta if args.beta is None else args.beta
-    if alpha < 0 or beta < 0 or alpha + beta <= 0:
-        print("weights must be non-negative and not both zero", file=sys.stderr)
+    if not args.time_budget >= 0:
+        print("time budget must be a non-negative number of seconds", file=sys.stderr)
         return finish("PARSE_ERROR", EXIT_PARSE)
     if args.no_ar:
         ar_bounds = None
@@ -110,7 +114,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         return finish("PARSE_ERROR", EXIT_PARSE)
 
     scored = {
-        m: normalize_candidates(lst, anchors[m], alpha, beta)
+        m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
         for m, lst in candidates.items()
     }
     order = order_modules(design, fabric)
@@ -131,7 +135,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         floorplan_wirelength(rects, design),
         backtracks,
     )
-    document = write_floorplan(plan, design, fabric, alpha, beta, ar_bounds)
+    document = write_floorplan(plan, design, fabric, design.alpha, design.beta, ar_bounds)
     try:
         if args.out:
             Path(args.out).write_text(document)

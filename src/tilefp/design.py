@@ -1,9 +1,8 @@
-"""Design model: reconfigurable modules, interconnect and priority classes.
+"""Design model: reconfigurable modules, interconnect and objective weights.
 
-Modules carry tile requirements by resource kind. For candidate generation
-they are grouped into four classes by which scarce kinds they need; each
-class orders the kinds by decreasing scarcity, and that order drives the
-kernel expansion phases.
+Modules carry tile requirements by resource kind; connections are weighted
+buses between two modules. Designs are read and written as line documents
+and can be generated pseudo-randomly against a fabric.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ __all__ = [
     "DesignError",
     "GenerationError",
     "ModuleSpec",
-    "PriorityClass",
-    "PRIORITY_CLASSES",
-    "class_of",
-    "classify_modules",
     "generate_random_design",
     "parse_design",
     "write_design",
@@ -95,65 +90,12 @@ class Design:
             if pair in seen_pairs:
                 raise DesignError(f"duplicate connection {conn.a}-{conn.b}")
             seen_pairs.add(pair)
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise DesignError("objective weights must be non-negative, not both zero")
+        weights = (self.alpha, self.beta)
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) <= 0:
+            raise DesignError("objective weights must be finite, non-negative, not both zero")
 
     def module(self, module_id: str) -> ModuleSpec:
         return self._by_id[module_id]
-
-
-@dataclass(frozen=True)
-class PriorityClass:
-    """Resource kinds a module class needs, ordered by decreasing scarcity."""
-
-    tag: str
-    primary: ResourceKind
-    secondary: ResourceKind | None = None
-    tertiary: ResourceKind | None = None
-
-    @property
-    def kinds(self) -> tuple[ResourceKind, ...]:
-        out = [self.primary]
-        if self.secondary is not None:
-            out.append(self.secondary)
-        if self.tertiary is not None:
-            out.append(self.tertiary)
-        return tuple(out)
-
-
-PRIORITY_CLASSES = (
-    PriorityClass("S1", ResourceKind.DSP, ResourceKind.BRAM, ResourceKind.CLB),
-    PriorityClass("S2", ResourceKind.DSP, ResourceKind.CLB),
-    PriorityClass("S3", ResourceKind.BRAM, ResourceKind.CLB),
-    PriorityClass("S4", ResourceKind.CLB),
-)
-
-_CLASS_BY_TAG = {cls.tag: cls for cls in PRIORITY_CLASSES}
-
-
-def class_of(req: ResourceVector) -> PriorityClass:
-    """Priority class for a requirement vector."""
-    if req.dsp > 0 and req.bram > 0:
-        return _CLASS_BY_TAG["S1"]
-    if req.dsp > 0:
-        return _CLASS_BY_TAG["S2"]
-    if req.bram > 0:
-        return _CLASS_BY_TAG["S3"]
-    return _CLASS_BY_TAG["S4"]
-
-
-def classify_modules(design: Design) -> dict[str, list[ModuleSpec]]:
-    """Group modules into the four classes, each sorted for processing.
-
-    Sort key: requirement of the class kinds in priority order, then id.
-    """
-    groups: dict[str, list[ModuleSpec]] = {cls.tag: [] for cls in PRIORITY_CLASSES}
-    for module in design.modules:
-        groups[class_of(module.req).tag].append(module)
-    for tag, members in groups.items():
-        kinds = _CLASS_BY_TAG[tag].kinds
-        members.sort(key=lambda m: tuple(m.req.of(k) for k in kinds) + (m.id,))
-    return groups
 
 
 def parse_design(text: str) -> Design:

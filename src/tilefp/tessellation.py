@@ -1,28 +1,22 @@
 """Candidate placement generation by columnar kernel tessellation.
 
-Placements for a module are grown from kernels: minimal rectangles seeded
-on the scarcest resource the module needs. Kernels of one row can merge
-into wider spans when a single column cannot provide enough of that
-resource; every kernel is then expanded, first upward until the scarcest
-requirement is met, then sideways (and upward again) column by column for
-each remaining kind in priority order. Expansion enumerates every way of
-splitting the needed columns between the left and the right side and emits
-a candidate at every reachable height, which is what gives the aspect-ratio
-filter something to choose from.
+A module's resource kinds are taken scarcest first (``kind_order``): DSP,
+then BRAM, then CLB, each only if the module needs it. Placements are
+grown from kernels: minimal rectangles seeded on the first kind. Kernels of
+one row can merge into wider spans when a single column cannot provide
+enough of it. Every kernel is then expanded once per kind in that order,
+sideways (and upward) column by column until the kind's requirement is met.
+Expansion enumerates every way of splitting the needed columns between the
+left and the right side and emits a candidate at every reachable height,
+which is what gives the aspect-ratio filter something to choose from.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .design import (
-    Design,
-    ModuleSpec,
-    PriorityClass,
-    PRIORITY_CLASSES,
-    classify_modules,
-)
+from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
 
 __all__ = [
@@ -31,9 +25,9 @@ __all__ = [
     "PlacementCandidate",
     "base_kernels_for_row",
     "expand_horizontal",
-    "expand_vertical",
     "generate_module_placements",
     "generate_placements",
+    "kind_order",
     "merge_row_kernels",
 ]
 
@@ -59,11 +53,19 @@ class Kernel(NamedTuple):
 class PlacementCandidate(NamedTuple):
     """One admissible rectangle for a module."""
 
-    module_id: str
     rect: Rect
     resources: ResourceVector
     wastage_frames: int
     center: tuple[float, float]
+
+
+def kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
+    """The kinds a module's candidates are grown for, scarcest first.
+
+    DSP if the module needs any, then BRAM if it needs any, then CLB always.
+    """
+    kinds = tuple(k for k in (ResourceKind.DSP, ResourceKind.BRAM) if req.of(k) > 0)
+    return kinds + (ResourceKind.CLB,)
 
 
 def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
@@ -79,23 +81,24 @@ def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
     return left if col - left <= right - col else right
 
 
-def base_kernels_for_row(fabric: Fabric, row: int, cls: PriorityClass) -> list[Kernel]:
-    """Seed kernels of one row, one per primary-resource column.
+def base_kernels_for_row(
+    fabric: Fabric, row: int, kinds: tuple[ResourceKind, ...]
+) -> list[Kernel]:
+    """Seed kernels of one row, one per column of the first kind.
 
-    When the class needs a second scarce kind (DSP plus BRAM), each kernel
-    spans from its primary column to the nearest column of that kind,
-    including everything between; a paired span that would touch reserved
-    tiles shrinks back to the bare primary tile. Kernels whose primary tile
-    is itself reserved are dropped.
+    When ``kinds`` holds two scarce kinds before CLB (DSP plus BRAM), each
+    kernel spans from its DSP column to the nearest BRAM column, including
+    everything between; a paired span that would touch reserved tiles
+    shrinks back to the bare DSP tile. Kernels whose own tile is reserved
+    are dropped.
     """
-    pair_kind = cls.secondary if cls.secondary in (ResourceKind.BRAM, ResourceKind.DSP) else None
-    sec_cols = fabric.columns_of(pair_kind) if pair_kind else ()
+    pair_cols = fabric.columns_of(kinds[1]) if len(kinds) == 3 else None
     price = fabric.resources_if_free
     kernels = []
-    for c in fabric.columns_of(cls.primary):
+    for c in fabric.columns_of(kinds[0]):
         found = None
-        if pair_kind is not None:
-            near = _nearest_column(sec_cols, c)
+        if pair_cols is not None:
+            near = _nearest_column(pair_cols, c)
             if near is None:
                 continue
             col0, col1 = min(c, near), max(c, near)
@@ -111,20 +114,20 @@ def base_kernels_for_row(fabric: Fabric, row: int, cls: PriorityClass) -> list[K
 def merge_row_kernels(
     fabric: Fabric,
     kernels: list[Kernel],
-    needed_primary: int,
-    primary: ResourceKind,
+    needed: int,
+    kind: ResourceKind,
 ) -> list[Kernel]:
     """Merge a row's kernels into wider spans when no single one suffices.
 
-    If some kernel already holds ``needed_primary`` tiles the input comes
+    If some kernel already holds ``needed`` tiles the input comes
     back unchanged. Otherwise, for every start kernel the span grows to the
     right one kernel at a time (absorbing all tiles between) and the first
     span that suffices is kept; spans over reserved tiles are discarded.
     """
-    if any(k.resources.of(primary) >= needed_primary for k in kernels):
+    if any(k.resources.of(kind) >= needed for k in kernels):
         return list(kernels)
     price = fabric.resources_if_free
-    k = primary.index
+    k = kind.index
     merged = []
     for i, (rect, _) in enumerate(kernels):
         row, col0, _, col1 = rect
@@ -133,30 +136,10 @@ def merge_row_kernels(
             res = price(row, col0, row, col1)
             if res is None:
                 break
-            if res[k] >= needed_primary:
+            if res[k] >= needed:
                 merged.append(Kernel(Rect(row, col0, row, col1), res))
                 break
     return merged
-
-
-def expand_vertical(
-    fabric: Fabric, kernel: Kernel, needed: int, kind: ResourceKind
-) -> Kernel | None:
-    """Grow a kernel upward one clock region at a time until ``kind`` suffices.
-
-    Returns None when the device top arrives first or growth would engulf a
-    reserved tile.
-    """
-    rect, res = kernel
-    while res.of(kind) < needed:
-        top = rect.row1 + 1
-        if top >= fabric.rows:
-            return None
-        if fabric.reserved_tiles_in(Rect(top, rect.col0, top, rect.col1)):
-            return None
-        rect = Rect(rect.row0, rect.col0, top, rect.col1)
-        res = fabric.resources_in_rect(rect)
-    return Kernel(rect, res)
 
 
 def _columns_outward(
@@ -258,19 +241,19 @@ def _expand_or_cross(
 def generate_module_placements(
     fabric: Fabric,
     module: ModuleSpec,
-    cls: PriorityClass,
     ar_bounds: tuple[float, float] | None,
 ) -> list[PlacementCandidate]:
     """All candidate rectangles for one module, deduplicated, in a
     deterministic order."""
     req = module.req
-    need_primary = req.of(cls.primary)
+    first, *rest = kinds = kind_order(req)
+    need_first = req.of(first)
 
     kernels: list[Kernel] = []
     seen_kernels: set[Rect] = set()
     for row in range(fabric.rows):
-        base = base_kernels_for_row(fabric, row, cls)
-        for k in base + merge_row_kernels(fabric, base, need_primary, cls.primary):
+        base = base_kernels_for_row(fabric, row, kinds)
+        for k in base + merge_row_kernels(fabric, base, need_first, first):
             if k.rect not in seen_kernels:
                 seen_kernels.add(k.rect)
                 kernels.append(k)
@@ -279,53 +262,22 @@ def generate_module_placements(
     accepted: list[PlacementCandidate] = []
     seen: set[Rect] = set()
     covering = 0
-    seen_base: set[Rect] = set()
-    seen_mid: set[Rect] = set()
+    # one set per later kind: a rectangle expanded for a kind once is
+    # expanded identically from every other kernel that reaches it
+    seen_stage: list[set[Rect]] = [set() for _ in rest]
     for kernel in kernels:
-        if cls.secondary is None:
-            # Single-kind modules: the sideways expansion serves the primary
-            # resource itself and its upward loop covers the pure vertical
-            # growth as the zero-column split.
-            finals: Iterable[Kernel] = expand_horizontal(
-                fabric, kernel, need_primary, cls.primary, blocked=None
-            )
-        else:
-            # The minimal vertical satisfier comes first; recruiting further
-            # primary columns sideways covers the layouts it cannot reach
-            # (reserved ceilings, primary targets taller than the device).
-            bases = []
-            grown = expand_vertical(fabric, kernel, need_primary, cls.primary)
-            if grown is not None:
-                bases.append(grown)
-            bases.extend(
-                expand_horizontal(fabric, kernel, need_primary, cls.primary, blocked=None)
-            )
-            mids = []
-            for base in bases:
-                if base.rect in seen_base:
-                    continue
-                seen_base.add(base.rect)
-                mids.extend(
-                    _expand_or_cross(
-                        fabric, base, req.of(cls.secondary), cls.secondary,
-                        blocked=cls.primary,
+        # the first kind's own upward growth is the zero-column split
+        layer = expand_horizontal(fabric, kernel, need_first, first, blocked=None)
+        for kind, seen_here in zip(rest, seen_stage):
+            grown = []
+            for k in layer:
+                if k.rect not in seen_here:
+                    seen_here.add(k.rect)
+                    grown.extend(
+                        _expand_or_cross(fabric, k, req.of(kind), kind, blocked=first)
                     )
-                )
-            if cls.tertiary is None:
-                finals = mids
-            else:
-                finals = []
-                for mid in mids:
-                    if mid.rect in seen_mid:
-                        continue
-                    seen_mid.add(mid.rect)
-                    finals.extend(
-                        _expand_or_cross(
-                            fabric, mid, req.of(cls.tertiary), cls.tertiary,
-                            blocked=cls.primary,
-                        )
-                    )
-        for cand in finals:
+            layer = grown
+        for cand in layer:
             if cand.rect in seen:
                 continue
             seen.add(cand.rect)
@@ -338,7 +290,6 @@ def generate_module_placements(
                     continue
             accepted.append(
                 PlacementCandidate(
-                    module.id,
                     cand.rect,
                     cand.resources,
                     fabric.frames_of(cand.resources - req),
@@ -358,15 +309,11 @@ def generate_placements(
     design: Design,
     ar_bounds: tuple[float, float] | None = (0.2, 0.7),
 ) -> dict[str, list[PlacementCandidate]]:
-    """Candidate lists for every module of a design.
+    """Candidate lists for every module of a design, in design order.
 
-    Modules are processed class by class (S1 through S4), each class in its
-    scarcity-sorted order, so the output dict preserves that order. Raises
-    InfeasibleModuleError for the first module without any candidate.
+    Raises InfeasibleModuleError for the first module, in design order,
+    without any candidate.
     """
-    groups = classify_modules(design)
-    out: dict[str, list[PlacementCandidate]] = {}
-    for cls in PRIORITY_CLASSES:
-        for module in groups[cls.tag]:
-            out[module.id] = generate_module_placements(fabric, module, cls, ar_bounds)
-    return out
+    return {
+        m.id: generate_module_placements(fabric, m, ar_bounds) for m in design.modules
+    }

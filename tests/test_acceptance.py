@@ -22,7 +22,7 @@ from helpers import (
 )
 from tilefp.bipartition import assignment_feasible, objective_of, solve_bqp
 from tilefp.cli import main
-from tilefp.design import ModuleSpec, class_of
+from tilefp.design import ModuleSpec
 from tilefp.fixtures import fixture_path
 from tilefp.tessellation import generate_module_placements
 from tilefp.validate import parse_floorplan, validate_floorplan
@@ -121,7 +121,7 @@ def generation_suite():
                 if brute:
                     break
             module = ModuleSpec(f"m{k}", req)
-            cands = generate_module_placements(fabric, module, class_of(req), None)
+            cands = generate_module_placements(fabric, module, None)
             cases.append((req, brute, cands))
         suite.append((fabric, cases))
     return suite

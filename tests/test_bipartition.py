@@ -41,8 +41,8 @@ from tilefp.tessellation import (
 from helpers import bqp_enumeration_min, random_bqp_model, random_fabric
 
 
-def cand(module_id, rect, resources=ResourceVector(1, 0, 0)):
-    return PlacementCandidate(module_id, rect, resources, 0, rect.center)
+def cand(rect, resources=ResourceVector(1, 0, 0)):
+    return PlacementCandidate(rect, resources, 0, rect.center)
 
 
 def make_partition(fabric, rect=None, members=()):
@@ -87,22 +87,22 @@ def test_split_too_thin_raises():
 def test_placement_side_fractions():
     fab = parse_fabric("rows 1\ncolumns CCCCCCCCCC\n")
     c0, c1 = split_partition(make_partition(fab), "vertical", fab)
-    assert placement_side(cand("m", Rect(0, 0, 0, 3)), c0, c1) == 0
-    assert placement_side(cand("m", Rect(0, 6, 0, 9)), c0, c1) == 1
+    assert placement_side(cand(Rect(0, 0, 0, 3)), c0, c1) == 0
+    assert placement_side(cand(Rect(0, 6, 0, 9)), c0, c1) == 1
     # 4 of 5 tiles on the left: 80%
-    assert placement_side(cand("m", Rect(0, 1, 0, 5)), c0, c1) == 0
+    assert placement_side(cand(Rect(0, 1, 0, 5)), c0, c1) == 0
     # exactly 75% on the right is still assigned (boundary inclusive)
-    assert placement_side(cand("m", Rect(0, 4, 0, 7)), c0, c1) == 1
+    assert placement_side(cand(Rect(0, 4, 0, 7)), c0, c1) == 1
     # an even straddle belongs to neither half
-    assert placement_side(cand("m", Rect(0, 2, 0, 7)), c0, c1) is None
+    assert placement_side(cand(Rect(0, 2, 0, 7)), c0, c1) is None
 
 
 def test_placement_side_two_dimensional_overlap():
     fab = parse_fabric("rows 4\ncolumns CCCC\n")
     c0, c1 = split_partition(make_partition(fab), "horizontal", fab)
-    assert placement_side(cand("m", Rect(0, 0, 2, 0)), c0, c1) is None
-    assert placement_side(cand("m", Rect(1, 0, 2, 3)), c0, c1) is None
-    assert placement_side(cand("m", Rect(2, 1, 3, 2)), c0, c1) == 1
+    assert placement_side(cand(Rect(0, 0, 2, 0)), c0, c1) is None
+    assert placement_side(cand(Rect(1, 0, 2, 3)), c0, c1) is None
+    assert placement_side(cand(Rect(2, 1, 3, 2)), c0, c1) == 1
 
 
 # --- side_data -------------------------------------------------------------
@@ -112,10 +112,10 @@ def test_side_data_means_and_minima():
     c0, c1 = split_partition(make_partition(fab), "vertical", fab)
     module = ModuleSpec("m", ResourceVector(2, 0, 0))
     cands = [
-        cand("m", Rect(0, 0, 0, 1), ResourceVector(2, 0, 0)),
-        cand("m", Rect(0, 0, 0, 3), ResourceVector(4, 0, 0)),
-        cand("m", Rect(1, 0, 1, 1), ResourceVector(2, 1, 0)),
-        cand("m", Rect(0, 5, 1, 6), ResourceVector(4, 0, 0)),
+        cand(Rect(0, 0, 0, 1), ResourceVector(2, 0, 0)),
+        cand(Rect(0, 0, 0, 3), ResourceVector(4, 0, 0)),
+        cand(Rect(1, 0, 1, 1), ResourceVector(2, 1, 0)),
+        cand(Rect(0, 5, 1, 6), ResourceVector(4, 0, 0)),
     ]
     data = side_data(module, cands, c0, c1, "vertical")
     assert data.forced_side is None and not data.parent_only
@@ -129,10 +129,10 @@ def test_side_data_forced_and_parent_only():
     fab = parse_fabric("rows 2\ncolumns CCCCCCCC\n")
     c0, c1 = split_partition(make_partition(fab), "vertical", fab)
     module = ModuleSpec("m", ResourceVector(2, 0, 0))
-    left_only = side_data(module, [cand("m", Rect(0, 0, 1, 1))], c0, c1, "vertical")
+    left_only = side_data(module, [cand(Rect(0, 0, 1, 1))], c0, c1, "vertical")
     assert left_only.forced_side == 0
     assert left_only.w1 is None and left_only.occ1 is None
-    straddle = side_data(module, [cand("m", Rect(0, 2, 0, 5))], c0, c1, "vertical")
+    straddle = side_data(module, [cand(Rect(0, 2, 0, 5))], c0, c1, "vertical")
     assert straddle.parent_only
     assert straddle.forced_side is None
 
@@ -171,7 +171,7 @@ def test_external_cut_cost_examples():
 # --- build_bqp -------------------------------------------------------------
 
 def sd(module_id, w0=None, w1=None, occ0=None, occ1=None):
-    filler = cand(module_id, Rect(0, 0, 0, 0))
+    filler = cand(Rect(0, 0, 0, 0))
     return SideData(
         module_id,
         (filler,) if w0 is not None else (),
@@ -358,8 +358,8 @@ def test_forced_modules_anchor_at_child_centers():
         [ModuleSpec("l", ResourceVector(1, 0, 0)), ModuleSpec("r", ResourceVector(1, 0, 0))]
     )
     cands = {
-        "l": [cand("l", Rect(0, 0, 0, 0))],
-        "r": [cand("r", Rect(0, 3, 0, 3))],
+        "l": [cand(Rect(0, 0, 0, 0))],
+        "r": [cand(Rect(0, 3, 0, 3))],
     }
     anchors = recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["l"] == (1.0, 0.5)
@@ -376,9 +376,9 @@ def test_parent_only_module_keeps_parent_anchor():
         ]
     )
     cands = {
-        "big": [cand("big", Rect(0, 2, 0, 5), ResourceVector(4, 0, 0))],
-        "l": [cand("l", Rect(0, 0, 0, 0))],
-        "r": [cand("r", Rect(0, 7, 0, 7))],
+        "big": [cand(Rect(0, 2, 0, 5), ResourceVector(4, 0, 0))],
+        "l": [cand(Rect(0, 0, 0, 0))],
+        "r": [cand(Rect(0, 7, 0, 7))],
     }
     anchors = recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["big"] == (4.0, 0.5)
@@ -418,8 +418,8 @@ def test_compute_anchors_combines_axes():
         [ModuleSpec("a", ResourceVector(1, 0, 0)), ModuleSpec("b", ResourceVector(1, 0, 0))]
     )
     cands = {
-        "a": [cand("a", Rect(0, 0, 0, 0))],  # bottom-left corner
-        "b": [cand("b", Rect(3, 3, 3, 3))],  # top-right corner
+        "a": [cand(Rect(0, 0, 0, 0))],  # bottom-left corner
+        "b": [cand(Rect(3, 3, 3, 3))],  # top-right corner
     }
     anchors = compute_anchors(fab, design, cands)
     ax, ay = anchors["a"]

@@ -61,6 +61,12 @@ def test_infeasible_module_exit_code(tmp_path, capsys):
     design = write(tmp_path, "t.design", "module m 1 0 99\nmodule k 1 0 0\n")
     assert main(["floorplan", "--fabric", fab, "--design", design]) == 2
     assert capsys.readouterr().out.startswith("INFEASIBLE_MODULE")
+    # with several modules infeasible, the first in design order is named
+    both = write(tmp_path, "both.design", "module k 9 0 0\nmodule m 1 0 99\n")
+    assert main(["floorplan", "--fabric", fab, "--design", both]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("INFEASIBLE_MODULE")
+    assert "module 'k'" in captured.err and "module 'm'" not in captured.err
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):
@@ -80,16 +86,21 @@ def test_timeout_exit_code(capsys):
 
 
 def test_bad_weights_and_bounds(tmp_path, capsys):
-    assert main([
-        "floorplan", "--fabric", FX, "--design", SDR,
-        "--alpha", "0", "--beta", "0",
-    ]) == 1
-    assert main([
-        "floorplan", "--fabric", FX, "--design", SDR,
-        "--ar-min", "0.9", "--ar-max", "0.2",
-    ]) == 1
+    nan_weights = write(tmp_path, "nan.design", "module a 1 0 0\nweights nan 0.5\n")
+    bad = [
+        ["--design", SDR, "--alpha", "0", "--beta", "0"],
+        ["--design", SDR, "--ar-min", "0.9", "--ar-max", "0.2"],
+        ["--design", SDR, "--alpha", "nan"],
+        ["--design", SDR, "--alpha", "inf"],
+        ["--design", SDR, "--beta", "nan"],
+        ["--design", nan_weights],
+        ["--design", SDR, "--time-budget", "nan"],
+        ["--design", SDR, "--time-budget", "-1"],
+    ]
+    for options in bad:
+        assert main(["floorplan", "--fabric", FX, *options]) == 1, options
     out = capsys.readouterr()
-    assert out.out.count("PARSE_ERROR") == 2
+    assert out.out.count("PARSE_ERROR") == len(bad)
 
 
 def test_cli_weights_override_design_file(tmp_path):

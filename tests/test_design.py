@@ -1,4 +1,4 @@
-"""Design model, classifier and random generator tests."""
+"""Design model, parser and random generator tests."""
 
 import math
 import random
@@ -6,12 +6,8 @@ import random
 import pytest
 
 from tilefp.design import (
-    Design,
     DesignError,
     GenerationError,
-    ModuleSpec,
-    classify_modules,
-    class_of,
     generate_random_design,
     parse_design,
     write_design,
@@ -92,41 +88,9 @@ def test_parse_rejects_bad_documents():
         parse_design("module a 1 0 0\nmodule a 2 0 0\n")
     with pytest.raises(DesignError):
         parse_design("# nothing here\n")
-
-
-def test_class_of_covers_all_mixes():
-    assert class_of(ResourceVector(55, 2, 5)).tag == "S1"
-    assert class_of(ResourceVector(25, 0, 5)).tag == "S2"
-    assert class_of(ResourceVector(5, 2, 0)).tag == "S3"
-    assert class_of(ResourceVector(10, 0, 0)).tag == "S4"
-
-
-def test_classify_orders_by_priority_resources():
-    design = Design(
-        [
-            ModuleSpec("decoder", ResourceVector(12, 1, 0)),
-            ModuleSpec("demodulator", ResourceVector(5, 2, 0)),
-        ]
-    )
-    groups = classify_modules(design)
-    # (bram, clb) lexicographic: (1, 12) sorts before (2, 5)
-    assert [m.id for m in groups["S3"]] == ["decoder", "demodulator"]
-    assert groups["S1"] == [] and groups["S2"] == [] and groups["S4"] == []
-
-
-def test_classify_partitions_every_module_once():
-    rng = random.Random(11)
-    for _ in range(20):
-        modules = []
-        for i in range(rng.randrange(1, 12)):
-            req = ResourceVector(
-                rng.randrange(1, 9), rng.randrange(3), rng.randrange(3)
-            )
-            modules.append(ModuleSpec(f"m{i}", req))
-        design = Design(modules)
-        groups = classify_modules(design)
-        collected = sorted(m.id for members in groups.values() for m in members)
-        assert collected == sorted(m.id for m in modules)
+    for weights in ("nan 0.5", "0.5 inf", "-1 1", "0 0"):
+        with pytest.raises(DesignError, match="weights"):
+            parse_design(f"module a 1 0 0\nweights {weights}\n")
 
 
 def _flat_fabric(clb_cols=20, rows=5):

@@ -99,7 +99,7 @@ def test_side_data_split_matches_placement_side(data):
     parent = Partition(parent_rect, ("m",), fab.available_in_rect(parent_rect))
     child0, child1 = split_partition(parent, axis, fab)
     cands = [
-        PlacementCandidate("m", r, fab.resources_in_rect(r), 0, r.center)
+        PlacementCandidate(r, fab.resources_in_rect(r), 0, r.center)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
     split = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), cands, child0, child1, axis)

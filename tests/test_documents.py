@@ -1,10 +1,12 @@
-"""Golden documents: the SDR variants must keep writing the same bytes.
+"""Golden outputs: the SDR variants must keep writing the same bytes.
 
 The pinned hashes in ``data/sdr_documents.sha256`` were taken from the
 documents the pipeline wrote before its hot loops were rewritten. A speed
 change that alters any candidate, anchor or placement shows up here as a
-different document. Regenerate the file only for a change that is meant to
-move the documents, and say why in CHANGES.md.
+different document. ``data/sdr_candidates.sha256`` pins the SDR candidate
+sets themselves, ignoring their order, so a change that only reorders a
+module's list still passes. Regenerate a file only for a change that is
+meant to move what it pins, and say why in CHANGES.md.
 """
 
 import contextlib
@@ -15,21 +17,42 @@ from pathlib import Path
 import pytest
 
 from tilefp.cli import main
+from tilefp.design import parse_design
+from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
+from tilefp.tessellation import generate_placements
 
-GOLDEN = Path(__file__).parent / "data" / "sdr_documents.sha256"
+DATA = Path(__file__).parent / "data"
 
 
-def golden_cases():
+def golden_cases(name):
     cases = []
-    for line in GOLDEN.read_text().splitlines():
+    for line in (DATA / name).read_text().splitlines():
         if line.strip() and not line.startswith("#"):
             case, digest, *options = line.split()
             cases.append(pytest.param(digest, options, id=case))
     return cases
 
 
-@pytest.mark.parametrize("digest, options", golden_cases())
+def candidate_digest(candidates):
+    """sha256 over every module's sorted (rect, resources, wastage) triples."""
+    lines = []
+    for module_id in sorted(candidates):
+        triples = sorted((c.rect, c.resources, c.wastage_frames) for c in candidates[module_id])
+        for rect, resources, wastage in triples:
+            lines.append(f"{module_id} {' '.join(map(str, rect + resources))} {wastage}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("sdr_candidates.sha256"))
+def test_sdr_candidate_sets_are_pinned(digest, options):
+    fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    design = parse_design(fixture_path("sdr.design").read_text())
+    ar_bounds = tuple(map(float, options)) if options else None
+    assert candidate_digest(generate_placements(fabric, design, ar_bounds)) == digest
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("sdr_documents.sha256"))
 def test_sdr_document_bytes_are_pinned(tmp_path, digest, options):
     out = tmp_path / "plan.fp"
     with contextlib.redirect_stdout(io.StringIO()):

@@ -27,10 +27,8 @@ from helpers import (
 )
 
 
-def cand(rect, wastage, module_id="m"):
-    return PlacementCandidate(
-        module_id, rect, ResourceVector(1, 0, 0), wastage, rect.center
-    )
+def cand(rect, wastage):
+    return PlacementCandidate(rect, ResourceVector(1, 0, 0), wastage, rect.center)
 
 
 def sdr_design():
@@ -135,8 +133,8 @@ def score_all(cands, anchors=None, alpha=1.0, beta=0.0):
 def test_place_disjoint_best_candidates_no_backtrack():
     fab = parse_fabric("rows 1\ncolumns CCCC\n")
     cands = {
-        "a": [cand(Rect(0, 0, 0, 0), 0, "a"), cand(Rect(0, 1, 0, 1), 0, "a")],
-        "b": [cand(Rect(0, 2, 0, 2), 0, "b"), cand(Rect(0, 3, 0, 3), 0, "b")],
+        "a": [cand(Rect(0, 0, 0, 0), 0), cand(Rect(0, 1, 0, 1), 0)],
+        "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
     }
     scored = score_all(cands)
     rects, backtracks = trial_and_error_place(fab, ["a", "b"], scored)
@@ -147,8 +145,8 @@ def test_place_disjoint_best_candidates_no_backtrack():
 def test_place_collision_takes_next_candidate():
     fab = parse_fabric("rows 1\ncolumns CCC\n")
     cands = {
-        "a": [cand(Rect(0, 0, 0, 0), 0, "a")],
-        "b": [cand(Rect(0, 0, 0, 0), 0, "b"), cand(Rect(0, 1, 0, 1), 36, "b")],
+        "a": [cand(Rect(0, 0, 0, 0), 0)],
+        "b": [cand(Rect(0, 0, 0, 0), 0), cand(Rect(0, 1, 0, 1), 36)],
     }
     scored = score_all(cands)
     rects, backtracks = trial_and_error_place(fab, ["a", "b"], scored)
@@ -161,11 +159,11 @@ def test_place_backtracks_across_depths():
     # a's first pick starves b and c; only a's second pick leaves room
     cands = {
         "a": [
-            cand(Rect(0, 1, 0, 2), 0, "a"),
-            cand(Rect(0, 0, 0, 1), 0, "a"),
+            cand(Rect(0, 1, 0, 2), 0),
+            cand(Rect(0, 0, 0, 1), 0),
         ],
-        "b": [cand(Rect(0, 2, 0, 2), 0, "b"), cand(Rect(0, 3, 0, 3), 0, "b")],
-        "c": [cand(Rect(0, 3, 0, 3), 0, "c")],
+        "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
+        "c": [cand(Rect(0, 3, 0, 3), 0)],
     }
     scored = {m: [ScoredStub(c) for c in lst] for m, lst in cands.items()}
     rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], scored)
@@ -192,17 +190,16 @@ def test_place_matches_exhaustive_first_feasible():
         lists = []
         ids = []
         for k in range(rng.randint(2, 4)):
-            module_id = f"m{k}"
             req = random_requirement(rng, fab)
             pool = [
-                PlacementCandidate(module_id, rect, ResourceVector(), w, rect.center)
+                PlacementCandidate(rect, ResourceVector(), w, rect.center)
                 for rect, w in sorted(brute_force_rects(fab, req, None).items())[
                     : rng.randint(1, 6)
                 ]
             ]
             if not pool:
                 break
-            ids.append(module_id)
+            ids.append(f"m{k}")
             lists.append(pool)
         if len(lists) < 2:
             continue
@@ -224,7 +221,7 @@ def test_place_matches_exhaustive_first_feasible():
 
 def test_place_zero_budget_times_out():
     fab = parse_fabric("rows 1\ncolumns CC\n")
-    cands = {"a": [cand(Rect(0, 0, 0, 0), 0, "a")]}
+    cands = {"a": [cand(Rect(0, 0, 0, 0), 0)]}
     scored = score_all(cands)
     with pytest.raises(PlacementTimeoutError):
         trial_and_error_place(fab, ["a"], scored, time_budget=0.0)
@@ -234,8 +231,8 @@ def test_place_infeasible_names_blocking_module():
     fab = parse_fabric("rows 1\ncolumns CC\n")
     shared = Rect(0, 0, 0, 1)
     cands = {
-        "a": [cand(shared, 0, "a")],
-        "b": [cand(shared, 0, "b")],
+        "a": [cand(shared, 0)],
+        "b": [cand(shared, 0)],
     }
     scored = score_all(cands)
     with pytest.raises(PlacementInfeasibleError) as err:
@@ -247,7 +244,7 @@ def test_place_infeasible_names_blocking_module():
 def test_place_rejects_reserved_rects():
     fab = parse_fabric("rows 1\ncolumns CCC\nreserved 0 0 0 0\n")
     cands = {
-        "a": [cand(Rect(0, 0, 0, 0), 0, "a"), cand(Rect(0, 2, 0, 2), 0, "a")],
+        "a": [cand(Rect(0, 0, 0, 0), 0), cand(Rect(0, 2, 0, 2), 0)],
     }
     scored = score_all(cands)
     rects, _ = trial_and_error_place(fab, ["a"], scored)

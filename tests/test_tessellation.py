@@ -4,31 +4,38 @@ import random
 
 import pytest
 
-from tilefp.design import Design, ModuleSpec, PRIORITY_CLASSES, class_of
+from tilefp.design import Design, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
 from tilefp.tessellation import (
     InfeasibleModuleError,
     Kernel,
     base_kernels_for_row,
     expand_horizontal,
-    expand_vertical,
     generate_module_placements,
     generate_placements,
+    kind_order,
     merge_row_kernels,
 )
 
 from helpers import brute_force_rects, random_fabric, random_requirement
 
-S1, S2, S3, S4 = PRIORITY_CLASSES
+DSP, BRAM, CLB = ResourceKind.DSP, ResourceKind.BRAM, ResourceKind.CLB
 
 
 def kernel_at(fabric, rect):
     return Kernel(rect, fabric.resources_in_rect(rect))
 
 
+def test_kind_order_covers_all_mixes():
+    assert kind_order(ResourceVector(55, 2, 5)) == (DSP, BRAM, CLB)
+    assert kind_order(ResourceVector(25, 0, 5)) == (DSP, CLB)
+    assert kind_order(ResourceVector(5, 2, 0)) == (BRAM, CLB)
+    assert kind_order(ResourceVector(10, 0, 0)) == (CLB,)
+
+
 def test_base_kernels_pair_scarce_kinds():
     fab = parse_fabric("rows 1\ncolumns CCBCD\n")
-    kernels = base_kernels_for_row(fab, 0, S1)
+    kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
     # DSP at 4 pairs with the BRAM at 2, everything between included
     assert [k.rect for k in kernels] == [Rect(0, 2, 0, 4)]
     assert kernels[0].resources == ResourceVector(1, 1, 1)
@@ -36,9 +43,9 @@ def test_base_kernels_pair_scarce_kinds():
 
 def test_base_kernels_single_primary_tiles():
     fab = parse_fabric("rows 1\ncolumns CCBCD\n")
-    assert [k.rect for k in base_kernels_for_row(fab, 0, S3)] == [Rect(0, 2, 0, 2)]
-    assert [k.rect for k in base_kernels_for_row(fab, 0, S2)] == [Rect(0, 4, 0, 4)]
-    assert [k.rect for k in base_kernels_for_row(fab, 0, S4)] == [
+    assert [k.rect for k in base_kernels_for_row(fab, 0, (BRAM, CLB))] == [Rect(0, 2, 0, 2)]
+    assert [k.rect for k in base_kernels_for_row(fab, 0, (DSP, CLB))] == [Rect(0, 4, 0, 4)]
+    assert [k.rect for k in base_kernels_for_row(fab, 0, (CLB,))] == [
         Rect(0, 0, 0, 0),
         Rect(0, 1, 0, 1),
         Rect(0, 3, 0, 3),
@@ -47,12 +54,12 @@ def test_base_kernels_single_primary_tiles():
 
 def test_base_kernels_empty_without_primary():
     fab = parse_fabric("rows 1\ncolumns CCBC\n")
-    assert base_kernels_for_row(fab, 0, S2) == []
+    assert base_kernels_for_row(fab, 0, (DSP, CLB)) == []
 
 
 def test_base_kernels_tie_breaks_left():
     fab = parse_fabric("rows 1\ncolumns BCDCB\n")
-    kernels = base_kernels_for_row(fab, 0, S1)
+    kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
     assert [k.rect for k in kernels] == [Rect(0, 0, 0, 2)]
 
 
@@ -60,23 +67,23 @@ def test_base_kernels_skip_reserved():
     fab = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 3 0 3\n")
     # the span from DSP 4 to BRAM 2 crosses the reserved col 3 in row 0, so
     # the kernel shrinks back to the bare DSP tile there
-    assert [k.rect for k in base_kernels_for_row(fab, 0, S1)] == [Rect(0, 4, 0, 4)]
-    assert [k.rect for k in base_kernels_for_row(fab, 1, S1)] == [Rect(1, 2, 1, 4)]
+    assert [k.rect for k in base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))] == [Rect(0, 4, 0, 4)]
+    assert [k.rect for k in base_kernels_for_row(fab, 1, (DSP, BRAM, CLB))] == [Rect(1, 2, 1, 4)]
     # a reserved primary tile kills the kernel outright
     fab2 = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 4 0 4\n")
-    assert base_kernels_for_row(fab2, 0, S1) == []
+    assert base_kernels_for_row(fab2, 0, (DSP, BRAM, CLB)) == []
 
 
 def test_merge_keeps_input_when_one_kernel_fits():
     fab = parse_fabric("rows 1\ncolumns BBBCB\n")
-    kernels = base_kernels_for_row(fab, 0, S3)
+    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
     merged = merge_row_kernels(fab, kernels, 1, ResourceKind.BRAM)
     assert merged == kernels
 
 
 def test_merge_spans_to_first_sufficient():
     fab = parse_fabric("rows 1\ncolumns CCBCCCB\n")
-    kernels = base_kernels_for_row(fab, 0, S3)
+    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
     merged = merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
     # from col 2 the span reaches the BRAM at 6; from col 6 nothing suffices
     assert [k.rect for k in merged] == [Rect(0, 2, 0, 6)]
@@ -90,7 +97,7 @@ def test_merge_matches_span_enumeration_oracle():
         if "B" not in cols:
             cols = "B" + cols[1:]
         fab = Fabric(1, cols)
-        kernels = base_kernels_for_row(fab, 0, S3)
+        kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
         needed = rng.randrange(2, 5)
         if any(k.resources.bram >= needed for k in kernels):
             continue
@@ -107,7 +114,7 @@ def test_merge_matches_span_enumeration_oracle():
 
 def test_merge_discards_spans_over_reserved():
     fab = parse_fabric("rows 1\ncolumns BCBCB\nreserved 0 3 0 3\n")
-    kernels = base_kernels_for_row(fab, 0, S3)
+    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
     assert [k.rect for k in kernels] == [
         Rect(0, 0, 0, 0),
         Rect(0, 2, 0, 2),
@@ -119,23 +126,32 @@ def test_merge_discards_spans_over_reserved():
     assert [k.rect for k in merged] == [Rect(0, 0, 0, 2)]
 
 
-def test_expand_vertical_grows_until_satisfied():
+def zero_column_splits(fabric, kernel, needed, kind):
+    """The expansion's candidates that stay in the kernel's own columns."""
+    grown = expand_horizontal(fabric, kernel, needed, kind, blocked=None)
+    cols = (kernel.rect.col0, kernel.rect.col1)
+    return [k for k in grown if (k.rect.col0, k.rect.col1) == cols]
+
+
+def test_zero_column_split_grows_until_satisfied():
     fab = parse_fabric("rows 4\ncolumns CB\n")
     start = kernel_at(fab, Rect(0, 1, 0, 1))
-    grown = expand_vertical(fab, start, 3, ResourceKind.BRAM)
-    assert grown.rect == Rect(0, 1, 2, 1)
-    assert grown.resources.bram == 3
-    # already satisfied: unchanged
-    assert expand_vertical(fab, start, 1, ResourceKind.BRAM) == start
+    grown = zero_column_splits(fab, start, 3, BRAM)
+    assert grown[0].rect == Rect(0, 1, 2, 1)
+    assert grown[0].resources.bram == 3
+    # every taller variant follows, up to the device top
+    assert [k.rect for k in grown] == [Rect(0, 1, 2, 1), Rect(0, 1, 3, 1)]
+    # already satisfied: the kernel itself comes first
+    assert zero_column_splits(fab, start, 1, BRAM)[0] == start
 
 
-def test_expand_vertical_fails_at_top_or_reserved():
+def test_zero_column_split_empty_at_top_or_reserved():
     fab = parse_fabric("rows 3\ncolumns CB\n")
     start = kernel_at(fab, Rect(0, 1, 0, 1))
-    assert expand_vertical(fab, start, 4, ResourceKind.BRAM) is None
+    assert zero_column_splits(fab, start, 4, BRAM) == []
     fab2 = parse_fabric("rows 3\ncolumns CB\nreserved 1 1 1 1\n")
     start2 = kernel_at(fab2, Rect(0, 1, 0, 1))
-    assert expand_vertical(fab2, start2, 2, ResourceKind.BRAM) is None
+    assert zero_column_splits(fab2, start2, 2, BRAM) == []
 
 
 def test_expand_horizontal_enumerates_all_splits():
@@ -259,7 +275,7 @@ def test_candidates_are_sound_and_near_optimal():
             module = ModuleSpec("m", req)
             valid = brute_force_rects(fab, req, None)
             try:
-                cands = generate_module_placements(fab, module, class_of(req), None)
+                cands = generate_module_placements(fab, module, None)
             except InfeasibleModuleError:
                 assert not valid
                 continue
@@ -283,7 +299,7 @@ def test_candidates_respect_aspect_bounds():
         req = random_requirement(rng, fab)
         module = ModuleSpec("m", req)
         try:
-            cands = generate_module_placements(fab, module, class_of(req), (0.2, 0.7))
+            cands = generate_module_placements(fab, module, (0.2, 0.7))
         except InfeasibleModuleError:
             continue
         for cand in cands:
