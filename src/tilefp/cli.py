@@ -1,10 +1,11 @@
 """Command-line front end: floorplan runs, design generation, checking.
 
-Exit codes for the ``floorplan`` subcommand: 0 success, 1 unreadable or
-malformed input, 2 a module that fits nowhere on the device, 3 no
+Exit codes for the ``floorplan`` subcommand: 0 success, 1 unreadable,
+undecodable (not UTF-8) or malformed input, an out-of-range option or an
+unwritable output, 2 a module that fits nowhere on the device, 3 no
 non-overlapping floorplan, 4 time budget exhausted. Every ``floorplan``
-invocation ends with one summary line on standard output no matter how it
-exits.
+invocation ends with one summary line no matter how it exits; it goes to
+standard output unless a successful run writes its document there.
 """
 
 from __future__ import annotations
@@ -49,86 +50,51 @@ EXIT_INFEASIBLE_PLAN = 3
 EXIT_TIMEOUT = 4
 
 
-def _read(path: str, label: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise FabricError(f"{label} {path}: {exc}") from None
+# How each failure ends a ``floorplan`` run: summary status and exit code.
+_FAILURES = {
+    FabricError: ("PARSE_ERROR", EXIT_PARSE),
+    DesignError: ("PARSE_ERROR", EXIT_PARSE),
+    argparse.ArgumentTypeError: ("PARSE_ERROR", EXIT_PARSE),
+    OSError: ("PARSE_ERROR", EXIT_PARSE),
+    UnicodeError: ("PARSE_ERROR", EXIT_PARSE),
+    InfeasibleModuleError: ("INFEASIBLE_MODULE", EXIT_INFEASIBLE_MODULE),
+    InfeasibleModelError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
+    PlacementInfeasibleError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
+    PlacementTimeoutError: ("TIMEOUT", EXIT_TIMEOUT),
+}
 
 
-def _cmd_floorplan(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-
-    def finish(
-        status: str,
-        code: int,
-        wastage: int = 0,
-        wirelength: int = 0,
-        stream=sys.stdout,
-    ) -> int:
-        ms = round((time.monotonic() - started) * 1000)
-        print(
-            f"{status} wastage={wastage} wirelength={wirelength} runtime_ms={ms}",
-            file=stream,
-        )
-        return code
-
-    try:
-        fabric = parse_fabric(_read(args.fabric, "fabric"))
-        design = parse_design(_read(args.design, "design"))
-        design = dataclasses.replace(
-            design,
-            alpha=design.alpha if args.alpha is None else args.alpha,
-            beta=design.beta if args.beta is None else args.beta,
-        )
-    except (FabricError, DesignError) as exc:
-        print(exc, file=sys.stderr)
-        return finish("PARSE_ERROR", EXIT_PARSE)
-
+def _floorplan(args: argparse.Namespace) -> Floorplan:
+    """Run the pipeline and write its outputs; failures raise a ``_FAILURES`` type."""
+    fabric = parse_fabric(Path(args.fabric).read_text(encoding="utf-8"))
+    design = parse_design(Path(args.design).read_text(encoding="utf-8"))
+    design = dataclasses.replace(
+        design,
+        alpha=design.alpha if args.alpha is None else args.alpha,
+        beta=design.beta if args.beta is None else args.beta,
+    )
     if not args.time_budget >= 0:
-        print("time budget must be a non-negative number of seconds", file=sys.stderr)
-        return finish("PARSE_ERROR", EXIT_PARSE)
+        raise argparse.ArgumentTypeError("time budget must be a non-negative number of seconds")
     if args.no_ar:
         ar_bounds = None
     elif 0 < args.ar_min <= args.ar_max:
         ar_bounds = (args.ar_min, args.ar_max)
     else:
-        print("aspect-ratio bounds must satisfy 0 < min <= max", file=sys.stderr)
-        return finish("PARSE_ERROR", EXIT_PARSE)
+        raise argparse.ArgumentTypeError("aspect-ratio bounds must satisfy 0 < min <= max")
 
     # The solver log opens before any real work, so an unwritable path
-    # fails fast; its open, writes and close are the only I/O in this block.
-    try:
-        log = open(args.solver_log, "w") if args.solver_log else contextlib.nullcontext()
-        with log as log_handle:
-            candidates = generate_placements(fabric, design, ar_bounds)
-            anchors = compute_anchors(fabric, design, candidates, log=log_handle)
-    except InfeasibleModuleError as exc:
-        print(exc, file=sys.stderr)
-        return finish("INFEASIBLE_MODULE", EXIT_INFEASIBLE_MODULE)
-    except InfeasibleModelError as exc:
-        print(exc, file=sys.stderr)
-        return finish("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN)
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return finish("PARSE_ERROR", EXIT_PARSE)
+    # fails fast.
+    log = open(args.solver_log, "w") if args.solver_log else contextlib.nullcontext()
+    with log as log_handle:
+        candidates = generate_placements(fabric, design, ar_bounds)
+        anchors = compute_anchors(fabric, design, candidates, log=log_handle)
 
     scored = {
         m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
         for m, lst in candidates.items()
     }
     order = order_modules(design, fabric)
-    try:
-        rects, backtracks = trial_and_error_place(
-            fabric, order, scored, args.time_budget
-        )
-    except PlacementInfeasibleError as exc:
-        print(exc, file=sys.stderr)
-        return finish("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN)
-    except PlacementTimeoutError as exc:
-        print(exc, file=sys.stderr)
-        return finish("TIMEOUT", EXIT_TIMEOUT)
-
+    rects, backtracks = trial_and_error_place(fabric, order, scored, args.time_budget)
     plan = Floorplan(
         rects,
         floorplan_wastage(rects, design, fabric),
@@ -136,54 +102,52 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         backtracks,
     )
     document = write_floorplan(plan, design, fabric, design.alpha, design.beta, ar_bounds)
-    try:
+    if args.out:
+        Path(args.out).write_text(document, encoding="utf-8")
+    else:
+        sys.stdout.write(document)
+    if args.render != "none":
+        draw = render_svg if args.render == "svg" else render_ascii
+        rendering = draw(fabric, rects)
         if args.out:
-            Path(args.out).write_text(document)
+            # appended, not substituted: the render must never land on
+            # the document's own path
+            ext = ".svg" if args.render == "svg" else ".ascii"
+            Path(args.out + ext).write_text(rendering, encoding="utf-8")
         else:
-            sys.stdout.write(document)
-        if args.render != "none":
-            draw = render_svg if args.render == "svg" else render_ascii
-            rendering = draw(fabric, rects)
-            if args.out:
-                # appended, not substituted: the render must never land on
-                # the document's own path
-                ext = ".svg" if args.render == "svg" else ".ascii"
-                Path(args.out + ext).write_text(rendering)
-            else:
-                sys.stdout.write(rendering)
-    except OSError as exc:
+            sys.stdout.write(rendering)
+    return plan
+
+
+def _cmd_floorplan(args: argparse.Namespace) -> int:
+    started = time.monotonic()
+    status, code, wastage, wirelength = "OK", EXIT_OK, 0, 0
+    try:
+        plan = _floorplan(args)
+        wastage, wirelength = plan.total_wastage_frames, round(plan.total_wirelength)
+    except tuple(_FAILURES) as exc:
         print(exc, file=sys.stderr)
-        return finish("PARSE_ERROR", EXIT_PARSE)
-    return finish(
-        "OK",
-        EXIT_OK,
-        plan.total_wastage_frames,
-        round(plan.total_wirelength),
-        # keep stdout a clean document when it is the document sink
-        stream=sys.stderr if args.out is None else sys.stdout,
-    )
+        status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+    ms = round((time.monotonic() - started) * 1000)
+    # keep stdout a clean document when it is the document sink
+    stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
+    print(f"{status} wastage={wastage} wirelength={wirelength} runtime_ms={ms}", file=stream)
+    return code
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        fabric = parse_fabric(_read(args.fabric, "fabric"))
-    except FabricError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        design = generate_random_design(
-            args.n, fabric, tuple(args.occupancy), args.seed
-        )
+        fabric = parse_fabric(Path(args.fabric).read_text(encoding="utf-8"))
+        design = generate_random_design(args.n, fabric, tuple(args.occupancy), args.seed)
+        text = write_design(design)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except GenerationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE_MODULE
-    text = write_design(design)
-    try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
+    except (FabricError, OSError, UnicodeError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
@@ -191,10 +155,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        document = _read(args.plan, "floorplan")
-        fabric_text = _read(args.fabric, "fabric")
+        document = Path(args.plan).read_text(encoding="utf-8")
+        fabric_text = Path(args.fabric).read_text(encoding="utf-8")
         problems = validate_floorplan(document, fabric_text)
-    except (FabricError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     for problem in problems:

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .fabric import Fabric, ResourceKind, ResourceVector
+from .fabric import Fabric, ResourceKind, ResourceVector, read_directives
 
 __all__ = [
     "Connection",
@@ -35,6 +35,12 @@ class GenerationError(ValueError):
     """Random design generation cannot meet the requested occupancy."""
 
 
+def _check_weights(alpha: float, beta: float) -> None:
+    """Reject objective weights that are not finite, non-negative and not both zero."""
+    if not all(math.isfinite(w) and w >= 0 for w in (alpha, beta)) or alpha + beta <= 0:
+        raise DesignError("objective weights must be finite, non-negative, not both zero")
+
+
 @dataclass(frozen=True)
 class ModuleSpec:
     """One reconfigurable module and its tile requirement."""
@@ -43,7 +49,7 @@ class ModuleSpec:
     req: ResourceVector
 
     def __post_init__(self) -> None:
-        if not self.id or any(ch.isspace() for ch in self.id):
+        if not self.id or "#" in self.id or any(ch.isspace() for ch in self.id):
             raise DesignError(f"bad module id {self.id!r}")
         if any(v < 0 for v in self.req):
             raise DesignError(f"module {self.id}: negative requirement")
@@ -85,17 +91,24 @@ class Design:
         seen_pairs = set()
         for conn in self.connections:
             if conn.a not in self._by_id or conn.b not in self._by_id:
-                raise DesignError(f"connection references unknown module: {conn}")
+                raise DesignError(
+                    f"connection {conn.a}-{conn.b} references an unknown module"
+                )
             pair = frozenset((conn.a, conn.b))
             if pair in seen_pairs:
                 raise DesignError(f"duplicate connection {conn.a}-{conn.b}")
             seen_pairs.add(pair)
-        weights = (self.alpha, self.beta)
-        if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) <= 0:
-            raise DesignError("objective weights must be finite, non-negative, not both zero")
+        _check_weights(self.alpha, self.beta)
 
     def module(self, module_id: str) -> ModuleSpec:
         return self._by_id[module_id]
+
+
+_DESIGN_LAYOUTS = (
+    "module <id> <clb:int> <bram:int> <dsp:int>",
+    "connect <idA> <idB> <signals:int>",
+    "weights <alpha:float> <beta:float>",
+)
 
 
 def parse_design(text: str) -> Design:
@@ -106,73 +119,39 @@ def parse_design(text: str) -> Design:
     the same unordered pair are merged by summing signals. ``#`` starts a
     comment.
     """
-    modules: list[ModuleSpec] = []
-    seen_ids: set[str] = set()
-    pair_signals: dict[frozenset[str], int] = {}
-    pair_order: list[frozenset[str]] = []
-    weights: tuple[float, float] | None = None
+    modules: dict[str, ModuleSpec] = {}
+    # unordered pair -> (fail of its first connect line, summed signals)
+    pairs: dict[frozenset[str], tuple] = {}
+    weights: tuple[float, float] = (Design.alpha, Design.beta)
 
-    def fail(lineno: int, msg: str) -> None:
-        raise DesignError(f"line {lineno}: {msg}")
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("#")
-        line = (raw if cut < 0 else raw[:cut]).strip()
-        if not line:
-            continue
-        parts = line.split()
-        directive, args = parts[0], parts[1:]
-        if directive == "module":
-            if len(args) != 4:
-                fail(lineno, "expected: module <id> <clb> <bram> <dsp>")
-            mid = args[0]
-            if mid in seen_ids:
-                fail(lineno, f"duplicate module id {mid!r}")
-            try:
-                req = ResourceVector(*(int(a) for a in args[1:]))
-            except ValueError:
-                fail(lineno, "requirements must be integers")
-            try:
-                modules.append(ModuleSpec(mid, req))
-            except DesignError as exc:
-                fail(lineno, str(exc))
-            seen_ids.add(mid)
-        elif directive == "connect":
-            if len(args) != 3:
-                fail(lineno, "expected: connect <idA> <idB> <signals>")
-            a, b = args[0], args[1]
-            try:
-                signals = int(args[2])
-            except ValueError:
-                fail(lineno, "signal count must be an integer")
-            if a == b:
-                fail(lineno, f"connection from {a} to itself")
-            if signals < 1:
-                fail(lineno, "signal count must be positive")
-            pair = frozenset((a, b))
-            if pair not in pair_signals:
-                pair_order.append(pair)
-                pair_signals[pair] = 0
-            pair_signals[pair] += signals
-        elif directive == "weights":
-            if len(args) != 2:
-                fail(lineno, "expected: weights <alpha> <beta>")
-            try:
-                weights = (float(args[0]), float(args[1]))
-            except ValueError:
-                fail(lineno, "weights must be numbers")
-        else:
-            fail(lineno, f"unknown directive {directive!r}")
+    for fail, directive, values in read_directives(text, DesignError, _DESIGN_LAYOUTS):
+        try:
+            if directive == "module":
+                mid, *req = values
+                if mid in modules:
+                    raise DesignError(f"duplicate module id {mid!r}")
+                modules[mid] = ModuleSpec(mid, ResourceVector(*req))
+            elif directive == "connect":
+                conn = Connection(*values)
+                pair = frozenset((conn.a, conn.b))
+                first, signals = pairs.get(pair, (fail, 0))
+                pairs[pair] = (first, signals + conn.signals)
+            else:
+                _check_weights(*values)
+                weights = tuple(values)
+        except DesignError as exc:
+            fail(str(exc))
 
     if not modules:
         raise DesignError("design has no modules")
-    connections = [
-        Connection(*sorted(pair), pair_signals[pair]) for pair in pair_order
-    ]
-    kwargs = {}
-    if weights is not None:
-        kwargs = {"alpha": weights[0], "beta": weights[1]}
-    return Design(modules, connections, **kwargs)
+    connections = []
+    for pair, (fail, signals) in pairs.items():
+        a, b = sorted(pair)
+        for end in (a, b):
+            if end not in modules:
+                fail(f"connection {a}-{b} references unknown module {end!r}")
+        connections.append(Connection(a, b, signals))
+    return Design(list(modules.values()), connections, *weights)
 
 
 def write_design(design: Design) -> str:

@@ -9,7 +9,7 @@ heterogeneity is purely column-wise. Rectangles are inclusive on both ends.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 __all__ = [
     "DEFAULT_FRAMES",
@@ -19,6 +19,7 @@ __all__ = [
     "ResourceKind",
     "ResourceVector",
     "parse_fabric",
+    "read_directives",
 ]
 
 
@@ -311,9 +312,72 @@ class Fabric:
         return self.available_in_rect(self.bounds)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _fit(matchers: list, words: list[str]) -> list:
+    """The converted placeholder values of a line; ValueError when it does not fit."""
+    if len(matchers) != len(words):
+        raise ValueError("wrong number of words")
+    values = []
+    for matcher, word in zip(matchers, words):
+        if not isinstance(matcher, str):
+            values.append(matcher(word))
+        elif matcher != word:
+            raise ValueError(f"expected {matcher!r}, got {word!r}")
+    return values
+
+
+def read_directives(
+    text: str, error: type[Exception], layouts: Iterable[str]
+) -> Iterator[tuple[Callable[[str], NoReturn], str, list]]:
+    """Read a line document, one directive per line, against usage layouts.
+
+    A layout is a usage line such as ``rows <count:int>``: the directive,
+    then bare words that must appear as written and ``<name>`` placeholders
+    that take one word each, converted by an ``:int`` or ``:float`` suffix.
+    A directive may have several layouts. ``#`` starts a comment. Yields
+    ``(fail, directive, values)`` per directive line, where ``fail(msg)``
+    raises ``error`` prefixed with ``line N:``; an unknown directive, or a
+    line that fits none of its layouts, fails the same way.
+    """
+    # per directive: (layout, matchers), a matcher being a bare word or the
+    # converter of a placeholder
+    usages: dict[str, list[tuple[str, list]]] = {}
+    for layout in layouts:
+        directive, *fields = layout.split()
+        matchers = [
+            {"": str, "int": int, "float": float}[field[1:-1].partition(":")[2]]
+            if field[0] == "<"
+            else field
+            for field in fields
+        ]
+        usages.setdefault(directive, []).append((layout, matchers))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.partition("#")[0].split()
+        if not words:
+            continue
+
+        def fail(msg: str, lineno: int = lineno) -> NoReturn:
+            raise error(f"line {lineno}: {msg}")
+
+        if words[0] not in usages:
+            fail(f"unknown directive {words[0]!r}")
+        for _, matchers in usages[words[0]]:
+            try:
+                values = _fit(matchers, words[1:])
+                break
+            except ValueError:
+                continue
+        else:
+            fail("expected: " + " or ".join(layout for layout, _ in usages[words[0]]))
+        yield fail, words[0], values
+
+
+_FABRIC_LAYOUTS = (
+    "rows <count:int>",
+    "columns <kinds>",
+    "reserved <row0:int> <col0:int> <row1:int> <col1:int>",
+    "frames <clb:int> <bram:int> <dsp:int>",
+)
 
 
 def parse_fabric(text: str) -> Fabric:
@@ -328,63 +392,34 @@ def parse_fabric(text: str) -> Fabric:
     rows: int | None = None
     columns: str | None = None
     frames: dict[ResourceKind, int] | None = None
-    reserved_raw: list[tuple[int, tuple[int, int, int, int]]] = []
+    reserved = []
 
-    def fail(lineno: int, msg: str) -> None:
-        raise FabricError(f"line {lineno}: {msg}")
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        directive, args = parts[0], parts[1:]
+    for fail, directive, values in read_directives(text, FabricError, _FABRIC_LAYOUTS):
         if directive == "rows":
-            if len(args) != 1 or not args[0].lstrip("-").isdigit():
-                fail(lineno, "expected: rows <count>")
-            rows = int(args[0])
+            (rows,) = values
             if rows < 1:
-                fail(lineno, f"row count must be positive, got {rows}")
+                fail(f"row count must be positive, got {rows}")
         elif directive == "columns":
-            if len(args) != 1:
-                fail(lineno, "expected: columns <kind string>")
-            for ch in args[0]:
+            (kinds,) = values
+            for ch in kinds:
                 if ch not in "CBD":
-                    fail(lineno, f"unknown resource kind {ch!r}")
+                    fail(f"unknown resource kind {ch!r}")
             if columns is None:
-                columns = args[0]
-            elif columns != args[0]:
-                fail(lineno, "column kinds differ between rows")
+                columns = kinds
+            elif columns != kinds:
+                fail("column kinds differ between rows")
         elif directive == "reserved":
-            if len(args) != 4:
-                fail(lineno, "expected: reserved <row0> <col0> <row1> <col1>")
-            try:
-                coords = tuple(int(a) for a in args)
-            except ValueError:
-                fail(lineno, "reserved coordinates must be integers")
-            reserved_raw.append((lineno, coords))
-        elif directive == "frames":
-            if len(args) != 3:
-                fail(lineno, "expected: frames <clb> <bram> <dsp>")
-            try:
-                values = [int(a) for a in args]
-            except ValueError:
-                fail(lineno, "frame counts must be integers")
-            if any(v < 1 for v in values):
-                fail(lineno, "frame counts must be positive")
-            frames = dict(zip(ResourceKind, values))
+            reserved.append((fail, Rect(*values)))
         else:
-            fail(lineno, f"unknown directive {directive!r}")
+            if any(v < 1 for v in values):
+                fail("frame counts must be positive")
+            frames = dict(zip(ResourceKind, values))
 
     if rows is None:
         raise FabricError("missing 'rows' directive")
     if columns is None:
         raise FabricError("missing 'columns' directive")
-
-    reserved = []
-    for lineno, (r0, c0, r1, c1) in reserved_raw:
+    for fail, (r0, c0, r1, c1) in reserved:
         if not (0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < len(columns)):
-            raise FabricError(f"line {lineno}: reserved rect out of bounds")
-        reserved.append(Rect(r0, c0, r1, c1))
-
-    return Fabric(rows, columns, reserved, frames)
+            fail("reserved rect out of bounds")
+    return Fabric(rows, columns, (rect for _, rect in reserved), frames)

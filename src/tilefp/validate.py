@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
+from .fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric, read_directives
 
 __all__ = [
     "FloorplanDocument",
@@ -43,63 +43,45 @@ class FloorplanDocument:
     backtracks: int
 
 
+_FLOORPLAN_LAYOUTS = (
+    "mode alpha <alpha:float> beta <beta:float> ar off",
+    "mode alpha <alpha:float> beta <beta:float> ar <lo:float> <hi:float>",
+    "place <id> <row0:int> <col0:int> <row1:int> <col1:int>"
+    " <clb:int> <bram:int> <dsp:int> <wastage:int>",
+    "total wastage <frames:int> wirelength <units:int> backtracks <count:int>",
+)
+
+
 def parse_floorplan(text: str) -> FloorplanDocument:
     """Parse a floorplan document; malformed input raises ValueError."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty floorplan document")
-
-    # layouts: mode alpha A beta B ar off | mode alpha A beta B ar LO HI
-    head = lines[0].split()
-    if (
-        len(head) < 7
-        or head[0] != "mode"
-        or head[1] != "alpha"
-        or head[3] != "beta"
-        or head[5] != "ar"
-    ):
-        raise ValueError(f"bad mode line: {lines[0]!r}")
-    alpha, beta = float(head[2]), float(head[4])
-    tail = head[6:]
-    if tail == ["off"]:
-        ar_bounds = None
-    elif len(tail) == 2:
-        ar_bounds = (float(tail[0]), float(tail[1]))
-    else:
-        raise ValueError(f"bad aspect-ratio field: {lines[0]!r}")
-
+    mode = None
     records = []
     total = None
-    for line in lines[1:]:
-        fields = line.split()
-        if fields[0] == "place":
-            if len(fields) != 10:
-                raise ValueError(f"bad place line: {line!r}")
-            nums = [int(v) for v in fields[2:]]
+    for fail, directive, values in read_directives(text, ValueError, _FLOORPLAN_LAYOUTS):
+        if (directive == "mode") != (mode is None):
+            fail("the mode line must come first, and only once")
+        if directive == "mode":
+            alpha, beta, *ar = values
+            mode = (alpha, beta, tuple(ar) or None)
+        elif directive == "place":
+            module_id, *nums = values
             records.append(
                 PlacementRecord(
-                    fields[1],
+                    module_id,
                     Rect(*nums[0:4]),
                     ResourceVector(*nums[4:7]),
                     nums[7],
                 )
             )
-        elif fields[0] == "total":
-            if total is not None:
-                raise ValueError("two total lines")
-            if (
-                len(fields) != 7
-                or fields[1] != "wastage"
-                or fields[3] != "wirelength"
-                or fields[5] != "backtracks"
-            ):
-                raise ValueError(f"bad total line: {line!r}")
-            total = (int(fields[2]), int(fields[4]), int(fields[6]))
         else:
-            raise ValueError(f"unknown record {fields[0]!r}")
+            if total is not None:
+                fail("two total lines")
+            total = values
+    if mode is None:
+        raise ValueError("empty floorplan document")
     if total is None:
         raise ValueError("missing total line")
-    return FloorplanDocument(alpha, beta, ar_bounds, tuple(records), *total)
+    return FloorplanDocument(*mode, tuple(records), *total)
 
 
 def _reserved_cells(fabric: Fabric) -> set[tuple[int, int]]:

@@ -50,10 +50,28 @@ def test_sdr_document_determinism(tmp_path):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "bad.design", "module only_one_field\n")
-    assert main(["floorplan", "--fabric", FX, "--design", bad]) == 1
-    assert capsys.readouterr().out.startswith("PARSE_ERROR")
     missing = str(tmp_path / "nope.design")
-    assert main(["floorplan", "--fabric", FX, "--design", missing]) == 1
+    superscript = write(tmp_path, "sup.fabric", "rows \u00b2\ncolumns CC\n")
+    latin1_fabric = tmp_path / "latin1.fabric"
+    latin1_fabric.write_bytes(b"# caf\xe9\nrows 2\ncolumns CC\n")
+    latin1_design = tmp_path / "latin1.design"
+    latin1_design.write_bytes(b"module caf\xe9 1 0 0\n")
+    cases = [
+        ["--fabric", FX, "--design", bad],
+        ["--fabric", FX, "--design", missing],
+        ["--fabric", superscript, "--design", SDR],
+        ["--fabric", str(latin1_fabric), "--design", SDR],
+        ["--fabric", FX, "--design", str(latin1_design)],
+    ]
+    for options in cases:
+        assert main(["floorplan", *options]) == 1, options
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("PARSE_ERROR"), options
+    assert main([
+        "generate", "-n", "2", "--fabric", str(latin1_fabric),
+        "--occupancy", "0.5", "0.5", "0.5",
+    ]) == 1
+    assert "can't decode" in capsys.readouterr().err
 
 
 def test_infeasible_module_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from tilefp.design import (
     DesignError,
     GenerationError,
+    ModuleSpec,
     generate_random_design,
     parse_design,
     write_design,
@@ -89,8 +90,13 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(DesignError):
         parse_design("# nothing here\n")
     for weights in ("nan 0.5", "0.5 inf", "-1 1", "0 0"):
-        with pytest.raises(DesignError, match="weights"):
+        with pytest.raises(DesignError, match="line 2: objective weights"):
             parse_design(f"module a 1 0 0\nweights {weights}\n")
+    # an unknown endpoint names the first connect line of its pair
+    with pytest.raises(DesignError, match="line 2: .*unknown module 'c'"):
+        parse_design("module a 1 0 0\nconnect a c 3\nconnect c a 1\n")
+    with pytest.raises(DesignError, match="bad module id"):
+        ModuleSpec("a#b", ResourceVector(1, 0, 0))
 
 
 def _flat_fabric(clb_cols=20, rows=5):

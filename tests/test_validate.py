@@ -28,6 +28,8 @@ def test_parse_roundtrip_fields():
     assert doc.total_wastage == 36
     assert doc.total_wirelength == 96
     assert doc.backtracks == 0
+    commented = "# checked\n" + GOOD.replace("ar off\n", "ar off  # no window\n")
+    assert parse_floorplan(commented) == doc
 
 
 def test_parse_ar_bounds():
@@ -48,11 +50,19 @@ def test_parse_ar_bounds():
         lambda t: t.replace(
             "total wastage 36 wirelength 96 backtracks 0\n", ""
         ),
+        lambda t: t.replace("alpha 1", "alpha x"),
+        lambda t: t.replace("place b 0 2", "place b 0 x"),
     ],
 )
 def test_parse_rejects_malformed(mutation):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_floorplan(mutation(GOOD))
+    # every error names its line, except the two about the whole document
+    message = str(info.value)
+    assert message.startswith("line ") or message in (
+        "empty floorplan document",
+        "missing total line",
+    )
 
 
 def test_valid_document_passes():
