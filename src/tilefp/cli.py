@@ -1,11 +1,13 @@
 """Command-line front end: floorplan runs, design generation, checking.
 
 Exit codes for the ``floorplan`` subcommand: 0 success, 1 unreadable,
-undecodable (not UTF-8) or malformed input, an out-of-range option or an
-unwritable output, 2 a module that fits nowhere on the device, 3 no
-non-overlapping floorplan, 4 time budget exhausted. Every ``floorplan``
-invocation ends with one summary line no matter how it exits; it goes to
-standard output unless a successful run writes its document there.
+undecodable (not UTF-8) or malformed input, a device too large to hold in
+memory, an out-of-range option or an unwritable output, 2 a module that
+fits nowhere on the device, 3 no non-overlapping floorplan, 4 the
+placement search stopped at its node budgets or at the ``--time-budget``
+safety net. Every ``floorplan`` invocation ends with one summary line no
+matter how it exits; it goes to standard output unless a successful run
+writes its document there.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ _FAILURES = {
     argparse.ArgumentTypeError: ("PARSE_ERROR", EXIT_PARSE),
     OSError: ("PARSE_ERROR", EXIT_PARSE),
     UnicodeError: ("PARSE_ERROR", EXIT_PARSE),
+    # a device too large to model, such as ``rows 100000000``
+    MemoryError: ("PARSE_ERROR", EXIT_PARSE),
     InfeasibleModuleError: ("INFEASIBLE_MODULE", EXIT_INFEASIBLE_MODULE),
     InfeasibleModelError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
     PlacementInfeasibleError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
@@ -64,10 +68,18 @@ _FAILURES = {
 }
 
 
+def _read_text(path: str) -> str:
+    """A document's UTF-8 text; an undecodable file raises a UnicodeError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _floorplan(args: argparse.Namespace) -> Floorplan:
     """Run the pipeline and write its outputs; failures raise a ``_FAILURES`` type."""
-    fabric = parse_fabric(Path(args.fabric).read_text(encoding="utf-8"))
-    design = parse_design(Path(args.design).read_text(encoding="utf-8"))
+    fabric = parse_fabric(_read_text(args.fabric))
+    design = parse_design(_read_text(args.design))
     design = dataclasses.replace(
         design,
         alpha=design.alpha if args.alpha is None else args.alpha,
@@ -126,7 +138,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         plan = _floorplan(args)
         wastage, wirelength = plan.total_wastage_frames, round(plan.total_wirelength)
     except tuple(_FAILURES) as exc:
-        print(exc, file=sys.stderr)
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
     ms = round((time.monotonic() - started) * 1000)
     # keep stdout a clean document when it is the document sink
@@ -137,7 +149,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        fabric = parse_fabric(Path(args.fabric).read_text(encoding="utf-8"))
+        fabric = parse_fabric(_read_text(args.fabric))
         design = generate_random_design(args.n, fabric, tuple(args.occupancy), args.seed)
         text = write_design(design)
         if args.out:
@@ -155,8 +167,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        document = Path(args.plan).read_text(encoding="utf-8")
-        fabric_text = Path(args.fabric).read_text(encoding="utf-8")
+        document = _read_text(args.plan)
+        fabric_text = _read_text(args.fabric)
         problems = validate_floorplan(document, fabric_text)
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
@@ -193,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--no-ar", action="store_true", help="drop the aspect-ratio window")
     fp.add_argument(
         "--time-budget", type=float, default=60.0,
-        help="placement search budget in seconds",
+        help="wall-clock safety net for the placement search in seconds; "
+        "node budgets decide how the search ends",
     )
     fp.add_argument("--out", default=None, help="floorplan document path (default: stdout)")
     fp.add_argument(

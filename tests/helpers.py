@@ -5,10 +5,12 @@ tests can compare algorithm output against ground truth on small inputs.
 """
 
 import math
+import time
 from itertools import combinations, product
 
 from tilefp.bipartition import BqpModel
 from tilefp.fabric import Fabric, Rect, ResourceVector
+from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import Kernel
 
 
@@ -77,6 +79,50 @@ def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
         rect = Rect(rect.row0, rect.col0, top, rect.col1)
         res = fabric.resources_in_rect(rect)
     return out
+
+
+def dfs_place_walk(fabric, ordered_modules, scored, time_budget=60.0):
+    """Reference placer: plain depth-first search in module order that
+    takes each module's first candidate in list order that is free of
+    reserved tiles and of every rect placed so far, and backs up a level
+    when a module runs out. Returns ``(rects, backtracks)``."""
+    order = list(ordered_modules)
+    for module_id in order:
+        if not scored[module_id]:
+            raise PlacementInfeasibleError(module_id, 0)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    chosen = {}
+    next_try = [0] * len(order)
+    backtracks = 0
+    deepest = 0
+    depth = 0
+    while 0 <= depth < len(order):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise PlacementTimeoutError(deepest, len(order), "time")
+        module_id = order[depth]
+        options = scored[module_id]
+        placed = None
+        i = next_try[depth]
+        while i < len(options):
+            rect = options[i].candidate.rect
+            if fabric.is_free_rect(rect, chosen.values()):
+                placed = rect
+                break
+            i += 1
+        if placed is None:
+            next_try[depth] = 0
+            depth -= 1
+            if depth >= 0:
+                del chosen[order[depth]]
+                backtracks += 1
+        else:
+            chosen[module_id] = placed
+            next_try[depth] = i + 1
+            depth += 1
+            deepest = max(deepest, depth)
+    if depth < 0:
+        raise PlacementInfeasibleError(order[deepest], deepest)
+    return chosen, backtracks
 
 
 def first_feasible_assignment(fabric, candidate_lists):

@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, documents, renders, determinism."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -56,22 +60,57 @@ def test_parse_error_exit_code(tmp_path, capsys):
     latin1_fabric.write_bytes(b"# caf\xe9\nrows 2\ncolumns CC\n")
     latin1_design = tmp_path / "latin1.design"
     latin1_design.write_bytes(b"module caf\xe9 1 0 0\n")
+    # options, and the file the error message must name
     cases = [
-        ["--fabric", FX, "--design", bad],
-        ["--fabric", FX, "--design", missing],
-        ["--fabric", superscript, "--design", SDR],
-        ["--fabric", str(latin1_fabric), "--design", SDR],
-        ["--fabric", FX, "--design", str(latin1_design)],
+        (["--fabric", FX, "--design", bad], None),
+        (["--fabric", FX, "--design", missing], missing),
+        (["--fabric", superscript, "--design", SDR], None),
+        (["--fabric", str(latin1_fabric), "--design", SDR], str(latin1_fabric)),
+        (["--fabric", FX, "--design", str(latin1_design)], str(latin1_design)),
     ]
-    for options in cases:
+    for options, named in cases:
         assert main(["floorplan", *options]) == 1, options
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("PARSE_ERROR"), options
+        if named:
+            assert named in captured.err, options
     assert main([
         "generate", "-n", "2", "--fabric", str(latin1_fabric),
         "--occupancy", "0.5", "0.5", "0.5",
     ]) == 1
-    assert "can't decode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "can't decode" in err and str(latin1_fabric) in err
+    for options, named in [
+        (["--fabric", str(latin1_fabric), "--plan", bad], str(latin1_fabric)),
+        (["--fabric", FX, "--plan", str(latin1_design)], str(latin1_design)),
+    ]:
+        assert main(["validate", *options]) == 1, options
+        assert named in capsys.readouterr().err, options
+
+
+def test_oversized_device_is_a_parse_error(tmp_path):
+    """A device too large for memory ends in one summary line, not a traceback."""
+    fabric = write(tmp_path, "huge.fabric", "rows 100000000\ncolumns CC\n")
+    design = write(tmp_path, "two.design", "module a 1 0 0\nmodule b 1 0 0\n")
+    # the child caps its own address space at 200 MB before importing tilefp
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))\n"
+        "from tilefp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "floorplan", "--fabric", fabric, "--design", design],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PARSE_ERROR wastage=0")
+    assert "Traceback" not in done.stderr
+    assert "MemoryError" in done.stderr
 
 
 def test_infeasible_module_exit_code(tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""Differential properties: the fast tessellation and halving paths against
-the plain step-by-step reference versions in ``helpers``."""
+"""Differential properties: the fast tessellation, halving and placement
+paths against the plain step-by-step reference versions in ``helpers``."""
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tilefp import place
 from tilefp.bipartition import Partition, placement_side, side_data, split_partition
 from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
+from tilefp.place import PlacementInfeasibleError, ScoredCandidate, trial_and_error_place
 from tilefp.tessellation import (
     Kernel,
     PlacementCandidate,
@@ -14,7 +19,12 @@ from tilefp.tessellation import (
     expand_horizontal,
 )
 
-from helpers import columns_outward_walk, expand_horizontal_walk, overlap_side
+from helpers import (
+    columns_outward_walk,
+    dfs_place_walk,
+    expand_horizontal_walk,
+    overlap_side,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -111,3 +121,84 @@ def test_side_data_split_matches_placement_side(data):
         assert all(placement_side(c, child0, child1) == side for c in placements)
     kept = set(split.placements0) | set(split.placements1)
     assert all(placement_side(c, child0, child1) is None for c in cands if c not in kept)
+
+
+# Longest candidate list per module count: the whole depth-first tree then
+# has at most 780 nodes, within phase 1's budget, so phase 1 alone decides.
+PLACER_LIST_MAX = {2: 12, 3: 8, 4: 5, 5: 3}
+
+
+@st.composite
+def small_rects_in(draw, rows, cols):
+    """Rects of at most 2 rows by 3 columns, so that several fit side by side."""
+    r0 = draw(st.integers(0, rows - 1))
+    c0 = draw(st.integers(0, cols - 1))
+    r1 = min(rows - 1, r0 + draw(st.integers(0, 1)))
+    c1 = min(cols - 1, c0 + draw(st.integers(0, 2)))
+    return Rect(r0, c0, r1, c1)
+
+
+@st.composite
+def placer_inputs(draw):
+    """A small fabric with reserved rects, and 2-5 modules' ordered candidates."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(4, 10))
+    fab = Fabric(rows, "C" * cols, draw(st.lists(small_rects_in(rows, cols), max_size=2)))
+    n = draw(st.integers(2, 5))
+    lists = draw(st.lists(
+        st.lists(small_rects_in(rows, cols), min_size=2, max_size=PLACER_LIST_MAX[n]),
+        min_size=n, max_size=n,
+    ))
+    scored = {
+        f"m{k}": [ScoredCandidate(PlacementCandidate(r, ResourceVector(), 0, r.center), 0, 0, 0)
+                  for r in rects]
+        for k, rects in enumerate(lists)
+    }
+    return fab, list(scored), scored
+
+
+def tree_nodes(lists):
+    """Nodes of the full depth-first tree over ``lists``, root excluded."""
+    total, width = 0, 1
+    for options in lists:
+        width *= len(options)
+        total += width
+    return total
+
+
+@PROPERTY
+@given(placer_inputs())
+def test_placer_matches_depth_first_walk(inputs):
+    fab, order, scored = inputs
+    assert tree_nodes(scored.values()) <= place.FORWARD_CHECK_NODES
+    try:
+        expected, _ = dfs_place_walk(fab, order, scored, None)
+    except PlacementInfeasibleError:
+        with pytest.raises(PlacementInfeasibleError):
+            trial_and_error_place(fab, order, scored, None)
+        return
+    rects, _ = trial_and_error_place(fab, order, scored, None)
+    assert rects == expected
+    assert list(rects) == order
+
+
+@PROPERTY
+@given(placer_inputs())
+def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
+    fab, order, scored = inputs
+    try:
+        dfs_place_walk(fab, order, scored, None)
+        feasible = True
+    except PlacementInfeasibleError:
+        feasible = False
+    # no phase 1 nodes: phase 2 decides alone
+    with mock.patch.object(place, "FORWARD_CHECK_NODES", 0):
+        if not feasible:
+            with pytest.raises(PlacementInfeasibleError):
+                trial_and_error_place(fab, order, scored, None)
+            return
+        rects, _ = trial_and_error_place(fab, order, scored, None)
+    assert list(rects) == order
+    for module_id, rect in rects.items():
+        assert rect in {s.candidate.rect for s in scored[module_id]}
+    placed = list(rects.values())
+    assert all(fab.is_free_rect(rect, placed[:i]) for i, rect in enumerate(placed))

@@ -7,6 +7,10 @@ different document. ``data/sdr_candidates.sha256`` pins the SDR candidate
 sets themselves, ignoring their order, so a change that only reorders a
 module's list still passes. Regenerate a file only for a change that is
 meant to move what it pins, and say why in CHANGES.md.
+
+``data/dense_place_lines.sha256`` pins the ``place`` lines of two dense
+generated designs that need the placer to back up, so a change to the
+search that picks another floorplan shows up here.
 """
 
 import contextlib
@@ -17,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from tilefp.cli import main
-from tilefp.design import parse_design
+from tilefp.design import generate_random_design, parse_design, write_design
 from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
 from tilefp.tessellation import generate_placements
+from tilefp.validate import validate_floorplan
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,3 +67,38 @@ def test_sdr_document_bytes_are_pinned(tmp_path, digest, options):
         ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def dense_runs(tmp_path_factory):
+    """Exit code and document (None on failure) of the generated fx70t
+    designs n=16 at occupancy 0.8/0.5/0.5, design seeds 0-2, run with
+    --no-ar and the default time budget, so node budgets decide."""
+    fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    work = tmp_path_factory.mktemp("dense")
+    runs = {}
+    for seed in (0, 1, 2):
+        design = work / f"s{seed}.design"
+        design.write_text(write_design(generate_random_design(16, fabric, (0.8, 0.5, 0.5), seed)))
+        out = work / f"s{seed}.fp"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "floorplan", "--fabric", str(fixture_path("fx70t.fabric")),
+                "--design", str(design), "--no-ar", "--out", str(out),
+            ])
+        runs[seed] = (code, out.read_text() if code == 0 else None)
+    return runs
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("dense_place_lines.sha256"))
+def test_dense_place_lines_are_pinned(dense_runs, digest, options):
+    code, document = dense_runs[int(options[0])]
+    assert code == 0
+    place = "".join(line + "\n" for line in document.splitlines() if line.startswith("place "))
+    assert hashlib.sha256(place.encode()).hexdigest() == digest
+
+
+def test_dense_seed0_solves_with_a_valid_document(dense_runs):
+    code, document = dense_runs[0]
+    assert code == 0
+    assert validate_floorplan(document, fixture_path("fx70t.fabric").read_text()) == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tilefp import place
 from tilefp.design import Connection, Design, ModuleSpec
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.place import (
@@ -223,8 +224,41 @@ def test_place_zero_budget_times_out():
     fab = parse_fabric("rows 1\ncolumns CC\n")
     cands = {"a": [cand(Rect(0, 0, 0, 0), 0)]}
     scored = score_all(cands)
-    with pytest.raises(PlacementTimeoutError):
+    with pytest.raises(PlacementTimeoutError) as err:
         trial_and_error_place(fab, ["a"], scored, time_budget=0.0)
+    assert err.value.limit == "time"
+    assert "time budget" in str(err.value)
+
+
+def test_place_zero_node_budgets_time_out(monkeypatch):
+    monkeypatch.setattr(place, "FORWARD_CHECK_NODES", 0)
+    monkeypatch.setattr(place, "FAIL_FIRST_NODES", 0)
+    fab = parse_fabric("rows 1\ncolumns CC\n")
+    scored = score_all({"a": [cand(Rect(0, 0, 0, 0), 0)]})
+    with pytest.raises(PlacementTimeoutError) as err:
+        trial_and_error_place(fab, ["a"], scored, time_budget=None)
+    assert err.value.limit == "nodes"
+    assert "node budget" in str(err.value)
+
+
+def test_place_fail_first_places_fewest_candidates_first(monkeypatch):
+    # phase 1 gets no nodes; phase 2 places c (one candidate), then b (one
+    # left), then a, where depth-first search in module order backs up
+    monkeypatch.setattr(place, "FORWARD_CHECK_NODES", 0)
+    fab = parse_fabric("rows 1\ncolumns CCCC\n")
+    cands = {
+        "a": [cand(Rect(0, 1, 0, 2), 0), cand(Rect(0, 0, 0, 1), 0)],
+        "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
+        "c": [cand(Rect(0, 3, 0, 3), 0)],
+    }
+    scored = {m: [ScoredStub(c) for c in lst] for m, lst in cands.items()}
+    rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], scored)
+    assert list(rects.items()) == [
+        ("a", Rect(0, 0, 0, 1)),
+        ("b", Rect(0, 2, 0, 2)),
+        ("c", Rect(0, 3, 0, 3)),
+    ]
+    assert backtracks == 0
 
 
 def test_place_infeasible_names_blocking_module():
