@@ -159,8 +159,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except GenerationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE_MODULE
-    except (FabricError, OSError, UnicodeError) as exc:
-        print(exc, file=sys.stderr)
+    except (FabricError, OSError, UnicodeError, MemoryError) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
 
@@ -170,8 +170,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         document = _read_text(args.plan)
         fabric_text = _read_text(args.fabric)
         problems = validate_floorplan(document, fabric_text)
-    except (OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return EXIT_PARSE
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -9,6 +9,12 @@ sideways (and upward) column by column until the kind's requirement is met.
 Expansion enumerates every way of splitting the needed columns between the
 left and the right side and emits a candidate at every reachable height,
 which is what gives the aspect-ratio filter something to choose from.
+
+Each piece of work is done once. A module's candidates depend only on its
+requirement, so ``generate_placements`` generates one list per distinct
+requirement. Within a module, a rectangle that an expansion for some kind
+has already emitted is skipped before it is priced: reached again from
+another kernel, it would be expanded (or judged) the same way.
 """
 
 from __future__ import annotations
@@ -186,7 +192,27 @@ def expand_horizontal(
     one clock region upward and the process repeats, so taller and narrower
     variants of the same footprint are emitted too.
     """
+    return _expand_unseen(fabric, kernel, needed, target, blocked, set())[0]
+
+
+def _expand_unseen(
+    fabric: Fabric,
+    kernel: Kernel,
+    needed: int,
+    target: ResourceKind,
+    blocked: ResourceKind | None,
+    seen: set[Rect],
+) -> tuple[list[Kernel], bool]:
+    """``expand_horizontal`` restricted to rects not in ``seen``.
+
+    A split whose rect is already in ``seen`` is skipped before it is
+    priced; every emitted rect is added to ``seen``. The flag returned with
+    the kernels says whether any split at any height was free of reserved
+    tiles, seen ones included: ``seen`` only ever holds emitted, hence free,
+    rects.
+    """
     out = []
+    free = False
     (row0, col0, row1, col1), res = kernel
     # The columns stay fixed while the kernel grows upward, so the outward
     # walks are shared by every height; every split is in bounds.
@@ -202,9 +228,15 @@ def expand_horizontal(
             r = n_cols - l
             c0 = lefts[l - 1] if l else col0
             c1 = rights[r - 1] if r else col1
+            # a plain tuple hashes and compares equal to the Rect it names
+            if (row0, c0, row1, c1) in seen:
+                free = True
+                continue
             found = price(row0, c0, row1, c1)
             if found is not None:
-                out.append(Kernel(Rect(row0, c0, row1, c1), found))
+                rect = Rect(row0, c0, row1, c1)
+                seen.add(rect)
+                out.append(Kernel(rect, found))
         top = row1 + 1
         if top >= fabric.rows:
             break
@@ -215,7 +247,7 @@ def expand_horizontal(
         row1 = top
         height += 1
         have = top_row[k] * height
-    return out
+    return out, free or bool(out)
 
 
 def _expand_or_cross(
@@ -223,18 +255,20 @@ def _expand_or_cross(
     kernel: Kernel,
     needed: int,
     target: ResourceKind,
-    blocked: ResourceKind | None,
+    blocked: ResourceKind,
+    seen: set[Rect],
 ) -> list[Kernel]:
     """Expansion that may cross scarce columns as a last resort.
 
     Staying clear of further scarce columns keeps them available for other
-    modules, so that variant is tried first; when it finds nothing at any
-    height the walk is repeated unblocked, since a rectangle hoarding a
-    scarce column beats no rectangle at all.
+    modules, so that variant is tried first; when it finds no free split at
+    any height the walk is repeated unblocked, since a rectangle hoarding a
+    scarce column beats no rectangle at all. A blocked walk whose free
+    splits were all seen before emits nothing and still needs no fallback.
     """
-    out = expand_horizontal(fabric, kernel, needed, target, blocked)
-    if not out and blocked is not None:
-        out = expand_horizontal(fabric, kernel, needed, target, blocked=None)
+    out, free = _expand_unseen(fabric, kernel, needed, target, blocked, seen)
+    if not free:
+        out, _ = _expand_unseen(fabric, kernel, needed, target, None, seen)
     return out
 
 
@@ -260,27 +294,22 @@ def generate_module_placements(
     kernels.sort(key=lambda k: (k.rect.tile_count, k.rect.row0, k.rect.col0))
 
     accepted: list[PlacementCandidate] = []
-    seen: set[Rect] = set()
     covering = 0
-    # one set per later kind: a rectangle expanded for a kind once is
-    # expanded identically from every other kernel that reaches it
-    seen_stage: list[set[Rect]] = [set() for _ in rest]
+    # One set per kind: the rects its expansion has emitted for this
+    # module. A rect reached again from another kernel would be expanded
+    # (or judged, for the last kind) identically, so it is skipped before
+    # it is priced.
+    emitted: list[set[Rect]] = [set() for _ in kinds]
     for kernel in kernels:
         # the first kind's own upward growth is the zero-column split
-        layer = expand_horizontal(fabric, kernel, need_first, first, blocked=None)
-        for kind, seen_here in zip(rest, seen_stage):
-            grown = []
-            for k in layer:
-                if k.rect not in seen_here:
-                    seen_here.add(k.rect)
-                    grown.extend(
-                        _expand_or_cross(fabric, k, req.of(kind), kind, blocked=first)
-                    )
-            layer = grown
+        layer, _ = _expand_unseen(fabric, kernel, need_first, first, None, emitted[0])
+        for kind, seen in zip(rest, emitted[1:]):
+            layer = [
+                grown
+                for k in layer
+                for grown in _expand_or_cross(fabric, k, req.of(kind), kind, first, seen)
+            ]
         for cand in layer:
-            if cand.rect in seen:
-                continue
-            seen.add(cand.rect)
             if not cand.resources.covers(req):
                 continue
             covering += 1
@@ -311,9 +340,16 @@ def generate_placements(
 ) -> dict[str, list[PlacementCandidate]]:
     """Candidate lists for every module of a design, in design order.
 
-    Raises InfeasibleModuleError for the first module, in design order,
-    without any candidate.
+    A module's list depends only on its requirement, so it is generated
+    once per distinct requirement and modules with equal ``req`` share one
+    list object: treat every list as read-only. Raises
+    InfeasibleModuleError for the first module, in design order, without
+    any candidate.
     """
-    return {
-        m.id: generate_module_placements(fabric, m, ar_bounds) for m in design.modules
-    }
+    by_req: dict[ResourceVector, list[PlacementCandidate]] = {}
+    placements = {}
+    for m in design.modules:
+        if m.req not in by_req:
+            by_req[m.req] = generate_module_placements(fabric, m, ar_bounds)
+        placements[m.id] = by_req[m.req]
+    return placements

@@ -11,7 +11,14 @@ from itertools import combinations, product
 from tilefp.bipartition import BqpModel
 from tilefp.fabric import Fabric, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
-from tilefp.tessellation import Kernel
+from tilefp.tessellation import (
+    InfeasibleModuleError,
+    Kernel,
+    PlacementCandidate,
+    base_kernels_for_row,
+    kind_order,
+    merge_row_kernels,
+)
 
 
 def brute_force_rects(fabric, req, ar_bounds):
@@ -79,6 +86,59 @@ def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
         rect = Rect(rect.row0, rect.col0, top, rect.col1)
         res = fabric.resources_in_rect(rect)
     return out
+
+
+def module_placements_walk(fabric, module, ar_bounds):
+    """Reference module tessellation on ``expand_horizontal_walk``: every
+    expansion is priced in full and duplicates are dropped only afterwards,
+    per kind. A blocked expansion that emits nothing is redone unblocked."""
+    req = module.req
+    first, *rest = kinds = kind_order(req)
+    kernels = {}
+    for row in range(fabric.rows):
+        base = base_kernels_for_row(fabric, row, kinds)
+        for k in base + merge_row_kernels(fabric, base, req.of(first), first):
+            kernels.setdefault(k.rect, k)
+    kernels = list(kernels.values())
+    kernels.sort(key=lambda k: (k.rect.tile_count, k.rect.row0, k.rect.col0))
+
+    accepted = []
+    seen = set()
+    covering = 0
+    seen_stage = [set() for _ in rest]
+    for kernel in kernels:
+        layer = expand_horizontal_walk(fabric, kernel, req.of(first), first, None)
+        for kind, seen_here in zip(rest, seen_stage):
+            grown = []
+            for k in layer:
+                if k.rect in seen_here:
+                    continue
+                seen_here.add(k.rect)
+                out = expand_horizontal_walk(fabric, k, req.of(kind), kind, first)
+                if not out:
+                    out = expand_horizontal_walk(fabric, k, req.of(kind), kind, None)
+                grown.extend(out)
+            layer = grown
+        for cand in layer:
+            if cand.rect in seen:
+                continue
+            seen.add(cand.rect)
+            if not cand.resources.covers(req):
+                continue
+            covering += 1
+            if ar_bounds is not None and not (
+                ar_bounds[0] <= cand.rect.width / cand.rect.height <= ar_bounds[1]
+            ):
+                continue
+            accepted.append(PlacementCandidate(
+                cand.rect, cand.resources, fabric.frames_of(cand.resources - req),
+                cand.rect.center,
+            ))
+    if not accepted:
+        raise InfeasibleModuleError(
+            module.id, "aspect-ratio bounds reject everything" if covering else ""
+        )
+    return accepted
 
 
 def dfs_place_walk(fabric, ordered_modules, scored, time_budget=60.0):

@@ -90,9 +90,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_oversized_device_is_a_parse_error(tmp_path):
-    """A device too large for memory ends in one summary line, not a traceback."""
+    """A device too large for memory ends every subcommand with exit 1 and a
+    message, not a traceback."""
     fabric = write(tmp_path, "huge.fabric", "rows 100000000\ncolumns CC\n")
     design = write(tmp_path, "two.design", "module a 1 0 0\nmodule b 1 0 0\n")
+    plan = str(tmp_path / "two.fp")
+    small = write(tmp_path, "small.fabric", "rows 2\ncolumns CC\n")
+    assert main(["floorplan", "--fabric", small, "--design", design, "--no-ar", "--out", plan]) == 0
     # the child caps its own address space at 200 MB before importing tilefp
     script = (
         "import resource, sys\n"
@@ -101,16 +105,24 @@ def test_oversized_device_is_a_parse_error(tmp_path):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", script, "floorplan", "--fabric", fabric, "--design", design],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 1
-    lines = done.stdout.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("PARSE_ERROR wastage=0")
-    assert "Traceback" not in done.stderr
-    assert "MemoryError" in done.stderr
+    for command, options, summary in [
+        ("floorplan", ["--design", design], "PARSE_ERROR wastage=0"),
+        ("generate", ["-n", "2", "--occupancy", "0.5", "0.5", "0.5"], None),
+        ("validate", ["--plan", plan], None),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, "--fabric", fabric, *options],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 1, command
+        lines = done.stdout.splitlines()
+        if summary is None:
+            assert lines == [], command
+        else:
+            assert len(lines) == 1 and lines[0].startswith(summary)
+        assert "Traceback" not in done.stderr, command
+        assert "MemoryError" in done.stderr, command
 
 
 def test_infeasible_module_exit_code(tmp_path, capsys):

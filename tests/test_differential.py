@@ -1,10 +1,11 @@
 """Differential properties: the fast tessellation, halving and placement
 paths against the plain step-by-step reference versions in ``helpers``."""
 
+import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilefp import place
 from tilefp.bipartition import Partition, placement_side, side_data, split_partition
@@ -12,17 +13,20 @@ from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
 from tilefp.place import PlacementInfeasibleError, ScoredCandidate, trial_and_error_place
 from tilefp.tessellation import (
+    InfeasibleModuleError,
     Kernel,
     PlacementCandidate,
     _columns_outward,
     _nearest_column,
     expand_horizontal,
+    generate_module_placements,
 )
 
 from helpers import (
     columns_outward_walk,
     dfs_place_walk,
     expand_horizontal_walk,
+    module_placements_walk,
     overlap_side,
 )
 
@@ -91,6 +95,34 @@ def test_expand_horizontal_matches_walk(data):
     assert expand_horizontal(fab, kernel, needed, target, blocked) == (
         expand_horizontal_walk(fab, kernel, needed, target, blocked)
     )
+
+
+requirements = st.builds(
+    ResourceVector, st.integers(0, 8), st.integers(0, 3), st.integers(0, 3)
+).filter(lambda req: req.total > 0)
+
+ar_windows = st.one_of(
+    st.none(),
+    st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2).map(lambda w: (min(w), max(w))),
+)
+
+
+@PROPERTY
+@given(fabrics(), requirements, ar_windows)
+# The DSP-blocked CLB walk from each two-row DSP rect reaches only the rect
+# that the walk from the one-row kernel at its foot already emitted while
+# growing upward. That is not "no free split", so the walk must not be
+# redone unblocked.
+@example(Fabric(2, "CDCDC"), ResourceVector(4, 0, 1), None)
+def test_module_placements_match_walk(fab, req, ar_bounds):
+    module = ModuleSpec("m", req)
+    try:
+        expected = module_placements_walk(fab, module, ar_bounds)
+    except InfeasibleModuleError as exc:
+        with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
+            generate_module_placements(fab, module, ar_bounds)
+        return
+    assert generate_module_placements(fab, module, ar_bounds) == expected
 
 
 @PROPERTY

@@ -11,6 +11,13 @@ meant to move what it pins, and say why in CHANGES.md.
 ``data/dense_place_lines.sha256`` pins the ``place`` lines of two dense
 generated designs that need the placer to back up, so a change to the
 search that picks another floorplan shows up here.
+
+``data/ordered_candidates.sha256`` pins the candidate lists, order
+included, of the generated designs behind the benchmark's ``scaling``
+(n=50 on xc7k410t) and ``dense`` (fx70t, n=16, seeds 0-2) cases. The
+hashes were taken from the tessellation that priced every rect and
+generated every module's list on its own, before it shared lists between
+equal requirements and skipped rects already seen.
 """
 
 import contextlib
@@ -47,6 +54,28 @@ def candidate_digest(candidates):
         for rect, resources, wastage in triples:
             lines.append(f"{module_id} {' '.join(map(str, rect + resources))} {wastage}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def ordered_candidate_digest(candidates):
+    """sha256 over every module's (rect, resources, wastage) triples, modules
+    in design order and candidates in list order."""
+    lines = [
+        f"{module_id} {' '.join(map(str, c.rect + c.resources))} {c.wastage_frames}"
+        for module_id, cands in candidates.items()
+        for c in cands
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("ordered_candidates.sha256"))
+def test_generated_candidate_lists_are_pinned_in_order(digest, options):
+    fabric_name, n, clb, bram, dsp, seed = options
+    fabric = parse_fabric(fixture_path(fabric_name).read_text())
+    occupancy = (float(clb), float(bram), float(dsp))
+    design = generate_random_design(int(n), fabric, occupancy, int(seed))
+    candidates = generate_placements(fabric, design, None)
+    assert list(candidates) == [m.id for m in design.modules]
+    assert ordered_candidate_digest(candidates) == digest
 
 
 @pytest.mark.parametrize("digest, options", golden_cases("sdr_candidates.sha256"))

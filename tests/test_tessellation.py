@@ -234,6 +234,36 @@ def test_generate_placements_infeasible_module():
         generate_placements(fab, design2, ar_bounds=None)
 
 
+def test_modules_with_equal_requirements_get_equal_lists():
+    fab = parse_fabric("rows 3\ncolumns CCBCDCCBCC\nreserved 0 5 1 6\n")
+    design = Design(
+        [
+            ModuleSpec("a", ResourceVector(4, 1, 1)),
+            ModuleSpec("b", ResourceVector(3, 0, 0)),
+            ModuleSpec("c", ResourceVector(4, 1, 1)),
+            ModuleSpec("d", ResourceVector(4, 0, 0)),
+        ]
+    )
+    cands = generate_placements(fab, design, ar_bounds=None)
+    for module in design.modules:
+        assert cands[module.id] == generate_module_placements(fab, module, None)
+    assert cands["a"] == cands["c"] != cands["d"]
+
+
+def test_infeasible_shared_requirement_names_first_module():
+    fab = parse_fabric("rows 2\ncolumns CC\n")
+    design = Design(
+        [
+            ModuleSpec("k", ResourceVector(1, 0, 0)),
+            ModuleSpec("z", ResourceVector(5, 0, 0)),
+            ModuleSpec("a", ResourceVector(5, 0, 0)),
+        ]
+    )
+    with pytest.raises(InfeasibleModuleError) as err:
+        generate_placements(fab, design, ar_bounds=None)
+    assert err.value.module_id == "z"
+
+
 def test_infeasible_reason_blames_bounds_only_when_deserved():
     # too small to ever cover: the window is not the problem
     fab = parse_fabric("rows 2\ncolumns CC\n")
