@@ -38,7 +38,6 @@ __all__ = [
     "external_cut_cost",
     "objective_of",
     "pair_cut_cost",
-    "placement_side",
     "recursive_bipartition",
     "side_data",
     "solve_bqp",
@@ -157,14 +156,6 @@ def _anchor_side(anchor: Point, cut: float, axis: Axis) -> int:
     """Side of the cut an anchored point falls on; on the line counts as 0."""
     coord = anchor[0] if axis == "vertical" else anchor[1]
     return 0 if coord <= cut else 1
-
-
-def placement_side(
-    candidate: PlacementCandidate, child0: Partition, child1: Partition
-) -> int | None:
-    """Child index holding at least 75% of the candidate's area, else None."""
-    p0, p1 = _split_by_side((candidate,), child0.rect, child1.rect)
-    return 0 if p0 else 1 if p1 else None
 
 
 def _split_by_side(

@@ -161,7 +161,8 @@ def write_design(design: Design) -> str:
         lines.append(f"module {m.id} {m.req.clb} {m.req.bram} {m.req.dsp}")
     for c in design.connections:
         lines.append(f"connect {c.a} {c.b} {c.signals}")
-    lines.append(f"weights {design.alpha:g} {design.beta:g}")
+    # repr is the shortest text that parses back to the same float
+    lines.append(f"weights {design.alpha!r} {design.beta!r}")
     return "\n".join(lines) + "\n"
 
 

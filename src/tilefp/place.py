@@ -3,12 +3,14 @@
 Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
-Modules are then placed frame-hungriest first by a depth-first search that
-takes the best-scored rectangle not colliding with anything placed so far
-and backs up a level whenever a module runs out of rectangles. Forward
-checking rejects a placement as soon as it leaves a later module no free
-rectangle, and a fail-first search takes over when that search spends its
-node budget. The first complete assignment wins.
+Scoring only reorders the module's own tessellation candidates, best first,
+and the placer reads their rects from that list. Modules are placed
+frame-hungriest first by a depth-first search that takes the best-scored
+rectangle not colliding with anything placed so far and backs up a level
+whenever a module runs out of rectangles. Forward checking rejects a
+placement as soon as it leaves a later module no free rectangle, and a
+fail-first search takes over when that search spends its node budget. The
+first complete assignment wins.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .design import Design
 from .fabric import Fabric, Rect
@@ -28,7 +30,6 @@ __all__ = [
     "Floorplan",
     "PlacementInfeasibleError",
     "PlacementTimeoutError",
-    "ScoredCandidate",
     "floorplan_wastage",
     "floorplan_wirelength",
     "normalize_candidates",
@@ -79,15 +80,6 @@ class PlacementTimeoutError(Exception):
         )
 
 
-class ScoredCandidate(NamedTuple):
-    """A candidate with its normalized metrics and blended objective."""
-
-    candidate: PlacementCandidate
-    wastage_norm: float
-    anchor_dist_norm: float
-    objective: float
-
-
 @dataclass(frozen=True)
 class Floorplan:
     """Final rectangle per module plus the two quality metrics."""
@@ -103,41 +95,34 @@ def normalize_candidates(
     anchor: tuple[float, float],
     alpha: float,
     beta: float,
-) -> list[ScoredCandidate]:
-    """Score one module's candidates against its anchor and sort them.
+) -> list[PlacementCandidate]:
+    """One module's candidates scored against its anchor, best first.
 
-    Wastage and anchor distance are divided by their maximum over the list
-    (a zero maximum maps every value to zero) and blended as
-    alpha * wastage + beta * distance. Sorting is ascending by that
-    objective; ties fall back to raw wastage, then bottom-left position.
+    Wastage and the Manhattan distance from the rect's center to the anchor
+    are divided by their maximum over the list (a zero maximum maps every
+    value to zero) and blended as alpha * wastage + beta * distance.
+    Sorting is ascending by that objective; ties fall back to raw wastage,
+    then bottom-left position. The candidates come back as they are.
     """
     if not candidates:
         raise ValueError("cannot score an empty candidate list")
     ax, ay = anchor
-    dists = [abs(c.center[0] - ax) + abs(c.center[1] - ay) for c in candidates]
+    dists = [abs(x - ax) + abs(y - ay) for x, y in (c.rect.center for c in candidates)]
     max_dist = max(dists)
     max_waste = max(c.wastage_frames for c in candidates)
-    scored = []
-    for cand, dist in zip(candidates, dists):
-        wastage_norm = cand.wastage_frames / max_waste if max_waste else 0.0
-        dist_norm = dist / max_dist if max_dist else 0.0
-        scored.append(
-            ScoredCandidate(
-                cand,
-                wastage_norm,
-                dist_norm,
-                alpha * wastage_norm + beta * dist_norm,
-            )
+
+    def key(pair: tuple[PlacementCandidate, float]) -> tuple[float, int, int, int]:
+        cand, dist = pair
+        wastage = cand.wastage_frames / max_waste if max_waste else 0.0
+        distance = dist / max_dist if max_dist else 0.0
+        return (
+            alpha * wastage + beta * distance,
+            cand.wastage_frames,
+            cand.rect.row0,
+            cand.rect.col0,
         )
-    scored.sort(
-        key=lambda s: (
-            s.objective,
-            s.candidate.wastage_frames,
-            s.candidate.rect.row0,
-            s.candidate.rect.col0,
-        )
-    )
-    return scored
+
+    return [cand for cand, _ in sorted(zip(candidates, dists), key=key)]
 
 
 def order_modules(design: Design, fabric: Fabric) -> list[str]:
@@ -149,20 +134,21 @@ def order_modules(design: Design, fabric: Fabric) -> list[str]:
 def trial_and_error_place(
     fabric: Fabric,
     ordered_modules: Sequence[str],
-    scored: Mapping[str, Sequence[ScoredCandidate]],
+    candidates: Mapping[str, Sequence[PlacementCandidate]],
     time_budget: float | None = 60.0,
 ) -> tuple[dict[str, Rect], int]:
     """First feasible floorplan by a two-phase search under node budgets.
 
-    Phase 1 is a depth-first search in module order that tries each
-    module's candidates in scoring order, with forward checking: a
-    placement that leaves some later module without a free candidate is
-    rejected at once. It prunes only subtrees that hold no floorplan, so it
-    finds the same first floorplan as plain depth-first search. When it
-    spends ``FORWARD_CHECK_NODES`` nodes (tentative placements) without an
-    answer, phase 2 searches afresh, always placing the module with the
-    fewest free candidates left (fail-first; ties go to module order),
-    under ``FAIL_FIRST_NODES`` nodes.
+    ``candidates`` maps each module to its candidates best first, as
+    ``normalize_candidates`` returns them. Phase 1 is a depth-first search
+    in module order that tries each module's candidates in that order, with
+    forward checking: a placement that leaves some later module without a
+    free candidate is rejected at once. It prunes only subtrees that hold
+    no floorplan, so it finds the same first floorplan as plain depth-first
+    search. When it spends ``FORWARD_CHECK_NODES`` nodes (tentative
+    placements) without an answer, phase 2 searches afresh, always placing
+    the module with the fewest free candidates left (fail-first; ties go to
+    module order), under ``FAIL_FIRST_NODES`` nodes.
 
     Returns the chosen rectangle per module, keyed in module order, and the
     number of times the search backed up a level in either phase. The node
@@ -173,7 +159,7 @@ def trial_and_error_place(
     """
     order = list(ordered_modules)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    search = _Search(fabric, order, [scored[module_id] for module_id in order], deadline)
+    search = _Search(fabric, order, [candidates[module_id] for module_id in order], deadline)
     rects = search.forward_checking(FORWARD_CHECK_NODES)
     if rects is None:
         rects = search.fail_first(FAIL_FIRST_NODES)
@@ -196,7 +182,7 @@ class _Search:
         self,
         fabric: Fabric,
         order: list[str],
-        options: list[Sequence[ScoredCandidate]],
+        options: list[Sequence[PlacementCandidate]],
         deadline: float | None,
     ) -> None:
         self.order = order
@@ -213,13 +199,13 @@ class _Search:
         self.dead_end = ("", 0)
 
     def free_candidates(
-        self, occupied: list[int], options: Sequence[ScoredCandidate], start: int = 0
+        self, occupied: list[int], options: Sequence[PlacementCandidate], start: int = 0
     ) -> Iterator[tuple[int, Rect]]:
         """``(index, rect)`` of every candidate from ``start`` that is in
         bounds and off the ``occupied`` rows, in list order."""
         rows, cols = self.rows, self.cols
-        for j, scored in enumerate(islice(options, start, None), start):
-            rect = scored.candidate.rect
+        for j, cand in enumerate(islice(options, start, None), start):
+            rect = cand.rect
             r0, c0, r1, c1 = rect
             if 0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols:
                 mask = (2 << c1) - (1 << c0)  # _columns(c0, c1), inlined
@@ -284,14 +270,14 @@ class _Search:
                     raise PlacementInfeasibleError(*self.dead_end)
                 self.backtracks += 1
                 i = picks.pop()
-                undo(options[depth - 1][i].candidate.rect, marks.pop())
+                undo(options[depth - 1][i].rect, marks.pop())
                 i = first_free(depth - 1, i + 1)
                 continue
             if nodes == budget:
                 return None
             nodes += 1
             self.check_clock()
-            rect = options[depth][i].candidate.rect
+            rect = options[depth][i].rect
             r0, c0, r1, c1 = rect
             mask = _columns(c0, c1)
             for r in range(r0, r1 + 1):
@@ -300,7 +286,7 @@ class _Search:
             blocked = None
             for k in range(depth + 1, n):
                 w = witness[k]
-                wr0, wc0, wr1, wc1 = options[k][w].candidate.rect
+                wr0, wc0, wr1, wc1 = options[k][w].rect
                 if wc1 < c0 or wc0 > c1 or wr1 < r0 or wr0 > r1:
                     continue
                 trail.append((k, w))
@@ -318,7 +304,7 @@ class _Search:
                 self.reject(depth + 1, blocked)
                 undo(rect, mark)
                 i = first_free(depth, i + 1)
-        return {order[d]: options[d][i].candidate.rect for d, i in enumerate(picks)}
+        return {order[d]: options[d][i].rect for d, i in enumerate(picks)}
 
     def fail_first(self, budget: int) -> dict[str, Rect]:
         """Phase 2: fewest-candidates-first search, starting over, under ``budget``.

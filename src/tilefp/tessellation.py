@@ -62,7 +62,6 @@ class PlacementCandidate(NamedTuple):
     rect: Rect
     resources: ResourceVector
     wastage_frames: int
-    center: tuple[float, float]
 
 
 def kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
@@ -180,7 +179,8 @@ def expand_horizontal(
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind | None,
-) -> list[Kernel]:
+    seen: set[Rect],
+) -> tuple[list[Kernel], bool]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
     At the current height the kernel needs some number N of target columns
@@ -191,19 +191,6 @@ def expand_horizontal(
     ``blocked`` column are dropped. After the enumeration the kernel grows
     one clock region upward and the process repeats, so taller and narrower
     variants of the same footprint are emitted too.
-    """
-    return _expand_unseen(fabric, kernel, needed, target, blocked, set())[0]
-
-
-def _expand_unseen(
-    fabric: Fabric,
-    kernel: Kernel,
-    needed: int,
-    target: ResourceKind,
-    blocked: ResourceKind | None,
-    seen: set[Rect],
-) -> tuple[list[Kernel], bool]:
-    """``expand_horizontal`` restricted to rects not in ``seen``.
 
     A split whose rect is already in ``seen`` is skipped before it is
     priced; every emitted rect is added to ``seen``. The flag returned with
@@ -266,9 +253,9 @@ def _expand_or_cross(
     scarce column beats no rectangle at all. A blocked walk whose free
     splits were all seen before emits nothing and still needs no fallback.
     """
-    out, free = _expand_unseen(fabric, kernel, needed, target, blocked, seen)
+    out, free = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
     if not free:
-        out, _ = _expand_unseen(fabric, kernel, needed, target, None, seen)
+        out, _ = expand_horizontal(fabric, kernel, needed, target, None, seen)
     return out
 
 
@@ -302,7 +289,7 @@ def generate_module_placements(
     emitted: list[set[Rect]] = [set() for _ in kinds]
     for kernel in kernels:
         # the first kind's own upward growth is the zero-column split
-        layer, _ = _expand_unseen(fabric, kernel, need_first, first, None, emitted[0])
+        layer, _ = expand_horizontal(fabric, kernel, need_first, first, None, emitted[0])
         for kind, seen in zip(rest, emitted[1:]):
             layer = [
                 grown
@@ -317,14 +304,8 @@ def generate_module_placements(
                 ar = cand.rect.aspect_ratio
                 if not ar_bounds[0] <= ar <= ar_bounds[1]:
                     continue
-            accepted.append(
-                PlacementCandidate(
-                    cand.rect,
-                    cand.resources,
-                    fabric.frames_of(cand.resources - req),
-                    cand.rect.center,
-                )
-            )
+            waste = fabric.frames_of(cand.resources - req)
+            accepted.append(PlacementCandidate(cand.rect, cand.resources, waste))
     if not accepted:
         raise InfeasibleModuleError(
             module.id,

@@ -132,7 +132,6 @@ def module_placements_walk(fabric, module, ar_bounds):
                 continue
             accepted.append(PlacementCandidate(
                 cand.rect, cand.resources, fabric.frames_of(cand.resources - req),
-                cand.rect.center,
             ))
     if not accepted:
         raise InfeasibleModuleError(
@@ -141,14 +140,14 @@ def module_placements_walk(fabric, module, ar_bounds):
     return accepted
 
 
-def dfs_place_walk(fabric, ordered_modules, scored, time_budget=60.0):
+def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
     """Reference placer: plain depth-first search in module order that
     takes each module's first candidate in list order that is free of
     reserved tiles and of every rect placed so far, and backs up a level
     when a module runs out. Returns ``(rects, backtracks)``."""
     order = list(ordered_modules)
     for module_id in order:
-        if not scored[module_id]:
+        if not candidates[module_id]:
             raise PlacementInfeasibleError(module_id, 0)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     chosen = {}
@@ -160,11 +159,11 @@ def dfs_place_walk(fabric, ordered_modules, scored, time_budget=60.0):
         if deadline is not None and time.monotonic() >= deadline:
             raise PlacementTimeoutError(deepest, len(order), "time")
         module_id = order[depth]
-        options = scored[module_id]
+        options = candidates[module_id]
         placed = None
         i = next_try[depth]
         while i < len(options):
-            rect = options[i].candidate.rect
+            rect = options[i].rect
             if fabric.is_free_rect(rect, chosen.values()):
                 placed = rect
                 break

@@ -17,7 +17,6 @@ from tilefp.bipartition import (
     external_cut_cost,
     objective_of,
     pair_cut_cost,
-    placement_side,
     recursive_bipartition,
     side_data,
     solve_bqp,
@@ -42,7 +41,7 @@ from helpers import bqp_enumeration_min, random_bqp_model, random_fabric
 
 
 def cand(rect, resources=ResourceVector(1, 0, 0)):
-    return PlacementCandidate(rect, resources, 0, rect.center)
+    return PlacementCandidate(rect, resources, 0)
 
 
 def make_partition(fabric, rect=None, members=()):
@@ -82,30 +81,35 @@ def test_split_too_thin_raises():
         split_partition(make_partition(flat), "horizontal", flat)
 
 
-# --- placement_side --------------------------------------------------------
+# --- side_data -------------------------------------------------------------
 
-def test_placement_side_fractions():
+def side_of(rect, c0, c1, axis):
+    """Side a one-candidate list is forced to; None when it keeps to the parent."""
+    data = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), [cand(rect)], c0, c1, axis)
+    assert data.parent_only == (data.forced_side is None)
+    return data.forced_side
+
+
+def test_side_data_single_candidate_fractions():
     fab = parse_fabric("rows 1\ncolumns CCCCCCCCCC\n")
     c0, c1 = split_partition(make_partition(fab), "vertical", fab)
-    assert placement_side(cand(Rect(0, 0, 0, 3)), c0, c1) == 0
-    assert placement_side(cand(Rect(0, 6, 0, 9)), c0, c1) == 1
+    assert side_of(Rect(0, 0, 0, 3), c0, c1, "vertical") == 0
+    assert side_of(Rect(0, 6, 0, 9), c0, c1, "vertical") == 1
     # 4 of 5 tiles on the left: 80%
-    assert placement_side(cand(Rect(0, 1, 0, 5)), c0, c1) == 0
+    assert side_of(Rect(0, 1, 0, 5), c0, c1, "vertical") == 0
     # exactly 75% on the right is still assigned (boundary inclusive)
-    assert placement_side(cand(Rect(0, 4, 0, 7)), c0, c1) == 1
+    assert side_of(Rect(0, 4, 0, 7), c0, c1, "vertical") == 1
     # an even straddle belongs to neither half
-    assert placement_side(cand(Rect(0, 2, 0, 7)), c0, c1) is None
+    assert side_of(Rect(0, 2, 0, 7), c0, c1, "vertical") is None
 
 
-def test_placement_side_two_dimensional_overlap():
+def test_side_data_single_candidate_two_dimensional_overlap():
     fab = parse_fabric("rows 4\ncolumns CCCC\n")
     c0, c1 = split_partition(make_partition(fab), "horizontal", fab)
-    assert placement_side(cand(Rect(0, 0, 2, 0)), c0, c1) is None
-    assert placement_side(cand(Rect(1, 0, 2, 3)), c0, c1) is None
-    assert placement_side(cand(Rect(2, 1, 3, 2)), c0, c1) == 1
+    assert side_of(Rect(0, 0, 2, 0), c0, c1, "horizontal") is None
+    assert side_of(Rect(1, 0, 2, 3), c0, c1, "horizontal") is None
+    assert side_of(Rect(2, 1, 3, 2), c0, c1, "horizontal") == 1
 
-
-# --- side_data -------------------------------------------------------------
 
 def test_side_data_means_and_minima():
     fab = parse_fabric("rows 2\ncolumns CCCCCCCC\n")

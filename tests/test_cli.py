@@ -138,6 +138,57 @@ def test_infeasible_module_exit_code(tmp_path, capsys):
     assert "module 'k'" in captured.err and "module 'm'" not in captured.err
 
 
+EDGE_FABRICS = {
+    # case: (fabric, design, extra options, exit code, stderr excerpt)
+    "clb-only": (
+        "rows 4\ncolumns CCCCCCCC\n",
+        "module a 4 0 0\nmodule b 2 0 0\nconnect a b 8\n", [], 0, None,
+    ),
+    "one-row": (
+        "rows 1\ncolumns CCBCCDCC\n",
+        "module a 2 1 0\nmodule b 2 0 1\nconnect a b 8\n", ["--no-ar"], 0, None,
+    ),
+    "one-column": (
+        "rows 8\ncolumns C\n",
+        "module a 2 0 0\nmodule b 2 0 0\nconnect a b 8\n", [], 0, None,
+    ),
+    "single-module": (Path(FX).read_text(), "module m 5 1 1\n", [], 0, None),
+    "bram-column-reserved": (
+        "rows 4\ncolumns CCBCC\nreserved 0 2 3 2\n", "module m 1 1 0\n", [], 2, "'m'",
+    ),
+    "dsp-column-reserved": (
+        "rows 4\ncolumns CCDCC\nreserved 0 2 3 2\n", "module m 1 0 1\n", [], 2, "'m'",
+    ),
+    "all-reserved": (
+        "rows 2\ncolumns CCC\nreserved 0 0 1 2\n", "module m 1 0 0\n", [], 2, "'m'",
+    ),
+    "one-row-default-window": (
+        "rows 1\ncolumns CCCC\n", "module m 1 0 0\n", [], 2,
+        "aspect-ratio bounds reject everything",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_FABRICS))
+def test_edge_fabrics_floorplan_and_validate(tmp_path, capsys, case):
+    fabric_text, design_text, options, expected, excerpt = EDGE_FABRICS[case]
+    fab = write(tmp_path, "e.fabric", fabric_text)
+    design = write(tmp_path, "e.design", design_text)
+    out = tmp_path / "e.fp"
+    code = main(["floorplan", "--fabric", fab, "--design", design, "--out", str(out), *options])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == expected
+    status = "OK" if expected == 0 else "INFEASIBLE_MODULE"
+    assert len(lines) == 1 and lines[0].startswith(f"{status} wastage=")
+    if expected:
+        assert excerpt in captured.err
+        assert not out.exists()
+        return
+    assert main(["validate", "--fabric", fab, "--plan", str(out)]) == 0
+    assert capsys.readouterr().out == "VALID violations=0\n"
+
+
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):
     fab = write(tmp_path, "t.fabric", "rows 1\ncolumns CC\n")
     design = write(tmp_path, "t.design", "module a 2 0 0\nmodule b 2 0 0\n")

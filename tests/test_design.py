@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tilefp.design import (
+    Connection,
+    Design,
     DesignError,
     GenerationError,
     ModuleSpec,
@@ -158,7 +161,36 @@ def test_generated_design_round_trips():
     fab = parse_fabric("rows 4\ncolumns " + "CCCCCCBCCD" * 3 + "\n")
     design = generate_random_design(8, fab, (0.7, 0.4, 0.4), seed=9)
     text = write_design(design)
+    assert text.endswith("\nweights 0.5 0.5\n")
     again = parse_design(text)
     assert write_design(again) == text
     assert [m.req for m in again.modules] == [m.req for m in design.modules]
     assert again.connections == design.connections
+
+
+module_ids = st.text(alphabet="abcxyz_019-.", min_size=1, max_size=6)
+requirements = st.builds(
+    ResourceVector, st.integers(0, 99), st.integers(0, 9), st.integers(0, 9)
+).filter(lambda req: req.total > 0)
+weights = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def designs(draw):
+    """1-6 modules, connections drawn as ``a < b`` pairs (the order
+    ``parse_design`` gives back) and any valid pair of weights."""
+    ids = draw(st.lists(module_ids, min_size=1, max_size=6, unique=True))
+    modules = [ModuleSpec(m, draw(requirements)) for m in ids]
+    pairs = [(a, b) for a in ids for b in ids if a < b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    connections = [Connection(a, b, draw(st.integers(1, 256))) for a, b in chosen]
+    alpha, beta = draw(st.tuples(weights, weights).filter(lambda w: w[0] + w[1] > 0))
+    return Design(modules, connections, alpha, beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(designs())
+# a weight with more than 6 significant digits
+@example(Design([ModuleSpec("m", ResourceVector(1, 0, 0))], alpha=0.1234567, beta=0.5))
+def test_write_design_round_trips_property(design):
+    assert parse_design(write_design(design)) == design

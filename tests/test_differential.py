@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tilefp import place
-from tilefp.bipartition import Partition, placement_side, side_data, split_partition
+from tilefp.bipartition import Partition, side_data, split_partition
 from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
-from tilefp.place import PlacementInfeasibleError, ScoredCandidate, trial_and_error_place
+from tilefp.place import PlacementInfeasibleError, trial_and_error_place
 from tilefp.tessellation import (
     InfeasibleModuleError,
     Kernel,
@@ -92,9 +92,15 @@ def test_expand_horizontal_matches_walk(data):
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
     blocked = data.draw(st.one_of(st.none(), kinds))
-    assert expand_horizontal(fab, kernel, needed, target, blocked) == (
-        expand_horizontal_walk(fab, kernel, needed, target, blocked)
-    )
+    expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
+    emitted = [k.rect for k in expected]
+    # rects emitted earlier are only ever free ones
+    seen = set(data.draw(st.lists(st.sampled_from(emitted)))) if emitted else set()
+    before = set(seen)
+    grown, free = expand_horizontal(fab, kernel, needed, target, blocked, seen)
+    assert grown == [k for k in expected if k.rect not in before]
+    assert free == bool(expected)
+    assert seen == before | set(emitted)
 
 
 requirements = st.builds(
@@ -127,7 +133,7 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
 
 @PROPERTY
 @given(st.data())
-def test_side_data_split_matches_placement_side(data):
+def test_side_data_split_matches_overlap_side(data):
     rows = data.draw(st.integers(1, 6))
     cols = data.draw(st.integers(1, 12))
     fab = Fabric(rows, "C" * cols)
@@ -141,18 +147,21 @@ def test_side_data_split_matches_placement_side(data):
     parent = Partition(parent_rect, ("m",), fab.available_in_rect(parent_rect))
     child0, child1 = split_partition(parent, axis, fab)
     cands = [
-        PlacementCandidate(r, fab.resources_in_rect(r), 0, r.center)
+        PlacementCandidate(r, fab.resources_in_rect(r), 0)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
-    split = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), cands, child0, child1, axis)
+    module = ModuleSpec("m", ResourceVector(1, 0, 0))
+    split = side_data(module, cands, child0, child1, axis)
     for side, placements in ((0, split.placements0), (1, split.placements1)):
         expected = [
             c for c in cands if overlap_side(c.rect, child0.rect, child1.rect) == side
         ]
         assert list(placements) == expected
-        assert all(placement_side(c, child0, child1) == side for c in placements)
-    kept = set(split.placements0) | set(split.placements1)
-    assert all(placement_side(c, child0, child1) is None for c in cands if c not in kept)
+    # each candidate alone is forced to the side it lands on, or keeps to
+    # the parent when it lands on neither
+    for c in cands:
+        alone = side_data(module, [c], child0, child1, axis)
+        assert alone.forced_side == overlap_side(c.rect, child0.rect, child1.rect)
 
 
 # Longest candidate list per module count: the whole depth-first tree then
@@ -180,12 +189,11 @@ def placer_inputs(draw):
         st.lists(small_rects_in(rows, cols), min_size=2, max_size=PLACER_LIST_MAX[n]),
         min_size=n, max_size=n,
     ))
-    scored = {
-        f"m{k}": [ScoredCandidate(PlacementCandidate(r, ResourceVector(), 0, r.center), 0, 0, 0)
-                  for r in rects]
+    candidates = {
+        f"m{k}": [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
         for k, rects in enumerate(lists)
     }
-    return fab, list(scored), scored
+    return fab, list(candidates), candidates
 
 
 def tree_nodes(lists):
@@ -200,15 +208,15 @@ def tree_nodes(lists):
 @PROPERTY
 @given(placer_inputs())
 def test_placer_matches_depth_first_walk(inputs):
-    fab, order, scored = inputs
-    assert tree_nodes(scored.values()) <= place.FORWARD_CHECK_NODES
+    fab, order, candidates = inputs
+    assert tree_nodes(candidates.values()) <= place.FORWARD_CHECK_NODES
     try:
-        expected, _ = dfs_place_walk(fab, order, scored, None)
+        expected, _ = dfs_place_walk(fab, order, candidates, None)
     except PlacementInfeasibleError:
         with pytest.raises(PlacementInfeasibleError):
-            trial_and_error_place(fab, order, scored, None)
+            trial_and_error_place(fab, order, candidates, None)
         return
-    rects, _ = trial_and_error_place(fab, order, scored, None)
+    rects, _ = trial_and_error_place(fab, order, candidates, None)
     assert rects == expected
     assert list(rects) == order
 
@@ -216,9 +224,9 @@ def test_placer_matches_depth_first_walk(inputs):
 @PROPERTY
 @given(placer_inputs())
 def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
-    fab, order, scored = inputs
+    fab, order, candidates = inputs
     try:
-        dfs_place_walk(fab, order, scored, None)
+        dfs_place_walk(fab, order, candidates, None)
         feasible = True
     except PlacementInfeasibleError:
         feasible = False
@@ -226,11 +234,11 @@ def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
     with mock.patch.object(place, "FORWARD_CHECK_NODES", 0):
         if not feasible:
             with pytest.raises(PlacementInfeasibleError):
-                trial_and_error_place(fab, order, scored, None)
+                trial_and_error_place(fab, order, candidates, None)
             return
-        rects, _ = trial_and_error_place(fab, order, scored, None)
+        rects, _ = trial_and_error_place(fab, order, candidates, None)
     assert list(rects) == order
     for module_id, rect in rects.items():
-        assert rect in {s.candidate.rect for s in scored[module_id]}
+        assert rect in {c.rect for c in candidates[module_id]}
     placed = list(rects.values())
     assert all(fab.is_free_rect(rect, placed[:i]) for i, rect in enumerate(placed))

@@ -29,7 +29,7 @@ from helpers import (
 
 
 def cand(rect, wastage):
-    return PlacementCandidate(rect, ResourceVector(1, 0, 0), wastage, rect.center)
+    return PlacementCandidate(rect, ResourceVector(1, 0, 0), wastage)
 
 
 def sdr_design():
@@ -53,19 +53,19 @@ def sdr_design():
 # --- normalize_candidates ---------------------------------------------------
 
 def test_normalize_extremes_map_to_unit_interval():
-    cands = [cand(Rect(0, 0, 0, 1), 0), cand(Rect(0, 4, 0, 5), 72)]
+    cands = [cand(Rect(0, 4, 0, 5), 72), cand(Rect(0, 0, 0, 1), 0)]
     scored = normalize_candidates(cands, (1.0, 0.5), 1.0, 0.0)
-    by_rect = {s.candidate.rect: s for s in scored}
-    assert by_rect[Rect(0, 0, 0, 1)].wastage_norm == 0.0
-    assert by_rect[Rect(0, 4, 0, 5)].wastage_norm == 1.0
+    assert [c.rect for c in scored] == [Rect(0, 0, 0, 1), Rect(0, 4, 0, 5)]
+    # the module's own candidates come back, only reordered
+    assert [id(c) for c in scored] == [id(cands[1]), id(cands[0])]
 
 
 def test_normalize_equidistant_candidates_order_by_wastage():
     cands = [cand(Rect(0, 0, 0, 0), 36), cand(Rect(0, 2, 0, 2), 0)]
     # anchor at the midpoint: both centers are 1 tile away
     scored = normalize_candidates(cands, (1.5, 0.5), 0.5, 0.5)
-    assert all(s.anchor_dist_norm == 1.0 for s in scored)
-    assert [s.candidate.wastage_frames for s in scored] == [0, 36]
+    assert [c.rect for c in scored] == [Rect(0, 2, 0, 2), Rect(0, 0, 0, 0)]
+    assert [c.wastage_frames for c in scored] == [0, 36]
 
 
 def test_normalize_pure_wastage_mode():
@@ -75,16 +75,16 @@ def test_normalize_pure_wastage_mode():
         for c in range(10)
     ]
     scored = normalize_candidates(cands, (0.0, 0.0), 1.0, 0.0)
-    wastes = [s.candidate.wastage_frames for s in scored]
+    wastes = [c.wastage_frames for c in scored]
     assert wastes == sorted(wastes)
+    assert sorted(map(id, scored)) == sorted(map(id, cands))
 
 
 def test_normalize_zero_maxima_and_tie_break():
     cands = [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 0, 0, 0), 0)]
     scored = normalize_candidates(cands, (99.0, 99.0), 1.0, 0.0)
     # wastage norm is zero everywhere, so bottom-left position decides
-    assert [s.candidate.rect.col0 for s in scored] == [0, 2]
-    assert all(s.objective == 0.0 for s in scored)
+    assert [c.rect.col0 for c in scored] == [0, 2]
     with pytest.raises(ValueError):
         normalize_candidates([], (0.0, 0.0), 1.0, 0.0)
 
@@ -92,8 +92,25 @@ def test_normalize_zero_maxima_and_tie_break():
 def test_normalize_distance_mode_prefers_near_anchor():
     cands = [cand(Rect(0, c, 0, c), 100 - c) for c in range(6)]
     scored = normalize_candidates(cands, (5.5, 0.5), 0.0, 1.0)
-    assert scored[0].candidate.rect.col0 == 5
-    assert scored[0].anchor_dist_norm == 0.0
+    assert [c.rect.col0 for c in scored] == [5, 4, 3, 2, 1, 0]
+
+
+def test_normalize_divides_by_the_maxima_before_blending():
+    # anchor at the center of column 0: distances 4, 0 and 4 tiles
+    near = cand(Rect(0, 4, 0, 4), 0)
+    wasteful = cand(Rect(0, 0, 0, 0), 36)
+    worst = cand(Rect(0, 0, 0, 8), 360)
+    anchor = (0.5, 0.5)
+    cands = [near, wasteful, worst]
+
+    def raw_sum(c):
+        x, y = c.rect.center
+        return c.wastage_frames + abs(x - anchor[0]) + abs(y - anchor[1])
+
+    # summed raw, 4 < 36 puts near first; scaled by the maxima (360 frames,
+    # 4 tiles), wasteful scores 0.5 * 0.1 against near's 0.5 * 1
+    assert sorted(cands, key=raw_sum) == [near, wasteful, worst]
+    assert normalize_candidates(cands, anchor, 0.5, 0.5) == [wasteful, near, worst]
 
 
 # --- order_modules -----------------------------------------------------------
@@ -166,21 +183,13 @@ def test_place_backtracks_across_depths():
         "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
         "c": [cand(Rect(0, 3, 0, 3), 0)],
     }
-    scored = {m: [ScoredStub(c) for c in lst] for m, lst in cands.items()}
-    rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], scored)
+    rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], cands)
     assert rects == {
         "a": Rect(0, 0, 0, 1),
         "b": Rect(0, 2, 0, 2),
         "c": Rect(0, 3, 0, 3),
     }
     assert backtracks >= 1
-
-
-class ScoredStub:
-    """Bare candidate wrapper preserving list order for placer tests."""
-
-    def __init__(self, candidate):
-        self.candidate = candidate
 
 
 def test_place_matches_exhaustive_first_feasible():
@@ -193,7 +202,7 @@ def test_place_matches_exhaustive_first_feasible():
         for k in range(rng.randint(2, 4)):
             req = random_requirement(rng, fab)
             pool = [
-                PlacementCandidate(rect, ResourceVector(), w, rect.center)
+                PlacementCandidate(rect, ResourceVector(), w)
                 for rect, w in sorted(brute_force_rects(fab, req, None).items())[
                     : rng.randint(1, 6)
                 ]
@@ -205,9 +214,7 @@ def test_place_matches_exhaustive_first_feasible():
         if len(lists) < 2:
             continue
         expect = first_feasible_assignment(fab, lists)
-        scored = {
-            m: [ScoredStub(c) for c in lst] for m, lst in zip(ids, lists)
-        }
+        scored = dict(zip(ids, lists))
         if expect is None:
             with pytest.raises(PlacementInfeasibleError):
                 trial_and_error_place(fab, ids, scored)
@@ -251,8 +258,7 @@ def test_place_fail_first_places_fewest_candidates_first(monkeypatch):
         "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
         "c": [cand(Rect(0, 3, 0, 3), 0)],
     }
-    scored = {m: [ScoredStub(c) for c in lst] for m, lst in cands.items()}
-    rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], scored)
+    rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], cands)
     assert list(rects.items()) == [
         ("a", Rect(0, 0, 0, 1)),
         ("b", Rect(0, 2, 0, 2)),

@@ -26,6 +26,14 @@ def kernel_at(fabric, rect):
     return Kernel(rect, fabric.resources_in_rect(rect))
 
 
+def expand(fabric, kernel, needed, target, blocked):
+    """One expansion with nothing seen before, whose free flag then just
+    says whether it emitted anything."""
+    grown, free = expand_horizontal(fabric, kernel, needed, target, blocked, set())
+    assert free == bool(grown)
+    return grown
+
+
 def test_kind_order_covers_all_mixes():
     assert kind_order(ResourceVector(55, 2, 5)) == (DSP, BRAM, CLB)
     assert kind_order(ResourceVector(25, 0, 5)) == (DSP, CLB)
@@ -128,7 +136,7 @@ def test_merge_discards_spans_over_reserved():
 
 def zero_column_splits(fabric, kernel, needed, kind):
     """The expansion's candidates that stay in the kernel's own columns."""
-    grown = expand_horizontal(fabric, kernel, needed, kind, blocked=None)
+    grown = expand(fabric, kernel, needed, kind, blocked=None)
     cols = (kernel.rect.col0, kernel.rect.col1)
     return [k for k in grown if (k.rect.col0, k.rect.col1) == cols]
 
@@ -159,7 +167,7 @@ def test_expand_horizontal_enumerates_all_splits():
     # splits (0,2), (1,1) and (2,0)
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
     start = kernel_at(fab, Rect(0, 2, 0, 2))
-    grown = expand_horizontal(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
+    grown = expand(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
     assert sorted(k.rect for k in grown) == [
         Rect(0, 0, 0, 2),
         Rect(0, 1, 0, 3),
@@ -170,26 +178,45 @@ def test_expand_horizontal_enumerates_all_splits():
 def test_expand_horizontal_clips_at_edges_and_blockers():
     fab = parse_fabric("rows 1\ncolumns DCC\n")
     start = kernel_at(fab, Rect(0, 0, 0, 0))
-    grown = expand_horizontal(fab, start, 1, ResourceKind.CLB, ResourceKind.DSP)
+    grown = expand(fab, start, 1, ResourceKind.CLB, ResourceKind.DSP)
     assert [k.rect for k in grown] == [Rect(0, 0, 0, 1)]
     # another DSP column blocks the walk before any CLB shows up
     fab2 = parse_fabric("rows 1\ncolumns DDCC\n")
     start2 = kernel_at(fab2, Rect(0, 0, 0, 0))
-    grown2 = expand_horizontal(fab2, start2, 1, ResourceKind.CLB, ResourceKind.DSP)
+    grown2 = expand(fab2, start2, 1, ResourceKind.CLB, ResourceKind.DSP)
     assert grown2 == []
+
+
+def test_expand_horizontal_skips_and_records_seen_rects():
+    fab = parse_fabric("rows 1\ncolumns CCDCC\n")
+    start = kernel_at(fab, Rect(0, 2, 0, 2))
+    seen = {Rect(0, 1, 0, 3)}
+    grown, free = expand_horizontal(fab, start, 2, CLB, DSP, seen)
+    assert [k.rect for k in grown] == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
+    assert free
+    assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
+    # every free split seen: nothing to emit, yet a free split existed
+    assert expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], True)
+    # nothing free at all, and nothing recorded
+    blocked = parse_fabric("rows 1\ncolumns DDCC\n")
+    none_seen = set()
+    assert expand_horizontal(
+        blocked, kernel_at(blocked, Rect(0, 0, 0, 0)), 1, CLB, DSP, none_seen
+    ) == ([], False)
+    assert none_seen == set()
 
 
 def test_expand_horizontal_emits_kernel_when_satisfied():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
     start = kernel_at(fab, Rect(0, 1, 0, 3))
-    grown = expand_horizontal(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
+    grown = expand(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
     assert [k.rect for k in grown] == [start.rect]
 
 
 def test_expand_horizontal_emits_every_height():
     fab = parse_fabric("rows 3\ncolumns CCDCC\n")
     start = kernel_at(fab, Rect(0, 2, 0, 2))
-    grown = expand_horizontal(fab, start, 4, ResourceKind.CLB, ResourceKind.DSP)
+    grown = expand(fab, start, 4, ResourceKind.CLB, ResourceKind.DSP)
     heights = {k.rect.height for k in grown}
     assert heights == {1, 2, 3}
     by_height = {h: [k for k in grown if k.rect.height == h] for h in heights}
