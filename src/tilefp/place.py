@@ -3,12 +3,12 @@
 Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
-Scoring only reorders the module's own tessellation candidates, best first,
-and the placer reads their rects from that list. Modules are placed
-frame-hungriest first by a depth-first search that takes the best-scored
-rectangle not colliding with anything placed so far and backs up a level
-whenever a module runs out of rectangles. Forward checking rejects a
-placement as soon as it leaves a later module no free rectangle, and a
+Scoring only reorders the module's own tessellation candidates, best first.
+Modules are placed frame-hungriest first by a depth-first search that takes
+the best-scored rectangle not colliding with anything placed so far and
+backs up a level whenever a module runs out of rectangles. A module's free
+rectangles are a bitset over its scored list, so forward checking rejects a
+placement that leaves a later module none with a few integer ANDs, and a
 fail-first search takes over when that search spends its node budget. The
 first complete assignment wins.
 """
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from operator import itemgetter, le
+from typing import Mapping, Sequence
 
 from .design import Design
 from .fabric import Fabric, Rect
@@ -143,12 +144,12 @@ def trial_and_error_place(
     ``normalize_candidates`` returns them. Phase 1 is a depth-first search
     in module order that tries each module's candidates in that order, with
     forward checking: a placement that leaves some later module without a
-    free candidate is rejected at once. It prunes only subtrees that hold
-    no floorplan, so it finds the same first floorplan as plain depth-first
-    search. When it spends ``FORWARD_CHECK_NODES`` nodes (tentative
-    placements) without an answer, phase 2 searches afresh, always placing
-    the module with the fewest free candidates left (fail-first; ties go to
-    module order), under ``FAIL_FIRST_NODES`` nodes.
+    free candidate is rejected at once. That prunes only subtrees without a
+    floorplan, so it finds the first floorplan plain depth-first search
+    finds. After ``FORWARD_CHECK_NODES`` nodes (tentative placements)
+    without an answer, phase 2 searches afresh, always placing the module
+    with the fewest free candidates left (ties go to module order), under
+    ``FAIL_FIRST_NODES`` nodes.
 
     Returns the chosen rectangle per module, keyed in module order, and the
     number of times the search backed up a level in either phase. The node
@@ -166,54 +167,94 @@ def trial_and_error_place(
     return rects, search.backtracks
 
 
-def _columns(c0: int, c1: int) -> int:
-    """Bitmask of the columns ``c0..c1``."""
-    return (2 << c1) - (1 << c0)
+def _next(mask: int, i: int) -> int:
+    """Index of the lowest set bit of ``mask`` above bit ``i``, else -1."""
+    above = mask >> (i + 1) << (i + 1)
+    return (above & -above).bit_length() - 1
+
+
+def _bits(values: bytes, lo: int, hi: int) -> int:
+    """Bitset of the positions whose byte is in ``lo..hi``, position -1 as bit 0."""
+    hits = b"0" * lo + b"1" * (hi - lo + 1) + b"0" * (255 - hi)
+    return int(values.translate(hits) or b"0", 2)
+
+
+class _Bound(dict):
+    """Bitset of the candidates whose coordinate is at most t, or at least t
+    when ``at_least``, keyed by t and built on first use.
+
+    Candidate j's coordinate is at position -1 - j of ``coords``: bytes
+    when coordinates and t fit in a byte, so that ``_bits`` reads a bitset
+    in one pass, else a list of ints compared one by one.
+    """
+
+    def __init__(self, coords: bytes | list[int], at_least: bool) -> None:
+        self.coords, self.at_least = coords, at_least
+
+    def __missing__(self, t: int) -> int:
+        if isinstance(self.coords, bytes):
+            mask = _bits(self.coords, t, 255) if self.at_least else _bits(self.coords, 0, t)
+        else:
+            compare = t.__le__ if self.at_least else t.__ge__
+            mask = _bits(bytes(map(compare, self.coords)), 1, 1)
+        self[t] = mask
+        return mask
+
+
+class _Overlaps:
+    """Which candidates of one scored list overlap a rect, as a bitset.
+
+    Bit j is candidate j. A candidate overlaps rect R exactly when its row
+    span meets R's and its column span meets R's, so the answer is the AND
+    of four bound bitsets: row0 <= R.row1, row1 >= R.row0, col0 <= R.col1
+    and col1 >= R.col0. ``free`` holds the candidates inside the device and
+    off reserved tiles.
+    """
+
+    def __init__(self, options: Sequence[PlacementCandidate], fabric: Fabric) -> None:
+        rows, cols = fabric.rows, fabric.cols
+        rects = [cand.rect for cand in options]
+        flat = list(chain.from_iterable(rects))
+        coords = [flat[k::4][::-1] for k in range(4)]  # row0, col0, row1, col1
+        try:  # bytes, if all candidates lie inside a device of at most 256 rows and columns
+            row0, col0, row1, col1 = packed = [bytes(c) for c in coords]
+            inside = max(rows, cols) <= 256 and max(row1) < rows and max(col1) < cols
+            inside = inside and all(map(le, row0, row1)) and all(map(le, col0, col1))
+        except ValueError:  # a coordinate outside 0..255, or no candidates
+            inside = False
+        if inside:
+            self.free, coords = (1 << len(rects)) - 1, packed
+        else:
+            fits = [0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols for r0, c0, r1, c1 in rects]
+            self.free = _bits(bytes(fits[::-1]), 1, 1)
+        self.row0, self.col0 = _Bound(coords[0], False), _Bound(coords[1], False)
+        self.row1, self.col1 = _Bound(coords[2], True), _Bound(coords[3], True)
+        for rect in fabric.reserved_rects:
+            self.free &= ~self(rect)
+
+    def __call__(self, rect: Rect) -> int:
+        r0, c0, r1, c1 = rect
+        return self.row0[r1] & self.col0[c1] & self.row1[r0] & self.col1[c0]
 
 
 class _Search:
-    """State the two placer phases share: limits, counters, the dead end.
+    """State the two placer phases share: domains, limits, counters, the dead end.
 
-    Occupancy is one column bitmask per device row, seeded with the
-    reserved tiles, so a freedom test costs one AND per row of the rect.
+    A module's domain is a bitset over its scored candidate list, bit j set
+    while candidate j is free. A placement clears the bits its rect
+    overlaps, read from each module's ``_Overlaps`` index.
     """
 
     def __init__(
-        self,
-        fabric: Fabric,
-        order: list[str],
-        options: list[Sequence[PlacementCandidate]],
+        self, fabric: Fabric, order: list[str], options: list[Sequence[PlacementCandidate]],
         deadline: float | None,
     ) -> None:
-        self.order = order
-        self.options = options
-        self.deadline = deadline
-        self.rows, self.cols = fabric.rows, fabric.cols
-        self.reserved = [0] * fabric.rows
-        for r0, c0, r1, c1 in fabric.reserved_rects:
-            for r in range(r0, r1 + 1):
-                self.reserved[r] |= _columns(c0, c1)
+        self.order, self.options, self.deadline = order, options, deadline
+        self.overlaps = [_Overlaps(module_options, fabric) for module_options in options]
         self.backtracks = 0
         self.deepest = 0  # most modules placed at once, counting rejected placements
         # (blocked module, modules placed) of the deepest rejected placement
         self.dead_end = ("", 0)
-
-    def free_candidates(
-        self, occupied: list[int], options: Sequence[PlacementCandidate], start: int = 0
-    ) -> Iterator[tuple[int, Rect]]:
-        """``(index, rect)`` of every candidate from ``start`` that is in
-        bounds and off the ``occupied`` rows, in list order."""
-        rows, cols = self.rows, self.cols
-        for j, cand in enumerate(islice(options, start, None), start):
-            rect = cand.rect
-            r0, c0, r1, c1 = rect
-            if 0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols:
-                mask = (2 << c1) - (1 << c0)  # _columns(c0, c1), inlined
-                for row in occupied[r0 : r1 + 1]:
-                    if row & mask:
-                        break
-                else:
-                    yield j, rect
 
     def reject(self, placed: int, blocked: int) -> None:
         """Note a placement rejected because it left module ``blocked`` no candidate."""
@@ -228,107 +269,67 @@ class _Search:
     def forward_checking(self, budget: int) -> dict[str, Rect] | None:
         """Phase 1: module order, forward checking; None when ``budget`` runs out.
 
-        Every unplaced module keeps a witness, the index of its first free
-        candidate. A placement makes only the modules whose witness it
-        overlaps rescan forward; a rescan that runs off the end rejects the
-        placement. A trail of old witnesses restores them on backtrack.
+        A placement clears its overlaps from every later module's domain and
+        is rejected when one empties, the first such module being the blocked
+        one. Each placement pushes a list of domains that backing up pops.
         """
-        order, options, n = self.order, self.options, len(self.order)
-        occupied = list(self.reserved)
-        free_candidates = self.free_candidates
-
-        def first_free(k: int, start: int) -> int:
-            """Index of module k's first free candidate from ``start``, else the list length."""
-            found = next(free_candidates(occupied, options[k], start), None)
-            return len(options[k]) if found is None else found[0]
-
-        witness = []
-        for k in range(n):
-            w = first_free(k, 0)
-            if w == len(options[k]):
+        order, options, overlaps, n = self.order, self.options, self.overlaps, len(self.order)
+        levels = [[index.free for index in overlaps]]  # every domain before each placement
+        for k, live in enumerate(levels[0]):
+            if not live:
                 raise PlacementInfeasibleError(order[k], 0)
-            witness.append(w)
         picks: list[int] = []  # candidate index per placed module
-        marks: list[int] = []  # trail length before each placement
-        trail: list[tuple[int, int]] = []  # (module, witness before its rescan)
-
-        def undo(rect: Rect, mark: int) -> None:
-            mask = _columns(rect.col0, rect.col1)
-            for r in range(rect.row0, rect.row1 + 1):
-                occupied[r] ^= mask
-            while len(trail) > mark:
-                k, w = trail.pop()
-                witness[k] = w
-
-        nodes = 0
-        i = witness[0] if n else 0
+        nodes, i = 0, -1  # i: the candidate last tried at this depth
         while len(picks) < n:
             depth = len(picks)
-            if i == len(options[depth]):
+            live = levels[-1]
+            i = _next(live[depth], i)
+            if i < 0:
                 # no candidate left at this depth: back up a level
                 if not picks:
                     raise PlacementInfeasibleError(*self.dead_end)
                 self.backtracks += 1
+                levels.pop()
                 i = picks.pop()
-                undo(options[depth - 1][i].rect, marks.pop())
-                i = first_free(depth - 1, i + 1)
                 continue
             if nodes == budget:
                 return None
             nodes += 1
             self.check_clock()
             rect = options[depth][i].rect
-            r0, c0, r1, c1 = rect
-            mask = _columns(c0, c1)
-            for r in range(r0, r1 + 1):
-                occupied[r] |= mask
-            mark = len(trail)
-            blocked = None
+            after = live[:]
             for k in range(depth + 1, n):
-                w = witness[k]
-                wr0, wc0, wr1, wc1 = options[k][w].rect
-                if wc1 < c0 or wc0 > c1 or wr1 < r0 or wr0 > r1:
-                    continue
-                trail.append((k, w))
-                witness[k] = w = first_free(k, w + 1)
-                if w == len(options[k]):
-                    blocked = k
+                after[k] = left = live[k] & ~overlaps[k](rect)
+                if not left:
+                    self.reject(depth + 1, k)
                     break
-            if blocked is None:
-                picks.append(i)
-                marks.append(mark)
-                self.deepest = max(self.deepest, depth + 1)
-                if depth + 1 < n:
-                    i = witness[depth + 1]
             else:
-                self.reject(depth + 1, blocked)
-                undo(rect, mark)
-                i = first_free(depth, i + 1)
+                picks.append(i)
+                levels.append(after)
+                self.deepest = max(self.deepest, depth + 1)
+                i = -1
         return {order[d]: options[d][i].rect for d, i in enumerate(picks)}
 
     def fail_first(self, budget: int) -> dict[str, Rect]:
         """Phase 2: fewest-candidates-first search, starting over, under ``budget``.
 
-        Each frame places one module; placing a candidate filters every
-        other unplaced module's list down to the rects it does not overlap,
-        and a list that empties rejects the candidate.
+        Each frame places one module; a candidate clears its overlaps from
+        every other unplaced module's domain and is rejected if one empties.
         """
-        order = self.order
-        free = {
-            k: [rect for _, rect in self.free_candidates(self.reserved, module_options)]
-            for k, module_options in enumerate(self.options)
-        }
+        order, options, overlaps = self.order, self.options, self.overlaps
 
-        def fewest(domains: dict[int, list[Rect]]) -> int:
-            return min(domains, key=lambda k: (len(domains[k]), k))
+        def fewest(domains: dict[int, int]) -> int:
+            return min(domains, key=lambda k: (domains[k].bit_count(), k))
 
-        # frames: [module, candidate lists of the unplaced modules, next index]
-        stack = [[fewest(free), free, 0]]
+        free = {k: index.free for k, index in enumerate(overlaps)}
+        # frames: [module, domains of the unplaced modules, last candidate tried]
+        stack = [[fewest(free), free, -1]]
         nodes = 0
         while stack:
             frame = stack[-1]
             k, domains, i = frame
-            if i == len(domains[k]):
+            i = _next(domains[k], i)
+            if i < 0:
                 stack.pop()
                 if stack:
                     self.backtracks += 1
@@ -337,23 +338,22 @@ class _Search:
                 raise PlacementTimeoutError(self.deepest, len(order), "nodes")
             nodes += 1
             self.check_clock()
-            frame[2] = i + 1
-            r0, c0, r1, c1 = domains[k][i]
+            frame[2] = i
+            rect = options[k][i].rect
             rest = {}
-            for j, rects in domains.items():
+            for j, live in domains.items():
                 if j == k:
                     continue
-                kept = [r for r in rects if r[3] < c0 or r[1] > c1 or r[2] < r0 or r[0] > r1]
-                if not kept:
+                rest[j] = left = live & ~overlaps[j](rect)
+                if not left:
                     self.reject(len(stack), j)
                     break
-                rest[j] = kept
             else:
                 self.deepest = max(self.deepest, len(stack))
                 if not rest:
-                    chosen = {m: lists[m][tried - 1] for m, lists, tried in stack}
-                    return {order[m]: chosen[m] for m in sorted(chosen)}
-                stack.append([fewest(rest), rest, 0])
+                    frames = sorted(stack, key=itemgetter(0))
+                    return {order[m]: options[m][tried].rect for m, _, tried in frames}
+                stack.append([fewest(rest), rest, -1])
         raise PlacementInfeasibleError(*self.dead_end)
 
 

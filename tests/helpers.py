@@ -6,8 +6,9 @@ tests can compare algorithm output against ground truth on small inputs.
 
 import math
 import time
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
+from tilefp import place
 from tilefp.bipartition import BqpModel
 from tilefp.fabric import Fabric, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
@@ -182,6 +183,207 @@ def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
     if depth < 0:
         raise PlacementInfeasibleError(order[deepest], deepest)
     return chosen, backtracks
+
+
+def two_phase_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
+    """Reference two-phase placer: the same search as
+    ``place.trial_and_error_place`` over occupancy masks instead of
+    candidate bitsets. Phase 1 is depth-first search in module order with
+    forward checking by witness rescans, phase 2 a fail-first search over
+    filtered rect lists; the node budgets are read from ``place`` at call
+    time, so tests may patch them. Returns ``(rects, backtracks)`` and
+    raises the placer's exceptions with the same fields."""
+    order = list(ordered_modules)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    search = _WitnessSearch(fabric, order, [candidates[m] for m in order], deadline)
+    rects = search.forward_checking(place.FORWARD_CHECK_NODES)
+    if rects is None:
+        rects = search.fail_first(place.FAIL_FIRST_NODES)
+    return rects, search.backtracks
+
+
+def _column_mask(c0, c1):
+    """Bitmask of the columns ``c0..c1``."""
+    return (2 << c1) - (1 << c0)
+
+
+class _WitnessSearch:
+    """The two placer phases over per-row column bitmasks of occupancy.
+
+    Phase 1 keeps a witness per unplaced module (its first free candidate)
+    and rescans a module's list only when a placement covers its witness;
+    phase 2 filters every unplaced module's rect list after each placement.
+    """
+
+    def __init__(self, fabric, order, options, deadline):
+        self.order = order
+        self.options = options
+        self.deadline = deadline
+        self.rows, self.cols = fabric.rows, fabric.cols
+        self.reserved = [0] * fabric.rows
+        for r0, c0, r1, c1 in fabric.reserved_rects:
+            for r in range(r0, r1 + 1):
+                self.reserved[r] |= _column_mask(c0, c1)
+        self.backtracks = 0
+        self.deepest = 0  # most modules placed at once, counting rejected placements
+        # (blocked module, modules placed) of the deepest rejected placement
+        self.dead_end = ("", 0)
+
+    def free_candidates(self, occupied, options, start=0):
+        """``(index, rect)`` of every candidate from ``start`` that is in
+        bounds and off the ``occupied`` rows, in list order."""
+        rows, cols = self.rows, self.cols
+        for j, cand in enumerate(islice(options, start, None), start):
+            rect = cand.rect
+            r0, c0, r1, c1 = rect
+            if 0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols:
+                mask = (2 << c1) - (1 << c0)  # _column_mask(c0, c1), inlined
+                for row in occupied[r0 : r1 + 1]:
+                    if row & mask:
+                        break
+                else:
+                    yield j, rect
+
+    def reject(self, placed, blocked):
+        """Note a placement rejected because it left module ``blocked`` no candidate."""
+        if placed > self.dead_end[1]:
+            self.dead_end = (self.order[blocked], placed)
+        self.deepest = max(self.deepest, placed)
+
+    def check_clock(self):
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise PlacementTimeoutError(self.deepest, len(self.order), "time")
+
+    def forward_checking(self, budget):
+        """Phase 1: module order, forward checking; None when ``budget`` runs out.
+
+        Every unplaced module keeps a witness, the index of its first free
+        candidate. A placement makes only the modules whose witness it
+        overlaps rescan forward; a rescan that runs off the end rejects the
+        placement. A trail of old witnesses restores them on backtrack.
+        """
+        order, options, n = self.order, self.options, len(self.order)
+        occupied = list(self.reserved)
+        free_candidates = self.free_candidates
+
+        def first_free(k, start):
+            """Index of module k's first free candidate from ``start``, else the list length."""
+            found = next(free_candidates(occupied, options[k], start), None)
+            return len(options[k]) if found is None else found[0]
+
+        witness = []
+        for k in range(n):
+            w = first_free(k, 0)
+            if w == len(options[k]):
+                raise PlacementInfeasibleError(order[k], 0)
+            witness.append(w)
+        picks = []  # candidate index per placed module
+        marks = []  # trail length before each placement
+        trail = []  # (module, witness before its rescan)
+
+        def undo(rect, mark):
+            mask = _column_mask(rect.col0, rect.col1)
+            for r in range(rect.row0, rect.row1 + 1):
+                occupied[r] ^= mask
+            while len(trail) > mark:
+                k, w = trail.pop()
+                witness[k] = w
+
+        nodes = 0
+        i = witness[0] if n else 0
+        while len(picks) < n:
+            depth = len(picks)
+            if i == len(options[depth]):
+                # no candidate left at this depth: back up a level
+                if not picks:
+                    raise PlacementInfeasibleError(*self.dead_end)
+                self.backtracks += 1
+                i = picks.pop()
+                undo(options[depth - 1][i].rect, marks.pop())
+                i = first_free(depth - 1, i + 1)
+                continue
+            if nodes == budget:
+                return None
+            nodes += 1
+            self.check_clock()
+            rect = options[depth][i].rect
+            r0, c0, r1, c1 = rect
+            mask = _column_mask(c0, c1)
+            for r in range(r0, r1 + 1):
+                occupied[r] |= mask
+            mark = len(trail)
+            blocked = None
+            for k in range(depth + 1, n):
+                w = witness[k]
+                wr0, wc0, wr1, wc1 = options[k][w].rect
+                if wc1 < c0 or wc0 > c1 or wr1 < r0 or wr0 > r1:
+                    continue
+                trail.append((k, w))
+                witness[k] = w = first_free(k, w + 1)
+                if w == len(options[k]):
+                    blocked = k
+                    break
+            if blocked is None:
+                picks.append(i)
+                marks.append(mark)
+                self.deepest = max(self.deepest, depth + 1)
+                if depth + 1 < n:
+                    i = witness[depth + 1]
+            else:
+                self.reject(depth + 1, blocked)
+                undo(rect, mark)
+                i = first_free(depth, i + 1)
+        return {order[d]: options[d][i].rect for d, i in enumerate(picks)}
+
+    def fail_first(self, budget):
+        """Phase 2: fewest-candidates-first search, starting over, under ``budget``.
+
+        Each frame places one module; placing a candidate filters every
+        other unplaced module's list down to the rects it does not overlap,
+        and a list that empties rejects the candidate.
+        """
+        order = self.order
+        free = {
+            k: [rect for _, rect in self.free_candidates(self.reserved, module_options)]
+            for k, module_options in enumerate(self.options)
+        }
+
+        def fewest(domains):
+            return min(domains, key=lambda k: (len(domains[k]), k))
+
+        # frames: [module, candidate lists of the unplaced modules, next index]
+        stack = [[fewest(free), free, 0]]
+        nodes = 0
+        while stack:
+            frame = stack[-1]
+            k, domains, i = frame
+            if i == len(domains[k]):
+                stack.pop()
+                if stack:
+                    self.backtracks += 1
+                continue
+            if nodes == budget:
+                raise PlacementTimeoutError(self.deepest, len(order), "nodes")
+            nodes += 1
+            self.check_clock()
+            frame[2] = i + 1
+            r0, c0, r1, c1 = domains[k][i]
+            rest = {}
+            for j, rects in domains.items():
+                if j == k:
+                    continue
+                kept = [r for r in rects if r[3] < c0 or r[1] > c1 or r[2] < r0 or r[0] > r1]
+                if not kept:
+                    self.reject(len(stack), j)
+                    break
+                rest[j] = kept
+            else:
+                self.deepest = max(self.deepest, len(stack))
+                if not rest:
+                    chosen = {m: lists[m][tried - 1] for m, lists, tried in stack}
+                    return {order[m]: chosen[m] for m in sorted(chosen)}
+                stack.append([fewest(rest), rest, 0])
+        raise PlacementInfeasibleError(*self.dead_end)
 
 
 def first_feasible_assignment(fabric, candidate_lists):

@@ -11,7 +11,12 @@ from tilefp import place
 from tilefp.bipartition import Partition, side_data, split_partition
 from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
-from tilefp.place import PlacementInfeasibleError, trial_and_error_place
+from tilefp.place import (
+    PlacementInfeasibleError,
+    PlacementTimeoutError,
+    _Overlaps,
+    trial_and_error_place,
+)
 from tilefp.tessellation import (
     InfeasibleModuleError,
     Kernel,
@@ -28,6 +33,7 @@ from helpers import (
     expand_horizontal_walk,
     module_placements_walk,
     overlap_side,
+    two_phase_place_walk,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -242,3 +248,110 @@ def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
         assert rect in {c.rect for c in candidates[module_id]}
     placed = list(rects.values())
     assert all(fab.is_free_rect(rect, placed[:i]) for i, rect in enumerate(placed))
+
+
+def unit_candidates(*lists):
+    """Modules m0, m1, ... with candidates on the given rects, in order."""
+    return {
+        f"m{k}": [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
+        for k, rects in enumerate(lists)
+    }
+
+
+@st.composite
+def loose_rects_in(draw, rows, cols):
+    """Rects of at most 2 rows by 3 columns that may stick out of the device
+    by a tile on any side; some are upside down."""
+    r0 = draw(st.integers(-1, rows))
+    c0 = draw(st.integers(-1, cols))
+    return Rect(r0, c0, r0 + draw(st.integers(-1, 1)), c0 + draw(st.integers(0, 2)))
+
+
+@st.composite
+def two_phase_inputs(draw):
+    """Small fabric with reserved rects, 2-6 modules' ordered candidates
+    (some outside the device), node budgets small enough that phase 2 and
+    the node limit are reached, and sometimes a spent time budget."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(4, 8))
+    fab = Fabric(rows, "C" * cols, draw(st.lists(small_rects_in(rows, cols), max_size=1)))
+    n = draw(st.integers(2, 6))
+    inside = small_rects_in(rows, cols)
+    lists = draw(st.lists(
+        st.lists(st.one_of(inside, inside, inside, loose_rects_in(rows, cols)),
+                 min_size=3, max_size=10),
+        min_size=n, max_size=n,
+    ))
+    candidates = unit_candidates(*lists)
+    budgets = (draw(st.integers(0, 40)), draw(st.integers(0, 60)))
+    time_budget = draw(st.sampled_from([None] * 5 + [0.0]))
+    return fab, list(candidates), candidates, budgets, time_budget
+
+
+def place_outcome(placer, fab, order, candidates, budgets, time_budget):
+    """The placer's rects, their key order and backtracks, or the exception's
+    type, fields and message, under the given node budgets."""
+    forward, fail_first = budgets
+    with mock.patch.object(place, "FORWARD_CHECK_NODES", forward), \
+            mock.patch.object(place, "FAIL_FIRST_NODES", fail_first):
+        try:
+            rects, backtracks = placer(fab, order, candidates, time_budget)
+        except (PlacementInfeasibleError, PlacementTimeoutError) as exc:
+            return type(exc), vars(exc), str(exc)
+    return rects, list(rects), backtracks
+
+
+TWO_FREE_PAIRS = unit_candidates(
+    [Rect(0, 0, 0, 0), Rect(0, 1, 0, 1)], [Rect(0, 2, 0, 2), Rect(0, 3, 0, 3)]
+)
+
+
+@PROPERTY
+@given(two_phase_inputs())
+# phase 1 spends its one node on an accepted placement and phase 2 has
+# none: the timeout counts that placement
+@example((Fabric(1, "CCCC"), ["m0", "m1"], TWO_FREE_PAIRS, (1, 0), None))
+def test_placer_matches_two_phase_oracle(inputs):
+    expected = place_outcome(two_phase_place_walk, *inputs)
+    assert place_outcome(trial_and_error_place, *inputs) == expected
+
+
+# Row and column counts: 1-row and 1-column devices, perfect squares and
+# their neighbours, the 158 columns of xc7k410t, and 255-257 around the
+# 256 rows and columns up to which the index keeps coordinates in bytes.
+SIZES = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 44, 158, 255, 256, 257]
+
+
+@st.composite
+def index_inputs(draw):
+    """A fabric, candidate rects that may leave it or be upside down, and
+    probe rects inside it."""
+    rows, cols = draw(st.sampled_from(SIZES)), draw(st.sampled_from(SIZES))
+    fab = Fabric(rows, "C" * cols, draw(st.lists(rects_in(rows, cols), max_size=2)))
+
+    def coordinate(size):
+        return st.one_of(st.integers(0, size - 1), st.integers(-2, size + 1))
+
+    rects = draw(st.lists(st.builds(
+        Rect, coordinate(rows), coordinate(cols), coordinate(rows), coordinate(cols)
+    ), max_size=30))
+    return fab, rects, draw(st.lists(rects_in(rows, cols), min_size=1, max_size=5))
+
+
+@PROPERTY
+@given(index_inputs())
+# past 256 columns the index compares ints: col0 200 <= probe col1 256
+@example((Fabric(1, "C" * 257), [Rect(0, 200, 0, 200)], [Rect(0, 100, 0, 256)]))
+def test_overlap_index_matches_rect_overlaps(inputs):
+    fab, rects, probes = inputs
+    index = _Overlaps([PlacementCandidate(r, ResourceVector(), 0) for r in rects], fab)
+
+    def bitset(indices):
+        return sum(1 << j for j in set(indices))
+
+    assert index.free == bitset(
+        j for j, rect in enumerate(rects)
+        if 0 <= rect.row0 <= rect.row1 < fab.rows and 0 <= rect.col0 <= rect.col1 < fab.cols
+        and not fab.reserved_tiles_in(rect)
+    )
+    for probe in probes:
+        assert index(probe) == bitset(j for j, r in enumerate(rects) if r.overlaps(probe))

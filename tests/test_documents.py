@@ -11,6 +11,9 @@ meant to move what it pins, and say why in CHANGES.md.
 ``data/dense_place_lines.sha256`` pins the ``place`` lines of two dense
 generated designs that need the placer to back up, so a change to the
 search that picks another floorplan shows up here.
+``data/dense_documents.sha256`` pins the whole documents of the three
+dense designs, ``total`` line and backtrack count included, so a search
+that reaches the same floorplan through other nodes shows up too.
 
 ``data/ordered_candidates.sha256`` pins the candidate lists, order
 included, of the generated designs behind the benchmark's ``scaling``
@@ -125,6 +128,13 @@ def test_dense_place_lines_are_pinned(dense_runs, digest, options):
     assert code == 0
     place = "".join(line + "\n" for line in document.splitlines() if line.startswith("place "))
     assert hashlib.sha256(place.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("dense_documents.sha256"))
+def test_dense_documents_are_pinned(dense_runs, digest, options):
+    code, document = dense_runs[int(options[0])]
+    assert code == 0
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 def test_dense_seed0_solves_with_a_valid_document(dense_runs):
