@@ -272,6 +272,11 @@ class Fabric:
             (dsp[col1 + 1] - dsp[col0]) * height,
         )
 
+    @property
+    def prefix_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The reserved and per-kind prefix tables, for hot loops: read-only."""
+        return self._reserved_prefix, self._kind_prefix
+
     def reserved_tiles_in(self, rect: Rect) -> int:
         self._check_rect(rect)
         pref = self._reserved_prefix

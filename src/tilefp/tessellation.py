@@ -14,7 +14,10 @@ Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
 requirement. Within a module, a rectangle that an expansion for some kind
 has already emitted is skipped before it is priced: reached again from
-another kernel, it would be expanded (or judged) the same way.
+another kernel, it would be expanded (or judged) the same way. A later
+kind's kernels share column spans at several heights, and a taller one
+walks a tail of a shorter one's heights, so it is walked only when that
+walk could emit something new (``_expand_or_cross``).
 """
 
 from __future__ import annotations
@@ -127,22 +130,24 @@ def merge_row_kernels(
     If some kernel already holds ``needed`` tiles the input comes
     back unchanged. Otherwise, for every start kernel the span grows to the
     right one kernel at a time (absorbing all tiles between) and the first
-    span that suffices is kept; spans over reserved tiles are discarded.
+    span that suffices is kept, unless it holds a reserved tile. Widening
+    never lowers a span's kind count and never frees a reserved tile, so
+    the first sufficient span is found from the kind prefix alone and is
+    the only one priced.
     """
     if any(k.resources.of(kind) >= needed for k in kernels):
         return list(kernels)
-    price = fabric.resources_if_free
-    k = kind.index
+    kind_prefix = fabric.prefix_tables[1][kind.index]
     merged = []
     for i, (rect, _) in enumerate(kernels):
         row, col0, _, col1 = rect
+        enough = kind_prefix[col0] + needed
         for j in range(i + 1, len(kernels)):
             col1 = max(col1, kernels[j].rect.col1)
-            res = price(row, col0, row, col1)
-            if res is None:
-                break
-            if res[k] >= needed:
-                merged.append(Kernel(Rect(row, col0, row, col1), res))
+            if kind_prefix[col1 + 1] >= enough:
+                res = fabric.resources_if_free(row, col0, row, col1)
+                if res is not None:
+                    merged.append(Kernel(Rect(row, col0, row, col1), res))
                 break
     return merged
 
@@ -180,7 +185,7 @@ def expand_horizontal(
     target: ResourceKind,
     blocked: ResourceKind | None,
     seen: set[Rect],
-) -> tuple[list[Kernel], bool]:
+) -> tuple[list[Kernel], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
     At the current height the kernel needs some number N of target columns
@@ -193,48 +198,52 @@ def expand_horizontal(
     variants of the same footprint are emitted too.
 
     A split whose rect is already in ``seen`` is skipped before it is
-    priced; every emitted rect is added to ``seen``. The flag returned with
-    the kernels says whether any split at any height was free of reserved
-    tiles, seen ones included: ``seen`` only ever holds emitted, hence free,
-    rects.
+    priced; every emitted rect is added to ``seen``. The int returned with
+    the kernels is the highest ``row1`` at which some split was free of
+    reserved tiles, seen ones included (``seen`` only ever holds emitted,
+    hence free, rects), or -1 when no split at any height was free.
     """
     out = []
-    free = False
-    (row0, col0, row1, col1), res = kernel
+    free_row1 = -1
+    (row0, col0, row1, col1), _ = kernel
     # The columns stay fixed while the kernel grows upward, so the outward
     # walks are shared by every height; every split is in bounds.
     lefts = _columns_outward(fabric, col0, -1, target, blocked)
     rights = _columns_outward(fabric, col1, +1, target, blocked)
-    price = fabric.resources_if_free
+    reserved, kind_prefix = fabric.prefix_tables
+    clb, bram, dsp = kind_prefix
+    bottom = reserved[row0]
     k = target.index
-    have = res[k]
+    per_row = kind_prefix[k][col1 + 1] - kind_prefix[k][col0]  # same in every row
     height = row1 - row0 + 1
     while True:
+        have = per_row * height
         n_cols = 0 if have >= needed else -((have - needed) // height)  # ceiling
+        top = reserved[row1 + 1]
         for l in range(max(0, n_cols - len(rights)), min(n_cols, len(lefts)) + 1):
             r = n_cols - l
             c0 = lefts[l - 1] if l else col0
             c1 = rights[r - 1] if r else col1
             # a plain tuple hashes and compares equal to the Rect it names
             if (row0, c0, row1, c1) in seen:
-                free = True
-                continue
-            found = price(row0, c0, row1, c1)
-            if found is not None:
+                free_row1 = row1
+            elif not top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
                 rect = Rect(row0, c0, row1, c1)
                 seen.add(rect)
-                out.append(Kernel(rect, found))
-        top = row1 + 1
-        if top >= fabric.rows:
+                out.append(Kernel(rect, ResourceVector(
+                    (clb[c1 + 1] - clb[c0]) * height,
+                    (bram[c1 + 1] - bram[c0]) * height,
+                    (dsp[c1 + 1] - dsp[c0]) * height,
+                )))
+                free_row1 = row1
+        if row1 + 1 >= fabric.rows:
             break
-        top_row = price(top, col0, top, col1)
-        if top_row is None:
+        above = reserved[row1 + 2]
+        if above[col1 + 1] - top[col1 + 1] - above[col0] + top[col0]:
             break
-        # every row of the kernel spans the same columns as the new top row
-        row1 = top
+        row1 += 1
         height += 1
-        have = top_row[k] * height
-    return out, free or bool(out)
+    return out, free_row1
 
 
 def _expand_or_cross(
@@ -244,6 +253,7 @@ def _expand_or_cross(
     target: ResourceKind,
     blocked: ResourceKind,
     seen: set[Rect],
+    grown: dict[tuple[int, int, int], tuple[int, int]],
 ) -> list[Kernel]:
     """Expansion that may cross scarce columns as a last resort.
 
@@ -252,10 +262,23 @@ def _expand_or_cross(
     any height the walk is repeated unblocked, since a rectangle hoarding a
     scarce column beats no rectangle at all. A blocked walk whose free
     splits were all seen before emits nothing and still needs no fallback.
+
+    ``grown`` maps a column span ``(row0, col0, col1)`` to the tops a
+    taller kernel over it may have and still emit nothing new: from the
+    first kernel's ``row1`` up to its highest free ``row1``, or up to any
+    height when it fell back. The taller kernel walks a tail of the first
+    one's heights, with the same splits, all of them seen by now.
     """
-    out, free = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
-    if not free:
+    row0, col0, row1, col1 = kernel.rect
+    first = grown.get((row0, col0, col1))
+    if first is not None and first[0] <= row1 <= first[1]:
+        return []
+    out, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
+    if free_row1 < 0:
         out, _ = expand_horizontal(fabric, kernel, needed, target, None, seen)
+        free_row1 = fabric.rows
+    if first is None:
+        grown[row0, col0, col1] = (row1, free_row1)
     return out
 
 
@@ -267,6 +290,7 @@ def generate_module_placements(
     """All candidate rectangles for one module, deduplicated, in a
     deterministic order."""
     req = module.req
+    req_frames = fabric.frames_of(req)
     first, *rest = kinds = kind_order(req)
     need_first = req.of(first)
 
@@ -285,16 +309,17 @@ def generate_module_placements(
     # One set per kind: the rects its expansion has emitted for this
     # module. A rect reached again from another kernel would be expanded
     # (or judged, for the last kind) identically, so it is skipped before
-    # it is priced.
+    # it is priced; the later kinds also keep the spans they have grown.
     emitted: list[set[Rect]] = [set() for _ in kinds]
+    spans: list[dict] = [{} for _ in rest]
     for kernel in kernels:
         # the first kind's own upward growth is the zero-column split
         layer, _ = expand_horizontal(fabric, kernel, need_first, first, None, emitted[0])
-        for kind, seen in zip(rest, emitted[1:]):
+        for kind, seen, grown in zip(rest, emitted[1:], spans):
             layer = [
-                grown
+                out
                 for k in layer
-                for grown in _expand_or_cross(fabric, k, req.of(kind), kind, first, seen)
+                for out in _expand_or_cross(fabric, k, req.of(kind), kind, first, seen, grown)
             ]
         for cand in layer:
             if not cand.resources.covers(req):
@@ -304,7 +329,7 @@ def generate_module_placements(
                 ar = cand.rect.aspect_ratio
                 if not ar_bounds[0] <= ar <= ar_bounds[1]:
                     continue
-            waste = fabric.frames_of(cand.resources - req)
+            waste = fabric.frames_of(cand.resources) - req_frames
             accepted.append(PlacementCandidate(cand.rect, cand.resources, waste))
     if not accepted:
         raise InfeasibleModuleError(

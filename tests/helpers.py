@@ -18,7 +18,6 @@ from tilefp.tessellation import (
     PlacementCandidate,
     base_kernels_for_row,
     kind_order,
-    merge_row_kernels,
 )
 
 
@@ -89,6 +88,27 @@ def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
     return out
 
 
+def merge_row_kernels_walk(fabric, kernels, needed, kind):
+    """Reference row merge: when no kernel holds ``needed`` tiles, every
+    start kernel widens to the right one kernel at a time, each span priced
+    in full, up to the first span that suffices or holds a reserved tile."""
+    if any(k.resources.of(kind) >= needed for k in kernels):
+        return list(kernels)
+    merged = []
+    for i, (rect, _) in enumerate(kernels):
+        row, col0, _, col1 = rect
+        for j in range(i + 1, len(kernels)):
+            col1 = max(col1, kernels[j].rect.col1)
+            span = Rect(row, col0, row, col1)
+            if fabric.reserved_tiles_in(span):
+                break
+            res = fabric.resources_in_rect(span)
+            if res.of(kind) >= needed:
+                merged.append(Kernel(span, res))
+                break
+    return merged
+
+
 def module_placements_walk(fabric, module, ar_bounds):
     """Reference module tessellation on ``expand_horizontal_walk``: every
     expansion is priced in full and duplicates are dropped only afterwards,
@@ -98,7 +118,7 @@ def module_placements_walk(fabric, module, ar_bounds):
     kernels = {}
     for row in range(fabric.rows):
         base = base_kernels_for_row(fabric, row, kinds)
-        for k in base + merge_row_kernels(fabric, base, req.of(first), first):
+        for k in base + merge_row_kernels_walk(fabric, base, req.of(first), first):
             kernels.setdefault(k.rect, k)
     kernels = list(kernels.values())
     kernels.sort(key=lambda k: (k.rect.tile_count, k.rect.row0, k.rect.col0))

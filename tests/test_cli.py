@@ -1,17 +1,21 @@
 """Command-line behavior: exit codes, documents, renders, determinism."""
 
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilefp.cli import main
 from tilefp.design import parse_design
 from tilefp.fixtures import fixture_path
-from tilefp.validate import parse_floorplan
+from tilefp.validate import parse_floorplan, validate_floorplan
 
 FX = str(fixture_path("fx70t.fabric"))
 SDR = str(fixture_path("sdr.design"))
@@ -187,6 +191,59 @@ def test_edge_fabrics_floorplan_and_validate(tmp_path, capsys, case):
         return
     assert main(["validate", "--fabric", fab, "--plan", str(out)]) == 0
     assert capsys.readouterr().out == "VALID violations=0\n"
+
+
+@st.composite
+def small_floorplan_inputs(draw):
+    """Fabric and design documents: a small device, sometimes with reserved
+    rects, and 1-4 modules with random requirements and connections."""
+    rows = draw(st.integers(1, 4))
+    columns = "".join(draw(st.lists(st.sampled_from("CCCCBD"), min_size=1, max_size=12)))
+    lines = [f"rows {rows}", f"columns {columns}"]
+    for _ in range(draw(st.integers(0, 2))):
+        r0 = draw(st.integers(0, rows - 1))
+        c0 = draw(st.integers(0, len(columns) - 1))
+        r1 = min(rows - 1, r0 + draw(st.integers(0, 1)))
+        c1 = min(len(columns) - 1, c0 + draw(st.integers(0, 2)))
+        lines.append(f"reserved {r0} {c0} {r1} {c1}")
+    reqs = draw(st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([0, 0, 1]), st.sampled_from([0, 0, 1]))
+        .filter(any),
+        min_size=1, max_size=4,
+    ))
+    modules = [f"m{i}" for i in range(len(reqs))]
+    design = [f"module {m} {clb} {bram} {dsp}" for m, (clb, bram, dsp) in zip(modules, reqs)]
+    for i, a in enumerate(modules):
+        for b in modules[i + 1:]:
+            if draw(st.booleans()):
+                design.append(f"connect {a} {b} {draw(st.integers(1, 64))}")
+    options = draw(st.sampled_from([["--no-ar"], ["--no-ar", "--alpha", "1", "--beta", "0"], []]))
+    return "\n".join(lines) + "\n", "\n".join(design) + "\n", options
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(small_floorplan_inputs())
+def test_floorplan_outcome_property(inputs):
+    """Any small valid input either gets a document that validates or exits
+    2, 3 or 4; every exit prints exactly one summary line."""
+    fabric_text, design_text, options = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        fab = write(Path(tmp), "p.fabric", fabric_text)
+        design = write(Path(tmp), "p.design", design_text)
+        out = Path(tmp) / "p.fp"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([
+                "floorplan", "--fabric", fab, "--design", design, "--out", str(out), *options,
+            ])
+        lines = stdout.getvalue().splitlines()
+        status = {0: "OK", 2: "INFEASIBLE_MODULE", 3: "INFEASIBLE_FLOORPLAN", 4: "TIMEOUT"}
+        assert code in status, stderr.getvalue()
+        assert len(lines) == 1 and lines[0].startswith(f"{status[code]} wastage=")
+        if code == 0:
+            assert validate_floorplan(out.read_text(), fabric_text) == []
+        else:
+            assert not out.exists()
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):

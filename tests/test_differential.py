@@ -23,14 +23,18 @@ from tilefp.tessellation import (
     PlacementCandidate,
     _columns_outward,
     _nearest_column,
+    base_kernels_for_row,
     expand_horizontal,
     generate_module_placements,
+    kind_order,
+    merge_row_kernels,
 )
 
 from helpers import (
     columns_outward_walk,
     dfs_place_walk,
     expand_horizontal_walk,
+    merge_row_kernels_walk,
     module_placements_walk,
     overlap_side,
     two_phase_place_walk,
@@ -103,15 +107,29 @@ def test_expand_horizontal_matches_walk(data):
     # rects emitted earlier are only ever free ones
     seen = set(data.draw(st.lists(st.sampled_from(emitted)))) if emitted else set()
     before = set(seen)
-    grown, free = expand_horizontal(fab, kernel, needed, target, blocked, seen)
+    grown, free_row1 = expand_horizontal(fab, kernel, needed, target, blocked, seen)
     assert grown == [k for k in expected if k.rect not in before]
-    assert free == bool(expected)
+    assert free_row1 == max((k.rect.row1 for k in expected), default=-1)
     assert seen == before | set(emitted)
 
 
 requirements = st.builds(
     ResourceVector, st.integers(0, 8), st.integers(0, 3), st.integers(0, 3)
 ).filter(lambda req: req.total > 0)
+
+
+@PROPERTY
+@given(st.data())
+def test_merge_row_kernels_matches_walk(data):
+    fab = data.draw(fabrics(max_cols=20))
+    row = data.draw(st.integers(0, fab.rows - 1))
+    kinds = kind_order(data.draw(requirements))
+    kernels = base_kernels_for_row(fab, row, kinds)
+    needed = data.draw(st.integers(0, len(fab.columns_of(kinds[0])) + 1))
+    assert merge_row_kernels(fab, kernels, needed, kinds[0]) == (
+        merge_row_kernels_walk(fab, kernels, needed, kinds[0])
+    )
+
 
 ar_windows = st.one_of(
     st.none(),
@@ -126,6 +144,12 @@ ar_windows = st.one_of(
 # growing upward. That is not "no free split", so the walk must not be
 # redone unblocked.
 @example(Fabric(2, "CDCDC"), ResourceVector(4, 0, 1), None)
+# The DSP-blocked CLB walk from the one-row rect on DSP column 4 has a free
+# split only at height 1, since the CLB tile to its right is reserved one
+# row up. The same span two rows tall finds none, falls back and crosses
+# DSP column 3. Skipping every taller kernel over a span already grown
+# would lose that candidate.
+@example(Fabric(2, "DCCDDC", [Rect(1, 5, 1, 5)]), ResourceVector(1, 0, 1), None)
 def test_module_placements_match_walk(fab, req, ar_bounds):
     module = ModuleSpec("m", req)
     try:

@@ -1,9 +1,11 @@
 """Kernel tessellation tests, anchored by brute-force enumeration."""
 
 import random
+from unittest import mock
 
 import pytest
 
+from tilefp import tessellation
 from tilefp.design import Design, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
 from tilefp.tessellation import (
@@ -27,10 +29,10 @@ def kernel_at(fabric, rect):
 
 
 def expand(fabric, kernel, needed, target, blocked):
-    """One expansion with nothing seen before, whose free flag then just
-    says whether it emitted anything."""
-    grown, free = expand_horizontal(fabric, kernel, needed, target, blocked, set())
-    assert free == bool(grown)
+    """One expansion with nothing seen before, whose highest free row1 is
+    then just that of the tallest rect it emitted."""
+    grown, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, set())
+    assert free_row1 == max((k.rect.row1 for k in grown), default=-1)
     return grown
 
 
@@ -191,18 +193,18 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
     start = kernel_at(fab, Rect(0, 2, 0, 2))
     seen = {Rect(0, 1, 0, 3)}
-    grown, free = expand_horizontal(fab, start, 2, CLB, DSP, seen)
+    grown, free_row1 = expand_horizontal(fab, start, 2, CLB, DSP, seen)
     assert [k.rect for k in grown] == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
-    assert free
+    assert free_row1 == 0
     assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
     # every free split seen: nothing to emit, yet a free split existed
-    assert expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], True)
+    assert expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], 0)
     # nothing free at all, and nothing recorded
     blocked = parse_fabric("rows 1\ncolumns DDCC\n")
     none_seen = set()
     assert expand_horizontal(
         blocked, kernel_at(blocked, Rect(0, 0, 0, 0)), 1, CLB, DSP, none_seen
-    ) == ([], False)
+    ) == ([], -1)
     assert none_seen == set()
 
 
@@ -230,6 +232,28 @@ def test_expand_horizontal_emits_every_height():
         Rect(0, 2, 1, 4),
     ]
     assert all(k.resources.clb >= 4 for k in grown)
+
+
+@pytest.mark.parametrize("fabric, taller", [
+    # the DSP-blocked CLB walk from (0,0,0,0) has a free split at row1 = 1
+    (Fabric(2, "DC"), Rect(0, 0, 1, 0)),
+    # the one from (0,2,0,2) has none, falls back and crosses DSP column 1
+    (Fabric(2, "CDDC", [Rect(0, 3, 1, 3)]), Rect(0, 2, 1, 2)),
+])
+def test_taller_kernel_over_grown_span_is_not_walked(fabric, taller):
+    """A later-kind kernel over a column span already grown from a lower
+    kernel can emit nothing new, so it is never walked."""
+    walked = []
+    walk = tessellation.expand_horizontal
+
+    def spy(fabric, kernel, *args):
+        walked.append(kernel.rect)
+        return walk(fabric, kernel, *args)
+
+    with mock.patch.object(tessellation, "expand_horizontal", spy):
+        generate_module_placements(fabric, ModuleSpec("m", ResourceVector(1, 0, 1)), None)
+    assert Rect(taller.row0, taller.col0, 0, taller.col1) in walked
+    assert taller not in walked
 
 
 def test_generate_placements_minimal_two_column_case():
