@@ -249,29 +249,6 @@ class Fabric:
             counts.append((pref[rect.col1 + 1] - pref[rect.col0]) * rect.height)
         return ResourceVector(*counts)
 
-    def resources_if_free(
-        self, row0: int, col0: int, row1: int, col1: int
-    ) -> ResourceVector | None:
-        """Tile counts by kind of a rect, or None when it holds a reserved tile.
-
-        Unchecked: the caller guarantees ``0 <= row0 <= row1 < rows`` and
-        ``0 <= col0 <= col1 < cols``; other coordinates give meaningless
-        counts instead of a FabricError. This is the hot-path form of
-        ``reserved_tiles_in`` plus ``resources_in_rect`` for callers that
-        build rects in bounds by construction, such as tessellation.
-        """
-        pref = self._reserved_prefix
-        top, bottom = pref[row1 + 1], pref[row0]
-        if top[col1 + 1] - bottom[col1 + 1] - top[col0] + bottom[col0]:
-            return None
-        height = row1 - row0 + 1
-        clb, bram, dsp = self._kind_prefix
-        return ResourceVector(
-            (clb[col1 + 1] - clb[col0]) * height,
-            (bram[col1 + 1] - bram[col0]) * height,
-            (dsp[col1 + 1] - dsp[col0]) * height,
-        )
-
     @property
     def prefix_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """The reserved and per-kind prefix tables, for hot loops: read-only."""

@@ -378,6 +378,12 @@ def floorplan_wirelength(placements: Mapping[str, Rect], design: Design) -> floa
     return total
 
 
+def _number(x: float) -> str:
+    """``x`` in ``:g`` form when that parses back to ``x``, else in full."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def write_floorplan(
     floorplan: Floorplan,
     design: Design,
@@ -393,8 +399,8 @@ def write_floorplan(
     its wastage so checkers need nothing but this document and the fabric,
     and the ``total`` line closes with the aggregate metrics.
     """
-    ar = "off" if ar_bounds is None else f"{ar_bounds[0]:g} {ar_bounds[1]:g}"
-    lines = [f"mode alpha {alpha:g} beta {beta:g} ar {ar}"]
+    ar = "off" if ar_bounds is None else f"{_number(ar_bounds[0])} {_number(ar_bounds[1])}"
+    lines = [f"mode alpha {_number(alpha)} beta {_number(beta)} ar {ar}"]
     for module_id, rect in floorplan.rects.items():
         req = design.module(module_id).req
         waste = fabric.frames_of(fabric.available_in_rect(rect) - req)

@@ -9,15 +9,17 @@ sideways (and upward) column by column until the kind's requirement is met.
 Expansion enumerates every way of splitting the needed columns between the
 left and the right side and emits a candidate at every reachable height,
 which is what gives the aspect-ratio filter something to choose from.
+Only rectangles pass from stage to stage; a rectangle is priced once, when
+the last kind's expansion emits it and the aspect-ratio filter accepts it.
 
 Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
 requirement. Within a module, a rectangle that an expansion for some kind
-has already emitted is skipped before it is priced: reached again from
-another kernel, it would be expanded (or judged) the same way. A later
-kind's kernels share column spans at several heights, and a taller one
-walks a tail of a shorter one's heights, so it is walked only when that
-walk could emit something new (``_expand_or_cross``).
+has already emitted is skipped: reached again from another kernel, it would
+be expanded (or judged) the same way. A later kind's kernels share column
+spans at several heights, and a taller one walks a tail of a shorter one's
+heights, so it is walked only when that walk could emit something new
+(``_expand_or_cross``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .fabric import Fabric, Rect, ResourceKind, ResourceVector
 
 __all__ = [
     "InfeasibleModuleError",
-    "Kernel",
     "PlacementCandidate",
     "base_kernels_for_row",
     "expand_horizontal",
@@ -50,13 +51,6 @@ class InfeasibleModuleError(Exception):
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)
-
-
-class Kernel(NamedTuple):
-    """A rectangle under construction plus its resource content."""
-
-    rect: Rect
-    resources: ResourceVector
 
 
 class PlacementCandidate(NamedTuple):
@@ -91,7 +85,7 @@ def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
 
 def base_kernels_for_row(
     fabric: Fabric, row: int, kinds: tuple[ResourceKind, ...]
-) -> list[Kernel]:
+) -> list[Rect]:
     """Seed kernels of one row, one per column of the first kind.
 
     When ``kinds`` holds two scarce kinds before CLB (DSP plus BRAM), each
@@ -101,30 +95,28 @@ def base_kernels_for_row(
     are dropped.
     """
     pair_cols = fabric.columns_of(kinds[1]) if len(kinds) == 3 else None
-    price = fabric.resources_if_free
     kernels = []
     for c in fabric.columns_of(kinds[0]):
-        found = None
         if pair_cols is not None:
             near = _nearest_column(pair_cols, c)
             if near is None:
                 continue
-            col0, col1 = min(c, near), max(c, near)
-            found = price(row, col0, row, col1)
-        if found is None:
-            col0 = col1 = c
-            found = price(row, c, row, c)
-        if found is not None:
-            kernels.append(Kernel(Rect(row, col0, row, col1), found))
+            paired = Rect(row, min(c, near), row, max(c, near))
+            if not fabric.reserved_tiles_in(paired):
+                kernels.append(paired)
+                continue
+        bare = Rect(row, c, row, c)
+        if not fabric.reserved_tiles_in(bare):
+            kernels.append(bare)
     return kernels
 
 
 def merge_row_kernels(
     fabric: Fabric,
-    kernels: list[Kernel],
+    kernels: list[Rect],
     needed: int,
     kind: ResourceKind,
-) -> list[Kernel]:
+) -> list[Rect]:
     """Merge a row's kernels into wider spans when no single one suffices.
 
     If some kernel already holds ``needed`` tiles the input comes
@@ -133,21 +125,20 @@ def merge_row_kernels(
     span that suffices is kept, unless it holds a reserved tile. Widening
     never lowers a span's kind count and never frees a reserved tile, so
     the first sufficient span is found from the kind prefix alone and is
-    the only one priced.
+    the only one checked for reserved tiles.
     """
-    if any(k.resources.of(kind) >= needed for k in kernels):
-        return list(kernels)
     kind_prefix = fabric.prefix_tables[1][kind.index]
+    if any(kind_prefix[k.col1 + 1] - kind_prefix[k.col0] >= needed for k in kernels):
+        return list(kernels)
     merged = []
-    for i, (rect, _) in enumerate(kernels):
-        row, col0, _, col1 = rect
+    for i, (row, col0, _, col1) in enumerate(kernels):
         enough = kind_prefix[col0] + needed
         for j in range(i + 1, len(kernels)):
-            col1 = max(col1, kernels[j].rect.col1)
+            col1 = max(col1, kernels[j].col1)
             if kind_prefix[col1 + 1] >= enough:
-                res = fabric.resources_if_free(row, col0, row, col1)
-                if res is not None:
-                    merged.append(Kernel(Rect(row, col0, row, col1), res))
+                span = Rect(row, col0, row, col1)
+                if not fabric.reserved_tiles_in(span):
+                    merged.append(span)
                 break
     return merged
 
@@ -180,12 +171,12 @@ def _columns_outward(
 
 def expand_horizontal(
     fabric: Fabric,
-    kernel: Kernel,
+    kernel: Rect,
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind | None,
     seen: set[Rect],
-) -> tuple[list[Kernel], int]:
+) -> tuple[list[Rect], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
     At the current height the kernel needs some number N of target columns
@@ -197,21 +188,20 @@ def expand_horizontal(
     one clock region upward and the process repeats, so taller and narrower
     variants of the same footprint are emitted too.
 
-    A split whose rect is already in ``seen`` is skipped before it is
-    priced; every emitted rect is added to ``seen``. The int returned with
-    the kernels is the highest ``row1`` at which some split was free of
-    reserved tiles, seen ones included (``seen`` only ever holds emitted,
-    hence free, rects), or -1 when no split at any height was free.
+    A split whose rect is already in ``seen`` is skipped; every emitted
+    rect is added to ``seen``. The int returned with the rects is the
+    highest ``row1`` at which some split was free of reserved tiles, seen
+    ones included (``seen`` only ever holds emitted, hence free, rects), or
+    -1 when no split at any height was free.
     """
     out = []
     free_row1 = -1
-    (row0, col0, row1, col1), _ = kernel
+    row0, col0, row1, col1 = kernel
     # The columns stay fixed while the kernel grows upward, so the outward
     # walks are shared by every height; every split is in bounds.
     lefts = _columns_outward(fabric, col0, -1, target, blocked)
     rights = _columns_outward(fabric, col1, +1, target, blocked)
     reserved, kind_prefix = fabric.prefix_tables
-    clb, bram, dsp = kind_prefix
     bottom = reserved[row0]
     k = target.index
     per_row = kind_prefix[k][col1 + 1] - kind_prefix[k][col0]  # same in every row
@@ -230,11 +220,7 @@ def expand_horizontal(
             elif not top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
                 rect = Rect(row0, c0, row1, c1)
                 seen.add(rect)
-                out.append(Kernel(rect, ResourceVector(
-                    (clb[c1 + 1] - clb[c0]) * height,
-                    (bram[c1 + 1] - bram[c0]) * height,
-                    (dsp[c1 + 1] - dsp[c0]) * height,
-                )))
+                out.append(rect)
                 free_row1 = row1
         if row1 + 1 >= fabric.rows:
             break
@@ -248,13 +234,13 @@ def expand_horizontal(
 
 def _expand_or_cross(
     fabric: Fabric,
-    kernel: Kernel,
+    kernel: Rect,
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind,
     seen: set[Rect],
     grown: dict[tuple[int, int, int], tuple[int, int]],
-) -> list[Kernel]:
+) -> list[Rect]:
     """Expansion that may cross scarce columns as a last resort.
 
     Staying clear of further scarce columns keeps them available for other
@@ -269,7 +255,7 @@ def _expand_or_cross(
     height when it fell back. The taller kernel walks a tail of the first
     one's heights, with the same splits, all of them seen by now.
     """
-    row0, col0, row1, col1 = kernel.rect
+    row0, col0, row1, col1 = kernel
     first = grown.get((row0, col0, col1))
     if first is not None and first[0] <= row1 <= first[1]:
         return []
@@ -288,28 +274,30 @@ def generate_module_placements(
     ar_bounds: tuple[float, float] | None,
 ) -> list[PlacementCandidate]:
     """All candidate rectangles for one module, deduplicated, in a
-    deterministic order."""
+    deterministic order.
+
+    Each stage emits only rects that hold its kind's need, and later stages
+    only widen or heighten a rect, so every rect of the last stage covers
+    the requirement; it is priced only once the aspect-ratio window keeps it.
+    """
     req = module.req
     req_frames = fabric.frames_of(req)
     first, *rest = kinds = kind_order(req)
     need_first = req.of(first)
 
-    kernels: list[Kernel] = []
-    seen_kernels: set[Rect] = set()
+    found: dict[Rect, None] = {}
     for row in range(fabric.rows):
         base = base_kernels_for_row(fabric, row, kinds)
-        for k in base + merge_row_kernels(fabric, base, need_first, first):
-            if k.rect not in seen_kernels:
-                seen_kernels.add(k.rect)
-                kernels.append(k)
-    kernels.sort(key=lambda k: (k.rect.tile_count, k.rect.row0, k.rect.col0))
+        found.update(dict.fromkeys(base + merge_row_kernels(fabric, base, need_first, first)))
+    kernels = sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0))
 
+    clb, bram, dsp = fabric.prefix_tables[1]
     accepted: list[PlacementCandidate] = []
     covering = 0
     # One set per kind: the rects its expansion has emitted for this
     # module. A rect reached again from another kernel would be expanded
-    # (or judged, for the last kind) identically, so it is skipped before
-    # it is priced; the later kinds also keep the spans they have grown.
+    # (or judged, for the last kind) identically, so it is skipped; the
+    # later kinds also keep the spans they have grown.
     emitted: list[set[Rect]] = [set() for _ in kinds]
     spans: list[dict] = [{} for _ in rest]
     for kernel in kernels:
@@ -318,19 +306,22 @@ def generate_module_placements(
         for kind, seen, grown in zip(rest, emitted[1:], spans):
             layer = [
                 out
-                for k in layer
-                for out in _expand_or_cross(fabric, k, req.of(kind), kind, first, seen, grown)
+                for rect in layer
+                for out in _expand_or_cross(fabric, rect, req.of(kind), kind, first, seen, grown)
             ]
-        for cand in layer:
-            if not cand.resources.covers(req):
-                continue
-            covering += 1
+        covering += len(layer)
+        for rect in layer:
+            row0, col0, row1, col1 = rect
+            height = row1 - row0 + 1
             if ar_bounds is not None:
-                ar = cand.rect.aspect_ratio
-                if not ar_bounds[0] <= ar <= ar_bounds[1]:
+                if not ar_bounds[0] <= (col1 - col0 + 1) / height <= ar_bounds[1]:
                     continue
-            waste = fabric.frames_of(cand.resources) - req_frames
-            accepted.append(PlacementCandidate(cand.rect, cand.resources, waste))
+            res = ResourceVector(
+                (clb[col1 + 1] - clb[col0]) * height,
+                (bram[col1 + 1] - bram[col0]) * height,
+                (dsp[col1 + 1] - dsp[col0]) * height,
+            )
+            accepted.append(PlacementCandidate(rect, res, fabric.frames_of(res) - req_frames))
     if not accepted:
         raise InfeasibleModuleError(
             module.id,

@@ -159,7 +159,7 @@ def validate_floorplan(document_text: str, fabric_text: str) -> list[str]:
             ar = rect.width / rect.height
             if not lo <= ar <= hi:
                 problems.append(
-                    f"{rid}: aspect ratio {ar:.3f} outside [{lo:g}, {hi:g}]"
+                    f"{rid}: aspect ratio {ar:.3f} outside [{lo!r}, {hi!r}]"
                 )
 
     recs = doc.records

@@ -14,7 +14,6 @@ from tilefp.fabric import Fabric, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
     InfeasibleModuleError,
-    Kernel,
     PlacementCandidate,
     base_kernels_for_row,
     kind_order,
@@ -58,13 +57,12 @@ def columns_outward_walk(fabric, start, step, target, blocked):
     return out
 
 
-def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
+def expand_horizontal_walk(fabric, rect, needed, target, blocked):
     """Reference sideways expansion: redo both column walks and recount the
     rect at every height, then try every left/right split in order."""
     out = []
-    rect, res = kernel
     while True:
-        have = res.of(target)
+        have = fabric.resources_in_rect(rect).of(target)
         n_cols = 0 if have >= needed else math.ceil((needed - have) / rect.height)
         lefts = columns_outward_walk(fabric, rect.col0, -1, target, blocked)
         rights = columns_outward_walk(fabric, rect.col1, +1, target, blocked)
@@ -77,14 +75,13 @@ def expand_horizontal_walk(fabric, kernel, needed, target, blocked):
             grown = Rect(rect.row0, col0, rect.row1, col1)
             if fabric.reserved_tiles_in(grown):
                 continue
-            out.append(Kernel(grown, fabric.resources_in_rect(grown)))
+            out.append(grown)
         top = rect.row1 + 1
         if top >= fabric.rows:
             break
         if fabric.reserved_tiles_in(Rect(top, rect.col0, top, rect.col1)):
             break
         rect = Rect(rect.row0, rect.col0, top, rect.col1)
-        res = fabric.resources_in_rect(rect)
     return out
 
 
@@ -92,19 +89,17 @@ def merge_row_kernels_walk(fabric, kernels, needed, kind):
     """Reference row merge: when no kernel holds ``needed`` tiles, every
     start kernel widens to the right one kernel at a time, each span priced
     in full, up to the first span that suffices or holds a reserved tile."""
-    if any(k.resources.of(kind) >= needed for k in kernels):
+    if any(fabric.resources_in_rect(k).of(kind) >= needed for k in kernels):
         return list(kernels)
     merged = []
-    for i, (rect, _) in enumerate(kernels):
-        row, col0, _, col1 = rect
+    for i, (row, col0, _, col1) in enumerate(kernels):
         for j in range(i + 1, len(kernels)):
-            col1 = max(col1, kernels[j].rect.col1)
+            col1 = max(col1, kernels[j].col1)
             span = Rect(row, col0, row, col1)
             if fabric.reserved_tiles_in(span):
                 break
-            res = fabric.resources_in_rect(span)
-            if res.of(kind) >= needed:
-                merged.append(Kernel(span, res))
+            if fabric.resources_in_rect(span).of(kind) >= needed:
+                merged.append(span)
                 break
     return merged
 
@@ -112,16 +107,15 @@ def merge_row_kernels_walk(fabric, kernels, needed, kind):
 def module_placements_walk(fabric, module, ar_bounds):
     """Reference module tessellation on ``expand_horizontal_walk``: every
     expansion is priced in full and duplicates are dropped only afterwards,
-    per kind. A blocked expansion that emits nothing is redone unblocked."""
+    per kind. A blocked expansion that emits nothing is redone unblocked.
+    Every final rect is priced and kept only if it covers the requirement."""
     req = module.req
     first, *rest = kinds = kind_order(req)
-    kernels = {}
+    kernels = []
     for row in range(fabric.rows):
         base = base_kernels_for_row(fabric, row, kinds)
-        for k in base + merge_row_kernels_walk(fabric, base, req.of(first), first):
-            kernels.setdefault(k.rect, k)
-    kernels = list(kernels.values())
-    kernels.sort(key=lambda k: (k.rect.tile_count, k.rect.row0, k.rect.col0))
+        kernels += base + merge_row_kernels_walk(fabric, base, req.of(first), first)
+    kernels = sorted(dict.fromkeys(kernels), key=lambda k: (k.tile_count, k.row0, k.col0))
 
     accepted = []
     seen = set()
@@ -132,28 +126,27 @@ def module_placements_walk(fabric, module, ar_bounds):
         for kind, seen_here in zip(rest, seen_stage):
             grown = []
             for k in layer:
-                if k.rect in seen_here:
+                if k in seen_here:
                     continue
-                seen_here.add(k.rect)
+                seen_here.add(k)
                 out = expand_horizontal_walk(fabric, k, req.of(kind), kind, first)
                 if not out:
                     out = expand_horizontal_walk(fabric, k, req.of(kind), kind, None)
                 grown.extend(out)
             layer = grown
-        for cand in layer:
-            if cand.rect in seen:
+        for rect in layer:
+            if rect in seen:
                 continue
-            seen.add(cand.rect)
-            if not cand.resources.covers(req):
+            seen.add(rect)
+            res = fabric.resources_in_rect(rect)
+            if not res.covers(req):
                 continue
             covering += 1
             if ar_bounds is not None and not (
-                ar_bounds[0] <= cand.rect.width / cand.rect.height <= ar_bounds[1]
+                ar_bounds[0] <= rect.width / rect.height <= ar_bounds[1]
             ):
                 continue
-            accepted.append(PlacementCandidate(
-                cand.rect, cand.resources, fabric.frames_of(cand.resources - req),
-            ))
+            accepted.append(PlacementCandidate(rect, res, fabric.frames_of(res - req)))
     if not accepted:
         raise InfeasibleModuleError(
             module.id, "aspect-ratio bounds reject everything" if covering else ""

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilefp.cli import main
 from tilefp.design import parse_design
@@ -193,6 +193,10 @@ def test_edge_fabrics_floorplan_and_validate(tmp_path, capsys, case):
     assert capsys.readouterr().out == "VALID violations=0\n"
 
 
+# An AR window whose bounds `:g` would round: 0.6666666 becomes 0.666667.
+AR_SEVEN_DIGITS = ["--ar-min", "0.6666666", "--ar-max", "0.7"]
+
+
 @st.composite
 def small_floorplan_inputs(draw):
     """Fabric and design documents: a small device, sometimes with reserved
@@ -217,12 +221,17 @@ def small_floorplan_inputs(draw):
         for b in modules[i + 1:]:
             if draw(st.booleans()):
                 design.append(f"connect {a} {b} {draw(st.integers(1, 64))}")
-    options = draw(st.sampled_from([["--no-ar"], ["--no-ar", "--alpha", "1", "--beta", "0"], []]))
+    options = draw(st.sampled_from([
+        ["--no-ar"], ["--no-ar", "--alpha", "1", "--beta", "0"], [], AR_SEVEN_DIGITS,
+    ]))
     return "\n".join(lines) + "\n", "\n".join(design) + "\n", options
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(small_floorplan_inputs())
+# The one 3x2 candidate's ratio 2/3 lies inside the window but outside a
+# window rounded to six digits, which the document must not write.
+@example(("rows 3\ncolumns CC\n", "module a 6 0 0\n", AR_SEVEN_DIGITS))
 def test_floorplan_outcome_property(inputs):
     """Any small valid input either gets a document that validates or exits
     2, 3 or 4; every exit prints exactly one summary line."""
@@ -287,6 +296,12 @@ def test_cli_weights_override_design_file(tmp_path):
         "--no-ar", "--alpha", "0.25", "--beta", "0.75", "--out", str(out),
     ]) == 0
     assert out.read_text().splitlines()[0] == "mode alpha 0.25 beta 0.75 ar off"
+    # a weight that `:g` would round is written in full
+    assert main([
+        "floorplan", "--fabric", FX, "--design", SDR,
+        "--no-ar", "--alpha", "0.1234567", "--out", str(out),
+    ]) == 0
+    assert parse_floorplan(out.read_text()).alpha == 0.1234567
 
 
 def test_stdout_document_stays_machine_readable(capsys):

@@ -19,7 +19,6 @@ from tilefp.place import (
 )
 from tilefp.tessellation import (
     InfeasibleModuleError,
-    Kernel,
     PlacementCandidate,
     _columns_outward,
     _nearest_column,
@@ -63,19 +62,6 @@ def fabrics(draw, max_rows=5, max_cols=16):
 
 
 @PROPERTY
-@given(st.data())
-def test_resources_if_free_matches_checked_queries(data):
-    fab = data.draw(fabrics())
-    rect = data.draw(rects_in(fab.rows, fab.cols))
-    found = fab.resources_if_free(*rect)
-    if fab.reserved_tiles_in(rect):
-        assert found is None
-    else:
-        assert found == fab.resources_in_rect(rect)
-        assert isinstance(found, ResourceVector)
-
-
-@PROPERTY
 @given(fabrics(), kinds, st.one_of(st.none(), kinds))
 def test_columns_outward_matches_walk(fab, target, blocked):
     for start in range(fab.cols):
@@ -97,20 +83,20 @@ def test_nearest_column_matches_scan(columns, col):
 @given(st.data())
 def test_expand_horizontal_matches_walk(data):
     fab = data.draw(fabrics())
-    rect = data.draw(rects_in(fab.rows, fab.cols))
-    kernel = Kernel(rect, fab.resources_in_rect(rect))
+    kernel = data.draw(rects_in(fab.rows, fab.cols))
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
     blocked = data.draw(st.one_of(st.none(), kinds))
     expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
-    emitted = [k.rect for k in expected]
     # rects emitted earlier are only ever free ones
-    seen = set(data.draw(st.lists(st.sampled_from(emitted)))) if emitted else set()
+    seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
     before = set(seen)
     grown, free_row1 = expand_horizontal(fab, kernel, needed, target, blocked, seen)
-    assert grown == [k for k in expected if k.rect not in before]
-    assert free_row1 == max((k.rect.row1 for k in expected), default=-1)
-    assert seen == before | set(emitted)
+    assert grown == [k for k in expected if k not in before]
+    assert free_row1 == max((k.row1 for k in expected), default=-1)
+    assert seen == before | set(expected)
+    # each stage emits only rects that hold its kind's need
+    assert all(fab.resources_in_rect(k).of(target) >= needed for k in expected)
 
 
 requirements = st.builds(

@@ -10,7 +10,6 @@ from tilefp.design import Design, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
 from tilefp.tessellation import (
     InfeasibleModuleError,
-    Kernel,
     base_kernels_for_row,
     expand_horizontal,
     generate_module_placements,
@@ -24,15 +23,11 @@ from helpers import brute_force_rects, random_fabric, random_requirement
 DSP, BRAM, CLB = ResourceKind.DSP, ResourceKind.BRAM, ResourceKind.CLB
 
 
-def kernel_at(fabric, rect):
-    return Kernel(rect, fabric.resources_in_rect(rect))
-
-
 def expand(fabric, kernel, needed, target, blocked):
     """One expansion with nothing seen before, whose highest free row1 is
     then just that of the tallest rect it emitted."""
     grown, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, set())
-    assert free_row1 == max((k.rect.row1 for k in grown), default=-1)
+    assert free_row1 == max((k.row1 for k in grown), default=-1)
     return grown
 
 
@@ -47,15 +42,15 @@ def test_base_kernels_pair_scarce_kinds():
     fab = parse_fabric("rows 1\ncolumns CCBCD\n")
     kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
     # DSP at 4 pairs with the BRAM at 2, everything between included
-    assert [k.rect for k in kernels] == [Rect(0, 2, 0, 4)]
-    assert kernels[0].resources == ResourceVector(1, 1, 1)
+    assert kernels == [Rect(0, 2, 0, 4)]
+    assert fab.resources_in_rect(kernels[0]) == ResourceVector(1, 1, 1)
 
 
 def test_base_kernels_single_primary_tiles():
     fab = parse_fabric("rows 1\ncolumns CCBCD\n")
-    assert [k.rect for k in base_kernels_for_row(fab, 0, (BRAM, CLB))] == [Rect(0, 2, 0, 2)]
-    assert [k.rect for k in base_kernels_for_row(fab, 0, (DSP, CLB))] == [Rect(0, 4, 0, 4)]
-    assert [k.rect for k in base_kernels_for_row(fab, 0, (CLB,))] == [
+    assert base_kernels_for_row(fab, 0, (BRAM, CLB)) == [Rect(0, 2, 0, 2)]
+    assert base_kernels_for_row(fab, 0, (DSP, CLB)) == [Rect(0, 4, 0, 4)]
+    assert base_kernels_for_row(fab, 0, (CLB,)) == [
         Rect(0, 0, 0, 0),
         Rect(0, 1, 0, 1),
         Rect(0, 3, 0, 3),
@@ -70,15 +65,15 @@ def test_base_kernels_empty_without_primary():
 def test_base_kernels_tie_breaks_left():
     fab = parse_fabric("rows 1\ncolumns BCDCB\n")
     kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
-    assert [k.rect for k in kernels] == [Rect(0, 0, 0, 2)]
+    assert kernels == [Rect(0, 0, 0, 2)]
 
 
 def test_base_kernels_skip_reserved():
     fab = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 3 0 3\n")
     # the span from DSP 4 to BRAM 2 crosses the reserved col 3 in row 0, so
     # the kernel shrinks back to the bare DSP tile there
-    assert [k.rect for k in base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))] == [Rect(0, 4, 0, 4)]
-    assert [k.rect for k in base_kernels_for_row(fab, 1, (DSP, BRAM, CLB))] == [Rect(1, 2, 1, 4)]
+    assert base_kernels_for_row(fab, 0, (DSP, BRAM, CLB)) == [Rect(0, 4, 0, 4)]
+    assert base_kernels_for_row(fab, 1, (DSP, BRAM, CLB)) == [Rect(1, 2, 1, 4)]
     # a reserved primary tile kills the kernel outright
     fab2 = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 4 0 4\n")
     assert base_kernels_for_row(fab2, 0, (DSP, BRAM, CLB)) == []
@@ -96,7 +91,7 @@ def test_merge_spans_to_first_sufficient():
     kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
     merged = merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
     # from col 2 the span reaches the BRAM at 6; from col 6 nothing suffices
-    assert [k.rect for k in merged] == [Rect(0, 2, 0, 6)]
+    assert merged == [Rect(0, 2, 0, 6)]
 
 
 def test_merge_matches_span_enumeration_oracle():
@@ -109,23 +104,23 @@ def test_merge_matches_span_enumeration_oracle():
         fab = Fabric(1, cols)
         kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
         needed = rng.randrange(2, 5)
-        if any(k.resources.bram >= needed for k in kernels):
+        if any(fab.resources_in_rect(k).bram >= needed for k in kernels):
             continue
         merged = merge_row_kernels(fab, kernels, needed, ResourceKind.BRAM)
         expected = []
         for i in range(len(kernels)):
             for j in range(i + 1, len(kernels)):
-                rect = Rect(0, kernels[i].rect.col0, 0, kernels[j].rect.col1)
+                rect = Rect(0, kernels[i].col0, 0, kernels[j].col1)
                 if fab.resources_in_rect(rect).bram >= needed:
                     expected.append(rect)
                     break
-        assert [k.rect for k in merged] == expected
+        assert merged == expected
 
 
 def test_merge_discards_spans_over_reserved():
     fab = parse_fabric("rows 1\ncolumns BCBCB\nreserved 0 3 0 3\n")
     kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
-    assert [k.rect for k in kernels] == [
+    assert kernels == [
         Rect(0, 0, 0, 0),
         Rect(0, 2, 0, 2),
         Rect(0, 4, 0, 4),
@@ -133,34 +128,34 @@ def test_merge_discards_spans_over_reserved():
     # the span starting at column 2 would have to cross the reserved column
     # to reach a second BRAM, so only the leftmost start yields a merge
     merged = merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
-    assert [k.rect for k in merged] == [Rect(0, 0, 0, 2)]
+    assert merged == [Rect(0, 0, 0, 2)]
 
 
 def zero_column_splits(fabric, kernel, needed, kind):
     """The expansion's candidates that stay in the kernel's own columns."""
     grown = expand(fabric, kernel, needed, kind, blocked=None)
-    cols = (kernel.rect.col0, kernel.rect.col1)
-    return [k for k in grown if (k.rect.col0, k.rect.col1) == cols]
+    cols = (kernel.col0, kernel.col1)
+    return [k for k in grown if (k.col0, k.col1) == cols]
 
 
 def test_zero_column_split_grows_until_satisfied():
     fab = parse_fabric("rows 4\ncolumns CB\n")
-    start = kernel_at(fab, Rect(0, 1, 0, 1))
+    start = Rect(0, 1, 0, 1)
     grown = zero_column_splits(fab, start, 3, BRAM)
-    assert grown[0].rect == Rect(0, 1, 2, 1)
-    assert grown[0].resources.bram == 3
+    assert grown[0] == Rect(0, 1, 2, 1)
+    assert fab.resources_in_rect(grown[0]).bram == 3
     # every taller variant follows, up to the device top
-    assert [k.rect for k in grown] == [Rect(0, 1, 2, 1), Rect(0, 1, 3, 1)]
+    assert grown == [Rect(0, 1, 2, 1), Rect(0, 1, 3, 1)]
     # already satisfied: the kernel itself comes first
     assert zero_column_splits(fab, start, 1, BRAM)[0] == start
 
 
 def test_zero_column_split_empty_at_top_or_reserved():
     fab = parse_fabric("rows 3\ncolumns CB\n")
-    start = kernel_at(fab, Rect(0, 1, 0, 1))
+    start = Rect(0, 1, 0, 1)
     assert zero_column_splits(fab, start, 4, BRAM) == []
     fab2 = parse_fabric("rows 3\ncolumns CB\nreserved 1 1 1 1\n")
-    start2 = kernel_at(fab2, Rect(0, 1, 0, 1))
+    start2 = Rect(0, 1, 0, 1)
     assert zero_column_splits(fab2, start2, 2, BRAM) == []
 
 
@@ -168,9 +163,9 @@ def test_expand_horizontal_enumerates_all_splits():
     # single row, DSP kernel in a CLB field: needing 2 columns gives the
     # splits (0,2), (1,1) and (2,0)
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
-    start = kernel_at(fab, Rect(0, 2, 0, 2))
+    start = Rect(0, 2, 0, 2)
     grown = expand(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
-    assert sorted(k.rect for k in grown) == [
+    assert sorted(grown) == [
         Rect(0, 0, 0, 2),
         Rect(0, 1, 0, 3),
         Rect(0, 2, 0, 4),
@@ -179,22 +174,22 @@ def test_expand_horizontal_enumerates_all_splits():
 
 def test_expand_horizontal_clips_at_edges_and_blockers():
     fab = parse_fabric("rows 1\ncolumns DCC\n")
-    start = kernel_at(fab, Rect(0, 0, 0, 0))
+    start = Rect(0, 0, 0, 0)
     grown = expand(fab, start, 1, ResourceKind.CLB, ResourceKind.DSP)
-    assert [k.rect for k in grown] == [Rect(0, 0, 0, 1)]
+    assert grown == [Rect(0, 0, 0, 1)]
     # another DSP column blocks the walk before any CLB shows up
     fab2 = parse_fabric("rows 1\ncolumns DDCC\n")
-    start2 = kernel_at(fab2, Rect(0, 0, 0, 0))
+    start2 = Rect(0, 0, 0, 0)
     grown2 = expand(fab2, start2, 1, ResourceKind.CLB, ResourceKind.DSP)
     assert grown2 == []
 
 
 def test_expand_horizontal_skips_and_records_seen_rects():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
-    start = kernel_at(fab, Rect(0, 2, 0, 2))
+    start = Rect(0, 2, 0, 2)
     seen = {Rect(0, 1, 0, 3)}
     grown, free_row1 = expand_horizontal(fab, start, 2, CLB, DSP, seen)
-    assert [k.rect for k in grown] == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
+    assert grown == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
     assert free_row1 == 0
     assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
     # every free split seen: nothing to emit, yet a free split existed
@@ -203,35 +198,35 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     blocked = parse_fabric("rows 1\ncolumns DDCC\n")
     none_seen = set()
     assert expand_horizontal(
-        blocked, kernel_at(blocked, Rect(0, 0, 0, 0)), 1, CLB, DSP, none_seen
+        blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen
     ) == ([], -1)
     assert none_seen == set()
 
 
 def test_expand_horizontal_emits_kernel_when_satisfied():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
-    start = kernel_at(fab, Rect(0, 1, 0, 3))
+    start = Rect(0, 1, 0, 3)
     grown = expand(fab, start, 2, ResourceKind.CLB, ResourceKind.DSP)
-    assert [k.rect for k in grown] == [start.rect]
+    assert grown == [start]
 
 
 def test_expand_horizontal_emits_every_height():
     fab = parse_fabric("rows 3\ncolumns CCDCC\n")
-    start = kernel_at(fab, Rect(0, 2, 0, 2))
+    start = Rect(0, 2, 0, 2)
     grown = expand(fab, start, 4, ResourceKind.CLB, ResourceKind.DSP)
-    heights = {k.rect.height for k in grown}
+    heights = {k.height for k in grown}
     assert heights == {1, 2, 3}
-    by_height = {h: [k for k in grown if k.rect.height == h] for h in heights}
+    by_height = {h: [k for k in grown if k.height == h] for h in heights}
     # height 1 needs four extra columns but only two exist per side, so the
     # sole viable split is two left + two right (the full row)
-    assert [k.rect for k in by_height[1]] == [Rect(0, 0, 0, 4)]
+    assert by_height[1] == [Rect(0, 0, 0, 4)]
     # height 2 needs two extra columns: splits (0,2), (1,1) and (2,0) all fit
-    assert sorted(k.rect for k in by_height[2]) == [
+    assert sorted(by_height[2]) == [
         Rect(0, 0, 1, 2),
         Rect(0, 1, 1, 3),
         Rect(0, 2, 1, 4),
     ]
-    assert all(k.resources.clb >= 4 for k in grown)
+    assert all(fab.resources_in_rect(k).clb >= 4 for k in grown)
 
 
 @pytest.mark.parametrize("fabric, taller", [
@@ -247,7 +242,7 @@ def test_taller_kernel_over_grown_span_is_not_walked(fabric, taller):
     walk = tessellation.expand_horizontal
 
     def spy(fabric, kernel, *args):
-        walked.append(kernel.rect)
+        walked.append(kernel)
         return walk(fabric, kernel, *args)
 
     with mock.patch.object(tessellation, "expand_horizontal", spy):
