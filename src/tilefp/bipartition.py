@@ -6,11 +6,21 @@ objective charges each connection by the signal count times the average
 extents of the two endpoints whenever they end up on opposite sides (or on
 the far side of an already-anchored external module), and knapsack rows per
 resource kind keep each half within its capacity, using the most optimistic
-footprint a module could take on that side. Modules that cannot put at
-least three quarters of any candidate into either half stay behind at the
-parent's center and their requirement is charged to both halves in
-proportion to area. Two independent passes, one with vertical cuts and one
-with horizontal cuts, fix the x and the y coordinate of each anchor.
+footprint a module could take on that side. A candidate goes to a half
+that holds at least 75% of its area; modules with no candidate on either
+side stay behind at the parent's center and their requirement is charged to
+both halves in proportion to area. Two independent passes, one with
+vertical cuts and one with horizontal cuts, fix the x and the y coordinate
+of each anchor.
+
+A pass starts from the whole device and cuts only along its own axis, so
+every partition spans the device across the cut and the 75% rule reduces
+to three quarters of a candidate's span along the cut axis. Candidates are
+therefore handled as span groups: one per distinct column span (vertical
+pass) or row span (horizontal pass) of a candidate list, holding the
+count and the componentwise-minimum resources of its candidates. The
+rule, the mean extents and the minimum footprints are all computed per
+group.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ __all__ = [
     "InfeasibleModelError",
     "Partition",
     "SideData",
+    "SpanGroup",
     "assignment_feasible",
     "build_bqp",
     "compute_anchors",
@@ -41,11 +52,16 @@ __all__ = [
     "recursive_bipartition",
     "side_data",
     "solve_bqp",
+    "span_groups",
     "split_partition",
 ]
 
 Axis = Literal["vertical", "horizontal"]
 Point = tuple[float, float]
+# (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of
+# one list whose span along the cut axis is columns (or rows) lo..hi, and
+# the least of each resource kind any of them holds.
+SpanGroup = tuple[int, int, int, int, int, int]
 
 EXACT_LIMIT = 16
 DEFAULT_NODE_BUDGET = 100_000
@@ -72,6 +88,8 @@ class Partition:
 class SideData:
     """How one module relates to the two halves of a partition.
 
+    ``placements0``/``placements1`` are the span groups landing on each
+    side, which the module's side of the cut hands on to the next halving.
     ``w0``/``w1`` are the mean extents along the cut axis of the candidates
     landing on each side; ``occ0``/``occ1`` are the componentwise-minimum
     resource footprints, the least any placement on that side would consume.
@@ -79,8 +97,8 @@ class SideData:
     """
 
     module_id: str
-    placements0: tuple[PlacementCandidate, ...]
-    placements1: tuple[PlacementCandidate, ...]
+    placements0: tuple[SpanGroup, ...]
+    placements1: tuple[SpanGroup, ...]
     w0: float | None
     w1: float | None
     occ0: ResourceVector | None
@@ -158,65 +176,65 @@ def _anchor_side(anchor: Point, cut: float, axis: Axis) -> int:
     return 0 if coord <= cut else 1
 
 
-def _split_by_side(
-    candidates: Sequence[PlacementCandidate], rect0: Rect, rect1: Rect
-) -> tuple[list[PlacementCandidate], list[PlacementCandidate]]:
-    """Candidates with at least 75% of their area in ``rect0``, then in ``rect1``.
+def span_groups(candidates: Sequence[PlacementCandidate], axis: Axis) -> tuple[SpanGroup, ...]:
+    """Group a candidate list by its span along the cut axis.
 
-    Candidates in neither keep to the parent and are dropped. This is the one
-    definition of the 75% rule; it runs for every candidate at every halving,
-    so the overlap arithmetic is written out inline.
+    Columns for vertical cuts, rows for horizontal cuts; groups come in the
+    order their spans first appear in the list.
     """
-    a_r0, a_c0, a_r1, a_c1 = rect0
-    b_r0, b_c0, b_r1, b_c1 = rect1
-    p0: list[PlacementCandidate] = []
-    p1: list[PlacementCandidate] = []
-    for cand in candidates:
-        r0, c0, r1, c1 = cand.rect
-        area3 = (r1 - r0 + 1) * (c1 - c0 + 1) * 3
-        rows = (r1 if r1 < a_r1 else a_r1) - (r0 if r0 > a_r0 else a_r0) + 1
-        cols = (c1 if c1 < a_c1 else a_c1) - (c0 if c0 > a_c0 else a_c0) + 1
-        if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
-            p0.append(cand)
+    groups: dict[tuple[int, int], list[int]] = {}
+    vertical = axis == "vertical"
+    for (r0, c0, r1, c1), (clb, bram, dsp), _ in candidates:
+        key = (c0, c1) if vertical else (r0, r1)
+        g = groups.get(key)
+        if g is None:
+            groups[key] = [1, clb, bram, dsp]
             continue
-        rows = (r1 if r1 < b_r1 else b_r1) - (r0 if r0 > b_r0 else b_r0) + 1
-        cols = (c1 if c1 < b_c1 else b_c1) - (c0 if c0 > b_c0 else b_c0) + 1
-        if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
-            p1.append(cand)
-    return p0, p1
+        g[0] += 1
+        if clb < g[1]:
+            g[1] = clb
+        if bram < g[2]:
+            g[2] = bram
+        if dsp < g[3]:
+            g[3] = dsp
+    return tuple((lo, hi, *g) for (lo, hi), g in groups.items())
 
 
-def _mean_extent(cands: Sequence[PlacementCandidate], axis: Axis) -> float:
-    """Mean candidate width (vertical cuts) or height (horizontal cuts)."""
-    if axis == "vertical":
-        spans = sum(c.rect.col1 - c.rect.col0 for c in cands)
-    else:
-        spans = sum(c.rect.row1 - c.rect.row0 for c in cands)
-    return (spans + len(cands)) / len(cands)
-
-
-def _min_occupancy(cands: Sequence[PlacementCandidate]) -> ResourceVector:
-    return ResourceVector(*map(min, zip(*(c.resources for c in cands))))
+def _side_summary(groups: Sequence[SpanGroup]) -> tuple[float, ResourceVector]:
+    """Mean extent and componentwise-minimum footprint of nonempty groups."""
+    _, _, counts, clb, bram, dsp = zip(*groups)
+    extent = sum(n * (hi - lo + 1) for lo, hi, n, _, _, _ in groups)
+    return extent / sum(counts), ResourceVector(min(clb), min(bram), min(dsp))
 
 
 def side_data(
     module: ModuleSpec,
-    candidates: Sequence[PlacementCandidate],
+    groups: Sequence[SpanGroup],
     child0: Partition,
     child1: Partition,
     axis: Axis,
 ) -> SideData:
-    """Split a module's candidates between two halves and summarize them."""
-    p0, p1 = _split_by_side(candidates, child0.rect, child1.rect)
-    return SideData(
-        module.id,
-        tuple(p0),
-        tuple(p1),
-        _mean_extent(p0, axis) if p0 else None,
-        _mean_extent(p1, axis) if p1 else None,
-        _min_occupancy(p0) if p0 else None,
-        _min_occupancy(p1) if p1 else None,
-    )
+    """Split a module's span groups between two halves and summarize them.
+
+    A group lands on the first half that holds at least 75% of its span
+    along the cut axis, and on neither when no half does. That is the 75%
+    area rule for partitions that, like every partition of a pass, span the
+    whole device across the cut.
+    """
+    i, j = (1, 3) if axis == "vertical" else (0, 2)  # col0, col1 or row0, row1
+    lo0, hi0, lo1, hi1 = child0.rect[i], child0.rect[j], child1.rect[i], child1.rect[j]
+    p0: list[SpanGroup] = []
+    p1: list[SpanGroup] = []
+    for g in groups:
+        lo, hi = g[0], g[1]
+        span3 = (hi - lo + 1) * 3
+        if ((hi if hi < hi0 else hi0) - (lo if lo > lo0 else lo0) + 1) * 4 >= span3:
+            p0.append(g)
+        elif ((hi if hi < hi1 else hi1) - (lo if lo > lo1 else lo1) + 1) * 4 >= span3:
+            p1.append(g)
+    w0, occ0 = _side_summary(p0) if p0 else (None, None)
+    w1, occ1 = _side_summary(p1) if p1 else (None, None)
+    return SideData(module.id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
 
 
 def pair_cut_cost(
@@ -573,20 +591,25 @@ def recursive_bipartition(
     bounds = fabric.bounds
     module_ids = [m.id for m in design.modules]
     anchors: dict[str, Point] = {m: bounds.center for m in module_ids}
-    extents = {m: _mean_extent(c, axis) for m, c in candidates.items() if c}
     requirements = {m.id: m.req for m in design.modules}
+    # equal requirements share one candidate list; group each list once
+    by_list: dict[int, tuple[SpanGroup, ...]] = {}
+    for m in module_ids:
+        if id(candidates[m]) not in by_list:
+            by_list[id(candidates[m])] = span_groups(candidates[m], axis)
+    root_lists = {m: by_list[id(candidates[m])] for m in module_ids}
+    extents = {m: _side_summary(g)[0] for m, g in root_lists.items() if g}
 
     root = Partition(bounds, tuple(module_ids), fabric.available_in_rect(bounds))
-    root_lists = {m: tuple(candidates[m]) for m in module_ids}
     stack = [(root, root_lists, dict(anchors), True)]
     while stack:
-        partition, cand_lists, snapshot, is_root = stack.pop()
+        partition, group_lists, snapshot, is_root = stack.pop()
         span = partition.rect.width if axis == "vertical" else partition.rect.height
         if len(partition.members) < 2 or span < 2:
             continue
         child0, child1 = split_partition(partition, axis, fabric)
         data = [
-            side_data(design.module(m), cand_lists[m], child0, child1, axis)
+            side_data(design.module(m), group_lists[m], child0, child1, axis)
             for m in partition.members
         ]
         started = time.perf_counter()

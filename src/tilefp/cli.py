@@ -8,6 +8,11 @@ placement search stopped at its node budgets or at the ``--time-budget``
 safety net. Every ``floorplan`` invocation ends with one summary line no
 matter how it exits; it goes to standard output unless a successful run
 writes its document there.
+
+``validate`` exits 0 for a valid document, 1 for an unreadable,
+undecodable or malformed plan or fabric (or a device too large to hold in
+memory) and 3 for a document with violations, and always ends with one
+summary line on standard output.
 """
 
 from __future__ import annotations
@@ -172,6 +177,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         problems = validate_floorplan(document, fabric_text)
     except (OSError, ValueError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
+        print("PARSE_ERROR violations=0")
         return EXIT_PARSE
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -9,7 +9,7 @@ import time
 from itertools import combinations, islice, product
 
 from tilefp import place
-from tilefp.bipartition import BqpModel
+from tilefp.bipartition import BqpModel, SideData
 from tilefp.fabric import Fabric, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
@@ -509,3 +509,33 @@ def overlap_side(rect, child0, child1):
         if max(rows, 0) * max(cols, 0) >= 0.75 * rect.tile_count:
             return side
     return None
+
+
+def side_data_walk(module, candidates, child0, child1, axis):
+    """Side data from the candidates themselves: each candidate goes to the
+    first child holding at least 75% of its area, and each side gets the
+    mean extent along the cut axis and the componentwise-minimum resources
+    of its candidates. ``placements0``/``placements1`` hold candidates."""
+    sides = ([], [])
+    for cand in candidates:
+        r0, c0, r1, c1 = cand.rect
+        area3 = (r1 - r0 + 1) * (c1 - c0 + 1) * 3
+        for side, child in enumerate((child0.rect, child1.rect)):
+            rows = min(r1, child.row1) - max(r0, child.row0) + 1
+            cols = min(c1, child.col1) - max(c0, child.col0) + 1
+            if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
+                sides[side].append(cand)
+                break
+
+    def summary(cands):
+        if not cands:
+            return None, None
+        if axis == "vertical":
+            spans = sum(c.rect.col1 - c.rect.col0 for c in cands)
+        else:
+            spans = sum(c.rect.row1 - c.rect.row0 for c in cands)
+        occ = ResourceVector(*map(min, zip(*(c.resources for c in cands))))
+        return (spans + len(cands)) / len(cands), occ
+
+    (w0, occ0), (w1, occ1) = summary(sides[0]), summary(sides[1])
+    return SideData(module.id, tuple(sides[0]), tuple(sides[1]), w0, w1, occ0, occ1)

@@ -20,6 +20,7 @@ from tilefp.bipartition import (
     recursive_bipartition,
     side_data,
     solve_bqp,
+    span_groups,
     split_partition,
 )
 from tilefp.bipartition import _greedy_assignment
@@ -85,7 +86,8 @@ def test_split_too_thin_raises():
 
 def side_of(rect, c0, c1, axis):
     """Side a one-candidate list is forced to; None when it keeps to the parent."""
-    data = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), [cand(rect)], c0, c1, axis)
+    groups = span_groups([cand(rect)], axis)
+    data = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), groups, c0, c1, axis)
     assert data.parent_only == (data.forced_side is None)
     return data.forced_side
 
@@ -121,7 +123,11 @@ def test_side_data_means_and_minima():
         cand(Rect(1, 0, 1, 1), ResourceVector(2, 1, 0)),
         cand(Rect(0, 5, 1, 6), ResourceVector(4, 0, 0)),
     ]
-    data = side_data(module, cands, c0, c1, "vertical")
+    groups = span_groups(cands, "vertical")
+    # one group per column span, in first-seen order
+    assert groups == ((0, 1, 2, 2, 0, 0), (0, 3, 1, 4, 0, 0), (5, 6, 1, 4, 0, 0))
+    data = side_data(module, groups, c0, c1, "vertical")
+    assert data.placements0 == groups[:2] and data.placements1 == groups[2:]
     assert data.forced_side is None and not data.parent_only
     assert data.w0 == (2 + 4 + 2) / 3
     assert data.w1 == 2.0
@@ -133,10 +139,13 @@ def test_side_data_forced_and_parent_only():
     fab = parse_fabric("rows 2\ncolumns CCCCCCCC\n")
     c0, c1 = split_partition(make_partition(fab), "vertical", fab)
     module = ModuleSpec("m", ResourceVector(2, 0, 0))
-    left_only = side_data(module, [cand(Rect(0, 0, 1, 1))], c0, c1, "vertical")
+    def alone(rect):
+        return side_data(module, span_groups([cand(rect)], "vertical"), c0, c1, "vertical")
+
+    left_only = alone(Rect(0, 0, 1, 1))
     assert left_only.forced_side == 0
     assert left_only.w1 is None and left_only.occ1 is None
-    straddle = side_data(module, [cand(Rect(0, 2, 0, 5))], c0, c1, "vertical")
+    straddle = alone(Rect(0, 2, 0, 5))
     assert straddle.parent_only
     assert straddle.forced_side is None
 
@@ -175,7 +184,7 @@ def test_external_cut_cost_examples():
 # --- build_bqp -------------------------------------------------------------
 
 def sd(module_id, w0=None, w1=None, occ0=None, occ1=None):
-    filler = cand(Rect(0, 0, 0, 0))
+    filler = (0, 0, 1, 1, 0, 0)  # one span group: a single one-column candidate
     return SideData(
         module_id,
         (filler,) if w0 is not None else (),

@@ -112,7 +112,7 @@ def test_oversized_device_is_a_parse_error(tmp_path):
     for command, options, summary in [
         ("floorplan", ["--design", design], "PARSE_ERROR wastage=0"),
         ("generate", ["-n", "2", "--occupancy", "0.5", "0.5", "0.5"], None),
-        ("validate", ["--plan", plan], None),
+        ("validate", ["--plan", plan], "PARSE_ERROR violations=0"),
     ]:
         done = subprocess.run(
             [sys.executable, "-c", script, command, "--fabric", fabric, *options],
@@ -253,6 +253,70 @@ def test_floorplan_outcome_property(inputs):
             assert validate_floorplan(out.read_text(), fabric_text) == []
         else:
             assert not out.exists()
+
+
+# Text that is no floorplan document: arbitrary characters, or words and
+# numbers of the document format in random order.
+garbage_plans = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=80),
+    st.lists(
+        st.sampled_from(["mode", "alpha", "beta", "ar", "off", "place", "total", "wastage",
+                         "wirelength", "backtracks", "a", "0", "1", "0.5", "#", "\n"]),
+        max_size=30,
+    ).map(" ".join),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    small_floorplan_inputs(),
+    st.sampled_from(["missing", "undecodable", "garbage", "floorplan", "edited"]),
+    garbage_plans,
+    st.data(),
+)
+def test_validate_outcome_property(inputs, kind, garbage, data):
+    """Every ``validate`` exit is 0, 1 or 3 and prints exactly one summary
+    line: a missing, undecodable or malformed plan exits 1, the document a
+    floorplan run writes exits 0, and one with a field changed exits 0, 1
+    or 3."""
+    fabric_text, design_text, options = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        fab = write(Path(tmp), "p.fabric", fabric_text)
+        plan = Path(tmp) / "p.fp"
+        if kind == "undecodable":
+            plan.write_bytes(b"mode alpha 1 beta 0 ar off\n\xe9\n")
+        elif kind == "garbage":
+            plan.write_text(garbage, encoding="utf-8")
+        elif kind in ("floorplan", "edited"):
+            design = write(Path(tmp), "p.design", design_text)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(["floorplan", "--fabric", fab, "--design", design, "--out", str(plan),
+                      *options])
+            if kind == "edited" and plan.exists():
+                lines = plan.read_text().splitlines()
+                i = data.draw(st.integers(0, len(lines) - 1))
+                fields = lines[i].split()
+                fields[data.draw(st.integers(0, len(fields) - 1))] = str(
+                    data.draw(st.integers(-1, 40))
+                )
+                lines[i] = " ".join(fields)
+                plan.write_text("\n".join(lines) + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["validate", "--fabric", fab, "--plan", str(plan)])
+        lines = stdout.getvalue().splitlines()
+        status = {0: "VALID", 1: "PARSE_ERROR", 3: "INVALID"}
+        assert code in status, stderr.getvalue()
+        assert len(lines) == 1 and lines[0].startswith(f"{status[code]} violations=")
+        if kind in ("missing", "undecodable") or (kind == "floorplan" and not plan.exists()):
+            assert code == 1
+        elif kind == "floorplan":
+            assert code == 0
+        if code == 3:
+            assert lines[0] == f"INVALID violations={len(stderr.getvalue().splitlines())}"
+        else:
+            assert lines[0].endswith(" violations=0")
+        assert "Traceback" not in stderr.getvalue()
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):

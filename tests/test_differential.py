@@ -5,10 +5,10 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tilefp import place
-from tilefp.bipartition import Partition, side_data, split_partition
+from tilefp.bipartition import Partition, side_data, span_groups, split_partition
 from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
 from tilefp.place import (
@@ -36,6 +36,7 @@ from helpers import (
     merge_row_kernels_walk,
     module_placements_walk,
     overlap_side,
+    side_data_walk,
     two_phase_place_walk,
 )
 
@@ -167,7 +168,7 @@ def test_side_data_split_matches_overlap_side(data):
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
     module = ModuleSpec("m", ResourceVector(1, 0, 0))
-    split = side_data(module, cands, child0, child1, axis)
+    split = side_data_walk(module, cands, child0, child1, axis)
     for side, placements in ((0, split.placements0), (1, split.placements1)):
         expected = [
             c for c in cands if overlap_side(c.rect, child0.rect, child1.rect) == side
@@ -176,8 +177,49 @@ def test_side_data_split_matches_overlap_side(data):
     # each candidate alone is forced to the side it lands on, or keeps to
     # the parent when it lands on neither
     for c in cands:
-        alone = side_data(module, [c], child0, child1, axis)
+        alone = side_data_walk(module, [c], child0, child1, axis)
         assert alone.forced_side == overlap_side(c.rect, child0.rect, child1.rect)
+
+
+@PROPERTY
+@given(
+    fabrics(max_rows=6, max_cols=20),
+    st.builds(ResourceVector, st.integers(1, 6), st.integers(0, 1), st.integers(0, 1)),
+    ar_windows,
+    st.data(),
+)
+def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data):
+    """Along random root-to-leaf chains of halvings from the whole device,
+    the span-group side data agrees with the candidate-wise walk."""
+    module = ModuleSpec("m", req)
+    try:
+        cands = generate_module_placements(fab, module, ar_bounds)
+    except InfeasibleModuleError:
+        assume(False)
+    for axis in ("vertical", "horizontal"):
+        groups = span_groups(cands, axis)
+        assert sum(g[2] for g in groups) == len(cands)
+        members = cands
+        partition = Partition(fab.bounds, ("m",), fab.available_resources())
+        while (partition.rect.width if axis == "vertical" else partition.rect.height) >= 2:
+            child0, child1 = split_partition(partition, axis, fab)
+            got = side_data(module, groups, child0, child1, axis)
+            want = side_data_walk(module, members, child0, child1, axis)
+            for side in (0, 1):
+                got_side = (got.placements0, got.placements1)[side]
+                want_side = (want.placements0, want.placements1)[side]
+                assert sum(g[2] for g in got_side) == len(want_side)
+                assert sorted(got_side) == sorted(span_groups(want_side, axis))
+            assert (got.w0, got.w1, got.occ0, got.occ1) == (want.w0, want.w1, want.occ0, want.occ1)
+            assert got.forced_side == want.forced_side
+            assert got.parent_only == want.parent_only
+            sides = [s for s, p in enumerate((want.placements0, want.placements1)) if p]
+            if not sides:
+                break
+            side = data.draw(st.sampled_from(sides))
+            groups = (got.placements0, got.placements1)[side]
+            members = (want.placements0, want.placements1)[side]
+            partition = (child0, child1)[side]
 
 
 # Longest candidate list per module count: the whole depth-first tree then

@@ -21,11 +21,18 @@ included, of the generated designs behind the benchmark's ``scaling``
 hashes were taken from the tessellation that priced every rect and
 generated every module's list on its own, before it shared lists between
 equal requirements and skipped rects already seen.
+
+``data/solver_log.sha256`` pins the ``--solver-log`` records, timings
+dropped, of SDR with and without the aspect-ratio window and of the
+generated scaling design, so every halving's model size and objective is
+held. The hashes were taken from the halving that applied the 75% rule to
+each candidate, before it worked on span groups.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -141,3 +148,39 @@ def test_dense_seed0_solves_with_a_valid_document(dense_runs):
     code, document = dense_runs[0]
     assert code == 0
     assert validate_floorplan(document, fixture_path("fx70t.fabric").read_text()) == []
+
+
+def solver_log_digest(work, fabric_name, design, options):
+    """sha256 over the ``--solver-log`` records of one floorplan run, each
+    record without its ``solve_ms`` timing. ``design`` names a fixture, or
+    a generated design as ``gen:n:clb:bram:dsp:seed``."""
+    fabric_path = fixture_path(fabric_name)
+    if design.startswith("gen:"):
+        n, clb, bram, dsp, seed = design.split(":")[1:]
+        generated = generate_random_design(
+            int(n), parse_fabric(fabric_path.read_text()),
+            (float(clb), float(bram), float(dsp)), int(seed),
+        )
+        design_path = work / "generated.design"
+        design_path.write_text(write_design(generated))
+    else:
+        design_path = fixture_path(design)
+    log = work / "solves.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([
+            "floorplan", "--fabric", str(fabric_path), "--design", str(design_path),
+            "--out", str(work / "plan.fp"), "--solver-log", str(log), *options,
+        ])
+    assert code == 0
+    records = []
+    for line in log.read_text().splitlines():
+        record = json.loads(line)
+        del record["solve_ms"]
+        records.append(json.dumps(record))
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("solver_log.sha256"))
+def test_solver_log_records_are_pinned(tmp_path, digest, options):
+    fabric_name, design, *flags = options
+    assert solver_log_digest(tmp_path, fabric_name, design, flags) == digest

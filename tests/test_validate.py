@@ -130,7 +130,17 @@ total wastage 0 wirelength 0 backtracks 0
 """
     problems = validate_floorplan(doc, FABRIC)
     assert problems == [
-        "a: aspect ratio 5.000 outside [0.2, 0.7]"
+        "a: aspect ratio 5.0 outside [0.2, 0.7]"
+    ]
+    # a ratio just below the window prints in full, so it does not read
+    # as the lower bound rounded
+    doc = """\
+mode alpha 0.5 beta 0.5 ar 0.6666667 0.7
+place a 0 0 2 1 6 0 0 0
+total wastage 0 wirelength 0 backtracks 0
+"""
+    assert validate_floorplan(doc, "rows 3\ncolumns CC\n") == [
+        "a: aspect ratio 0.6666666666666666 outside [0.6666667, 0.7]"
     ]
 
 
