@@ -7,7 +7,10 @@ fits nowhere on the device, 3 no non-overlapping floorplan, 4 the
 placement search stopped at its node budgets or at the ``--time-budget``
 safety net. Every ``floorplan`` invocation ends with one summary line no
 matter how it exits; it goes to standard output unless a successful run
-writes its document there.
+writes its document there. ``generate`` does the same with ``OK
+modules=<n>`` (exit 0), ``PARSE_ERROR modules=0`` (exit 1: an unreadable,
+undecodable, malformed or oversized fabric, or an unwritable output) or
+``INFEASIBLE_DESIGN modules=0`` (exit 2: a count or occupancy it cannot meet).
 
 ``validate`` exits 0 for a valid document, 1 for an unreadable,
 undecodable or malformed plan or fabric (or a device too large to hold in
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import sys
 import time
 from pathlib import Path
@@ -139,12 +143,18 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
 def _cmd_floorplan(args: argparse.Namespace) -> int:
     started = time.monotonic()
     status, code, wastage, wirelength = "OK", EXIT_OK, 0, 0
+    # reference counting frees a run's acyclic tuples; the cyclic GC only rewalks them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         plan = _floorplan(args)
         wastage, wirelength = plan.total_wastage_frames, round(plan.total_wirelength)
     except tuple(_FAILURES) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+    finally:
+        if collecting:
+            gc.enable()
     ms = round((time.monotonic() - started) * 1000)
     # keep stdout a clean document when it is the document sink
     stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
@@ -153,6 +163,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    status, code = "OK", EXIT_OK
     try:
         fabric = parse_fabric(_read_text(args.fabric))
         design = generate_random_design(args.n, fabric, tuple(args.occupancy), args.seed)
@@ -163,11 +174,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
     except GenerationError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_INFEASIBLE_MODULE
+        status, code = "INFEASIBLE_DESIGN", EXIT_INFEASIBLE_MODULE
     except (FabricError, OSError, UnicodeError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
-        return EXIT_PARSE
-    return EXIT_OK
+        status, code = "PARSE_ERROR", EXIT_PARSE
+    stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
+    print(f"{status} modules={args.n if code == EXIT_OK else 0}", file=stream)
+    return code
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

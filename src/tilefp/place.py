@@ -108,22 +108,22 @@ def normalize_candidates(
     if not candidates:
         raise ValueError("cannot score an empty candidate list")
     ax, ay = anchor
-    dists = [abs(x - ax) + abs(y - ay) for x, y in (c.rect.center for c in candidates)]
-    max_dist = max(dists)
-    max_waste = max(c.wastage_frames for c in candidates)
-
-    def key(pair: tuple[PlacementCandidate, float]) -> tuple[float, int, int, int]:
-        cand, dist = pair
-        wastage = cand.wastage_frames / max_waste if max_waste else 0.0
-        distance = dist / max_dist if max_dist else 0.0
-        return (
-            alpha * wastage + beta * distance,
-            cand.wastage_frames,
-            cand.rect.row0,
-            cand.rect.col0,
-        )
-
-    return [cand for cand, _ in sorted(zip(candidates, dists), key=key)]
+    rects = [c.rect for c in candidates]
+    wastes = [c.wastage_frames for c in candidates]
+    # the float expressions of ``Rect.center``
+    dists = [abs((c0 + c1 + 1) / 2 - ax) + abs((r0 + r1 + 1) / 2 - ay) for r0, c0, r1, c1 in rects]
+    max_dist, max_waste = max(dists), max(wastes)
+    scores = [
+        alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
+        for w, d in zip(wastes, dists)
+    ]
+    # (wastage, row0, col0) as one exact integer; tile coordinates are non-negative
+    span = 1 + max(max(map(itemgetter(0), rects)), max(map(itemgetter(1), rects)))
+    ties = [(w * span + r0) * span + c0 for (r0, c0, _, _), w in zip(rects, wastes)]
+    # stable sorts: the order of (score, wastage, row0, col0), full ties in list order
+    order = sorted(range(len(candidates)), key=ties.__getitem__)
+    order.sort(key=scores.__getitem__)
+    return [candidates[i] for i in order]
 
 
 def order_modules(design: Design, fabric: Fabric) -> list[str]:

@@ -19,7 +19,12 @@ has already emitted is skipped: reached again from another kernel, it would
 be expanded (or judged) the same way. A later kind's kernels share column
 spans at several heights, and a taller one walks a tail of a shorter one's
 heights, so it is walked only when that walk could emit something new
-(``_expand_or_cross``).
+(``_expand_or_cross``). Unless a module pairs DSP with BRAM, a one-tile
+kernel grows rightward only: its split reaching l >= 1 first-kind columns
+to the left is the no-left split of the bare kernel on the l-th of them,
+which comes earlier and has emitted it (or stopped below it at a reserved
+tile the split would hold). A paired module's bare DSP kernel keeps the
+full walk, since the kernel on a DSP column to its left may be paired.
 """
 
 from __future__ import annotations
@@ -176,6 +181,7 @@ def expand_horizontal(
     target: ResourceKind,
     blocked: ResourceKind | None,
     seen: set[Rect],
+    *, leftward: bool = True,
 ) -> tuple[list[Rect], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
@@ -192,14 +198,16 @@ def expand_horizontal(
     rect is added to ``seen``. The int returned with the rects is the
     highest ``row1`` at which some split was free of reserved tiles, seen
     ones included (``seen`` only ever holds emitted, hence free, rects), or
-    -1 when no split at any height was free.
+    -1 when no split at any height was free. With ``leftward`` false only
+    the splits that keep the kernel's left column are tried.
     """
+    new = tuple.__new__
     out = []
     free_row1 = -1
     row0, col0, row1, col1 = kernel
     # The columns stay fixed while the kernel grows upward, so the outward
     # walks are shared by every height; every split is in bounds.
-    lefts = _columns_outward(fabric, col0, -1, target, blocked)
+    lefts = _columns_outward(fabric, col0, -1, target, blocked) if leftward else ()
     rights = _columns_outward(fabric, col1, +1, target, blocked)
     reserved, kind_prefix = fabric.prefix_tables
     bottom = reserved[row0]
@@ -218,7 +226,7 @@ def expand_horizontal(
             if (row0, c0, row1, c1) in seen:
                 free_row1 = row1
             elif not top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
-                rect = Rect(row0, c0, row1, c1)
+                rect = new(Rect, (row0, c0, row1, c1))
                 seen.add(rect)
                 out.append(rect)
                 free_row1 = row1
@@ -292,6 +300,8 @@ def generate_module_placements(
     kernels = sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0))
 
     clb, bram, dsp = fabric.prefix_tables[1]
+    w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
+    new = tuple.__new__  # builds the NamedTuples without a constructor frame
     accepted: list[PlacementCandidate] = []
     covering = 0
     # One set per kind: the rects its expansion has emitted for this
@@ -302,7 +312,8 @@ def generate_module_placements(
     spans: list[dict] = [{} for _ in rest]
     for kernel in kernels:
         # the first kind's own upward growth is the zero-column split
-        layer, _ = expand_horizontal(fabric, kernel, need_first, first, None, emitted[0])
+        layer, _ = expand_horizontal(fabric, kernel, need_first, first, None, emitted[0],
+                                     leftward=len(kinds) == 3 or kernel.col0 < kernel.col1)
         for kind, seen, grown in zip(rest, emitted[1:], spans):
             layer = [
                 out
@@ -316,12 +327,12 @@ def generate_module_placements(
             if ar_bounds is not None:
                 if not ar_bounds[0] <= (col1 - col0 + 1) / height <= ar_bounds[1]:
                     continue
-            res = ResourceVector(
-                (clb[col1 + 1] - clb[col0]) * height,
-                (bram[col1 + 1] - bram[col0]) * height,
-                (dsp[col1 + 1] - dsp[col0]) * height,
-            )
-            accepted.append(PlacementCandidate(rect, res, fabric.frames_of(res) - req_frames))
+            c = (clb[col1 + 1] - clb[col0]) * height
+            b = (bram[col1 + 1] - bram[col0]) * height
+            d = (dsp[col1 + 1] - dsp[col0]) * height
+            wastage = c * w_clb + b * w_bram + d * w_dsp - req_frames
+            res = new(ResourceVector, (c, b, d))
+            accepted.append(new(PlacementCandidate, (rect, res, wastage)))
     if not accepted:
         raise InfeasibleModuleError(
             module.id,

@@ -154,6 +154,30 @@ def module_placements_walk(fabric, module, ar_bounds):
     return accepted
 
 
+def normalize_candidates_walk(candidates, anchor, alpha, beta):
+    """Reference scorer: sort the candidates by the tuple key (objective,
+    wastage, row0, col0), the distance measured from ``Rect.center``."""
+    if not candidates:
+        raise ValueError("cannot score an empty candidate list")
+    ax, ay = anchor
+    dists = [abs(x - ax) + abs(y - ay) for x, y in (c.rect.center for c in candidates)]
+    max_dist = max(dists)
+    max_waste = max(c.wastage_frames for c in candidates)
+
+    def key(pair):
+        cand, dist = pair
+        wastage = cand.wastage_frames / max_waste if max_waste else 0.0
+        distance = dist / max_dist if max_dist else 0.0
+        return (
+            alpha * wastage + beta * distance,
+            cand.wastage_frames,
+            cand.rect.row0,
+            cand.rect.col0,
+        )
+
+    return [cand for cand, _ in sorted(zip(candidates, dists), key=key)]
+
+
 def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
     """Reference placer: plain depth-first search in module order that
     takes each module's first candidate in list order that is free of

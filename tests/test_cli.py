@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, documents, renders, determinism."""
 
+import gc
 import io
 import os
 import subprocess
@@ -111,7 +112,7 @@ def test_oversized_device_is_a_parse_error(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     for command, options, summary in [
         ("floorplan", ["--design", design], "PARSE_ERROR wastage=0"),
-        ("generate", ["-n", "2", "--occupancy", "0.5", "0.5", "0.5"], None),
+        ("generate", ["-n", "2", "--occupancy", "0.5", "0.5", "0.5"], "PARSE_ERROR modules=0"),
         ("validate", ["--plan", plan], "PARSE_ERROR violations=0"),
     ]:
         done = subprocess.run(
@@ -121,10 +122,7 @@ def test_oversized_device_is_a_parse_error(tmp_path):
         )
         assert done.returncode == 1, command
         lines = done.stdout.splitlines()
-        if summary is None:
-            assert lines == [], command
-        else:
-            assert len(lines) == 1 and lines[0].startswith(summary)
+        assert len(lines) == 1 and lines[0].startswith(summary)
         assert "Traceback" not in done.stderr, command
         assert "MemoryError" in done.stderr, command
 
@@ -317,6 +315,90 @@ def test_validate_outcome_property(inputs, kind, garbage, data):
         else:
             assert lines[0].endswith(" violations=0")
         assert "Traceback" not in stderr.getvalue()
+
+
+# One input per ``floorplan`` exit: fabric text, design text (None for a
+# missing file) and extra options.
+EXIT_INPUTS = {
+    0: ("rows 2\ncolumns CC\n", "module a 1 0 0\nmodule b 1 0 0\n", ["--no-ar"]),
+    1: ("rows 2\ncolumns CC\n", None, []),
+    2: ("rows 2\ncolumns CCC\n", "module m 1 0 99\nmodule k 1 0 0\n", []),
+    3: ("rows 1\ncolumns CC\n", "module a 2 0 0\nmodule b 2 0 0\n", ["--no-ar"]),
+    4: (Path(FX).read_text(), Path(SDR).read_text(), ["--no-ar", "--time-budget", "0"]),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("code", list(EXIT_INPUTS))
+def test_floorplan_restores_collector_state(tmp_path, code, collecting):
+    """A run pauses the cyclic garbage collector and leaves it as it found it."""
+    fabric_text, design_text, options = EXIT_INPUTS[code]
+    fab = write(tmp_path, "g.fabric", fabric_text)
+    design = str(tmp_path / "missing.design")
+    if design_text is not None:
+        design = write(tmp_path, "g.design", design_text)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["floorplan", "--fabric", fab, "--design", design, *options]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    small_floorplan_inputs(),
+    st.sampled_from(["fabric", "fabric", "fabric", "missing", "undecodable", "malformed"]),
+    st.sampled_from([2, 2, 2, 3, 3, 5, 1, 0, -1]),
+    st.lists(
+        st.sampled_from([1.0, 1.0, 1.0, 0.5, 0.5, 0.2, 0.0, -0.5, 2.0, float("nan")]),
+        min_size=3, max_size=3,
+    ),
+    st.booleans(),
+)
+@example(("rows 2\ncolumns CCBD\n", "", []), "fabric", 3, [1.0, 0.5, 0.5], True)
+# an out-of-range occupancy and too few modules, both exit 2
+@example(("rows 2\ncolumns CC\n", "", []), "fabric", 2, [2.0, 0.5, 0.5], True)
+@example(("rows 2\ncolumns CC\n", "", []), "fabric", 0, [0.5, 0.5, 0.5], False)
+def test_generate_outcome_property(inputs, kind, n, occupancy, to_file):
+    """Every ``generate`` exit is 0, 1 or 2 and prints exactly one summary
+    line: a missing, undecodable or malformed fabric exits 1, a module count
+    or occupancy out of range exits 2, and exit 0 writes a design of ``n``
+    modules."""
+    fabric_text = inputs[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        fab = Path(tmp) / "g.fabric"
+        if kind == "undecodable":
+            fab.write_bytes(b"# caf\xe9\nrows 2\ncolumns CC\n")
+        elif kind == "malformed":
+            fab.write_text(fabric_text.replace("rows", "rows x"), encoding="utf-8")
+        elif kind == "fabric":
+            fab.write_text(fabric_text, encoding="utf-8")
+        out = Path(tmp) / "g.design"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([
+                "generate", "-n", str(n), "--fabric", str(fab),
+                "--occupancy", *map(str, occupancy), *(["--out", str(out)] if to_file else []),
+            ])
+        status = {0: "OK", 1: "PARSE_ERROR", 2: "INFEASIBLE_DESIGN"}
+        assert code in status, stderr.getvalue()
+        if code == 0 and not to_file:
+            design_text, summary = stdout.getvalue(), stderr.getvalue()
+        else:
+            design_text = out.read_text() if code == 0 else ""
+            summary = stdout.getvalue()
+        lines = summary.splitlines()
+        assert len(lines) == 1 and lines[0] == f"{status[code]} modules={n if code == 0 else 0}"
+        if kind != "fabric":
+            assert code == 1
+        elif n < 2 or not all(0 < f <= 1 for f in occupancy):
+            assert code == 2
+        if code == 0:
+            assert len(parse_design(design_text).modules) == n
+        else:
+            assert not out.exists()
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tilefp.place import (
     PlacementInfeasibleError,
     PlacementTimeoutError,
     _Overlaps,
+    normalize_candidates,
     trial_and_error_place,
 )
 from tilefp.tessellation import (
@@ -35,6 +36,7 @@ from helpers import (
     expand_horizontal_walk,
     merge_row_kernels_walk,
     module_placements_walk,
+    normalize_candidates_walk,
     overlap_side,
     side_data_walk,
     two_phase_place_walk,
@@ -88,11 +90,17 @@ def test_expand_horizontal_matches_walk(data):
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
     blocked = data.draw(st.one_of(st.none(), kinds))
+    leftward = data.draw(st.booleans())
     expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
+    if not leftward:
+        # only the splits with no target column on the left
+        expected = [k for k in expected if k.col0 == kernel.col0]
     # rects emitted earlier are only ever free ones
     seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
     before = set(seen)
-    grown, free_row1 = expand_horizontal(fab, kernel, needed, target, blocked, seen)
+    grown, free_row1 = expand_horizontal(
+        fab, kernel, needed, target, blocked, seen, leftward=leftward
+    )
     assert grown == [k for k in expected if k not in before]
     assert free_row1 == max((k.row1 for k in expected), default=-1)
     assert seen == before | set(expected)
@@ -137,6 +145,13 @@ ar_windows = st.one_of(
 # DSP column 3. Skipping every taller kernel over a span already grown
 # would lose that candidate.
 @example(Fabric(2, "DCCDDC", [Rect(1, 5, 1, 5)]), ResourceVector(1, 0, 1), None)
+# Bare kernels grow rightward only when nothing is paired. Here the DSP at
+# column 8 pairs with no BRAM, since its nearest one at column 9 is
+# reserved, and falls back to the bare tile. Its split reaching two DSP
+# columns left, (0, 3, 0, 8), is no l = 0 split of an earlier kernel: the
+# DSP at column 3 is paired with the BRAM at column 2, not bare. Growing
+# the bare fallback rightward only would lose that candidate.
+@example(Fabric(1, "CDBDDCBCDBDB", [Rect(0, 9, 0, 9)]), ResourceVector(2, 1, 3), None)
 def test_module_placements_match_walk(fab, req, ar_bounds):
     module = ModuleSpec("m", req)
     try:
@@ -146,6 +161,33 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
             generate_module_placements(fab, module, ar_bounds)
         return
     assert generate_module_placements(fab, module, ar_bounds) == expected
+
+
+# Few distinct coordinates and wastages, so that lists hold equal wastage,
+# equal (row0, col0) under different (row1, col1), equal distances and
+# whole duplicates; weights from 0 to 1e308, whose objective overflows.
+tied_candidates = st.builds(
+    lambda r0, c0, dr, dc, waste: PlacementCandidate(
+        Rect(r0, c0, r0 + dr, c0 + dc), ResourceVector(), waste
+    ),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([0, 0, 1, 2, 36, 10**20]),
+)
+weights = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e308])
+
+
+@PROPERTY
+@given(
+    st.lists(tied_candidates, min_size=1, max_size=24),
+    st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])] * 2),
+    weights,
+    weights,
+)
+def test_normalize_candidates_matches_walk(cands, anchor, alpha, beta):
+    got = normalize_candidates(cands, anchor, alpha, beta)
+    want = normalize_candidates_walk(cands, anchor, alpha, beta)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
 
 
 @PROPERTY

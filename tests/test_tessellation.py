@@ -241,14 +241,63 @@ def test_taller_kernel_over_grown_span_is_not_walked(fabric, taller):
     walked = []
     walk = tessellation.expand_horizontal
 
-    def spy(fabric, kernel, *args):
+    def spy(fabric, kernel, *args, **kwargs):
         walked.append(kernel)
-        return walk(fabric, kernel, *args)
+        return walk(fabric, kernel, *args, **kwargs)
 
     with mock.patch.object(tessellation, "expand_horizontal", spy):
         generate_module_placements(fabric, ModuleSpec("m", ResourceVector(1, 0, 1)), None)
     assert Rect(taller.row0, taller.col0, 0, taller.col1) in walked
     assert taller not in walked
+
+
+def first_kind_walks(fabric, req):
+    """The steps of the column walks each first-kind kernel's expansion makes."""
+    first = kind_order(req)[0]
+    walks, expanding = {}, []
+    expand, outward = tessellation.expand_horizontal, tessellation._columns_outward
+
+    def spy_expand(fabric, kernel, needed, target, *args, **kwargs):
+        expanding.append(kernel if target is first else None)
+        try:
+            return expand(fabric, kernel, needed, target, *args, **kwargs)
+        finally:
+            expanding.pop()
+
+    def spy_outward(fabric, start, step, *args):
+        if expanding[-1] is not None:
+            walks.setdefault(expanding[-1], []).append(step)
+        return outward(fabric, start, step, *args)
+
+    with mock.patch.object(tessellation, "expand_horizontal", spy_expand), \
+            mock.patch.object(tessellation, "_columns_outward", spy_outward):
+        generate_module_placements(fabric, ModuleSpec("m", req), None)
+    return walks
+
+
+@pytest.mark.parametrize("fabric, req", [
+    (Fabric(2, "CCDCCBCC"), ResourceVector(3, 0, 0)),
+    (Fabric(2, "DCDCCDC"), ResourceVector(2, 0, 2)),
+])
+def test_bare_kernels_grow_rightward_only(fabric, req):
+    """Without a pairing kind a bare kernel's leftward splits are the
+    rightward splits of earlier bare kernels, so it never walks left;
+    merged kernels still do."""
+    walks = first_kind_walks(fabric, req)
+    bare = [k for k in walks if k.col0 == k.col1]
+    merged = [k for k in walks if k.col0 < k.col1]
+    assert bare and merged
+    assert all(walks[k] == [+1] for k in bare)
+    assert all(sorted(walks[k]) == [-1, +1] for k in merged)
+
+
+def test_paired_modules_walk_every_kernel_left():
+    # the DSP at column 8 falls back to a bare kernel: its nearest BRAM is
+    # reserved
+    fabric = Fabric(1, "CDBDDCBCDBDB", [Rect(0, 9, 0, 9)])
+    walks = first_kind_walks(fabric, ResourceVector(2, 1, 3))
+    assert Rect(0, 8, 0, 8) in walks and Rect(0, 2, 0, 3) in walks
+    assert all(sorted(steps) == [-1, +1] for steps in walks.values())
 
 
 def test_generate_placements_minimal_two_column_case():
