@@ -16,6 +16,16 @@ undecodable, malformed or oversized fabric, or an unwritable output) or
 undecodable or malformed plan or fabric (or a device too large to hold in
 memory) and 3 for a document with violations, and always ends with one
 summary line on standard output.
+
+A usage error of a subcommand, such as a missing required option, a value
+of the wrong type or an unknown option, exits 1 with that subcommand's
+``PARSE_ERROR`` summary line on standard output and argparse's usage
+message on standard error. ``--help`` and a missing or unknown subcommand
+keep argparse's behaviour (exit 0 and exit 2).
+
+The ``floorplan`` path imports only the pipeline modules it runs:
+``render`` loads when ``--render`` asks for a drawing and ``validate`` when
+the ``validate`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import gc
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from .bipartition import InfeasibleModelError, compute_anchors
 from .design import (
@@ -48,9 +59,7 @@ from .place import (
     trial_and_error_place,
     write_floorplan,
 )
-from .render import render_ascii, render_svg
 from .tessellation import InfeasibleModuleError, generate_placements
-from .validate import validate_floorplan
 
 __all__ = ["main"]
 
@@ -128,6 +137,8 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
     else:
         sys.stdout.write(document)
     if args.render != "none":
+        from .render import render_ascii, render_svg
+
         draw = render_svg if args.render == "svg" else render_ascii
         rendering = draw(fabric, rects)
         if args.out:
@@ -184,6 +195,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import validate_floorplan
+
     try:
         document = _read_text(args.plan)
         fabric_text = _read_text(args.fabric)
@@ -201,14 +214,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a usage error, unknown arguments included,
+    ends with the subcommand's summary line and exit 1 like other bad input."""
+
+    def __init__(self, *args, summary: str, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.summary = summary
+
+    def parse_known_args(self, args=None, namespace=None):
+        # left over, they would reach the top-level parser, whose error exits 2
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(self.summary)
+        self.exit(EXIT_PARSE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilefp",
         description="Floorplanner for reconfigurable regions on tiled FPGA fabrics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    fp = sub.add_parser("floorplan", help="place a design onto a fabric")
+    fp = sub.add_parser(
+        "floorplan", help="place a design onto a fabric",
+        summary="PARSE_ERROR wastage=0 wirelength=0 runtime_ms=0",
+    )
     fp.add_argument("--fabric", required=True, help="fabric description file")
     fp.add_argument("--design", required=True, help="design description file")
     fp.add_argument(
@@ -235,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--solver-log", default=None, help="JSONL log of the halving solves")
     fp.set_defaults(func=_cmd_floorplan)
 
-    gen = sub.add_parser("generate", help="write a pseudo-random design")
+    gen = sub.add_parser(
+        "generate", help="write a pseudo-random design", summary="PARSE_ERROR modules=0",
+    )
     gen.add_argument("-n", type=int, required=True, help="number of modules")
     gen.add_argument("--fabric", required=True, help="fabric the design is sized against")
     gen.add_argument(
@@ -247,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="design file path (default: stdout)")
     gen.set_defaults(func=_cmd_generate)
 
-    chk = sub.add_parser("validate", help="check a floorplan document against a fabric")
+    chk = sub.add_parser(
+        "validate", help="check a floorplan document against a fabric",
+        summary="PARSE_ERROR violations=0",
+    )
     chk.add_argument("--fabric", required=True)
     chk.add_argument("--plan", required=True, help="floorplan document to check")
     chk.set_defaults(func=_cmd_validate)

@@ -9,7 +9,6 @@ module's rectangle with a label.
 from __future__ import annotations
 
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .fabric import Fabric, Rect, ResourceKind
 
@@ -28,6 +27,15 @@ _KIND_FILL = {
     ResourceKind.BRAM: "#c7e5c7",
     ResourceKind.DSP: "#f5d9b8",
 }
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data, replacing ``&`` first, then ``>`` and ``<``.
+
+    The same three replacements as ``xml.sax.saxutils.escape``, without
+    importing the stdlib's XML and network stack at start-up.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_ascii(fabric: Fabric, placements: Mapping[str, Rect]) -> str:
@@ -93,7 +101,7 @@ def render_svg(fabric: Fabric, placements: Mapping[str, Rect]) -> str:
         parts.append(
             f'<text x="{x + w / 2:g}" y="{y + h / 2:g}" text-anchor="middle" '
             f'dominant-baseline="central" font-family="monospace" '
-            f'font-size="{s * 0.55:g}">{escape(module_id)}</text>'
+            f'font-size="{s * 0.55:g}">{_escape(module_id)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -28,6 +28,61 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def run_cli(argv):
+    """``main``'s exit code, standard output and standard error; a usage
+    error ends ``main`` with a ``SystemExit`` that carries the code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# Usage errors of each subcommand, as (option dropped with its value,
+# arguments appended) applied to a valid invocation.
+USAGE_ERRORS = {
+    "floorplan": [
+        ("--design", []),
+        (None, ["--alpha", "abc"]),
+        (None, ["--render", "pdf"]),
+        (None, ["--time-budget"]),
+        (None, ["--bogus"]),
+        (None, ["stray"]),
+    ],
+    "generate": [
+        ("-n", []),
+        (None, ["-n", "abc"]),
+        (None, ["--occupancy", "0.5", "0.5"]),
+        (None, ["--seed", "1.5"]),
+        (None, ["--bogus"]),
+    ],
+    "validate": [
+        ("--plan", []),
+        ("--fabric", []),
+        (None, ["--fabric"]),
+        (None, ["stray"]),
+    ],
+}
+
+
+def usage_errors(command):
+    """No usage error (None) about half the time, else one of ``command``'s."""
+    return st.one_of(st.none(), st.sampled_from(USAGE_ERRORS[command]))
+
+
+def with_usage_error(argv, error):
+    """``argv`` with a ``USAGE_ERRORS`` entry applied; None keeps it valid."""
+    if error is None:
+        return argv
+    drop, extra = error
+    if drop is not None:
+        i = argv.index(drop)
+        argv = argv[:i] + argv[i + 2:]
+    return argv + extra
+
+
 def test_sdr_min_wastage_run(tmp_path, capsys):
     out = tmp_path / "sdr.fp"
     code = main([
@@ -225,28 +280,33 @@ def small_floorplan_inputs(draw):
     return "\n".join(lines) + "\n", "\n".join(design) + "\n", options
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(small_floorplan_inputs())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_floorplan_inputs(), usage_errors("floorplan"))
 # The one 3x2 candidate's ratio 2/3 lies inside the window but outside a
 # window rounded to six digits, which the document must not write.
-@example(("rows 3\ncolumns CC\n", "module a 6 0 0\n", AR_SEVEN_DIGITS))
-def test_floorplan_outcome_property(inputs):
+@example(("rows 3\ncolumns CC\n", "module a 6 0 0\n", AR_SEVEN_DIGITS), None)
+def test_floorplan_outcome_property(inputs, usage):
     """Any small valid input either gets a document that validates or exits
-    2, 3 or 4; every exit prints exactly one summary line."""
+    2, 3 or 4, and a usage error exits 1; every exit prints exactly one
+    summary line."""
     fabric_text, design_text, options = inputs
     with tempfile.TemporaryDirectory() as tmp:
         fab = write(Path(tmp), "p.fabric", fabric_text)
         design = write(Path(tmp), "p.design", design_text)
         out = Path(tmp) / "p.fp"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([
-                "floorplan", "--fabric", fab, "--design", design, "--out", str(out), *options,
-            ])
-        lines = stdout.getvalue().splitlines()
-        status = {0: "OK", 2: "INFEASIBLE_MODULE", 3: "INFEASIBLE_FLOORPLAN", 4: "TIMEOUT"}
-        assert code in status, stderr.getvalue()
+        code, stdout, stderr = run_cli(with_usage_error([
+            "floorplan", "--fabric", fab, "--design", design, "--out", str(out), *options,
+        ], usage))
+        lines = stdout.splitlines()
+        status = {
+            0: "OK", 1: "PARSE_ERROR", 2: "INFEASIBLE_MODULE", 3: "INFEASIBLE_FLOORPLAN",
+            4: "TIMEOUT",
+        }
+        assert code in status, stderr
         assert len(lines) == 1 and lines[0].startswith(f"{status[code]} wastage=")
+        assert (code == 1) == (usage is not None), stderr
+        if usage:
+            assert stderr.startswith("usage: tilefp floorplan ")
         if code == 0:
             assert validate_floorplan(out.read_text(), fabric_text) == []
         else:
@@ -265,18 +325,19 @@ garbage_plans = st.one_of(
 )
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     small_floorplan_inputs(),
     st.sampled_from(["missing", "undecodable", "garbage", "floorplan", "edited"]),
     garbage_plans,
     st.data(),
+    usage_errors("validate"),
 )
-def test_validate_outcome_property(inputs, kind, garbage, data):
+def test_validate_outcome_property(inputs, kind, garbage, data, usage):
     """Every ``validate`` exit is 0, 1 or 3 and prints exactly one summary
     line: a missing, undecodable or malformed plan exits 1, the document a
-    floorplan run writes exits 0, and one with a field changed exits 0, 1
-    or 3."""
+    floorplan run writes exits 0, one with a field changed exits 0, 1 or 3,
+    and a usage error exits 1."""
     fabric_text, design_text, options = inputs
     with tempfile.TemporaryDirectory() as tmp:
         fab = write(Path(tmp), "p.fabric", fabric_text)
@@ -299,22 +360,24 @@ def test_validate_outcome_property(inputs, kind, garbage, data):
                 )
                 lines[i] = " ".join(fields)
                 plan.write_text("\n".join(lines) + "\n")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(["validate", "--fabric", fab, "--plan", str(plan)])
-        lines = stdout.getvalue().splitlines()
+        code, stdout, stderr = run_cli(
+            with_usage_error(["validate", "--fabric", fab, "--plan", str(plan)], usage)
+        )
+        lines = stdout.splitlines()
         status = {0: "VALID", 1: "PARSE_ERROR", 3: "INVALID"}
-        assert code in status, stderr.getvalue()
+        assert code in status, stderr
         assert len(lines) == 1 and lines[0].startswith(f"{status[code]} violations=")
-        if kind in ("missing", "undecodable") or (kind == "floorplan" and not plan.exists()):
+        if usage:
+            assert code == 1 and stderr.startswith("usage: tilefp validate ")
+        elif kind in ("missing", "undecodable") or (kind == "floorplan" and not plan.exists()):
             assert code == 1
         elif kind == "floorplan":
             assert code == 0
         if code == 3:
-            assert lines[0] == f"INVALID violations={len(stderr.getvalue().splitlines())}"
+            assert lines[0] == f"INVALID violations={len(stderr.splitlines())}"
         else:
             assert lines[0].endswith(" violations=0")
-        assert "Traceback" not in stderr.getvalue()
+        assert "Traceback" not in stderr
 
 
 # One input per ``floorplan`` exit: fabric text, design text (None for a
@@ -346,7 +409,7 @@ def test_floorplan_restores_collector_state(tmp_path, code, collecting):
         (gc.enable if was else gc.disable)()
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     small_floorplan_inputs(),
     st.sampled_from(["fabric", "fabric", "fabric", "missing", "undecodable", "malformed"]),
@@ -356,16 +419,17 @@ def test_floorplan_restores_collector_state(tmp_path, code, collecting):
         min_size=3, max_size=3,
     ),
     st.booleans(),
+    usage_errors("generate"),
 )
-@example(("rows 2\ncolumns CCBD\n", "", []), "fabric", 3, [1.0, 0.5, 0.5], True)
+@example(("rows 2\ncolumns CCBD\n", "", []), "fabric", 3, [1.0, 0.5, 0.5], True, None)
 # an out-of-range occupancy and too few modules, both exit 2
-@example(("rows 2\ncolumns CC\n", "", []), "fabric", 2, [2.0, 0.5, 0.5], True)
-@example(("rows 2\ncolumns CC\n", "", []), "fabric", 0, [0.5, 0.5, 0.5], False)
-def test_generate_outcome_property(inputs, kind, n, occupancy, to_file):
+@example(("rows 2\ncolumns CC\n", "", []), "fabric", 2, [2.0, 0.5, 0.5], True, None)
+@example(("rows 2\ncolumns CC\n", "", []), "fabric", 0, [0.5, 0.5, 0.5], False, None)
+def test_generate_outcome_property(inputs, kind, n, occupancy, to_file, usage):
     """Every ``generate`` exit is 0, 1 or 2 and prints exactly one summary
     line: a missing, undecodable or malformed fabric exits 1, a module count
-    or occupancy out of range exits 2, and exit 0 writes a design of ``n``
-    modules."""
+    or occupancy out of range exits 2, a usage error exits 1, and exit 0
+    writes a design of ``n`` modules."""
     fabric_text = inputs[0]
     with tempfile.TemporaryDirectory() as tmp:
         fab = Path(tmp) / "g.fabric"
@@ -376,22 +440,22 @@ def test_generate_outcome_property(inputs, kind, n, occupancy, to_file):
         elif kind == "fabric":
             fab.write_text(fabric_text, encoding="utf-8")
         out = Path(tmp) / "g.design"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([
-                "generate", "-n", str(n), "--fabric", str(fab),
-                "--occupancy", *map(str, occupancy), *(["--out", str(out)] if to_file else []),
-            ])
+        code, stdout, stderr = run_cli(with_usage_error([
+            "generate", "-n", str(n), "--fabric", str(fab),
+            "--occupancy", *map(str, occupancy), *(["--out", str(out)] if to_file else []),
+        ], usage))
         status = {0: "OK", 1: "PARSE_ERROR", 2: "INFEASIBLE_DESIGN"}
-        assert code in status, stderr.getvalue()
+        assert code in status, stderr
         if code == 0 and not to_file:
-            design_text, summary = stdout.getvalue(), stderr.getvalue()
+            design_text, summary = stdout, stderr
         else:
             design_text = out.read_text() if code == 0 else ""
-            summary = stdout.getvalue()
+            summary = stdout
         lines = summary.splitlines()
         assert len(lines) == 1 and lines[0] == f"{status[code]} modules={n if code == 0 else 0}"
-        if kind != "fabric":
+        if usage:
+            assert code == 1 and stderr.startswith("usage: tilefp generate ")
+        elif kind != "fabric":
             assert code == 1
         elif n < 2 or not all(0 < f <= 1 for f in occupancy):
             assert code == 2
@@ -433,6 +497,33 @@ def test_bad_weights_and_bounds(tmp_path, capsys):
         assert main(["floorplan", "--fabric", FX, *options]) == 1, options
     out = capsys.readouterr()
     assert out.out.count("PARSE_ERROR") == len(bad)
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["floorplan", "--fabric", FX], "PARSE_ERROR wastage=0 wirelength=0 runtime_ms=0"),
+    (
+        ["generate", "-n", "abc", "--fabric", FX, "--occupancy", "0.5", "0.5", "0.5"],
+        "PARSE_ERROR modules=0",
+    ),
+    (["validate", "--fabric", FX], "PARSE_ERROR violations=0"),
+])
+def test_usage_error_exits_1_with_a_summary_line(argv, summary):
+    """A usage error is bad input: exit 1 and the subcommand's summary line,
+    not argparse's exit 2, which ``floorplan`` and ``generate`` give to
+    infeasible inputs."""
+    code, stdout, stderr = run_cli(argv)
+    assert code == 1
+    assert stdout == summary + "\n"
+    assert stderr.startswith(f"usage: tilefp {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], 2), (["place"], 2), (["--help"], 0), (["floorplan", "--help"], 0),
+])
+def test_help_and_unknown_subcommands_keep_argparse_exits(argv, expected):
+    code, stdout, stderr = run_cli(argv)
+    assert code == expected
+    assert "PARSE_ERROR" not in stdout + stderr
 
 
 def test_cli_weights_override_design_file(tmp_path):

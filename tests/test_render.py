@@ -1,8 +1,12 @@
 """Renderer tests."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
-from tilefp.fabric import Rect, parse_fabric
+from hypothesis import example, given, settings, strategies as st
+
+from tilefp.design import ModuleSpec
+from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.render import render_ascii, render_svg
 
 
@@ -55,3 +59,30 @@ def test_svg_escapes_module_ids():
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
     assert next(root.iter(f"{ns}text")).text == "a<b"
+
+
+# Module ids ``ModuleSpec`` accepts, rich in XML's special characters. Only
+# characters XML can carry are drawn: control characters and unassigned
+# code points are left out.
+module_ids = st.text(
+    st.one_of(
+        st.sampled_from("&<>\"'"),
+        st.characters(blacklist_categories=("Cc", "Cs", "Cn", "Zl", "Zp", "Zs")),
+    ),
+    min_size=1, max_size=12,
+).filter(lambda s: "#" not in s and not any(ch.isspace() for ch in s))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(module_ids)
+@example("&amp;<&lt;>'\"")
+def test_svg_label_matches_saxutils_escape(module_id):
+    """The label is the id escaped as ``xml.sax.saxutils.escape`` does, and
+    parses back to the id."""
+    ModuleSpec(module_id, ResourceVector(1, 0, 0))
+    fab = parse_fabric("rows 1\ncolumns CC\n")
+    svg = render_svg(fab, {module_id: Rect(0, 0, 0, 0)})
+    label = next(ln for ln in svg.splitlines() if ln.startswith("<text "))
+    assert label.partition(">")[2] == f"{escape(module_id)}</text>"
+    root = ET.fromstring(svg)
+    assert next(root.iter("{http://www.w3.org/2000/svg}text")).text == module_id
