@@ -65,6 +65,9 @@ SpanGroup = tuple[int, int, int, int, int, int]
 
 EXACT_LIMIT = 16
 DEFAULT_NODE_BUDGET = 100_000
+# Relative error allowed for a cost that is summed in another order than the
+# objective's own: far above float rounding, far below any real cost gap.
+_SLACK = 1e-9
 
 
 class InfeasibleModelError(Exception):
@@ -124,10 +127,12 @@ class BqpModel:
 
     Every variable i carries a cost pair ``linear[i][v]`` for taking value
     v, every variable pair a 2x2 corner table, and ``const`` collects the
-    cost of everything already decided. All entries are nonnegative, which
-    is what makes prefix cost plus remaining linear minima an admissible
-    bound during search. ``fixed`` holds members whose side was forced
-    before solving; ``parent_only`` the members not assignable at all.
+    cost of everything already decided. All entries are nonnegative, so the
+    cost of the variables set so far plus each unset variable's cheapest
+    settled cost, its linear cost plus its pair costs to the variables set,
+    is an admissible bound during search. ``fixed`` holds members whose
+    side was forced before solving; ``parent_only`` the members not
+    assignable at all.
     """
 
     variables: list[str]
@@ -413,22 +418,37 @@ def assignment_feasible(model: BqpModel, assignment: Sequence[int]) -> bool:
     return _overflow(model, assignment) == 0
 
 
+def _pair_lists(model: BqpModel) -> tuple[list[list], list[list]]:
+    """Each variable's pairs, in ``model.pairs`` order.
+
+    ``by_low[i]`` holds ``(j, corners)`` for every pair (i, j) and
+    ``by_high[j]`` holds ``(i, corners)`` for every pair (i, j); pairs are
+    keyed lower variable first.
+    """
+    n = len(model.variables)
+    by_low: list[list] = [[] for _ in range(n)]
+    by_high: list[list] = [[] for _ in range(n)]
+    for (i, j), corners in model.pairs.items():
+        by_low[i].append((j, corners))
+        by_high[j].append((i, corners))
+    return by_low, by_high
+
+
 def _greedy_assignment(model: BqpModel) -> list[int]:
     """Sequential seed: each variable takes the locally cheaper side.
 
     Capacity is tracked and a side that would overflow is avoided when the
     other still fits; ties go to side 0.
     """
-    n = len(model.variables)
+    _, by_high = _pair_lists(model)
     out: list[int] = []
     load0 = [0.0, 0.0, 0.0]
     load1 = [0.0, 0.0, 0.0]
-    for i in range(n):
-        costs = [model.linear[i][v] for v in (0, 1)]
-        for (a, b), corners in model.pairs.items():
-            if b == i and a < len(out):
-                costs[0] += corners[out[a]][0]
-                costs[1] += corners[out[a]][1]
+    for i, pairs in enumerate(by_high):
+        costs = [model.linear[i][0], model.linear[i][1]]
+        for a, corners in pairs:
+            costs[0] += corners[out[a]][0]
+            costs[1] += corners[out[a]][1]
         fits0 = all(load0[k] + model.occ0[i][k] <= model.avail0[k] for k in range(3))
         fits1 = all(load1[k] + model.occ1[i][k] <= model.avail1[k] for k in range(3))
         if fits0 != fits1:
@@ -466,13 +486,36 @@ def _repair(model: BqpModel, assignment: list[int]) -> list[int] | None:
 
 
 def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
-    """Deterministic improvement sweeps: single flips, then opposite swaps."""
+    """Deterministic improvement sweeps: single flips, then opposite swaps.
+
+    A move is first priced by its change in cost, from the moved variables'
+    linear and pair terms. Only a move whose change is not clearly positive
+    is summed in full and checked for capacity, so every accept or reject
+    compares the same full objective sums as trying each move outright.
+    """
     n = len(assignment)
+    linear = model.linear
+    by_low, by_high = _pair_lists(model)
+
+    def flip_change(i: int) -> float:
+        v = assignment[i]
+        u = v ^ 1
+        change = linear[i][u] - linear[i][v]
+        for j, corners in by_low[i]:
+            w = assignment[j]
+            change += corners[u][w] - corners[v][w]
+        for j, corners in by_high[i]:
+            w = assignment[j]
+            change += corners[w][u] - corners[w][v]
+        return change
+
     best_obj = objective_of(model, assignment)
     improved = True
     while improved:
         improved = False
         for i in range(n):
+            if flip_change(i) > best_obj * _SLACK:
+                continue
             assignment[i] ^= 1
             obj = objective_of(model, assignment)
             if obj < best_obj and assignment_feasible(model, assignment):
@@ -480,8 +523,19 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
                 improved = True
             else:
                 assignment[i] ^= 1
+        changes = [flip_change(i) for i in range(n)]
         for i, j in itertools.combinations(range(n), 2):
-            if assignment[i] == assignment[j]:
+            x, y = assignment[i], assignment[j]
+            if x == y:
+                continue
+            change = changes[i] + changes[j]
+            corners = model.pairs.get((i, j))
+            if corners is not None:
+                # both flips priced the pair with the other end unmoved
+                change += (
+                    corners[x ^ 1][y ^ 1] - corners[x ^ 1][y] - corners[x][y ^ 1] + corners[x][y]
+                )
+            if change > best_obj * _SLACK:
                 continue
             assignment[i] ^= 1
             assignment[j] ^= 1
@@ -489,6 +543,7 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
             if obj < best_obj and assignment_feasible(model, assignment):
                 best_obj = obj
                 improved = True
+                changes = [flip_change(k) for k in range(n)]
             else:
                 assignment[i] ^= 1
                 assignment[j] ^= 1
@@ -498,38 +553,56 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
 def _solve_branch_and_bound(
     model: BqpModel, seed: list[int] | None, node_budget: float
 ) -> list[int] | None:
-    """Depth-first search from ``seed`` with a nonnegativity bound and a node cap.
+    """Depth-first search from ``seed`` with two admissible bounds and a node cap.
 
     Side 0 is tried before side 1 and only a strictly cheaper leaf replaces
     the incumbent, so without a seed and without a cap the result is the
-    lexicographically first optimum.
+    lexicographically first optimum. A branch is cut when its cost plus
+    each unset variable's cheapest linear cost reaches the incumbent. It is
+    also cut when its cost plus each unset variable's cheapest settled
+    cost, its linear cost plus its pair costs to the variables already
+    set, exceeds the incumbent by more than a ``_SLACK`` share. Pairs of
+    two unset variables only add to that, since every corner is
+    nonnegative, and the slack keeps a different float summation order
+    from cutting off a strictly cheaper leaf. So the search visits a subset
+    of the nodes the linear bound alone visits, finding the same
+    incumbents in the same order.
     """
     n = len(model.variables)
+    linear = model.linear
     best = seed
     best_obj = math.inf if seed is None else objective_of(model, seed)
 
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + min(model.linear[i])
-    pairs_by_high = [[] for _ in range(n)]
-    for (i, j), corners in model.pairs.items():
-        pairs_by_high[j].append((i, corners))
+        suffix_min[i] = suffix_min[i + 1] + min(linear[i])
+    by_low, by_high = _pair_lists(model)
+    # settled<v>[i]: linear[i][v] plus corners[prefix[j]][v] of each pair
+    # (j, i) whose lower variable j is set
+    settled0 = [c[0] for c in linear]
+    settled1 = [c[1] for c in linear]
 
     prefix = [0] * n
     nodes = 0
 
-    def descend(depth: int, cost: float, load0: list[float], load1: list[float]) -> None:
+    def descend(
+        depth: int, cost: float, rest: float, load0: list[float], load1: list[float]
+    ) -> None:
+        """Branch on variable ``depth``; ``rest`` sums the cheapest settled
+        cost of every variable from ``depth`` on."""
         nonlocal best, best_obj, nodes
         if depth == n:
             if cost < best_obj:
                 best, best_obj = prefix.copy(), cost
             return
+        s0, s1 = settled0[depth], settled1[depth]
+        later = rest - (s0 if s0 < s1 else s1)
         for v in (0, 1):
             if nodes >= node_budget:
                 return
             nodes += 1
-            step = cost + model.linear[depth][v]
-            for i, corners in pairs_by_high[depth]:
+            step = cost + linear[depth][v]
+            for i, corners in by_high[depth]:
                 step += corners[prefix[i]][v]
             if step + suffix_min[depth + 1] >= best_obj:
                 continue
@@ -538,13 +611,27 @@ def _solve_branch_and_bound(
             avail = model.avail0 if v == 0 else model.avail1
             if any(load[k] + occ[k] > avail[k] for k in range(3)):
                 continue
-            prefix[depth] = v
-            for k in range(3):
-                load[k] += occ[k]
-            descend(depth + 1, step, load0, load1)
-            for k in range(3):
-                load[k] -= occ[k]
-    descend(0, model.const, [0.0] * 3, [0.0] * 3)
+            bound = later
+            undo = []
+            for j, corners in by_low[depth]:
+                a0, a1 = settled0[j], settled1[j]
+                b0 = a0 + corners[v][0]
+                b1 = a1 + corners[v][1]
+                settled0[j] = b0
+                settled1[j] = b1
+                bound += (b0 if b0 < b1 else b1) - (a0 if a0 < a1 else a1)
+                undo.append((j, a0, a1))
+            if step + bound <= best_obj + best_obj * _SLACK:
+                prefix[depth] = v
+                for k in range(3):
+                    load[k] += occ[k]
+                descend(depth + 1, step, bound, load0, load1)
+                for k in range(3):
+                    load[k] -= occ[k]
+            for j, a0, a1 in undo:
+                settled0[j] = a0
+                settled1[j] = a1
+    descend(0, model.const, suffix_min[0], [0.0] * 3, [0.0] * 3)
     return best
 
 

@@ -41,6 +41,16 @@ def _check_weights(alpha: float, beta: float) -> None:
         raise DesignError("objective weights must be finite, non-negative, not both zero")
 
 
+def _bad_id_char(ch: str) -> bool:
+    """``#``, whitespace, or a character XML 1.0 cannot carry (so neither can
+    an SVG label): a C0 or C1 control, a surrogate, U+FFFE or U+FFFF."""
+    code = ord(ch)
+    return (
+        ch == "#" or ch.isspace() or code < 0x20 or 0x7F <= code <= 0x9F
+        or 0xD800 <= code <= 0xDFFF or code in (0xFFFE, 0xFFFF)
+    )
+
+
 @dataclass(frozen=True)
 class ModuleSpec:
     """One reconfigurable module and its tile requirement."""
@@ -49,7 +59,7 @@ class ModuleSpec:
     req: ResourceVector
 
     def __post_init__(self) -> None:
-        if not self.id or "#" in self.id or any(ch.isspace() for ch in self.id):
+        if not self.id or any(map(_bad_id_char, self.id)):
             raise DesignError(f"bad module id {self.id!r}")
         if any(v < 0 for v in self.req):
             raise DesignError(f"module {self.id}: negative requirement")

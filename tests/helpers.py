@@ -9,7 +9,7 @@ import time
 from itertools import combinations, islice, product
 
 from tilefp import place
-from tilefp.bipartition import BqpModel, SideData
+from tilefp.bipartition import BqpModel, SideData, assignment_feasible, objective_of
 from tilefp.fabric import Fabric, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
@@ -522,6 +522,85 @@ def bqp_enumeration_min(model):
         if best is None or cost < best[1]:
             best = (bits, cost)
     return best
+
+
+def branch_and_bound_walk(model, seed, node_budget):
+    """The side-assignment search that bounds the unset variables by their
+    cheapest linear costs only. Returns the best assignment found (or
+    ``seed``, or None) and the number of search nodes spent."""
+    n = len(model.variables)
+    best = seed
+    best_obj = math.inf if seed is None else objective_of(model, seed)
+
+    suffix_min = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = suffix_min[i + 1] + min(model.linear[i])
+    pairs_by_high = [[] for _ in range(n)]
+    for (i, j), corners in model.pairs.items():
+        pairs_by_high[j].append((i, corners))
+
+    prefix = [0] * n
+    nodes = 0
+
+    def descend(depth, cost, load0, load1):
+        nonlocal best, best_obj, nodes
+        if depth == n:
+            if cost < best_obj:
+                best, best_obj = prefix.copy(), cost
+            return
+        for v in (0, 1):
+            if nodes >= node_budget:
+                return
+            nodes += 1
+            step = cost + model.linear[depth][v]
+            for i, corners in pairs_by_high[depth]:
+                step += corners[prefix[i]][v]
+            if step + suffix_min[depth + 1] >= best_obj:
+                continue
+            occ = model.occ0[depth] if v == 0 else model.occ1[depth]
+            load = load0 if v == 0 else load1
+            avail = model.avail0 if v == 0 else model.avail1
+            if any(load[k] + occ[k] > avail[k] for k in range(3)):
+                continue
+            prefix[depth] = v
+            for k in range(3):
+                load[k] += occ[k]
+            descend(depth + 1, step, load0, load1)
+            for k in range(3):
+                load[k] -= occ[k]
+    descend(0, model.const, [0.0] * 3, [0.0] * 3)
+    return best, nodes
+
+
+def local_search_walk(model, assignment):
+    """Improvement sweeps that sum the whole objective for every single
+    flip and every opposite-side swap they try."""
+    n = len(assignment)
+    best_obj = objective_of(model, assignment)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            assignment[i] ^= 1
+            obj = objective_of(model, assignment)
+            if obj < best_obj and assignment_feasible(model, assignment):
+                best_obj = obj
+                improved = True
+            else:
+                assignment[i] ^= 1
+        for i, j in combinations(range(n), 2):
+            if assignment[i] == assignment[j]:
+                continue
+            assignment[i] ^= 1
+            assignment[j] ^= 1
+            obj = objective_of(model, assignment)
+            if obj < best_obj and assignment_feasible(model, assignment):
+                best_obj = obj
+                improved = True
+            else:
+                assignment[i] ^= 1
+                assignment[j] ^= 1
+    return assignment
 
 
 def overlap_side(rect, child0, child1):

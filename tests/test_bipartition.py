@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tilefp import bipartition
 from tilefp.bipartition import (
     EXACT_LIMIT,
     BqpModel,
@@ -32,6 +33,7 @@ from tilefp.design import (
     generate_random_design,
 )
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
+from tilefp.fixtures import fixture_path
 from tilefp.tessellation import (
     InfeasibleModuleError,
     PlacementCandidate,
@@ -353,6 +355,33 @@ def test_large_solver_beats_greedy_seed():
 def test_solver_empty_model():
     model = BqpModel([], [], {}, 3.0, [], [], (0, 0, 0), (0, 0, 0))
     assert solve_bqp(model) == {}
+
+
+class _RootBuilt(Exception):
+    pass
+
+
+def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
+    """The first vertical halving of the scaling n = 50 design (xc7k410t,
+    design seed 50, scaling.cfg occupancy, no AR window) has 50 variables.
+    A search bounded by the linear costs alone needs 66,258 nodes to
+    finish; bounding by the pair costs to settled modules as well finishes
+    within 25,000, with the same assignment."""
+    fab = parse_fabric(fixture_path("xc7k410t.fabric").read_text())
+    design = generate_random_design(50, fab, (0.8, 0.3, 0.3), 50)
+    cands = generate_placements(fab, design, ar_bounds=None)
+    built = []
+
+    def build_first(*args):
+        built.append(build_bqp(*args))
+        raise _RootBuilt
+
+    monkeypatch.setattr(bipartition, "build_bqp", build_first)
+    with pytest.raises(_RootBuilt):
+        recursive_bipartition(fab, design, cands, "vertical")
+    (model,) = built
+    assert len(model.variables) == 50
+    assert solve_bqp(model, node_budget=25_000) == solve_bqp(model)
 
 
 # --- recursion -------------------------------------------------------------

@@ -249,6 +249,10 @@ def test_edge_fabrics_floorplan_and_validate(tmp_path, capsys, case):
 # An AR window whose bounds `:g` would round: 0.6666666 becomes 0.666667.
 AR_SEVEN_DIGITS = ["--ar-min", "0.6666666", "--ar-max", "0.7"]
 
+# Characters a module id may not hold although they are no whitespace: C0
+# and C1 controls and the noncharacters XML 1.0 leaves out.
+BAD_ID_CHARS = "\x01\x7f\x9f\ufffe\uffff"
+
 
 @st.composite
 def small_floorplan_inputs(draw):
@@ -269,6 +273,8 @@ def small_floorplan_inputs(draw):
         min_size=1, max_size=4,
     ))
     modules = [f"m{i}" for i in range(len(reqs))]
+    # in one design of five, an id the design parser must reject
+    modules[-1] += draw(st.sampled_from([""] * 20 + list(BAD_ID_CHARS)))
     design = [f"module {m} {clb} {bram} {dsp}" for m, (clb, bram, dsp) in zip(modules, reqs)]
     for i, a in enumerate(modules):
         for b in modules[i + 1:]:
@@ -276,6 +282,7 @@ def small_floorplan_inputs(draw):
                 design.append(f"connect {a} {b} {draw(st.integers(1, 64))}")
     options = draw(st.sampled_from([
         ["--no-ar"], ["--no-ar", "--alpha", "1", "--beta", "0"], [], AR_SEVEN_DIGITS,
+        ["--no-ar", "--render", "svg"],
     ]))
     return "\n".join(lines) + "\n", "\n".join(design) + "\n", options
 
@@ -285,11 +292,15 @@ def small_floorplan_inputs(draw):
 # The one 3x2 candidate's ratio 2/3 lies inside the window but outside a
 # window rounded to six digits, which the document must not write.
 @example(("rows 3\ncolumns CC\n", "module a 6 0 0\n", AR_SEVEN_DIGITS), None)
+# a control character in an id would make the SVG label malformed XML
+@example(("rows 1\ncolumns CC\n", "module a\x01b 1 0 0\n", ["--no-ar", "--render", "svg"]), None)
 def test_floorplan_outcome_property(inputs, usage):
-    """Any small valid input either gets a document that validates or exits
-    2, 3 or 4, and a usage error exits 1; every exit prints exactly one
-    summary line."""
+    """Any small valid input either gets a document that validates, and an
+    SVG that parses when asked for, or exits 2, 3 or 4; a usage error or a
+    module id with a character XML cannot carry exits 1. Every exit prints
+    exactly one summary line."""
     fabric_text, design_text, options = inputs
+    bad_id = any(ch in BAD_ID_CHARS for ch in design_text)
     with tempfile.TemporaryDirectory() as tmp:
         fab = write(Path(tmp), "p.fabric", fabric_text)
         design = write(Path(tmp), "p.design", design_text)
@@ -304,13 +315,17 @@ def test_floorplan_outcome_property(inputs, usage):
         }
         assert code in status, stderr
         assert len(lines) == 1 and lines[0].startswith(f"{status[code]} wastage=")
-        assert (code == 1) == (usage is not None), stderr
+        assert (code == 1) == (usage is not None or bad_id), stderr
         if usage:
             assert stderr.startswith("usage: tilefp floorplan ")
+        svg = Path(tmp) / "p.fp.svg"
         if code == 0:
             assert validate_floorplan(out.read_text(), fabric_text) == []
+            assert svg.exists() == ("--render" in options)
+            if svg.exists():
+                ET.parse(svg)
         else:
-            assert not out.exists()
+            assert not out.exists() and not svg.exists()
 
 
 # Text that is no floorplan document: arbitrary characters, or words and

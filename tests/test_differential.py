@@ -1,14 +1,33 @@
 """Differential properties: the fast tessellation, halving and placement
 paths against the plain step-by-step reference versions in ``helpers``."""
 
+import math
 import re
+from itertools import combinations
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tilefp import place
-from tilefp.bipartition import Partition, side_data, span_groups, split_partition
+from tilefp.bipartition import (
+    EXACT_LIMIT,
+    BqpModel,
+    Partition,
+    external_cut_cost,
+    objective_of,
+    pair_cut_cost,
+    side_data,
+    solve_bqp,
+    span_groups,
+    split_partition,
+)
+from tilefp.bipartition import (
+    _greedy_assignment,
+    _local_search,
+    _repair,
+    _solve_branch_and_bound,
+)
 from tilefp.design import ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
 from tilefp.place import (
@@ -31,9 +50,11 @@ from tilefp.tessellation import (
 )
 
 from helpers import (
+    branch_and_bound_walk,
     columns_outward_walk,
     dfs_place_walk,
     expand_horizontal_walk,
+    local_search_walk,
     merge_row_kernels_walk,
     module_placements_walk,
     normalize_candidates_walk,
@@ -449,3 +470,89 @@ def test_overlap_index_matches_rect_overlaps(inputs):
     )
     for probe in probes:
         assert index(probe) == bitset(j for j, r in enumerate(rects) if r.overlaps(probe))
+
+
+# --- side-assignment search ------------------------------------------------
+
+BQP_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# Mean extents as ``build_bqp`` takes them from span groups: ratios of small
+# integers, here sums of thirds and sevenths. Many assignments then cost the
+# same in exact arithmetic and differ only in float rounding.
+extents = st.builds(lambda a, b: a / 3 + b / 7, st.integers(1, 6), st.integers(0, 6))
+
+
+@st.composite
+def fractional_bqp_models(draw, min_vars, max_vars):
+    """Models priced the way ``build_bqp`` prices them: each variable has a
+    mean extent per side, a few connections to settled modules make its
+    linear costs and connections between variables make the pair corners.
+    Capacity ranges from tight, where many flips overflow a side, to the
+    mild pressure of ``helpers.random_bqp_model``."""
+    n = draw(st.integers(min_vars, max_vars))
+    w = [(draw(extents), draw(extents)) for _ in range(n)]
+    linear = []
+    for w0, w1 in w:
+        row = [0.0, 0.0]
+        for _ in range(draw(st.integers(0, 2))):
+            signals, side, w_e = draw(st.integers(1, 8)), draw(st.integers(0, 1)), draw(extents)
+            for v in (0, 1):
+                row[v] += external_cut_cost(signals, v, w0, w1, side, w_e)
+        linear.append(tuple(row))
+    pairs = {}
+    for i, j in combinations(range(n), 2):
+        if draw(st.integers(0, 9)) < 3:
+            signals = draw(st.integers(1, 8))
+            pairs[(i, j)] = tuple(
+                tuple(pair_cut_cost(signals, vi, vj, *w[i], *w[j]) for vj in (0, 1))
+                for vi in (0, 1)
+            )
+    occ = st.tuples(st.integers(0, 3), st.integers(0, 2), st.just(0))
+    cap = float(max(2, draw(st.integers(n // 2, (3 * n) // 2))))
+    return BqpModel(
+        variables=[f"m{i}" for i in range(n)],
+        linear=linear,
+        pairs=pairs,
+        const=draw(extents),
+        occ0=[draw(occ) for _ in range(n)],
+        occ1=[draw(occ) for _ in range(n)],
+        avail0=(cap, cap, 1.0),
+        avail1=(cap, cap, 1.0),
+    )
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(1, EXACT_LIMIT))
+def test_exact_solver_matches_branch_and_bound_walk(model):
+    bits, _ = branch_and_bound_walk(model, None, math.inf)
+    assert solve_bqp(model) == (None if bits is None else dict(zip(model.variables, bits)))
+
+
+# A cap on the walk keeps each example fast; the search the walk does not
+# finish is only held to at least the walk's objective.
+WALK_BUDGET = 20_000
+
+
+@settings(BQP_PROPERTY, max_examples=30)
+@given(fractional_bqp_models(EXACT_LIMIT + 1, EXACT_LIMIT + 6))
+def test_search_needs_no_more_nodes_than_walk(model):
+    """From the seed ``solve_bqp`` uses, the search given the walk's own node
+    count returns the walk's assignment: it finds the walk's incumbents in
+    the walk's order, within as many nodes."""
+    seed = _repair(model, _greedy_assignment(model))
+    if seed is not None:
+        seed = local_search_walk(model, seed)
+    bits, nodes = branch_and_bound_walk(model, None if seed is None else seed.copy(), WALK_BUDGET)
+    got = _solve_branch_and_bound(model, None if seed is None else seed.copy(), nodes)
+    if nodes < WALK_BUDGET:
+        assert got == bits
+    else:
+        assert got is not None and objective_of(model, got) <= objective_of(model, bits)
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(2, EXACT_LIMIT + 8), st.data())
+def test_local_search_matches_walk(model, data):
+    n = len(model.variables)
+    start = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    assert _local_search(model, start.copy()) == local_search_walk(model, start.copy())

@@ -5,7 +5,7 @@ from xml.sax.saxutils import escape
 
 from hypothesis import example, given, settings, strategies as st
 
-from tilefp.design import ModuleSpec
+from tilefp.design import DesignError, ModuleSpec
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.render import render_ascii, render_svg
 
@@ -85,4 +85,23 @@ def test_svg_label_matches_saxutils_escape(module_id):
     label = next(ln for ln in svg.splitlines() if ln.startswith("<text "))
     assert label.partition(">")[2] == f"{escape(module_id)}</text>"
     root = ET.fromstring(svg)
+    assert next(root.iter("{http://www.w3.org/2000/svg}text")).text == module_id
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, codec=None,
+                             categories=None, exclude_categories=()),
+               min_size=1, max_size=8))
+@example("a\x01b")
+@example("\ud800")
+@example("\uffff")
+def test_svg_parses_for_every_accepted_id(module_id):
+    """An id ``ModuleSpec`` accepts, whatever its code points, gives an SVG
+    that ElementTree parses back to the id."""
+    try:
+        ModuleSpec(module_id, ResourceVector(1, 0, 0))
+    except DesignError:
+        return
+    fab = parse_fabric("rows 1\ncolumns CC\n")
+    root = ET.fromstring(render_svg(fab, {module_id: Rect(0, 0, 0, 0)}))
     assert next(root.iter("{http://www.w3.org/2000/svg}text")).text == module_id
