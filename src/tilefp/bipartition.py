@@ -741,12 +741,13 @@ def recursive_bipartition(
             anchors[d.module_id] = child.center
             members[side].append(d.module_id)
             lists[side][d.module_id] = d.placements0 if side == 0 else d.placements1
+        # read-only from here on, so both children share it
         child_snapshot = {**snapshot, **updates}
         for side, child in ((0, child0), (1, child1)):
             stack.append((
                 Partition(child.rect, tuple(members[side]), child.available),
                 lists[side],
-                dict(child_snapshot),
+                child_snapshot,
                 False,
             ))
     return anchors

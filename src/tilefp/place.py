@@ -4,13 +4,15 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
-Modules are placed frame-hungriest first by a depth-first search that takes
-the best-scored rectangle not colliding with anything placed so far and
-backs up a level whenever a module runs out of rectangles. A module's free
-rectangles are a bitset over its scored list, so forward checking rejects a
-placement that leaves a later module none with a few integer ANDs, and a
-fail-first search takes over when that search spends its node budget. The
-first complete assignment wins.
+The placer is one depth-first search, run with two module orders. Each
+level places one module on its best-scored rectangle not colliding with
+anything placed so far, and the search backs up a level whenever that
+module runs out of rectangles. A module's free rectangles are a bitset over
+its scored list, so forward checking rejects a placement that leaves an
+unplaced module none with a few integer ANDs. The first run places modules
+frame-hungriest first; when it spends its node budget, a second run starts
+over and always places the module with the fewest free rectangles left
+(fail-first). The first complete assignment wins.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, le
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .design import Design
 from .fabric import Fabric, Rect
@@ -39,10 +41,11 @@ __all__ = [
     "write_floorplan",
 ]
 
-# Node budgets of the two placer phases; a node is one tentative placement
-# of one candidate. On fx70t designs with n=16 and occupancy 0.8/0.5/0.5,
-# design seeds 0-5, phase 1 solves seeds 1, 2, 3 and 5 in at most 209
-# nodes, phase 2 solves seed 0 in 18 nodes, and seed 4 exhausts both.
+# Node budgets of the placer's two runs of one search: phase 1 in module
+# order, phase 2 fail-first. A node is one tentative placement of one
+# candidate. On fx70t designs with n=16 and occupancy 0.8/0.5/0.5, design
+# seeds 0-5, phase 1 solves seeds 1, 2, 3 and 5 in at most 209 nodes,
+# phase 2 solves seed 0 in 18 nodes, and seed 4 exhausts both.
 FORWARD_CHECK_NODES = 1_000
 FAIL_FIRST_NODES = 20_000
 
@@ -138,18 +141,19 @@ def trial_and_error_place(
     candidates: Mapping[str, Sequence[PlacementCandidate]],
     time_budget: float | None = 60.0,
 ) -> tuple[dict[str, Rect], int]:
-    """First feasible floorplan by a two-phase search under node budgets.
+    """First feasible floorplan by one search, run in two phases under node budgets.
 
     ``candidates`` maps each module to its candidates best first, as
-    ``normalize_candidates`` returns them. Phase 1 is a depth-first search
-    in module order that tries each module's candidates in that order, with
-    forward checking: a placement that leaves some later module without a
+    ``normalize_candidates`` returns them. The search is depth-first: each
+    level places one module, trying its candidates in that order, with
+    forward checking: a placement that leaves some unplaced module without a
     free candidate is rejected at once. That prunes only subtrees without a
-    floorplan, so it finds the first floorplan plain depth-first search
-    finds. After ``FORWARD_CHECK_NODES`` nodes (tentative placements)
-    without an answer, phase 2 searches afresh, always placing the module
-    with the fewest free candidates left (ties go to module order), under
-    ``FAIL_FIRST_NODES`` nodes.
+    floorplan. The phases differ only in which module goes next. Phase 1
+    takes module order, so it finds the first floorplan plain depth-first
+    search finds. After ``FORWARD_CHECK_NODES`` nodes (tentative
+    placements) without an answer, phase 2 searches afresh, always placing
+    the module with the fewest free candidates left (ties go to module
+    order), under ``FAIL_FIRST_NODES`` nodes.
 
     Returns the chosen rectangle per module, keyed in module order, and the
     number of times the search backed up a level in either phase. The node
@@ -161,9 +165,12 @@ def trial_and_error_place(
     order = list(ordered_modules)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     search = _Search(fabric, order, [candidates[module_id] for module_id in order], deadline)
-    rects = search.forward_checking(FORWARD_CHECK_NODES)
+    # the unplaced modules are a suffix of module order, so ``min`` takes the next one
+    rects = search.run(FORWARD_CHECK_NODES, min)
     if rects is None:
-        rects = search.fail_first(FAIL_FIRST_NODES)
+        rects = search.run(FAIL_FIRST_NODES, _fewest)
+    if rects is None:
+        raise PlacementTimeoutError(search.deepest, len(order), "nodes")
     return rects, search.backtracks
 
 
@@ -238,11 +245,12 @@ class _Overlaps:
 
 
 class _Search:
-    """State the two placer phases share: domains, limits, counters, the dead end.
+    """The placer's search and the state its runs share: limits, counters, the dead end.
 
     A module's domain is a bitset over its scored candidate list, bit j set
     while candidate j is free. A placement clears the bits its rect
-    overlaps, read from each module's ``_Overlaps`` index.
+    overlaps, read from each module's ``_Overlaps`` index. A module without
+    a free candidate at the start raises PlacementInfeasibleError at once.
     """
 
     def __init__(
@@ -251,6 +259,9 @@ class _Search:
     ) -> None:
         self.order, self.options, self.deadline = order, options, deadline
         self.overlaps = [_Overlaps(module_options, fabric) for module_options in options]
+        for k, index in enumerate(self.overlaps):
+            if not index.free:
+                raise PlacementInfeasibleError(order[k], 0)
         self.backtracks = 0
         self.deepest = 0  # most modules placed at once, counting rejected placements
         # (blocked module, modules placed) of the deepest rejected placement
@@ -266,64 +277,24 @@ class _Search:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise PlacementTimeoutError(self.deepest, len(self.order), "time")
 
-    def forward_checking(self, budget: int) -> dict[str, Rect] | None:
-        """Phase 1: module order, forward checking; None when ``budget`` runs out.
+    def run(self, budget: int, choose: Callable[[dict[int, int]], int]) -> dict[str, Rect] | None:
+        """One depth-first search from scratch; None when ``budget`` runs out.
 
-        A placement clears its overlaps from every later module's domain and
-        is rejected when one empties, the first such module being the blocked
-        one. Each placement pushes a list of domains that backing up pops.
-        """
-        order, options, overlaps, n = self.order, self.options, self.overlaps, len(self.order)
-        levels = [[index.free for index in overlaps]]  # every domain before each placement
-        for k, live in enumerate(levels[0]):
-            if not live:
-                raise PlacementInfeasibleError(order[k], 0)
-        picks: list[int] = []  # candidate index per placed module
-        nodes, i = 0, -1  # i: the candidate last tried at this depth
-        while len(picks) < n:
-            depth = len(picks)
-            live = levels[-1]
-            i = _next(live[depth], i)
-            if i < 0:
-                # no candidate left at this depth: back up a level
-                if not picks:
-                    raise PlacementInfeasibleError(*self.dead_end)
-                self.backtracks += 1
-                levels.pop()
-                i = picks.pop()
-                continue
-            if nodes == budget:
-                return None
-            nodes += 1
-            self.check_clock()
-            rect = options[depth][i].rect
-            after = live[:]
-            for k in range(depth + 1, n):
-                after[k] = left = live[k] & ~overlaps[k](rect)
-                if not left:
-                    self.reject(depth + 1, k)
-                    break
-            else:
-                picks.append(i)
-                levels.append(after)
-                self.deepest = max(self.deepest, depth + 1)
-                i = -1
-        return {order[d]: options[d][i].rect for d, i in enumerate(picks)}
+        Raises PlacementInfeasibleError when the search proves that no
+        floorplan exists.
 
-    def fail_first(self, budget: int) -> dict[str, Rect]:
-        """Phase 2: fewest-candidates-first search, starting over, under ``budget``.
-
-        Each frame places one module; a candidate clears its overlaps from
-        every other unplaced module's domain and is rejected if one empties.
+        ``choose`` picks the next module from the domains of the unplaced
+        ones, keyed by module index in module order. Each frame places that
+        module; a candidate clears its overlaps from every other unplaced
+        module's domain and is rejected if one empties, the first such
+        module in module order being the blocked one.
         """
         order, options, overlaps = self.order, self.options, self.overlaps
-
-        def fewest(domains: dict[int, int]) -> int:
-            return min(domains, key=lambda k: (domains[k].bit_count(), k))
-
         free = {k: index.free for k, index in enumerate(overlaps)}
+        if not free:
+            return {}
         # frames: [module, domains of the unplaced modules, last candidate tried]
-        stack = [[fewest(free), free, -1]]
+        stack = [[choose(free), free, -1]]
         nodes = 0
         while stack:
             frame = stack[-1]
@@ -335,7 +306,7 @@ class _Search:
                     self.backtracks += 1
                 continue
             if nodes == budget:
-                raise PlacementTimeoutError(self.deepest, len(order), "nodes")
+                return None
             nodes += 1
             self.check_clock()
             frame[2] = i
@@ -353,8 +324,13 @@ class _Search:
                 if not rest:
                     frames = sorted(stack, key=itemgetter(0))
                     return {order[m]: options[m][tried].rect for m, _, tried in frames}
-                stack.append([fewest(rest), rest, -1])
+                stack.append([choose(rest), rest, -1])
         raise PlacementInfeasibleError(*self.dead_end)
+
+
+def _fewest(domains: dict[int, int]) -> int:
+    """The module with the fewest free candidates; ties go to module order."""
+    return min(domains, key=lambda k: (domains[k].bit_count(), k))
 
 
 def floorplan_wastage(

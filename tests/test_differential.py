@@ -425,6 +425,10 @@ TWO_FREE_PAIRS = unit_candidates(
 # phase 1 spends its one node on an accepted placement and phase 2 has
 # none: the timeout counts that placement
 @example((Fabric(1, "CCCC"), ["m0", "m1"], TWO_FREE_PAIRS, (1, 0), None))
+# no modules: an empty floorplan before any node
+@example((Fabric(1, "CCCC"), [], {}, (0, 0), None))
+# one module, placed by phase 2 alone
+@example((Fabric(1, "CCCC"), ["m0"], unit_candidates([Rect(0, 0, 0, 0)]), (0, 1), None))
 def test_placer_matches_two_phase_oracle(inputs):
     expected = place_outcome(two_phase_place_walk, *inputs)
     assert place_outcome(trial_and_error_place, *inputs) == expected

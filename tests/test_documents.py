@@ -13,7 +13,9 @@ generated designs that need the placer to back up, so a change to the
 search that picks another floorplan shows up here.
 ``data/dense_documents.sha256`` pins the whole documents of the three
 dense designs, ``total`` line and backtrack count included, so a search
-that reaches the same floorplan through other nodes shows up too.
+that reaches the same floorplan through other nodes shows up too. Dense
+seed 4 spends both placer node budgets without a floorplan; its exit code
+and timeout fields are pinned, so a search that stops elsewhere shows up.
 
 ``data/ordered_candidates.sha256`` pins the candidate lists, order
 included, of the generated designs behind the benchmark's ``scaling``
@@ -37,10 +39,11 @@ from pathlib import Path
 
 import pytest
 
-from tilefp.cli import main
+from tilefp.cli import EXIT_TIMEOUT, main
 from tilefp.design import generate_random_design, parse_design, write_design
 from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
+from tilefp.place import PlacementTimeoutError
 from tilefp.tessellation import generate_placements
 from tilefp.validate import validate_floorplan
 
@@ -110,28 +113,30 @@ def test_sdr_document_bytes_are_pinned(tmp_path, digest, options):
 
 @pytest.fixture(scope="module")
 def dense_runs(tmp_path_factory):
-    """Exit code and document (None on failure) of the generated fx70t
-    designs n=16 at occupancy 0.8/0.5/0.5, design seeds 0-2, run with
-    --no-ar and the default time budget, so node budgets decide."""
+    """Exit code, document (None on failure) and standard error of the
+    generated fx70t designs n=16 at occupancy 0.8/0.5/0.5, design seeds
+    0-2 and 4, run with --no-ar and the default time budget, so node
+    budgets decide."""
     fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
     work = tmp_path_factory.mktemp("dense")
     runs = {}
-    for seed in (0, 1, 2):
+    for seed in (0, 1, 2, 4):
         design = work / f"s{seed}.design"
         design.write_text(write_design(generate_random_design(16, fabric, (0.8, 0.5, 0.5), seed)))
         out = work / f"s{seed}.fp"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([
                 "floorplan", "--fabric", str(fixture_path("fx70t.fabric")),
                 "--design", str(design), "--no-ar", "--out", str(out),
             ])
-        runs[seed] = (code, out.read_text() if code == 0 else None)
+        runs[seed] = (code, out.read_text() if code == 0 else None, err.getvalue())
     return runs
 
 
 @pytest.mark.parametrize("digest, options", golden_cases("dense_place_lines.sha256"))
 def test_dense_place_lines_are_pinned(dense_runs, digest, options):
-    code, document = dense_runs[int(options[0])]
+    code, document, _ = dense_runs[int(options[0])]
     assert code == 0
     place = "".join(line + "\n" for line in document.splitlines() if line.startswith("place "))
     assert hashlib.sha256(place.encode()).hexdigest() == digest
@@ -139,13 +144,19 @@ def test_dense_place_lines_are_pinned(dense_runs, digest, options):
 
 @pytest.mark.parametrize("digest, options", golden_cases("dense_documents.sha256"))
 def test_dense_documents_are_pinned(dense_runs, digest, options):
-    code, document = dense_runs[int(options[0])]
+    code, document, _ = dense_runs[int(options[0])]
     assert code == 0
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
+def test_dense_seed4_spends_both_node_budgets(dense_runs):
+    code, document, err = dense_runs[4]
+    assert (code, document) == (EXIT_TIMEOUT, None)
+    assert err.splitlines()[0] == str(PlacementTimeoutError(15, 16, "nodes"))
+
+
 def test_dense_seed0_solves_with_a_valid_document(dense_runs):
-    code, document = dense_runs[0]
+    code, document, _ = dense_runs[0]
     assert code == 0
     assert validate_floorplan(document, fixture_path("fx70t.fabric").read_text()) == []
 

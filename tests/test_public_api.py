@@ -1,5 +1,6 @@
 """Every public name resolves: each ``__all__`` entry of the tilefp modules,
-and each name the benchmark harness under ``perfbench/`` imports from them."""
+and each name the benchmark harness under ``perfbench/`` imports from them.
+The README's Library snippet runs as written on the bundled fixtures."""
 
 import ast
 import importlib
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import tilefp
+from tilefp.fixtures import fixture_path
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(tilefp.__path__, prefix="tilefp.")
 )
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -43,3 +46,14 @@ def test_perfbench_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_readme_library_snippet_places_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for placeholder, fixture in (("F.fabric", "fx70t.fabric"), ("D.design", "sdr.design")):
+        assert f'"{placeholder}"' in snippet
+        snippet = snippet.replace(f'"{placeholder}"', repr(str(fixture_path(fixture))))
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert set(namespace["rects"]) == {m.id for m in namespace["design"].modules}
