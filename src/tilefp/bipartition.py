@@ -2,8 +2,8 @@
 
 The device is halved again and again along one axis. At each halving a
 binary quadratic model decides which side every member module goes to: the
-objective charges each connection by the signal count times the average
-extents of the two endpoints whenever they end up on opposite sides (or on
+objective charges each connection by the signal count times the sum of the
+two endpoints' mean extents whenever they end up on opposite sides (or on
 the far side of an already-anchored external module), and knapsack rows per
 resource kind keep each half within its capacity, using the most optimistic
 footprint a module could take on that side. A candidate goes to a half
@@ -46,9 +46,7 @@ __all__ = [
     "assignment_feasible",
     "build_bqp",
     "compute_anchors",
-    "external_cut_cost",
     "objective_of",
-    "pair_cut_cost",
     "recursive_bipartition",
     "side_data",
     "solve_bqp",
@@ -126,13 +124,14 @@ class BqpModel:
     """Binary side-assignment model in tabular form.
 
     Every variable i carries a cost pair ``linear[i][v]`` for taking value
-    v, every variable pair a 2x2 corner table, and ``const`` collects the
-    cost of everything already decided. All entries are nonnegative, so the
-    cost of the variables set so far plus each unset variable's cheapest
-    settled cost, its linear cost plus its pair costs to the variables set,
-    is an admissible bound during search. ``fixed`` holds members whose
-    side was forced before solving; ``parent_only`` the members not
-    assignable at all.
+    v, every connected variable pair (i, j), i < j, a 2x2 corner table
+    indexed by their values, and ``const`` collects the cost of everything
+    already decided. All entries are nonnegative, so the cost of the
+    variables set so far plus each unset variable's cheapest settled cost,
+    its linear cost plus its pair costs to the variables set, is an
+    admissible bound during search. ``fixed`` holds members whose side was
+    forced before solving; ``parent_only`` the members not assignable at
+    all.
     """
 
     variables: list[str]
@@ -166,19 +165,6 @@ def split_partition(parent: Partition, axis: Axis, fabric: Fabric) -> tuple[Part
         Partition(r0, (), fabric.available_in_rect(r0)),
         Partition(r1, (), fabric.available_in_rect(r1)),
     )
-
-
-def _cut_coordinate(child0: Partition, axis: Axis) -> float:
-    """Position of the cut line in center coordinates."""
-    if axis == "vertical":
-        return float(child0.rect.col1 + 1)
-    return float(child0.rect.row1 + 1)
-
-
-def _anchor_side(anchor: Point, cut: float, axis: Axis) -> int:
-    """Side of the cut an anchored point falls on; on the line counts as 0."""
-    coord = anchor[0] if axis == "vertical" else anchor[1]
-    return 0 if coord <= cut else 1
 
 
 def span_groups(candidates: Sequence[PlacementCandidate], axis: Axis) -> tuple[SpanGroup, ...]:
@@ -242,33 +228,6 @@ def side_data(
     return SideData(module.id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
 
 
-def pair_cut_cost(
-    n_ij: float,
-    m_i: int,
-    m_j: int,
-    w_i0: float,
-    w_i1: float,
-    w_j0: float,
-    w_j1: float,
-) -> float:
-    """Cost of a connection whose endpoints may land on opposite sides."""
-    if m_i == m_j:
-        # the quadratic term cancels the linear ones exactly; evaluating
-        # the full expression would leave rounding residue below zero
-        return 0.0
-    both = w_i0 + w_i1 + w_j0 + w_j1
-    return n_ij * (m_i * (w_i1 + w_j0) + m_j * (w_i0 + w_j1) - m_i * m_j * both)
-
-
-def external_cut_cost(
-    n_ie: float, m_i: int, w_i0: float, w_i1: float, external_side: int, w_e: float
-) -> float:
-    """Cost of a connection to a module already anchored outside the cut."""
-    if external_side == 0:
-        return n_ie * m_i * (w_i1 + w_e)
-    return n_ie * (1 - m_i) * (w_i0 + w_e)
-
-
 def build_bqp(
     parent: Partition,
     data: Sequence[SideData],
@@ -281,26 +240,42 @@ def build_bqp(
 ) -> BqpModel:
     """Assemble the side-assignment model for one halving.
 
-    ``extents`` gives each module's mean extent over its full candidate
-    list (the estimate used for connection endpoints outside this
-    partition) and ``requirements`` the tile needs of the parent-only
-    members, charged to both halves pro rata by area.
+    Every connection with an endpoint among the members is priced by one
+    rule: for each pair of sides its endpoints can take that differ, it
+    costs its signal count times the sum of the endpoints' extents on those
+    sides. A free variable can take either side, with that side's mean
+    extent. A fixed member takes its forced side only. Any other module, a
+    parent-only member or one outside the partition, takes the side of the
+    cut its anchor in ``anchors`` falls on (the line itself counts as side
+    0), with its extent in ``extents``: the mean over its full candidate
+    list, 0 when it has none. The cost goes to the pair's corner table when
+    both endpoints are free, to the free endpoint's linear cost when one
+    is, and to ``const`` when neither is, so repeated connections add up.
+    ``requirements`` gives the tile needs of the parent-only members,
+    charged to both halves pro rata by area.
     """
     child0, child1 = children
-    cut = _cut_coordinate(child0, axis)
     by_id = {d.module_id: d for d in data}
+    coord, cut = (0, child0.rect.col1 + 1) if axis == "vertical" else (1, child0.rect.row1 + 1)
+    # each endpoint as (variable index or None, the (side, extent) pairs it can take)
+    ends = {
+        m: (None, ((0 if p[coord] <= cut else 1, extents.get(m, 0.0)),))
+        for m, p in anchors.items()
+    }
 
     variables: list[str] = []
     fixed: dict[str, int] = {}
     parent_only: list[str] = []
     for d in data:
+        sides = ((0, d.w0), (1, d.w1))
         if d.parent_only:
             parent_only.append(d.module_id)
         elif d.forced_side is not None:
             fixed[d.module_id] = d.forced_side
+            ends[d.module_id] = (None, (sides[d.forced_side],))
         else:
+            ends[d.module_id] = (len(variables), sides)
             variables.append(d.module_id)
-    index = {m: i for i, m in enumerate(variables)}
 
     avail0 = list(map(float, children[0].available))
     avail1 = list(map(float, children[1].available))
@@ -320,69 +295,32 @@ def build_bqp(
         )
 
     linear = [[0.0, 0.0] for _ in variables]
-    pairs: dict[tuple[int, int], tuple[tuple[float, float], tuple[float, float]]] = {}
+    corners: dict[tuple[int, int], list[list[float]]] = {}
     const = 0.0
-
-    def settled_side(module_id: str) -> int:
-        """Side of an endpoint that is not a free variable of this solve."""
-        if module_id in fixed:
-            return fixed[module_id]
-        return _anchor_side(anchors[module_id], cut, axis)
-
-    def settled_extent(module_id: str, side: int) -> float:
-        """Mean extent of a settled endpoint, as seen from this cut."""
-        if module_id in fixed:
-            d = by_id[module_id]
-            w = d.w0 if side == 0 else d.w1
-            assert w is not None
-            return w
-        return extents.get(module_id, 0.0)
-
     for conn in connections:
-        a, b, n = conn.a, conn.b, conn.signals
-        if a not in by_id and b not in by_id:
+        if conn.a not in by_id and conn.b not in by_id:
             continue
-        a_free, b_free = a in index, b in index
-        if a_free and b_free:
-            da, db = by_id[a], by_id[b]
-            i, j = index[a], index[b]
-            if j < i:
-                i, j = j, i
-                da, db = db, da
-            add = tuple(
-                tuple(
-                    pair_cut_cost(n, vi, vj, da.w0, da.w1, db.w0, db.w1)
-                    for vj in (0, 1)
-                )
-                for vi in (0, 1)
-            )
-            old = pairs.get((i, j))
-            if old is not None:
-                add = tuple(
-                    tuple(old[vi][vj] + add[vi][vj] for vj in (0, 1))
-                    for vi in (0, 1)
-                )
-            pairs[(i, j)] = add  # type: ignore[assignment]
-        elif a_free or b_free:
-            # A settled endpoint costs exactly like a fixed substitution
-            # into the pair formula, with its settled side's mean extent.
-            if b_free:
-                a, b = b, a
-            d = by_id[a]
-            i = index[a]
-            side = settled_side(b)
-            w_b = settled_extent(b, side)
-            for v in (0, 1):
-                linear[i][v] += external_cut_cost(n, v, d.w0, d.w1, side, w_b)
-        else:
-            sa, sb = settled_side(a), settled_side(b)
-            if sa != sb:
-                const += n * (settled_extent(a, sa) + settled_extent(b, sb))
+        (i, sides_i), (j, sides_j) = ends[conn.a], ends[conn.b]
+        # a free endpoint first, and of two free ones the lower variable
+        if j is not None and (i is None or j < i):
+            (i, sides_i), (j, sides_j) = (j, sides_j), (i, sides_i)
+        if j is not None:
+            table = corners.setdefault((i, j), [[0.0, 0.0], [0.0, 0.0]])
+        for si, wi in sides_i:
+            for sj, wj in sides_j:
+                if si != sj:
+                    cost = conn.signals * (wi + wj)
+                    if j is not None:
+                        table[si][sj] += cost
+                    elif i is not None:
+                        linear[i][si] += cost
+                    else:
+                        const += cost
 
     return BqpModel(
         variables=variables,
         linear=[tuple(row) for row in linear],  # type: ignore[misc]
-        pairs=pairs,
+        pairs={key: (tuple(t[0]), tuple(t[1])) for key, t in corners.items()},  # type: ignore[misc]
         const=const,
         occ0=[tuple(by_id[m].occ0) for m in variables],  # type: ignore[arg-type]
         occ1=[tuple(by_id[m].occ1) for m in variables],  # type: ignore[arg-type]
@@ -644,10 +582,16 @@ def solve_bqp(model: BqpModel, node_budget: int = DEFAULT_NODE_BUDGET) -> dict[s
     that it starts from a greedy seed, repaired to fit and improved by
     local search, and stops after ``node_budget`` search nodes, so results
     are reproducible. Returns None when no feasible assignment exists (or
-    none was found within budget).
+    none was found within budget), and returns it before any search when
+    the variables' smaller footprints alone overflow both sides together
+    in some resource kind.
     """
     if not model.variables:
         return {}
+    for k in range(3):
+        least = sum(min(a[k], b[k]) for a, b in zip(model.occ0, model.occ1))
+        if least > model.avail0[k] + model.avail1[k]:
+            return None
     if len(model.variables) <= EXACT_LIMIT:
         bits = _solve_branch_and_bound(model, None, math.inf)
     else:

@@ -113,10 +113,6 @@ class Rect(NamedTuple):
         return self.width * self.height
 
     @property
-    def aspect_ratio(self) -> float:
-        return self.width / self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         """Geometric center in tile units, x along columns and y along rows."""
         return (self.col0 + self.col1 + 1) / 2, (self.row0 + self.row1 + 1) / 2
@@ -240,15 +236,6 @@ class Fabric:
         if not self.in_bounds(rect):
             raise FabricError(f"rect out of bounds: {rect}")
 
-    def resources_in_rect(self, rect: Rect) -> ResourceVector:
-        """Tile counts by kind inside the rect; every cell counts once."""
-        self._check_rect(rect)
-        counts = []
-        for k in range(3):
-            pref = self._kind_prefix[k]
-            counts.append((pref[rect.col1 + 1] - pref[rect.col0]) * rect.height)
-        return ResourceVector(*counts)
-
     @property
     def prefix_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """The reserved and per-kind prefix tables, for hot loops: read-only."""
@@ -266,14 +253,6 @@ class Fabric:
 
     def is_reserved(self, row: int, col: int) -> bool:
         return self.reserved_tiles_in(Rect(row, col, row, col)) > 0
-
-    def is_free_rect(self, rect: Rect, occupied: Iterable[Rect] = ()) -> bool:
-        """True when rect is in bounds, off reserved tiles and off ``occupied``."""
-        if not self.in_bounds(rect):
-            return False
-        if self.reserved_tiles_in(rect):
-            return False
-        return not any(rect.overlaps(other) for other in occupied)
 
     def frames_of(self, vec: ResourceVector) -> int:
         """Reconfiguration frame count of a tile bundle."""

@@ -10,7 +10,7 @@ from itertools import combinations, islice, product
 
 from tilefp import place
 from tilefp.bipartition import BqpModel, SideData, assignment_feasible, objective_of
-from tilefp.fabric import Fabric, Rect, ResourceVector
+from tilefp.fabric import Fabric, FabricError, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
     InfeasibleModuleError,
@@ -18,6 +18,31 @@ from tilefp.tessellation import (
     base_kernels_for_row,
     kind_order,
 )
+
+
+def resources_in_rect(fabric, rect):
+    """Tile counts by kind inside ``rect``, reserved tiles included;
+    FabricError when it leaves the fabric."""
+    if not fabric.in_bounds(rect):
+        raise FabricError(f"rect out of bounds: {rect}")
+    _, kind_prefix = fabric.prefix_tables
+    return ResourceVector(*(
+        (prefix[rect.col1 + 1] - prefix[rect.col0]) * rect.height for prefix in kind_prefix
+    ))
+
+
+def is_free_rect(fabric, rect, occupied=()):
+    """True when ``rect`` is in bounds, off reserved tiles and off ``occupied``."""
+    return (
+        fabric.in_bounds(rect)
+        and not fabric.reserved_tiles_in(rect)
+        and not any(rect.overlaps(other) for other in occupied)
+    )
+
+
+def aspect_ratio(rect):
+    """Width over height."""
+    return rect.width / rect.height
 
 
 def brute_force_rects(fabric, req, ar_bounds):
@@ -31,7 +56,7 @@ def brute_force_rects(fabric, req, ar_bounds):
                     rect = Rect(r0, c0, r1, c1)
                     if fabric.reserved_tiles_in(rect):
                         continue
-                    res = fabric.resources_in_rect(rect)
+                    res = resources_in_rect(fabric, rect)
                     if not res.covers(req):
                         continue
                     if ar_bounds is not None:
@@ -62,7 +87,7 @@ def expand_horizontal_walk(fabric, rect, needed, target, blocked):
     rect at every height, then try every left/right split in order."""
     out = []
     while True:
-        have = fabric.resources_in_rect(rect).of(target)
+        have = resources_in_rect(fabric, rect).of(target)
         n_cols = 0 if have >= needed else math.ceil((needed - have) / rect.height)
         lefts = columns_outward_walk(fabric, rect.col0, -1, target, blocked)
         rights = columns_outward_walk(fabric, rect.col1, +1, target, blocked)
@@ -89,7 +114,7 @@ def merge_row_kernels_walk(fabric, kernels, needed, kind):
     """Reference row merge: when no kernel holds ``needed`` tiles, every
     start kernel widens to the right one kernel at a time, each span priced
     in full, up to the first span that suffices or holds a reserved tile."""
-    if any(fabric.resources_in_rect(k).of(kind) >= needed for k in kernels):
+    if any(resources_in_rect(fabric, k).of(kind) >= needed for k in kernels):
         return list(kernels)
     merged = []
     for i, (row, col0, _, col1) in enumerate(kernels):
@@ -98,7 +123,7 @@ def merge_row_kernels_walk(fabric, kernels, needed, kind):
             span = Rect(row, col0, row, col1)
             if fabric.reserved_tiles_in(span):
                 break
-            if fabric.resources_in_rect(span).of(kind) >= needed:
+            if resources_in_rect(fabric, span).of(kind) >= needed:
                 merged.append(span)
                 break
     return merged
@@ -138,7 +163,7 @@ def module_placements_walk(fabric, module, ar_bounds):
             if rect in seen:
                 continue
             seen.add(rect)
-            res = fabric.resources_in_rect(rect)
+            res = resources_in_rect(fabric, rect)
             if not res.covers(req):
                 continue
             covering += 1
@@ -202,7 +227,7 @@ def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
         i = next_try[depth]
         while i < len(options):
             rect = options[i].rect
-            if fabric.is_free_rect(rect, chosen.values()):
+            if is_free_rect(fabric, rect, chosen.values()):
                 placed = rect
                 break
             i += 1
@@ -468,6 +493,73 @@ def random_requirement(rng, fabric):
     bram = rng.randrange(0, max(1, avail.bram // 2) + 1) if rng.random() < 0.5 else 0
     dsp = rng.randrange(0, max(1, avail.dsp // 2) + 1) if rng.random() < 0.5 else 0
     return ResourceVector(clb, bram, dsp)
+
+
+def pair_cut_cost(n_ij, m_i, m_j, w_i0, w_i1, w_j0, w_j1):
+    """Cost of a connection between two free variables at sides ``m_i`` and
+    ``m_j``, as the expanded quadratic form of the cut rule."""
+    if m_i == m_j:
+        # the quadratic term cancels the linear ones exactly; evaluating
+        # the full expression would leave rounding residue below zero
+        return 0.0
+    both = w_i0 + w_i1 + w_j0 + w_j1
+    return n_ij * (m_i * (w_i1 + w_j0) + m_j * (w_i0 + w_j1) - m_i * m_j * both)
+
+
+def external_cut_cost(n_ie, m_i, w_i0, w_i1, external_side, w_e):
+    """Cost of a connection from a free variable at side ``m_i`` to a module
+    settled at ``external_side`` with extent ``w_e``."""
+    if external_side == 0:
+        return n_ie * m_i * (w_i1 + w_e)
+    return n_ie * (1 - m_i) * (w_i0 + w_e)
+
+
+def cut_cost_walk(data, connections, anchors, extents, child1, axis):
+    """The linear costs, pair corners and constant of ``build_bqp``, summed
+    connection by connection: ``pair_cut_cost`` between two free
+    variables, ``external_cut_cost`` from a free variable to a settled
+    module, and the signal count times both extents between two settled
+    modules on opposite sides. A fixed member is settled at its forced
+    side; any other module at the side of ``child1``'s near edge its anchor
+    falls on (the edge itself counts as side 0), with its entry in
+    ``extents`` or 0."""
+    by_id = {d.module_id: d for d in data}
+    free = [d for d in data if not d.parent_only and d.forced_side is None]
+    index = {d.module_id: i for i, d in enumerate(free)}
+    edge, coord = (child1.rect.col0, 0) if axis == "vertical" else (child1.rect.row0, 1)
+
+    def settled(module_id):
+        d = by_id.get(module_id)
+        if d is not None and d.forced_side is not None:
+            return d.forced_side, (d.w0, d.w1)[d.forced_side]
+        return int(anchors[module_id][coord] > edge), extents.get(module_id, 0.0)
+
+    linear = [[0.0, 0.0] for _ in free]
+    pairs = {}
+    const = 0.0
+    for conn in connections:
+        a, b, n = conn.a, conn.b, conn.signals
+        if a not in by_id and b not in by_id:
+            continue
+        if a in index and b in index:
+            i, j = sorted((index[a], index[b]))
+            wi, wj = (free[i].w0, free[i].w1), (free[j].w0, free[j].w1)
+            old = pairs.get((i, j), ((0.0, 0.0), (0.0, 0.0)))
+            pairs[(i, j)] = tuple(
+                tuple(old[vi][vj] + pair_cut_cost(n, vi, vj, *wi, *wj) for vj in (0, 1))
+                for vi in (0, 1)
+            )
+        elif a in index or b in index:
+            if b in index:
+                a, b = b, a
+            side, w_e = settled(b)
+            for v in (0, 1):
+                linear[index[a]][v] += external_cut_cost(n, v, by_id[a].w0, by_id[a].w1, side, w_e)
+        else:
+            (side_a, w_a), (side_b, w_b) = settled(a), settled(b)
+            if side_a != side_b:
+                const += n * (w_a + w_b)
+    return [tuple(costs) for costs in linear], pairs, const
 
 
 def random_bqp_model(rng, n_vars):

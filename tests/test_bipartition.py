@@ -15,9 +15,7 @@ from tilefp.bipartition import (
     assignment_feasible,
     build_bqp,
     compute_anchors,
-    external_cut_cost,
     objective_of,
-    pair_cut_cost,
     recursive_bipartition,
     side_data,
     solve_bqp,
@@ -40,7 +38,13 @@ from tilefp.tessellation import (
     generate_placements,
 )
 
-from helpers import bqp_enumeration_min, random_bqp_model, random_fabric
+from helpers import (
+    bqp_enumeration_min,
+    external_cut_cost,
+    pair_cut_cost,
+    random_bqp_model,
+    random_fabric,
+)
 
 
 def cand(rect, resources=ResourceVector(1, 0, 0)):
@@ -350,6 +354,29 @@ def test_large_solver_beats_greedy_seed():
     greedy = _greedy_assignment(model)
     if assignment_feasible(model, greedy):
         assert objective_of(model, bits) <= objective_of(model, greedy)
+
+
+@pytest.mark.parametrize("n", [3, EXACT_LIMIT + 4])
+def test_solver_rejects_footprints_that_cannot_fit_before_searching(monkeypatch, n):
+    """Every variable needs one BRAM tile on either side, and the two sides
+    hold n - 1 together: no assignment fits, and none is searched for."""
+    def no_search(*args):
+        raise AssertionError("searched a model whose footprints cannot fit")
+
+    monkeypatch.setattr(bipartition, "_solve_branch_and_bound", no_search)
+    monkeypatch.setattr(bipartition, "_greedy_assignment", no_search)
+    half = (n - 1) / 2
+    model = BqpModel(
+        variables=[f"m{i}" for i in range(n)],
+        linear=[(0.0, 1.0)] * n,
+        pairs={},
+        const=0.0,
+        occ0=[(1, 1, 0)] * n,
+        occ1=[(2, 1, 0)] * n,
+        avail0=(float(n), half, 0.0),
+        avail1=(float(n), half, 0.0),
+    )
+    assert solve_bqp(model) is None
 
 
 def test_solver_empty_model():

@@ -14,9 +14,9 @@ from tilefp.bipartition import (
     EXACT_LIMIT,
     BqpModel,
     Partition,
-    external_cut_cost,
+    SideData,
+    build_bqp,
     objective_of,
-    pair_cut_cost,
     side_data,
     solve_bqp,
     span_groups,
@@ -28,7 +28,7 @@ from tilefp.bipartition import (
     _repair,
     _solve_branch_and_bound,
 )
-from tilefp.design import ModuleSpec
+from tilefp.design import Connection, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
 from tilefp.place import (
     PlacementInfeasibleError,
@@ -52,13 +52,18 @@ from tilefp.tessellation import (
 from helpers import (
     branch_and_bound_walk,
     columns_outward_walk,
+    cut_cost_walk,
     dfs_place_walk,
     expand_horizontal_walk,
+    external_cut_cost,
+    is_free_rect,
     local_search_walk,
     merge_row_kernels_walk,
     module_placements_walk,
     normalize_candidates_walk,
     overlap_side,
+    pair_cut_cost,
+    resources_in_rect,
     side_data_walk,
     two_phase_place_walk,
 )
@@ -126,7 +131,7 @@ def test_expand_horizontal_matches_walk(data):
     assert free_row1 == max((k.row1 for k in expected), default=-1)
     assert seen == before | set(expected)
     # each stage emits only rects that hold its kind's need
-    assert all(fab.resources_in_rect(k).of(target) >= needed for k in expected)
+    assert all(resources_in_rect(fab, k).of(target) >= needed for k in expected)
 
 
 requirements = st.builds(
@@ -227,7 +232,7 @@ def test_side_data_split_matches_overlap_side(data):
     parent = Partition(parent_rect, ("m",), fab.available_in_rect(parent_rect))
     child0, child1 = split_partition(parent, axis, fab)
     cands = [
-        PlacementCandidate(r, fab.resources_in_rect(r), 0)
+        PlacementCandidate(r, resources_in_rect(fab, r), 0)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
     module = ModuleSpec("m", ResourceVector(1, 0, 0))
@@ -362,7 +367,7 @@ def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
     for module_id, rect in rects.items():
         assert rect in {c.rect for c in candidates[module_id]}
     placed = list(rects.values())
-    assert all(fab.is_free_rect(rect, placed[:i]) for i, rect in enumerate(placed))
+    assert all(is_free_rect(fab, rect, placed[:i]) for i, rect in enumerate(placed))
 
 
 def unit_candidates(*lists):
@@ -527,6 +532,16 @@ def fractional_bqp_models(draw, min_vars, max_vars):
 
 @BQP_PROPERTY
 @given(fractional_bqp_models(1, EXACT_LIMIT))
+# the variables' smaller BRAM footprints, 3, overflow both sides' 2 together
+@example(BqpModel(
+    ["m0", "m1", "m2"], [(0.0, 1.0)] * 3, {}, 0.0,
+    [(1, 1, 0)] * 3, [(2, 1, 0)] * 3, (4.0, 1.0, 1.0), (4.0, 1.0, 1.0),
+))
+# ... and fill them exactly when one side holds one more
+@example(BqpModel(
+    ["m0", "m1", "m2"], [(0.0, 1.0)] * 3, {}, 0.0,
+    [(1, 1, 0)] * 3, [(2, 1, 0)] * 3, (4.0, 1.0, 1.0), (4.0, 2.0, 1.0),
+))
 def test_exact_solver_matches_branch_and_bound_walk(model):
     bits, _ = branch_and_bound_walk(model, None, math.inf)
     assert solve_bqp(model) == (None if bits is None else dict(zip(model.variables, bits)))
@@ -560,3 +575,69 @@ def test_local_search_matches_walk(model, data):
     n = len(model.variables)
     start = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     assert _local_search(model, start.copy()) == local_search_walk(model, start.copy())
+
+
+# --- connection pricing ----------------------------------------------------
+
+PRICING_FABRIC = Fabric(4, "C" * 8)
+# one span group: a single one-column candidate
+FILLER = (0, 0, 1, 1, 0, 0)
+
+
+@st.composite
+def pricing_inputs(draw):
+    """An axis, member modules (free, fixed to a side, or parent-only, with
+    a mean extent per side), anchors for them and for modules outside the
+    partition, some of them on the cut line, extents for some of the
+    settled ones, and connections among all of them, repeats included."""
+    axis = draw(st.sampled_from(["vertical", "horizontal"]))
+    members = [
+        (draw(st.sampled_from(["free", 0, 1, "parent"])), draw(extents), draw(extents))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    ids = [f"m{i}" for i in range(len(members))]
+    ids += [f"o{i}" for i in range(draw(st.integers(0, 3)))]
+    size = PRICING_FABRIC.cols if axis == "vertical" else PRICING_FABRIC.rows
+    anchors = {}
+    for m in ids:
+        along = draw(st.integers(0, 2 * size)) / 2
+        anchors[m] = (along, 1.0) if axis == "vertical" else (1.0, along)
+    settled = [m for m in ids if m.startswith("o") or members[int(m[1:])][0] == "parent"]
+    extent_of = {m: draw(extents) for m in settled if draw(st.booleans())}
+    pairs = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+    connections = [
+        (*draw(pairs), draw(st.integers(1, 64)))
+        for _ in range(draw(st.integers(0, 12) if len(ids) > 1 else st.just(0)))
+    ]
+    return axis, members, anchors, extent_of, connections
+
+
+@PROPERTY
+@given(pricing_inputs())
+# the same two free variables connected twice, once each way round
+@example((
+    "vertical", [("free", 1.0, 2.0), ("free", 3.0, 0.5)],
+    {"m0": (4.0, 1.0), "m1": (4.0, 1.0)}, {}, [("m0", "m1", 2), ("m1", "m0", 3)],
+))
+def test_build_bqp_prices_connections_like_the_cut_formulas(inputs):
+    axis, members, anchors, extent_of, connections = inputs
+    data = []
+    for i, (kind, w0, w1) in enumerate(members):
+        side0, side1 = kind in ("free", 0), kind in ("free", 1)
+        data.append(SideData(
+            f"m{i}", (FILLER,) if side0 else (), (FILLER,) if side1 else (),
+            w0 if side0 else None, w1 if side1 else None,
+            ResourceVector() if side0 else None, ResourceVector() if side1 else None,
+        ))
+    bounds = PRICING_FABRIC.bounds
+    parent = Partition(
+        bounds, tuple(d.module_id for d in data), PRICING_FABRIC.available_in_rect(bounds)
+    )
+    children = split_partition(parent, axis, PRICING_FABRIC)
+    conns = [Connection(*c) for c in connections]
+    requirements = {d.module_id: ResourceVector() for d in data}
+    model = build_bqp(parent, data, conns, anchors, axis, extent_of, children, requirements)
+    linear, pairs, const = cut_cost_walk(data, conns, anchors, extent_of, children[1], axis)
+    assert model.linear == linear
+    assert list(model.pairs.items()) == list(pairs.items())
+    assert model.const == const

@@ -29,6 +29,13 @@ dropped, of SDR with and without the aspect-ratio window and of the
 generated scaling design, so every halving's model size and objective is
 held. The hashes were taken from the halving that applied the 75% rule to
 each candidate, before it worked on span groups.
+
+``data/bqp_models.sha256`` pins every side-assignment model the halving
+builds for SDR with and without the aspect-ratio window, the scaling
+design and the three dense designs, failed solves included: each model's
+variables, cost tables in full, capacities, fixed and parent-only members,
+and what ``solve_bqp`` returned for it. Floats are pinned bit for bit, so a
+change to how connections are priced shows up even where the anchors stay.
 """
 
 import contextlib
@@ -39,6 +46,8 @@ from pathlib import Path
 
 import pytest
 
+from tilefp import bipartition
+from tilefp.bipartition import compute_anchors
 from tilefp.cli import EXIT_TIMEOUT, main
 from tilefp.design import generate_random_design, parse_design, write_design
 from tilefp.fabric import parse_fabric
@@ -161,19 +170,27 @@ def test_dense_seed0_solves_with_a_valid_document(dense_runs):
     assert validate_floorplan(document, fixture_path("fx70t.fabric").read_text()) == []
 
 
+def pinned_design(fabric, design):
+    """The fixture design named ``design``, or the design generated on
+    ``fabric`` as ``gen:n:clb:bram:dsp:seed``."""
+    if not design.startswith("gen:"):
+        return parse_design(fixture_path(design).read_text())
+    n, clb, bram, dsp, seed = design.split(":")[1:]
+    return generate_random_design(
+        int(n), fabric, (float(clb), float(bram), float(dsp)), int(seed)
+    )
+
+
 def solver_log_digest(work, fabric_name, design, options):
     """sha256 over the ``--solver-log`` records of one floorplan run, each
     record without its ``solve_ms`` timing. ``design`` names a fixture, or
     a generated design as ``gen:n:clb:bram:dsp:seed``."""
     fabric_path = fixture_path(fabric_name)
     if design.startswith("gen:"):
-        n, clb, bram, dsp, seed = design.split(":")[1:]
-        generated = generate_random_design(
-            int(n), parse_fabric(fabric_path.read_text()),
-            (float(clb), float(bram), float(dsp)), int(seed),
-        )
         design_path = work / "generated.design"
-        design_path.write_text(write_design(generated))
+        design_path.write_text(write_design(
+            pinned_design(parse_fabric(fabric_path.read_text()), design)
+        ))
     else:
         design_path = fixture_path(design)
     log = work / "solves.jsonl"
@@ -195,3 +212,43 @@ def solver_log_digest(work, fabric_name, design, options):
 def test_solver_log_records_are_pinned(tmp_path, digest, options):
     fabric_name, design, *flags = options
     assert solver_log_digest(tmp_path, fabric_name, design, flags) == digest
+
+
+def bqp_model_record(model, result):
+    """One solve as a JSON line: the model's fields in declaration order,
+    pairs in dict order, floats as ``float.hex``, then the result."""
+    def hexes(values):
+        return [float(x).hex() for x in values]
+
+    return json.dumps([
+        model.variables,
+        [hexes(costs) for costs in model.linear],
+        [[i, j, hexes(corners[0]), hexes(corners[1])] for (i, j), corners in model.pairs.items()],
+        float(model.const).hex(),
+        [list(occ) for occ in model.occ0],
+        [list(occ) for occ in model.occ1],
+        hexes(model.avail0),
+        hexes(model.avail1),
+        list(model.fixed.items()),
+        model.parent_only,
+        None if result is None else list(result.items()),
+    ])
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("bqp_models.sha256"))
+def test_bqp_models_are_pinned(monkeypatch, digest, options):
+    fabric_name, design_spec, ar = options
+    fabric = parse_fabric(fixture_path(fabric_name).read_text())
+    design = pinned_design(fabric, design_spec)
+    ar_bounds = None if ar == "none" else tuple(map(float, ar.split(":")))
+    solve = bipartition.solve_bqp
+    records = []
+
+    def recording_solve(model, *args, **kwargs):
+        result = solve(model, *args, **kwargs)
+        records.append(bqp_model_record(model, result))
+        return result
+
+    monkeypatch.setattr(bipartition, "solve_bqp", recording_solve)
+    compute_anchors(fabric, design, generate_placements(fabric, design, ar_bounds))
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest

@@ -13,6 +13,8 @@ from tilefp.fabric import (
     parse_fabric,
 )
 
+from helpers import aspect_ratio, is_free_rect, resources_in_rect
+
 
 def test_parse_minimal_fabric():
     fab = parse_fabric("rows 2\ncolumns CCBCD\n")
@@ -72,15 +74,15 @@ def test_parse_rejects_unknown_directive():
 
 def test_resources_in_rect_counts_columns_per_row():
     fab = parse_fabric("rows 3\ncolumns CCBCD\n")
-    assert fab.resources_in_rect(Rect(0, 0, 0, 4)) == ResourceVector(3, 1, 1)
-    assert fab.resources_in_rect(Rect(0, 0, 2, 4)) == ResourceVector(9, 3, 3)
-    assert fab.resources_in_rect(Rect(1, 2, 1, 2)) == ResourceVector(0, 1, 0)
+    assert resources_in_rect(fab, Rect(0, 0, 0, 4)) == ResourceVector(3, 1, 1)
+    assert resources_in_rect(fab, Rect(0, 0, 2, 4)) == ResourceVector(9, 3, 3)
+    assert resources_in_rect(fab, Rect(1, 2, 1, 2)) == ResourceVector(0, 1, 0)
 
 
 def test_resources_in_rect_rejects_out_of_bounds():
     fab = parse_fabric("rows 2\ncolumns CC\n")
     with pytest.raises(FabricError):
-        fab.resources_in_rect(Rect(0, 0, 2, 1))
+        resources_in_rect(fab, Rect(0, 0, 2, 1))
 
 
 def test_resources_additive_over_partitions():
@@ -91,30 +93,30 @@ def test_resources_additive_over_partitions():
         r0, r1 = sorted(rng.randrange(5) for _ in range(2))
         c0, c1 = sorted(rng.randrange(12) for _ in range(2))
         rect = Rect(r0, c0, r1, c1)
-        whole = fab.resources_in_rect(rect)
+        whole = resources_in_rect(fab, rect)
         if c0 < c1:
             cut = rng.randrange(c0, c1)
-            left = fab.resources_in_rect(Rect(r0, c0, r1, cut))
-            right = fab.resources_in_rect(Rect(r0, cut + 1, r1, c1))
+            left = resources_in_rect(fab, Rect(r0, c0, r1, cut))
+            right = resources_in_rect(fab, Rect(r0, cut + 1, r1, c1))
             assert left + right == whole
 
 
 def test_is_free_rect():
     fab = parse_fabric("rows 3\ncolumns CCCC\nreserved 2 3 2 3\n")
-    assert fab.is_free_rect(Rect(0, 0, 1, 3))
-    assert not fab.is_free_rect(Rect(1, 2, 2, 3))  # touches reserved
-    assert not fab.is_free_rect(Rect(0, 0, 3, 0))  # out of bounds
+    assert is_free_rect(fab, Rect(0, 0, 1, 3))
+    assert not is_free_rect(fab, Rect(1, 2, 2, 3))  # touches reserved
+    assert not is_free_rect(fab, Rect(0, 0, 3, 0))  # out of bounds
     occupied = [Rect(0, 0, 0, 1)]
-    assert not fab.is_free_rect(Rect(0, 1, 1, 2), occupied)
+    assert not is_free_rect(fab, Rect(0, 1, 1, 2), occupied)
     # sharing a boundary is not an overlap
-    assert fab.is_free_rect(Rect(0, 2, 0, 3), occupied)
-    assert fab.is_free_rect(Rect(1, 0, 1, 1), occupied)
+    assert is_free_rect(fab, Rect(0, 2, 0, 3), occupied)
+    assert is_free_rect(fab, Rect(1, 0, 1, 1), occupied)
 
 
 def test_rect_geometry():
     rect = Rect(0, 0, 1, 3)
     assert rect.width == 4 and rect.height == 2
-    assert rect.aspect_ratio == 2.0
+    assert aspect_ratio(rect) == 2.0
     assert rect.center == (2.0, 1.0)
     assert Rect(0, 0, 0, 0).center == (0.5, 0.5)
     # full device center of a 4x6 grid

@@ -18,7 +18,13 @@ from tilefp.tessellation import (
     merge_row_kernels,
 )
 
-from helpers import brute_force_rects, random_fabric, random_requirement
+from helpers import (
+    aspect_ratio,
+    brute_force_rects,
+    random_fabric,
+    random_requirement,
+    resources_in_rect,
+)
 
 DSP, BRAM, CLB = ResourceKind.DSP, ResourceKind.BRAM, ResourceKind.CLB
 
@@ -43,7 +49,7 @@ def test_base_kernels_pair_scarce_kinds():
     kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
     # DSP at 4 pairs with the BRAM at 2, everything between included
     assert kernels == [Rect(0, 2, 0, 4)]
-    assert fab.resources_in_rect(kernels[0]) == ResourceVector(1, 1, 1)
+    assert resources_in_rect(fab, kernels[0]) == ResourceVector(1, 1, 1)
 
 
 def test_base_kernels_single_primary_tiles():
@@ -104,14 +110,14 @@ def test_merge_matches_span_enumeration_oracle():
         fab = Fabric(1, cols)
         kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
         needed = rng.randrange(2, 5)
-        if any(fab.resources_in_rect(k).bram >= needed for k in kernels):
+        if any(resources_in_rect(fab, k).bram >= needed for k in kernels):
             continue
         merged = merge_row_kernels(fab, kernels, needed, ResourceKind.BRAM)
         expected = []
         for i in range(len(kernels)):
             for j in range(i + 1, len(kernels)):
                 rect = Rect(0, kernels[i].col0, 0, kernels[j].col1)
-                if fab.resources_in_rect(rect).bram >= needed:
+                if resources_in_rect(fab, rect).bram >= needed:
                     expected.append(rect)
                     break
         assert merged == expected
@@ -143,7 +149,7 @@ def test_zero_column_split_grows_until_satisfied():
     start = Rect(0, 1, 0, 1)
     grown = zero_column_splits(fab, start, 3, BRAM)
     assert grown[0] == Rect(0, 1, 2, 1)
-    assert fab.resources_in_rect(grown[0]).bram == 3
+    assert resources_in_rect(fab, grown[0]).bram == 3
     # every taller variant follows, up to the device top
     assert grown == [Rect(0, 1, 2, 1), Rect(0, 1, 3, 1)]
     # already satisfied: the kernel itself comes first
@@ -226,7 +232,7 @@ def test_expand_horizontal_emits_every_height():
         Rect(0, 1, 1, 3),
         Rect(0, 2, 1, 4),
     ]
-    assert all(fab.resources_in_rect(k).clb >= 4 for k in grown)
+    assert all(resources_in_rect(fab, k).clb >= 4 for k in grown)
 
 
 @pytest.mark.parametrize("fabric, taller", [
@@ -428,7 +434,7 @@ def test_candidates_respect_aspect_bounds():
         except InfeasibleModuleError:
             continue
         for cand in cands:
-            assert 0.2 <= cand.rect.aspect_ratio <= 0.7
+            assert 0.2 <= aspect_ratio(cand.rect) <= 0.7
 
 
 def test_candidates_never_touch_reserved():
