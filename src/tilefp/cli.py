@@ -23,9 +23,11 @@ of the wrong type or an unknown option, exits 1 with that subcommand's
 message on standard error. ``--help`` and a missing or unknown subcommand
 keep argparse's behaviour (exit 0 and exit 2).
 
-The ``floorplan`` path imports only the pipeline modules it runs:
-``render`` loads when ``--render`` asks for a drawing and ``validate`` when
-the ``validate`` subcommand runs.
+A ``floorplan`` run parses its inputs, applies the ``--alpha``/``--beta``
+overrides, checks the options, hands the rest to ``place.run_floorplan``
+and writes the document and any drawing. It imports only the pipeline
+modules it runs: ``render`` loads when ``--render`` asks for a drawing and
+``validate`` when the ``validate`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import gc
 import sys
 import time
 from pathlib import Path
 from typing import NoReturn
 
-from .bipartition import InfeasibleModelError, compute_anchors
+from .bipartition import InfeasibleModelError
 from .design import (
     DesignError,
     GenerationError,
@@ -49,17 +50,14 @@ from .design import (
 )
 from .fabric import FabricError, parse_fabric
 from .place import (
+    TIME_BUDGET,
     Floorplan,
     PlacementInfeasibleError,
     PlacementTimeoutError,
-    floorplan_wastage,
-    floorplan_wirelength,
-    normalize_candidates,
-    order_modules,
-    trial_and_error_place,
+    run_floorplan,
     write_floorplan,
 )
-from .tessellation import InfeasibleModuleError, generate_placements
+from .tessellation import InfeasibleModuleError
 
 __all__ = ["main"]
 
@@ -95,7 +93,8 @@ def _read_text(path: str) -> str:
 
 
 def _floorplan(args: argparse.Namespace) -> Floorplan:
-    """Run the pipeline and write its outputs; failures raise a ``_FAILURES`` type."""
+    """Parse, check the options, run the pipeline and write its outputs;
+    failures raise a ``_FAILURES`` type."""
     fabric = parse_fabric(_read_text(args.fabric))
     design = parse_design(_read_text(args.design))
     design = dataclasses.replace(
@@ -116,21 +115,7 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
     # fails fast.
     log = open(args.solver_log, "w") if args.solver_log else contextlib.nullcontext()
     with log as log_handle:
-        candidates = generate_placements(fabric, design, ar_bounds)
-        anchors = compute_anchors(fabric, design, candidates, log=log_handle)
-
-    scored = {
-        m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
-        for m, lst in candidates.items()
-    }
-    order = order_modules(design, fabric)
-    rects, backtracks = trial_and_error_place(fabric, order, scored, args.time_budget)
-    plan = Floorplan(
-        rects,
-        floorplan_wastage(rects, design, fabric),
-        floorplan_wirelength(rects, design),
-        backtracks,
-    )
+        plan = run_floorplan(fabric, design, ar_bounds, args.time_budget, log_handle)
     document = write_floorplan(plan, design, fabric, design.alpha, design.beta, ar_bounds)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
@@ -140,7 +125,7 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
         from .render import render_ascii, render_svg
 
         draw = render_svg if args.render == "svg" else render_ascii
-        rendering = draw(fabric, rects)
+        rendering = draw(fabric, plan.rects)
         if args.out:
             # appended, not substituted: the render must never land on
             # the document's own path
@@ -154,18 +139,12 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
 def _cmd_floorplan(args: argparse.Namespace) -> int:
     started = time.monotonic()
     status, code, wastage, wirelength = "OK", EXIT_OK, 0, 0
-    # reference counting frees a run's acyclic tuples; the cyclic GC only rewalks them
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         plan = _floorplan(args)
         wastage, wirelength = plan.total_wastage_frames, round(plan.total_wirelength)
     except tuple(_FAILURES) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
-    finally:
-        if collecting:
-            gc.enable()
     ms = round((time.monotonic() - started) * 1000)
     # keep stdout a clean document when it is the document sink
     stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
@@ -261,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--ar-max", type=float, default=0.7, help="highest allowed width/height")
     fp.add_argument("--no-ar", action="store_true", help="drop the aspect-ratio window")
     fp.add_argument(
-        "--time-budget", type=float, default=60.0,
+        "--time-budget", type=float, default=TIME_BUDGET,
         help="wall-clock safety net for the placement search in seconds; "
         "node budgets decide how the search ends",
     )

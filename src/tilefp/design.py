@@ -125,14 +125,14 @@ def parse_design(text: str) -> Design:
     """Parse a design document.
 
     Lines: ``module <id> <clb> <bram> <dsp>``, ``connect <idA> <idB>
-    <signals>`` and an optional ``weights <alpha> <beta>``. Connections for
-    the same unordered pair are merged by summing signals. ``#`` starts a
-    comment.
+    <signals>`` and an optional ``weights <alpha> <beta>``; a repeated
+    ``weights`` line must match the first one. Connections for the same
+    unordered pair are merged by summing signals. ``#`` starts a comment.
     """
     modules: dict[str, ModuleSpec] = {}
     # unordered pair -> (fail of its first connect line, summed signals)
     pairs: dict[frozenset[str], tuple] = {}
-    weights: tuple[float, float] = (Design.alpha, Design.beta)
+    weights: tuple[float, float] | None = None
 
     for fail, directive, values in read_directives(text, DesignError, _DESIGN_LAYOUTS):
         try:
@@ -146,9 +146,11 @@ def parse_design(text: str) -> Design:
                 pair = frozenset((conn.a, conn.b))
                 first, signals = pairs.get(pair, (fail, 0))
                 pairs[pair] = (first, signals + conn.signals)
-            else:
+            elif weights is None:
                 _check_weights(*values)
                 weights = tuple(values)
+            elif weights != tuple(values):
+                raise DesignError("'weights' line differs from the first one")
         except DesignError as exc:
             fail(str(exc))
 
@@ -161,7 +163,7 @@ def parse_design(text: str) -> Design:
             if end not in modules:
                 fail(f"connection {a}-{b} references unknown module {end!r}")
         connections.append(Connection(a, b, signals))
-    return Design(list(modules.values()), connections, *weights)
+    return Design(list(modules.values()), connections, *(weights or (Design.alpha, Design.beta)))
 
 
 def write_design(design: Design) -> str:

@@ -347,39 +347,34 @@ def parse_fabric(text: str) -> Fabric:
     Directives, one per line: ``rows N``, ``columns <C/B/D string>``,
     ``reserved row0 col0 row1 col1`` (repeatable) and an optional
     ``frames clb bram dsp`` override. ``#`` starts a comment. A repeated
-    ``columns`` line must match the first one, since kinds are uniform
-    over the column height.
+    ``rows``, ``columns`` or ``frames`` line must match the first one;
+    column kinds, for one, are uniform over the column height.
     """
-    rows: int | None = None
-    columns: str | None = None
-    frames: dict[ResourceKind, int] | None = None
+    # the values of the first rows, columns and frames line
+    first: dict[str, list] = {}
     reserved = []
 
     for fail, directive, values in read_directives(text, FabricError, _FABRIC_LAYOUTS):
-        if directive == "rows":
-            (rows,) = values
-            if rows < 1:
-                fail(f"row count must be positive, got {rows}")
+        if directive == "reserved":
+            reserved.append((fail, Rect(*values)))
+        elif first.setdefault(directive, values) != values:
+            fail(f"{directive!r} line differs from the first one")
+        elif directive == "rows":
+            if values[0] < 1:
+                fail(f"row count must be positive, got {values[0]}")
         elif directive == "columns":
-            (kinds,) = values
-            for ch in kinds:
+            for ch in values[0]:
                 if ch not in "CBD":
                     fail(f"unknown resource kind {ch!r}")
-            if columns is None:
-                columns = kinds
-            elif columns != kinds:
-                fail("column kinds differ between rows")
-        elif directive == "reserved":
-            reserved.append((fail, Rect(*values)))
-        else:
-            if any(v < 1 for v in values):
-                fail("frame counts must be positive")
-            frames = dict(zip(ResourceKind, values))
+        elif any(v < 1 for v in values):
+            fail("frame counts must be positive")
 
-    if rows is None:
+    if "rows" not in first:
         raise FabricError("missing 'rows' directive")
-    if columns is None:
+    if "columns" not in first:
         raise FabricError("missing 'columns' directive")
+    (rows,), (columns,) = first["rows"], first["columns"]
+    frames = dict(zip(ResourceKind, first["frames"])) if "frames" in first else None
     for fail, (r0, c0, r1, c1) in reserved:
         if not (0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < len(columns)):
             fail("reserved rect out of bounds")

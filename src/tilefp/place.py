@@ -1,4 +1,4 @@
-"""Candidate scoring, module ordering and the trial-and-error placer.
+"""The pipeline's entry point, candidate scoring, module ordering and the placer.
 
 Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
@@ -13,19 +13,24 @@ unplaced module none with a few integer ANDs. The first run places modules
 frame-hungriest first; when it spends its node budget, a second run starts
 over and always places the module with the fewest free rectangles left
 (fail-first). The first complete assignment wins.
+
+``run_floorplan`` is the one place the pipeline's stages are wired:
+tessellation, anchors, scoring and ordering, then the placer.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, le
-from typing import Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
+from .bipartition import compute_anchors
 from .design import Design
 from .fabric import Fabric, Rect
-from .tessellation import PlacementCandidate
+from .tessellation import PlacementCandidate, generate_placements
 
 __all__ = [
     "FAIL_FIRST_NODES",
@@ -33,10 +38,12 @@ __all__ = [
     "Floorplan",
     "PlacementInfeasibleError",
     "PlacementTimeoutError",
+    "TIME_BUDGET",
     "floorplan_wastage",
     "floorplan_wirelength",
     "normalize_candidates",
     "order_modules",
+    "run_floorplan",
     "trial_and_error_place",
     "write_floorplan",
 ]
@@ -48,6 +55,10 @@ __all__ = [
 # phase 2 solves seed 0 in 18 nodes, and seed 4 exhausts both.
 FORWARD_CHECK_NODES = 1_000
 FAIL_FIRST_NODES = 20_000
+
+# Seconds of wall clock after which the placer gives up: only a safety net,
+# since the node budgets decide how the search ends.
+TIME_BUDGET = 60.0
 
 
 class PlacementInfeasibleError(Exception):
@@ -92,6 +103,47 @@ class Floorplan:
     total_wastage_frames: int
     total_wirelength: float
     backtracks: int = 0
+
+
+def run_floorplan(
+    fabric: Fabric,
+    design: Design,
+    ar_bounds: tuple[float, float] | None,
+    time_budget: float | None = TIME_BUDGET,
+    log: IO[str] | None = None,
+) -> Floorplan:
+    """Floorplan ``design`` on ``fabric`` through every stage, in order.
+
+    Tessellation keeps the rects whose width/height lies in ``ar_bounds``
+    (None keeps all), ``compute_anchors`` writes one JSON line per halving
+    solve to ``log``, candidates are scored with the design's weights, and
+    the placer runs with ``time_budget`` seconds as its safety net. Each
+    stage's failure propagates: InfeasibleModuleError,
+    InfeasibleModelError, PlacementInfeasibleError or PlacementTimeoutError.
+    The cyclic garbage collector is paused for the run and left as it was
+    found, however the run ends.
+    """
+    # reference counting frees a run's acyclic tuples; the cyclic GC only rewalks them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        candidates = generate_placements(fabric, design, ar_bounds)
+        anchors = compute_anchors(fabric, design, candidates, log=log)
+        scored = {
+            m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
+            for m, lst in candidates.items()
+        }
+        order = order_modules(design, fabric)
+        rects, backtracks = trial_and_error_place(fabric, order, scored, time_budget)
+        return Floorplan(
+            rects,
+            floorplan_wastage(rects, design, fabric),
+            floorplan_wirelength(rects, design),
+            backtracks,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def normalize_candidates(
@@ -139,7 +191,7 @@ def trial_and_error_place(
     fabric: Fabric,
     ordered_modules: Sequence[str],
     candidates: Mapping[str, Sequence[PlacementCandidate]],
-    time_budget: float | None = 60.0,
+    time_budget: float | None = TIME_BUDGET,
 ) -> tuple[dict[str, Rect], int]:
     """First feasible floorplan by one search, run in two phases under node budgets.
 

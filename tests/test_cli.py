@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilefp.cli import main
+from tilefp import place
+from tilefp.cli import _FAILURES, EXIT_OK, build_parser, main
 from tilefp.design import parse_design
+from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
 from tilefp.validate import parse_floorplan, validate_floorplan
 
@@ -422,6 +424,37 @@ def test_floorplan_restores_collector_state(tmp_path, code, collecting):
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("code", [code for code, (_, design, _) in EXIT_INPUTS.items() if design])
+def test_run_floorplan_pauses_collector(monkeypatch, code, collecting):
+    """``run_floorplan`` tessellates with the cyclic garbage collector paused
+    and leaves it as it found it, however the run ends."""
+    fabric_text, design_text, options = EXIT_INPUTS[code]
+    args = build_parser().parse_args(["floorplan", "--fabric", "F", "--design", "D", *options])
+    ar_bounds = None if args.no_ar else (args.ar_min, args.ar_max)
+    fabric, design = parse_fabric(fabric_text), parse_design(design_text)
+    paused = []
+
+    def generate_placements(*stage_args):
+        paused.append(not gc.isenabled())
+        return tessellate(*stage_args)
+
+    tessellate = place.generate_placements
+    monkeypatch.setattr(place, "generate_placements", generate_placements)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        try:
+            place.run_floorplan(fabric, design, ar_bounds, args.time_budget)
+            outcome = EXIT_OK
+        except tuple(_FAILURES) as exc:
+            outcome = _FAILURES[type(exc)][1]
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (outcome, paused) == (code, [True])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -102,6 +102,14 @@ def test_parse_rejects_bad_documents():
         ModuleSpec("a#b", ResourceVector(1, 0, 0))
 
 
+def test_parse_rejects_a_differing_weights_repeat():
+    """A repeated weights line must match the first one; an identical repeat is fine."""
+    with pytest.raises(DesignError, match="line 3: 'weights' line differs"):
+        parse_design("module a 1 0 0\nweights 0.5 0.5\nweights 1 0\n")
+    design = parse_design("module a 1 0 0\nweights 1 0\nweights 1.0 0.0\n")
+    assert (design.alpha, design.beta) == (1.0, 0.0)
+
+
 def _flat_fabric(clb_cols=20, rows=5):
     return Fabric(rows, "C" * clb_cols)
 

@@ -62,6 +62,18 @@ def test_parse_rejects_mismatched_column_lines():
     assert parse_fabric("rows 2\ncolumns CCB\ncolumns CCB\n").cols == 3
 
 
+@pytest.mark.parametrize("repeat", ["rows 3", "frames 36 30 20"])
+def test_parse_rejects_a_differing_repeat(repeat):
+    """A repeated rows or frames line that differs names its line, as a
+    differing columns line does; an identical repeat is fine."""
+    directive = repeat.split()[0]
+    text = f"rows 12\ncolumns CCB\nframes 36 30 28\n{repeat}\n"
+    with pytest.raises(FabricError, match=f"line 4: '{directive}' line differs"):
+        parse_fabric(text)
+    fab = parse_fabric("rows 12\ncolumns CCB\nframes 36 30 28\nrows 12\nframes 36 30 28\n")
+    assert fab.rows == 12 and fab.frames_of(ResourceVector(1, 1, 1)) == 94
+
+
 def test_parse_rejects_out_of_bounds_reserved():
     with pytest.raises(FabricError, match="reserved"):
         parse_fabric("rows 2\ncolumns CC\nreserved 0 0 2 1\n")

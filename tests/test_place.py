@@ -15,10 +15,11 @@ from tilefp.place import (
     floorplan_wirelength,
     normalize_candidates,
     order_modules,
+    run_floorplan,
     trial_and_error_place,
     write_floorplan,
 )
-from tilefp.tessellation import PlacementCandidate, generate_placements
+from tilefp.tessellation import PlacementCandidate
 
 from helpers import (
     brute_force_rects,
@@ -381,22 +382,7 @@ def test_end_to_end_small_pipeline_is_deterministic():
     )
     outputs = []
     for _ in range(2):
-        cands = generate_placements(fab, design, ar_bounds=None)
-        from tilefp.bipartition import compute_anchors
-
-        anchors = compute_anchors(fab, design, cands)
-        scored = {
-            m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
-            for m, lst in cands.items()
-        }
-        order = order_modules(design, fab)
-        rects, backtracks = trial_and_error_place(fab, order, scored)
-        plan = Floorplan(
-            rects,
-            floorplan_wastage(rects, design, fab),
-            floorplan_wirelength(rects, design),
-            backtracks,
-        )
+        plan = run_floorplan(fab, design, None)
         outputs.append(write_floorplan(plan, design, fab, 0.5, 0.5, None))
     assert outputs[0] == outputs[1]
     assert "total wastage" in outputs[0]
