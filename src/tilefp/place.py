@@ -4,15 +4,20 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
+Modules with equal requirements share one candidate list, so what scoring
+needs of a list alone (the wastages and their maximum, the tie order) is
+computed once per list, and each module adds only its distances, scores
+and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
-module runs out of rectangles. A module's free rectangles are a bitset over
-its scored list, so forward checking rejects a placement that leaves an
-unplaced module none with a few integer ANDs. The first run places modules
-frame-hungriest first; when it spends its node budget, a second run starts
-over and always places the module with the fewest free rectangles left
-(fail-first). The first complete assignment wins.
+module runs out of rectangles. A module's free rectangles are a bitset in
+its list's order, walked in the module's score order, so forward checking
+rejects a placement that leaves an unplaced module none with a few integer
+ANDs, and modules sharing a list share one overlap index. The first run
+places modules frame-hungriest first; when it spends its node budget, a
+second run starts over and always places the module with the fewest free
+rectangles left (fail-first). The first complete assignment wins.
 
 ``run_floorplan`` is the one place the pipeline's stages are wired:
 tessellation, anchors, scoring and ordering, then the placer.
@@ -22,10 +27,11 @@ from __future__ import annotations
 
 import gc
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, le
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence
 
 from .bipartition import compute_anchors
 from .design import Design
@@ -59,6 +65,11 @@ FAIL_FIRST_NODES = 20_000
 # Seconds of wall clock after which the placer gives up: only a safety net,
 # since the node budgets decide how the search ends.
 TIME_BUDGET = 60.0
+
+# A placer domain with at most 1/_SPARSE of its list's bits set is read bit
+# by bit and sorted into score order; a fuller one is walked in score order,
+# one bit test per position.
+_SPARSE = 16
 
 
 class PlacementInfeasibleError(Exception):
@@ -121,29 +132,105 @@ def run_floorplan(
     stage's failure propagates: InfeasibleModuleError,
     InfeasibleModelError, PlacementInfeasibleError or PlacementTimeoutError.
     The cyclic garbage collector is paused for the run and left as it was
-    found, however the run ends.
+    found, however the run ends. When a stage fails, the finished frames
+    in the traceback are cleared first (their code and line numbers stay),
+    so the collector does not resume over every candidate list.
     """
     # reference counting frees a run's acyclic tuples; the cyclic GC only rewalks them
     collecting = gc.isenabled()
     gc.disable()
     try:
-        candidates = generate_placements(fabric, design, ar_bounds)
-        anchors = compute_anchors(fabric, design, candidates, log=log)
-        scored = {
-            m: normalize_candidates(lst, anchors[m], design.alpha, design.beta)
-            for m, lst in candidates.items()
-        }
-        order = order_modules(design, fabric)
-        rects, backtracks = trial_and_error_place(fabric, order, scored, time_budget)
-        return Floorplan(
-            rects,
-            floorplan_wastage(rects, design, fabric),
-            floorplan_wirelength(rects, design),
-            backtracks,
-        )
+        return _stages(fabric, design, ar_bounds, time_budget, log)
+    except BaseException as exc:
+        tb = exc.__traceback__.tb_next
+        while tb is not None:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
+        raise
     finally:
         if collecting:
             gc.enable()
+
+
+def _stages(
+    fabric: Fabric,
+    design: Design,
+    ar_bounds: tuple[float, float] | None,
+    time_budget: float | None,
+    log: IO[str] | None,
+) -> Floorplan:
+    """The body of ``run_floorplan``: its frame holds every stage's data."""
+    candidates = generate_placements(fabric, design, ar_bounds)
+    anchors = compute_anchors(fabric, design, candidates, log=log)
+    ranked = _rank(candidates, anchors, design.alpha, design.beta)
+    order = order_modules(design, fabric)
+    rects, backtracks = _place(fabric, order, candidates, ranked, time_budget)
+    return Floorplan(
+        rects,
+        floorplan_wastage(rects, design, fabric),
+        floorplan_wirelength(rects, design),
+        backtracks,
+    )
+
+
+def _rank(
+    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    anchors: Mapping[str, tuple[float, float]],
+    alpha: float,
+    beta: float,
+) -> dict[str, array]:
+    """Each module's score order: its list's positions, best first.
+
+    Modules with equal requirements share one list object, so each list is
+    prepared once and its modules are scored one list at a time.
+    """
+    groups: dict[int, list[str]] = {}
+    for module_id, options in candidates.items():
+        groups.setdefault(id(options), []).append(module_id)
+    ranked = {}
+    for members in groups.values():
+        scoring = _Scoring(candidates[members[0]])
+        for module_id in members:
+            ranked[module_id] = scoring.order(anchors[module_id], alpha, beta)
+    return ranked
+
+
+class _Scoring:
+    """What scoring needs of one candidate list, whatever the anchor: the
+    rects, the wastages and their maximum, and the list's positions sorted
+    by the exact tie key (wastage, row0, col0)."""
+
+    def __init__(self, candidates: Sequence[PlacementCandidate]) -> None:
+        if not candidates:
+            raise ValueError("cannot score an empty candidate list")
+        self.rects = rects = [c.rect for c in candidates]
+        self.wastes = wastes = [c.wastage_frames for c in candidates]
+        self.max_waste = max(wastes)
+        # coordinates are non-negative, so c0 + c1 < self.sums[0] and r0 + r1 < self.sums[1]
+        top0, right0, top1, right1 = (max(map(itemgetter(k), rects)) for k in range(4))
+        self.sums = right0 + right1 + 1, top0 + top1 + 1
+        # (wastage, row0, col0) as one exact integer
+        span = 1 + max(top0, right0)
+        ties = [(w * span + r0) * span + c0 for (r0, c0, _, _), w in zip(rects, wastes)]
+        self.ties = sorted(range(len(rects)), key=ties.__getitem__)
+
+    def order(self, anchor: tuple[float, float], alpha: float, beta: float) -> array:
+        """The list's positions best first against ``anchor``, as a compact array."""
+        ax, ay = anchor
+        # the float expressions of ``Rect.center``: dx[c0 + c1] is |(c0 + c1 + 1) / 2 - ax|
+        cols, rows = self.sums
+        dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
+        dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
+        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in self.rects]
+        max_dist, max_waste = max(dists), self.max_waste
+        scores = [
+            alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
+            for w, d in zip(self.wastes, dists)
+        ]
+        # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
+        order = self.ties.copy()
+        order.sort(key=scores.__getitem__)
+        return array("I", order)
 
 
 def normalize_candidates(
@@ -159,26 +246,11 @@ def normalize_candidates(
     value to zero) and blended as alpha * wastage + beta * distance.
     Sorting is ascending by that objective; ties fall back to raw wastage,
     then bottom-left position. The candidates come back as they are.
+    Rect coordinates are tile indices, so never negative.
+    ``run_floorplan`` scores through the same ``_Scoring``, once per
+    distinct list, and keeps each module's order as positions in its list.
     """
-    if not candidates:
-        raise ValueError("cannot score an empty candidate list")
-    ax, ay = anchor
-    rects = [c.rect for c in candidates]
-    wastes = [c.wastage_frames for c in candidates]
-    # the float expressions of ``Rect.center``
-    dists = [abs((c0 + c1 + 1) / 2 - ax) + abs((r0 + r1 + 1) / 2 - ay) for r0, c0, r1, c1 in rects]
-    max_dist, max_waste = max(dists), max(wastes)
-    scores = [
-        alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
-        for w, d in zip(wastes, dists)
-    ]
-    # (wastage, row0, col0) as one exact integer; tile coordinates are non-negative
-    span = 1 + max(max(map(itemgetter(0), rects)), max(map(itemgetter(1), rects)))
-    ties = [(w * span + r0) * span + c0 for (r0, c0, _, _), w in zip(rects, wastes)]
-    # stable sorts: the order of (score, wastage, row0, col0), full ties in list order
-    order = sorted(range(len(candidates)), key=ties.__getitem__)
-    order.sort(key=scores.__getitem__)
-    return [candidates[i] for i in order]
+    return [candidates[i] for i in _Scoring(candidates).order(anchor, alpha, beta)]
 
 
 def order_modules(design: Design, fabric: Fabric) -> list[str]:
@@ -214,9 +286,22 @@ def trial_and_error_place(
     PlacementInfeasibleError when a search proves that no floorplan exists
     and PlacementTimeoutError when a limit stops it first.
     """
+    ranked = {module_id: range(len(options)) for module_id, options in candidates.items()}
+    return _place(fabric, ordered_modules, candidates, ranked, time_budget)
+
+
+def _place(
+    fabric: Fabric,
+    ordered_modules: Sequence[str],
+    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    ranked: Mapping[str, Sequence[int]],
+    time_budget: float | None,
+) -> tuple[dict[str, Rect], int]:
+    """``trial_and_error_place`` with each module trying its list's
+    positions in the order ``ranked`` gives."""
     order = list(ordered_modules)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    search = _Search(fabric, order, [candidates[module_id] for module_id in order], deadline)
+    search = _Search(fabric, order, candidates, ranked, deadline)
     # the unplaced modules are a suffix of module order, so ``min`` takes the next one
     rects = search.run(FORWARD_CHECK_NODES, min)
     if rects is None:
@@ -224,12 +309,6 @@ def trial_and_error_place(
     if rects is None:
         raise PlacementTimeoutError(search.deepest, len(order), "nodes")
     return rects, search.backtracks
-
-
-def _next(mask: int, i: int) -> int:
-    """Index of the lowest set bit of ``mask`` above bit ``i``, else -1."""
-    above = mask >> (i + 1) << (i + 1)
-    return (above & -above).bit_length() - 1
 
 
 def _bits(values: bytes, lo: int, hi: int) -> int:
@@ -261,13 +340,14 @@ class _Bound(dict):
 
 
 class _Overlaps:
-    """Which candidates of one scored list overlap a rect, as a bitset.
+    """Which candidates of one candidate list overlap a rect, as a bitset.
 
-    Bit j is candidate j. A candidate overlaps rect R exactly when its row
-    span meets R's and its column span meets R's, so the answer is the AND
-    of four bound bitsets: row0 <= R.row1, row1 >= R.row0, col0 <= R.col1
-    and col1 >= R.col0. ``free`` holds the candidates inside the device and
-    off reserved tiles.
+    Bit j is candidate j in list order, whatever order a module tries them
+    in, so the modules that share a list share its index. A candidate
+    overlaps rect R exactly when its row span meets R's and its column span
+    meets R's, so the answer is the AND of four bound bitsets: row0 <=
+    R.row1, row1 >= R.row0, col0 <= R.col1 and col1 >= R.col0. ``free``
+    holds the candidates inside the device and off reserved tiles.
     """
 
     def __init__(self, options: Sequence[PlacementCandidate], fabric: Fabric) -> None:
@@ -299,18 +379,28 @@ class _Overlaps:
 class _Search:
     """The placer's search and the state its runs share: limits, counters, the dead end.
 
-    A module's domain is a bitset over its scored candidate list, bit j set
-    while candidate j is free. A placement clears the bits its rect
-    overlaps, read from each module's ``_Overlaps`` index. A module without
-    a free candidate at the start raises PlacementInfeasibleError at once.
+    A module's domain is a bitset over its candidate list, bit j set while
+    candidate j is free; the module tries its free candidates in its score
+    order, a permutation of the list's positions. Modules that share one
+    list share one ``_Overlaps`` index. A placement clears the bits its
+    rect overlaps from every unplaced module's domain. A module without a
+    free candidate at the start raises PlacementInfeasibleError at once.
     """
 
     def __init__(
-        self, fabric: Fabric, order: list[str], options: list[Sequence[PlacementCandidate]],
-        deadline: float | None,
+        self, fabric: Fabric, order: list[str],
+        candidates: Mapping[str, Sequence[PlacementCandidate]],
+        ranked: Mapping[str, Sequence[int]], deadline: float | None,
     ) -> None:
-        self.order, self.options, self.deadline = order, options, deadline
-        self.overlaps = [_Overlaps(module_options, fabric) for module_options in options]
+        self.order, self.deadline = order, deadline
+        self.options = [candidates[module_id] for module_id in order]
+        self.ranked = [ranked[module_id] for module_id in order]
+        self.positions: dict[int, list[int]] = {}
+        indexes: dict[int, _Overlaps] = {}
+        for options in self.options:
+            if id(options) not in indexes:
+                indexes[id(options)] = _Overlaps(options, fabric)
+        self.overlaps = [indexes[id(options)] for options in self.options]
         for k, index in enumerate(self.overlaps):
             if not index.free:
                 raise PlacementInfeasibleError(order[k], 0)
@@ -329,6 +419,33 @@ class _Search:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise PlacementTimeoutError(self.deepest, len(self.order), "time")
 
+    def tries(self, k: int, live: int) -> Iterator[int]:
+        """The set bits of module ``k``'s domain ``live``, in its score order.
+
+        A domain with few bits left is read bit by bit and sorted by score
+        position; a fuller one walks the score order and tests each bit.
+        """
+        ranked = self.ranked[k]
+        if live.bit_count() * _SPARSE > len(ranked):
+            return (j for j in ranked if live >> j & 1)
+        bits = []
+        while live:
+            low = live & -live
+            bits.append(low.bit_length() - 1)
+            live ^= low
+        if len(bits) > 1:
+            bits.sort(key=self.position(k).__getitem__)
+        return iter(bits)
+
+    def position(self, k: int) -> list[int]:
+        """Where each candidate of module ``k``'s list comes in its score
+        order: the inverse of ``ranked[k]``, made on first use."""
+        if k not in self.positions:
+            position = self.positions[k] = [0] * len(self.ranked[k])
+            for p, j in enumerate(self.ranked[k]):
+                position[j] = p
+        return self.positions[k]
+
     def run(self, budget: int, choose: Callable[[dict[int, int]], int]) -> dict[str, Rect] | None:
         """One depth-first search from scratch; None when ``budget`` runs out.
 
@@ -345,13 +462,14 @@ class _Search:
         free = {k: index.free for k, index in enumerate(overlaps)}
         if not free:
             return {}
-        # frames: [module, domains of the unplaced modules, last candidate tried]
-        stack = [[choose(free), free, -1]]
+        # frames: [module, domains of the unplaced modules, candidate tried, candidates left]
+        k = choose(free)
+        stack = [[k, free, -1, self.tries(k, free[k])]]
         nodes = 0
         while stack:
             frame = stack[-1]
-            k, domains, i = frame
-            i = _next(domains[k], i)
+            k, domains, _, walk = frame
+            i = next(walk, -1)
             if i < 0:
                 stack.pop()
                 if stack:
@@ -375,8 +493,9 @@ class _Search:
                 self.deepest = max(self.deepest, len(stack))
                 if not rest:
                     frames = sorted(stack, key=itemgetter(0))
-                    return {order[m]: options[m][tried].rect for m, _, tried in frames}
-                stack.append([choose(rest), rest, -1])
+                    return {order[m]: options[m][tried].rect for m, _, tried, _ in frames}
+                k = choose(rest)
+                stack.append([k, rest, -1, self.tries(k, rest[k])])
         raise PlacementInfeasibleError(*self.dead_end)
 
 

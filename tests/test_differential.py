@@ -439,6 +439,113 @@ def test_placer_matches_two_phase_oracle(inputs):
     assert place_outcome(trial_and_error_place, *inputs) == expected
 
 
+@st.composite
+def spilling_rects_in(draw, rows, cols):
+    """Rects of at most 2 rows by 3 columns with tile coordinates >= 0 that
+    may stick out of the device above or to the right; some are upside down."""
+    r0, c0 = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+    return Rect(r0, c0, max(0, r0 + draw(st.integers(-1, 1))), c0 + draw(st.integers(0, 2)))
+
+
+# Anchor coordinates: the device's corner, points inside it, and points far
+# right of and above it, from which a left-to-right list scores in reverse.
+far_anchors = st.tuples(
+    st.sampled_from([0.0, 0.5, 2.5, 40.0]), st.sampled_from([0.0, 1.0, 40.0])
+)
+
+
+@st.composite
+def shared_list_inputs(draw):
+    """2-6 modules drawing their candidate lists from 1-2 list objects, so
+    that several modules share one list, each with its own anchor; the
+    weights; and node budgets small enough that phase 2 and the node limit
+    are reached. A list holds up to 40 candidates, some off the device, so
+    that some domains are nearly empty."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(4, 8))
+    fab = Fabric(rows, "C" * cols, draw(st.lists(small_rects_in(rows, cols), max_size=1)))
+    inside = small_rects_in(rows, cols)
+    candidate = st.builds(
+        lambda rect, waste: PlacementCandidate(rect, ResourceVector(), waste),
+        st.one_of(inside, inside, spilling_rects_in(rows, cols)), st.sampled_from([0, 1, 2, 36]),
+    )
+    lists = draw(st.lists(st.lists(candidate, min_size=1, max_size=40), min_size=1, max_size=2))
+    n = draw(st.integers(2, 6))
+    candidates = {f"m{k}": draw(st.sampled_from(lists)) for k in range(n)}
+    anchors = {module_id: draw(far_anchors) for module_id in candidates}
+    alpha, beta = draw(weights), draw(weights)
+    budgets = (draw(st.integers(0, 40)), draw(st.integers(0, 60)))
+    return fab, candidates, anchors, (alpha, beta), budgets
+
+
+def in_score_order(candidates, anchors, alpha, beta):
+    """Each module's list as ``run_floorplan`` scores it, materialized."""
+    ranked = place._rank(candidates, anchors, alpha, beta)
+    return {m: [candidates[m][j] for j in ranked[m]] for m in candidates}
+
+
+def shared_list(rects):
+    """One list object of zero-wastage candidates on ``rects``."""
+    return [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
+
+
+# Left to right along one row: an anchor far right scores it in reverse.
+ROW_OF_FOUR = shared_list([Rect(0, c, 0, c) for c in range(4)])
+# Two free candidates among 30 off the device: 2 of 32 bits, so the placer
+# reads its domains bit by bit; its scored order puts column 3 before 0.
+FEW_FREE = shared_list(
+    [Rect(0, 0, 0, 0)] + [Rect(0, 4, 0, 4 + k % 3) for k in range(30)] + [Rect(0, 3, 0, 3)]
+)
+
+
+@PROPERTY
+@given(shared_list_inputs())
+@example((
+    Fabric(1, "CCCC"), {"m0": ROW_OF_FOUR, "m1": ROW_OF_FOUR},
+    {"m0": (0.0, 0.0), "m1": (40.0, 0.0)}, (0.0, 1.0), (0, 0),
+))
+def test_shared_list_scoring_matches_walk(inputs):
+    fab, candidates, anchors, (alpha, beta), _ = inputs
+    scored = in_score_order(candidates, anchors, alpha, beta)
+    for module_id, options in candidates.items():
+        want = normalize_candidates_walk(options, anchors[module_id], alpha, beta)
+        assert len(scored[module_id]) == len(want)
+        assert all(g is w for g, w in zip(scored[module_id], want))
+
+
+@PROPERTY
+@given(shared_list_inputs())
+# dense domains: module m1 takes the row in reverse list order
+@example((
+    Fabric(1, "CCCC"), {"m0": ROW_OF_FOUR, "m1": ROW_OF_FOUR, "m2": ROW_OF_FOUR},
+    {"m0": (0.0, 0.0), "m1": (40.0, 0.0), "m2": (0.0, 0.0)}, (0.0, 1.0), (40, 60),
+))
+# sparse domains, walked in score order against list order
+@example((
+    Fabric(1, "CCCC"), {"m0": FEW_FREE, "m1": FEW_FREE},
+    {"m0": (40.0, 0.0), "m1": (40.0, 0.0)}, (0.0, 1.0), (40, 60),
+))
+# sparse domains in phase 2 alone
+@example((
+    Fabric(1, "CCCC"), {"m0": FEW_FREE, "m1": FEW_FREE},
+    {"m0": (0.0, 0.0), "m1": (40.0, 0.0)}, (0.0, 1.0), (0, 60),
+))
+def test_shared_list_placer_matches_two_phase_oracle(inputs):
+    """The placer on shared lists, each module walking its own score order,
+    agrees with the oracle on the materialized scored lists, and so does
+    ``trial_and_error_place`` given those lists."""
+    fab, candidates, anchors, (alpha, beta), budgets = inputs
+    ranked = place._rank(candidates, anchors, alpha, beta)
+    scored = in_score_order(candidates, anchors, alpha, beta)
+    order = list(candidates)
+    expected = place_outcome(two_phase_place_walk, fab, order, scored, budgets, None)
+
+    def shared(fab, order, _, time_budget):
+        return place._place(fab, order, candidates, ranked, time_budget)
+
+    assert place_outcome(shared, fab, order, scored, budgets, None) == expected
+    assert place_outcome(trial_and_error_place, fab, order, scored, budgets, None) == expected
+
+
 # Row and column counts: 1-row and 1-column devices, perfect squares and
 # their neighbours, the 158 columns of xc7k410t, and 255-257 around the
 # 256 rows and columns up to which the index keeps coordinates in bytes.

@@ -1,12 +1,16 @@
 """Scoring, ordering and backtracking-placer tests."""
 
+import gc
 import random
+import weakref
+from unittest import mock
 
 import pytest
 
 from tilefp import place
-from tilefp.design import Connection, Design, ModuleSpec
+from tilefp.design import Connection, Design, ModuleSpec, generate_random_design
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
+from tilefp.fixtures import fixture_path
 from tilefp.place import (
     Floorplan,
     PlacementInfeasibleError,
@@ -386,3 +390,56 @@ def test_end_to_end_small_pipeline_is_deterministic():
         outputs.append(write_floorplan(plan, design, fab, 0.5, 0.5, None))
     assert outputs[0] == outputs[1]
     assert "total wastage" in outputs[0]
+
+
+# --- per-list work in run_floorplan ------------------------------------------
+
+def test_run_floorplan_scores_and_indexes_each_distinct_list_once():
+    """On xc7k410t n=50 (design seed 50) 50 modules share 23 candidate
+    lists: one run prepares each list for scoring once and builds one
+    overlap index per list, not one per module."""
+    fab = parse_fabric(fixture_path("xc7k410t.fabric").read_text())
+    design = generate_random_design(50, fab, (0.8, 0.3, 0.3), 50)
+    with mock.patch.object(place, "_Scoring", wraps=place._Scoring) as scoring, \
+            mock.patch.object(place, "_Overlaps", wraps=place._Overlaps) as overlaps:
+        plan = run_floorplan(fab, design, None)
+    assert len(plan.rects) == 50
+    assert (scoring.call_count, overlaps.call_count) == (23, 23)
+
+
+def test_failed_run_frees_its_candidates_before_the_collector_resumes(monkeypatch):
+    """A run that raises leaves no candidate list alive when it turns the
+    cyclic garbage collector back on, so resuming does not rewalk them."""
+    fab = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    tessellate = place.generate_placements
+    lists = []
+
+    class Tracked(list):
+        """A list that can be referenced weakly."""
+
+    def generate_placements(*args):
+        tracked = {}
+        for module_id, options in tessellate(*args).items():
+            tracked[module_id] = Tracked(options)
+            lists.append(weakref.ref(tracked[module_id]))
+        return tracked
+
+    alive_at_resume = []
+    resume = gc.enable
+
+    def enable():
+        alive_at_resume.append(sum(ref() is not None for ref in lists))
+        resume()
+
+    monkeypatch.setattr(place, "generate_placements", generate_placements)
+    monkeypatch.setattr(gc, "enable", enable)
+    was = gc.isenabled()
+    resume()
+    try:
+        with pytest.raises(PlacementTimeoutError):
+            run_floorplan(fab, sdr_design(), None, time_budget=0.0)
+        assert gc.isenabled()
+    finally:
+        (resume if was else gc.disable)()
+    assert len(lists) == 5
+    assert alive_at_resume == [0]
