@@ -30,11 +30,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Literal, Mapping, Sequence
 
 from .design import Connection, Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceVector
-from .tessellation import PlacementCandidate
+from .tessellation import PlacementCandidate, per_list
 
 __all__ = [
     "Axis",
@@ -61,8 +62,13 @@ Point = tuple[float, float]
 # the least of each resource kind any of them holds.
 SpanGroup = tuple[int, int, int, int, int, int]
 
+# Per axis: the rect fields a cut splits (col0, col1 or row0, row1) and the
+# anchor coordinate the pass fixes (x or y).
+_CUT = {"vertical": (1, 3, 0), "horizontal": (0, 2, 1)}
+
 EXACT_LIMIT = 16
-DEFAULT_NODE_BUDGET = 100_000
+# Search nodes of one halving solve beyond EXACT_LIMIT variables.
+NODE_BUDGET = 100_000
 # Relative error allowed for a cost that is summed in another order than the
 # objective's own: far above float rounding, far below any real cost gap.
 _SLACK = 1e-9
@@ -79,10 +85,6 @@ class Partition:
     rect: Rect
     members: tuple[str, ...]
     available: ResourceVector
-
-    @property
-    def center(self) -> Point:
-        return self.rect.center
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,13 @@ class BqpModel:
 def split_partition(parent: Partition, axis: Axis, fabric: Fabric) -> tuple[Partition, Partition]:
     """Halve a partition; the left (or bottom) child gets the floor half."""
     rect = parent.rect
-    if axis == "vertical":
-        if rect.width < 2:
-            raise ValueError(f"partition {rect} too thin for a vertical cut")
-        mid = rect.col0 + rect.width // 2
-        r0 = Rect(rect.row0, rect.col0, rect.row1, mid - 1)
-        r1 = Rect(rect.row0, mid, rect.row1, rect.col1)
-    else:
-        if rect.height < 2:
-            raise ValueError(f"partition {rect} too thin for a horizontal cut")
-        mid = rect.row0 + rect.height // 2
-        r0 = Rect(rect.row0, rect.col0, mid - 1, rect.col1)
-        r1 = Rect(mid, rect.col0, rect.row1, rect.col1)
+    lo, hi, _ = _CUT[axis]
+    span = rect[hi] - rect[lo] + 1
+    if span < 2:
+        raise ValueError(f"partition {rect} too thin for a {axis} cut")
+    mid = rect[lo] + span // 2
+    r0 = rect._replace(**{Rect._fields[hi]: mid - 1})
+    r1 = rect._replace(**{Rect._fields[lo]: mid})
     return (
         Partition(r0, (), fabric.available_in_rect(r0)),
         Partition(r1, (), fabric.available_in_rect(r1)),
@@ -174,9 +171,9 @@ def span_groups(candidates: Sequence[PlacementCandidate], axis: Axis) -> tuple[S
     order their spans first appear in the list.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    vertical = axis == "vertical"
-    for (r0, c0, r1, c1), (clb, bram, dsp), _ in candidates:
-        key = (c0, c1) if vertical else (r0, r1)
+    span = itemgetter(*_CUT[axis][:2])
+    for rect, (clb, bram, dsp), _ in candidates:
+        key = span(rect)
         g = groups.get(key)
         if g is None:
             groups[key] = [1, clb, bram, dsp]
@@ -212,7 +209,7 @@ def side_data(
     area rule for partitions that, like every partition of a pass, span the
     whole device across the cut.
     """
-    i, j = (1, 3) if axis == "vertical" else (0, 2)  # col0, col1 or row0, row1
+    i, j, _ = _CUT[axis]
     lo0, hi0, lo1, hi1 = child0.rect[i], child0.rect[j], child1.rect[i], child1.rect[j]
     p0: list[SpanGroup] = []
     p1: list[SpanGroup] = []
@@ -256,7 +253,8 @@ def build_bqp(
     """
     child0, child1 = children
     by_id = {d.module_id: d for d in data}
-    coord, cut = (0, child0.rect.col1 + 1) if axis == "vertical" else (1, child0.rect.row1 + 1)
+    _, hi, coord = _CUT[axis]
+    cut = child0.rect[hi] + 1
     # each endpoint as (variable index or None, the (side, extent) pairs it can take)
     ends = {
         m: (None, ((0 if p[coord] <= cut else 1, extents.get(m, 0.0)),))
@@ -447,20 +445,26 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
             change += corners[w][u] - corners[w][v]
         return change
 
+    def move(*moved: int) -> bool:
+        """Flip ``moved`` and keep the result if cheaper and feasible."""
+        nonlocal best_obj
+        for i in moved:
+            assignment[i] ^= 1
+        obj = objective_of(model, assignment)
+        if obj < best_obj and assignment_feasible(model, assignment):
+            best_obj = obj
+            return True
+        for i in moved:
+            assignment[i] ^= 1
+        return False
+
     best_obj = objective_of(model, assignment)
     improved = True
     while improved:
         improved = False
         for i in range(n):
-            if flip_change(i) > best_obj * _SLACK:
-                continue
-            assignment[i] ^= 1
-            obj = objective_of(model, assignment)
-            if obj < best_obj and assignment_feasible(model, assignment):
-                best_obj = obj
+            if flip_change(i) <= best_obj * _SLACK and move(i):
                 improved = True
-            else:
-                assignment[i] ^= 1
         changes = [flip_change(i) for i in range(n)]
         for i, j in itertools.combinations(range(n), 2):
             x, y = assignment[i], assignment[j]
@@ -473,18 +477,9 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
                 change += (
                     corners[x ^ 1][y ^ 1] - corners[x ^ 1][y] - corners[x][y ^ 1] + corners[x][y]
                 )
-            if change > best_obj * _SLACK:
-                continue
-            assignment[i] ^= 1
-            assignment[j] ^= 1
-            obj = objective_of(model, assignment)
-            if obj < best_obj and assignment_feasible(model, assignment):
-                best_obj = obj
+            if change <= best_obj * _SLACK and move(i, j):
                 improved = True
                 changes = [flip_change(k) for k in range(n)]
-            else:
-                assignment[i] ^= 1
-                assignment[j] ^= 1
     return assignment
 
 
@@ -573,15 +568,15 @@ def _solve_branch_and_bound(
     return best
 
 
-def solve_bqp(model: BqpModel, node_budget: int = DEFAULT_NODE_BUDGET) -> dict[str, int] | None:
+def solve_bqp(model: BqpModel) -> dict[str, int] | None:
     """Best side assignment found for the model's free variables.
 
-    One branch-and-bound search serves every size. Up to 16 variables it
-    runs unseeded and uncapped, so it is exact and ``node_budget`` is
-    ignored; ties go to the lexicographically first assignment. Beyond
-    that it starts from a greedy seed, repaired to fit and improved by
-    local search, and stops after ``node_budget`` search nodes, so results
-    are reproducible. Returns None when no feasible assignment exists (or
+    One branch-and-bound search serves every size. Up to ``EXACT_LIMIT``
+    variables it runs unseeded and uncapped, so it is exact; ties go to the
+    lexicographically first assignment. Beyond that it starts from a greedy
+    seed, repaired to fit and improved by local search, and stops after
+    ``NODE_BUDGET`` search nodes (read at call time), so results are
+    reproducible. Returns None when no feasible assignment exists (or
     none was found within budget), and returns it before any search when
     the variables' smaller footprints alone overflow both sides together
     in some resource kind.
@@ -598,7 +593,7 @@ def solve_bqp(model: BqpModel, node_budget: int = DEFAULT_NODE_BUDGET) -> dict[s
         seed = _repair(model, _greedy_assignment(model))
         if seed is not None:
             seed = _local_search(model, seed)
-        bits = _solve_branch_and_bound(model, seed, node_budget)
+        bits = _solve_branch_and_bound(model, seed, NODE_BUDGET)
     if bits is None:
         return None
     return dict(zip(model.variables, bits))
@@ -623,20 +618,15 @@ def recursive_bipartition(
     module_ids = [m.id for m in design.modules]
     anchors: dict[str, Point] = {m: bounds.center for m in module_ids}
     requirements = {m.id: m.req for m in design.modules}
-    # equal requirements share one candidate list; group each list once
-    by_list: dict[int, tuple[SpanGroup, ...]] = {}
-    for m in module_ids:
-        if id(candidates[m]) not in by_list:
-            by_list[id(candidates[m])] = span_groups(candidates[m], axis)
-    root_lists = {m: by_list[id(candidates[m])] for m in module_ids}
+    root_lists = per_list(candidates, lambda options: span_groups(options, axis))
+    lo, hi, _ = _CUT[axis]
     extents = {m: _side_summary(g)[0] for m, g in root_lists.items() if g}
 
     root = Partition(bounds, tuple(module_ids), fabric.available_in_rect(bounds))
     stack = [(root, root_lists, dict(anchors), True)]
     while stack:
         partition, group_lists, snapshot, is_root = stack.pop()
-        span = partition.rect.width if axis == "vertical" else partition.rect.height
-        if len(partition.members) < 2 or span < 2:
+        if len(partition.members) < 2 or partition.rect[hi] <= partition.rect[lo]:
             continue
         child0, child1 = split_partition(partition, axis, fabric)
         data = [
@@ -681,8 +671,8 @@ def recursive_bipartition(
                 continue
             side = sides[d.module_id]
             child = child0 if side == 0 else child1
-            updates[d.module_id] = child.center
-            anchors[d.module_id] = child.center
+            updates[d.module_id] = child.rect.center
+            anchors[d.module_id] = child.rect.center
             members[side].append(d.module_id)
             lists[side][d.module_id] = d.placements0 if side == 0 else d.placements1
         # read-only from here on, so both children share it

@@ -7,7 +7,9 @@ fits nowhere on the device, 3 no non-overlapping floorplan, 4 the
 placement search stopped at its node budgets or at the ``--time-budget``
 safety net. Every ``floorplan`` invocation ends with one summary line no
 matter how it exits; it goes to standard output unless a successful run
-writes its document there. ``generate`` does the same with ``OK
+writes its document there. The document goes to standard output when
+``--out`` is absent or empty (``--out ""``), and to the named file
+otherwise. ``generate`` does the same with ``OK
 modules=<n>`` (exit 0), ``PARSE_ERROR modules=0`` (exit 1: an unreadable,
 undecodable, malformed or oversized fabric, or an unwritable output) or
 ``INFEASIBLE_DESIGN modules=0`` (exit 2: a count or occupancy it cannot meet).
@@ -147,7 +149,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
     ms = round((time.monotonic() - started) * 1000)
     # keep stdout a clean document when it is the document sink
-    stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
+    stream = sys.stderr if code == EXIT_OK and not args.out else sys.stdout
     print(f"{status} wastage={wastage} wirelength={wirelength} runtime_ms={ms}", file=stream)
     return code
 
@@ -168,7 +170,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except (FabricError, OSError, UnicodeError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         status, code = "PARSE_ERROR", EXIT_PARSE
-    stream = sys.stderr if code == EXIT_OK and args.out is None else sys.stdout
+    stream = sys.stderr if code == EXIT_OK and not args.out else sys.stdout
     print(f"{status} modules={args.n if code == EXIT_OK else 0}", file=stream)
     return code
 
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock safety net for the placement search in seconds; "
         "node budgets decide how the search ends",
     )
-    fp.add_argument("--out", default=None, help="floorplan document path (default: stdout)")
+    fp.add_argument("--out", default=None, help='floorplan document path (default, or "": stdout)')
     fp.add_argument(
         "--render", choices=("none", "ascii", "svg"), default="none",
         help="also draw the result (next to --out, or to stdout)",
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of each resource the design should demand",
     )
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=None, help="design file path (default: stdout)")
+    gen.add_argument("--out", default=None, help='design file path (default, or "": stdout)')
     gen.set_defaults(func=_cmd_generate)
 
     chk = sub.add_parser(

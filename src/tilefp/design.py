@@ -179,14 +179,12 @@ def write_design(design: Design) -> str:
 
 
 def _weighted_split(rng: random.Random, amount: int, shares: int) -> list[int]:
-    """Split ``amount`` into ``shares`` parts by normalized random weights.
+    """Split ``amount`` into ``shares >= 1`` parts by normalized random weights.
 
     Weights are uniform in [1, 2]. Fractional parts are floored and the
     remainder goes to the lowest-index parts, so the parts always sum to
     ``amount`` exactly.
     """
-    if shares == 0:
-        return []
     weights = [1.0 + rng.random() for _ in range(shares)]
     total_weight = sum(weights)
     parts = [math.floor(amount * w / total_weight) for w in weights]
@@ -221,7 +219,7 @@ def generate_random_design(
             raise GenerationError(f"occupancy {frac} outside (0, 1]")
 
     rng = random.Random(seed)
-    avail = fabric.available_resources()
+    avail = fabric.available_in_rect(fabric.bounds)
     targets = [math.floor(frac * avail[i]) for i, frac in enumerate(occupancy)]
 
     clb_target = targets[ResourceKind.CLB.index]

@@ -9,7 +9,7 @@ heterogeneity is purely column-wise. Rectangles are inclusive on both ends.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 __all__ = [
     "DEFAULT_FRAMES",
@@ -129,24 +129,21 @@ class Rect(NamedTuple):
 class Fabric:
     """Immutable device grid with O(1) rectangle resource queries.
 
-    ``column_kinds`` may be a string of C/B/D characters or a sequence of
-    ResourceKind values. Reserved rectangles mark tiles (typically static
-    logic) no reconfigurable region may use.
+    ``column_kinds`` is a string of C/B/D characters, one per column.
+    Reserved rectangles mark tiles (typically static logic) no
+    reconfigurable region may use.
     """
 
     def __init__(
         self,
         rows: int,
-        column_kinds: str | Sequence[ResourceKind],
+        column_kinds: str,
         reserved: Iterable[Rect] = (),
         frames: Mapping[ResourceKind, int] | None = None,
     ) -> None:
         if rows < 1:
             raise FabricError("device needs at least one clock-region row")
-        if isinstance(column_kinds, str):
-            kinds = tuple(ResourceKind.from_char(ch) for ch in column_kinds)
-        else:
-            kinds = tuple(column_kinds)
+        kinds = tuple(ResourceKind.from_char(ch) for ch in column_kinds)
         if not kinds:
             raise FabricError("device needs at least one resource column")
         self._rows = rows
@@ -267,10 +264,6 @@ class Fabric:
             reserved = self.reserved_tiles_in(Rect(rect.row0, c, rect.row1, c))
             counts[self._kinds[c].index] += rect.height - reserved
         return ResourceVector(*counts)
-
-    def available_resources(self) -> ResourceVector:
-        """Tile counts by kind outside reserved areas."""
-        return self.available_in_rect(self.bounds)
 
 
 def _fit(matchers: list, words: list[str]) -> list:

@@ -5,9 +5,8 @@ wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
 Modules with equal requirements share one candidate list, so what scoring
-needs of a list alone (the wastages and their maximum, the tie order) is
-computed once per list, and each module adds only its distances, scores
-and sort.
+needs of a list alone (the maximum wastage, the tie order) is computed
+once per list, and each module adds only its distances, scores and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
@@ -36,7 +35,7 @@ from typing import IO, Callable, Iterator, Mapping, Sequence
 from .bipartition import compute_anchors
 from .design import Design
 from .fabric import Fabric, Rect
-from .tessellation import PlacementCandidate, generate_placements
+from .tessellation import PlacementCandidate, generate_placements, per_list
 
 __all__ = [
     "FAIL_FIRST_NODES",
@@ -181,30 +180,24 @@ def _rank(
 ) -> dict[str, array]:
     """Each module's score order: its list's positions, best first.
 
-    Modules with equal requirements share one list object, so each list is
-    prepared once and its modules are scored one list at a time.
+    Each distinct list is prepared once, and each module adds its own scores.
     """
-    groups: dict[int, list[str]] = {}
-    for module_id, options in candidates.items():
-        groups.setdefault(id(options), []).append(module_id)
-    ranked = {}
-    for members in groups.values():
-        scoring = _Scoring(candidates[members[0]])
-        for module_id in members:
-            ranked[module_id] = scoring.order(anchors[module_id], alpha, beta)
-    return ranked
+    scorings = per_list(candidates, _Scoring)
+    return {m: scoring.order(anchors[m], alpha, beta) for m, scoring in scorings.items()}
 
 
 class _Scoring:
     """What scoring needs of one candidate list, whatever the anchor: the
-    rects, the wastages and their maximum, and the list's positions sorted
-    by the exact tie key (wastage, row0, col0)."""
+    maximum wastage, and the list's positions sorted by the exact tie key
+    (wastage, row0, col0). A run holds every list's preparation at once, so
+    the positions are kept as a compact array."""
 
     def __init__(self, candidates: Sequence[PlacementCandidate]) -> None:
         if not candidates:
             raise ValueError("cannot score an empty candidate list")
-        self.rects = rects = [c.rect for c in candidates]
-        self.wastes = wastes = [c.wastage_frames for c in candidates]
+        self.candidates = candidates
+        rects = [c.rect for c in candidates]
+        wastes = [c.wastage_frames for c in candidates]
         self.max_waste = max(wastes)
         # coordinates are non-negative, so c0 + c1 < self.sums[0] and r0 + r1 < self.sums[1]
         top0, right0, top1, right1 = (max(map(itemgetter(k), rects)) for k in range(4))
@@ -212,7 +205,7 @@ class _Scoring:
         # (wastage, row0, col0) as one exact integer
         span = 1 + max(top0, right0)
         ties = [(w * span + r0) * span + c0 for (r0, c0, _, _), w in zip(rects, wastes)]
-        self.ties = sorted(range(len(rects)), key=ties.__getitem__)
+        self.ties = array("I", sorted(range(len(rects)), key=ties.__getitem__))
 
     def order(self, anchor: tuple[float, float], alpha: float, beta: float) -> array:
         """The list's positions best first against ``anchor``, as a compact array."""
@@ -221,16 +214,14 @@ class _Scoring:
         cols, rows = self.sums
         dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
         dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
-        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in self.rects]
+        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in map(itemgetter(0), self.candidates)]
         max_dist, max_waste = max(dists), self.max_waste
         scores = [
             alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
-            for w, d in zip(self.wastes, dists)
+            for w, d in zip(map(itemgetter(2), self.candidates), dists)
         ]
         # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
-        order = self.ties.copy()
-        order.sort(key=scores.__getitem__)
-        return array("I", order)
+        return array("I", sorted(self.ties, key=scores.__getitem__))
 
 
 def normalize_candidates(
@@ -396,11 +387,8 @@ class _Search:
         self.options = [candidates[module_id] for module_id in order]
         self.ranked = [ranked[module_id] for module_id in order]
         self.positions: dict[int, list[int]] = {}
-        indexes: dict[int, _Overlaps] = {}
-        for options in self.options:
-            if id(options) not in indexes:
-                indexes[id(options)] = _Overlaps(options, fabric)
-        self.overlaps = [indexes[id(options)] for options in self.options]
+        indexes = per_list(candidates, lambda options: _Overlaps(options, fabric))
+        self.overlaps = [indexes[module_id] for module_id in order]
         for k, index in enumerate(self.overlaps):
             if not index.free:
                 raise PlacementInfeasibleError(order[k], 0)

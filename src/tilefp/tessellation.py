@@ -30,7 +30,7 @@ full walk, since the kernel on a DSP column to its left may be paired.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
@@ -44,7 +44,10 @@ __all__ = [
     "generate_placements",
     "kind_order",
     "merge_row_kernels",
+    "per_list",
 ]
+
+T = TypeVar("T")
 
 
 class InfeasibleModuleError(Exception):
@@ -344,15 +347,15 @@ def generate_module_placements(
 def generate_placements(
     fabric: Fabric,
     design: Design,
-    ar_bounds: tuple[float, float] | None = (0.2, 0.7),
+    ar_bounds: tuple[float, float] | None,
 ) -> dict[str, list[PlacementCandidate]]:
     """Candidate lists for every module of a design, in design order.
 
     A module's list depends only on its requirement, so it is generated
     once per distinct requirement and modules with equal ``req`` share one
-    list object: treat every list as read-only. Raises
-    InfeasibleModuleError for the first module, in design order, without
-    any candidate.
+    list object: treat every list as read-only, and derive per-list data
+    through ``per_list``. Raises InfeasibleModuleError for the first
+    module, in design order, without any candidate.
     """
     by_req: dict[ResourceVector, list[PlacementCandidate]] = {}
     placements = {}
@@ -361,3 +364,19 @@ def generate_placements(
             by_req[m.req] = generate_module_placements(fabric, m, ar_bounds)
         placements[m.id] = by_req[m.req]
     return placements
+
+
+def per_list(
+    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    make: Callable[[Sequence[PlacementCandidate]], T],
+) -> dict[str, T]:
+    """``make`` of each module's candidate list, keyed like ``candidates``.
+
+    Modules that share one list object share one result: ``make`` runs once
+    per distinct list, in the order the lists first appear.
+    """
+    made: dict[int, T] = {}
+    for options in candidates.values():
+        if id(options) not in made:
+            made[id(options)] = make(options)
+    return {module_id: made[id(options)] for module_id, options in candidates.items()}

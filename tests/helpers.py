@@ -488,7 +488,7 @@ def random_fabric(rng, max_rows=4, max_cols=20, reserve_chance=0.3):
 
 def random_requirement(rng, fabric):
     """Requirement that the fabric can in principle satisfy somewhere."""
-    avail = fabric.available_resources()
+    avail = fabric.available_in_rect(fabric.bounds)
     clb = rng.randrange(1, max(2, avail.clb // 2 + 1))
     bram = rng.randrange(0, max(1, avail.bram // 2) + 1) if rng.random() < 0.5 else 0
     dsp = rng.randrange(0, max(1, avail.dsp // 2) + 1) if rng.random() < 0.5 else 0

@@ -310,7 +310,7 @@ def test_build_bqp_costs_nonnegative_property():
 
 # --- solve_bqp -------------------------------------------------------------
 
-def test_solver_matches_enumeration():
+def test_solver_matches_enumeration(monkeypatch):
     rng = random.Random(23)
     # the last four models span the top of the exact range
     sizes = [rng.randint(2, 10) for _ in range(60)] + list(range(13, EXACT_LIMIT + 1))
@@ -319,7 +319,9 @@ def test_solver_matches_enumeration():
         got = solve_bqp(model)
         want = bqp_enumeration_min(model)
         # the exact range ignores the node budget
-        assert solve_bqp(model, node_budget=1) == got
+        with monkeypatch.context() as patch:
+            patch.setattr(bipartition, "NODE_BUDGET", 1)
+            assert solve_bqp(model) == got
         if want is None:
             assert got is None
         else:
@@ -344,10 +346,11 @@ def test_solver_tie_break_is_lexicographic():
     assert solve_bqp(model) == {"a": 0, "b": 1, "c": 1}
 
 
-def test_large_solver_beats_greedy_seed():
+def test_large_solver_beats_greedy_seed(monkeypatch):
     rng = random.Random(31)
     model = random_bqp_model(rng, 20)
-    got = solve_bqp(model, node_budget=20_000)
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 20_000)
+    got = solve_bqp(model)
     assert got is not None
     bits = [got[m] for m in model.variables]
     assert assignment_feasible(model, bits)
@@ -408,7 +411,9 @@ def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
         recursive_bipartition(fab, design, cands, "vertical")
     (model,) = built
     assert len(model.variables) == 50
-    assert solve_bqp(model, node_budget=25_000) == solve_bqp(model)
+    full = solve_bqp(model)
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 25_000)
+    assert solve_bqp(model) == full
 
 
 # --- recursion -------------------------------------------------------------

@@ -601,6 +601,19 @@ def test_stdout_document_stays_machine_readable(capsys):
     assert captured.err.strip().startswith("OK wastage=")
 
 
+@pytest.mark.parametrize("argv", [
+    ["floorplan", "--fabric", FX, "--design", SDR, "--no-ar", "--alpha", "1", "--beta", "0"],
+    ["generate", "-n", "4", "--fabric", FX, "--occupancy", "0.5", "0.5", "0.5"],
+], ids=["floorplan", "generate"])
+def test_empty_out_is_stdout_and_keeps_it_clean(argv):
+    """``--out ""`` writes the document to stdout exactly as no ``--out``
+    does, and the summary of the successful run to stderr."""
+    code, stdout, stderr = run_cli([*argv, "--out", ""])
+    assert code == 0
+    assert stdout == run_cli(argv)[1]
+    assert stderr.count("\n") == 1 and stderr.startswith("OK ")
+
+
 def test_render_ascii_stdout(capsys):
     assert main([
         "floorplan", "--fabric", FX, "--design", SDR,

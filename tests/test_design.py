@@ -82,6 +82,8 @@ def test_parse_merges_duplicate_connections():
 def test_parse_rejects_bad_documents():
     with pytest.raises(DesignError, match="all zero"):
         parse_design("module a 0 0 0\n")
+    with pytest.raises(DesignError, match="line 2: module b: negative requirement"):
+        parse_design("module a 1 0 0\nmodule b 1 -1 0\n")
     with pytest.raises(DesignError, match="unknown module"):
         parse_design("module a 1 0 0\nconnect a ghost 8\n")
     with pytest.raises(DesignError, match="itself"):
@@ -100,6 +102,17 @@ def test_parse_rejects_bad_documents():
         parse_design("module a 1 0 0\nconnect a c 3\nconnect c a 1\n")
     with pytest.raises(DesignError, match="bad module id"):
         ModuleSpec("a#b", ResourceVector(1, 0, 0))
+
+
+def test_design_rejects_inconsistent_data():
+    """A Design built directly, not parsed, checks its ids and connections."""
+    a, b = ModuleSpec("a", ResourceVector(1, 0, 0)), ModuleSpec("b", ResourceVector(2, 0, 0))
+    with pytest.raises(DesignError, match="duplicate module ids"):
+        Design([a, b, ModuleSpec("a", ResourceVector(3, 0, 0))])
+    with pytest.raises(DesignError, match="a-ghost references an unknown module"):
+        Design([a, b], [Connection("a", "ghost", 8)])
+    with pytest.raises(DesignError, match="duplicate connection b-a"):
+        Design([a, b], [Connection("a", "b", 8), Connection("b", "a", 8)])
 
 
 def test_parse_rejects_a_differing_weights_repeat():
@@ -123,7 +136,7 @@ def test_generate_totals_match_targets_exactly():
 
 def test_generate_totals_per_kind_property():
     fab = parse_fabric("rows 4\ncolumns " + "CCCCCCBCCD" * 3 + "\n")
-    avail = fab.available_resources()
+    avail = fab.available_in_rect(fab.bounds)
     rng = random.Random(5)
     for trial in range(10):
         n = rng.randrange(2, 9)

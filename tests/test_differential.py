@@ -268,7 +268,7 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
         groups = span_groups(cands, axis)
         assert sum(g[2] for g in groups) == len(cands)
         members = cands
-        partition = Partition(fab.bounds, ("m",), fab.available_resources())
+        partition = Partition(fab.bounds, ("m",), fab.available_in_rect(fab.bounds))
         while (partition.rect.width if axis == "vertical" else partition.rect.height) >= 2:
             child0, child1 = split_partition(partition, axis, fab)
             got = side_data(module, groups, child0, child1, axis)

@@ -97,6 +97,29 @@ def test_resources_in_rect_rejects_out_of_bounds():
         resources_in_rect(fab, Rect(0, 0, 2, 1))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, "CC"), "at least one clock-region row"),
+    ((1, ""), "at least one resource column"),
+    ((1, "CXB"), "unknown resource kind 'X'"),
+    ((1, "CB", (), {ResourceKind.BRAM: 0}), "frames per BRAM tile must be positive"),
+    ((2, "CC", [Rect(1, 0, 1, 2)]), "reserved rect out of bounds"),
+])
+def test_fabric_rejects_bad_arguments(args, message):
+    """The constructor checks what it is given, as the parser does."""
+    with pytest.raises(FabricError, match=message):
+        Fabric(*args)
+
+
+def test_queries_reject_out_of_range_columns_and_rects():
+    fab = Fabric(2, "CB")
+    for col in (-1, 2):
+        with pytest.raises(FabricError, match=f"column {col} out of range"):
+            fab.kind_of(col)
+    for rect in (Rect(0, 0, 2, 1), Rect(0, -1, 1, 0), Rect(1, 1, 0, 1)):
+        with pytest.raises(FabricError, match="rect out of bounds"):
+            fab.reserved_tiles_in(rect)
+
+
 def test_resources_additive_over_partitions():
     rng = random.Random(7)
     kinds = "".join(rng.choice("CCCBD") for _ in range(12))
@@ -160,7 +183,7 @@ def test_resource_vector_subtraction_guards_negative():
 
 def test_available_resources_excludes_reserved():
     fab = parse_fabric("rows 2\ncolumns CBD\nreserved 0 0 1 0\n")
-    assert fab.available_resources() == ResourceVector(0, 2, 2)
+    assert fab.available_in_rect(fab.bounds) == ResourceVector(0, 2, 2)
 
 
 def test_available_in_rect_clips_reserved_overlap():
@@ -168,4 +191,3 @@ def test_available_in_rect_clips_reserved_overlap():
     # the reserved block overlaps the query rect in three of its tiles
     assert fab.available_in_rect(Rect(0, 0, 1, 3)) == ResourceVector(3, 1, 2)
     assert fab.available_in_rect(Rect(3, 0, 3, 3)) == ResourceVector(2, 1, 1)
-    assert fab.available_in_rect(fab.bounds) == fab.available_resources()

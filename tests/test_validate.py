@@ -52,6 +52,11 @@ def test_parse_ar_bounds():
         ),
         lambda t: t.replace("alpha 1", "alpha x"),
         lambda t: t.replace("place b 0 2", "place b 0 x"),
+        # a place line before the mode line, and a second mode line
+        lambda t: t.replace("place a 0 0 2 1 5 0 0 36\n", "").replace(
+            "mode alpha", "place a 0 0 2 1 5 0 0 36\nmode alpha"
+        ),
+        lambda t: t.replace("place b", "mode alpha 1 beta 0 ar off\nplace b"),
     ],
 )
 def test_parse_rejects_malformed(mutation):
