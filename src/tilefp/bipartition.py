@@ -341,12 +341,22 @@ def objective_of(model: BqpModel, assignment: Sequence[int]) -> float:
 
 def _overflow(model: BqpModel, assignment: Sequence[int]) -> float:
     """Summed excess of the side loads over the six capacity rows."""
-    total = 0.0
-    for k in range(3):
-        load0 = sum(model.occ0[i][k] for i, v in enumerate(assignment) if v == 0)
-        load1 = sum(model.occ1[i][k] for i, v in enumerate(assignment) if v == 1)
-        total += max(load0 - model.avail0[k], 0.0) + max(load1 - model.avail1[k], 0.0)
-    return total
+    clb0 = bram0 = dsp0 = clb1 = bram1 = dsp1 = 0
+    for v, occ0, occ1 in zip(assignment, model.occ0, model.occ1):
+        if v:
+            clb1 += occ1[0]
+            bram1 += occ1[1]
+            dsp1 += occ1[2]
+        else:
+            clb0 += occ0[0]
+            bram0 += occ0[1]
+            dsp0 += occ0[2]
+    avail0, avail1 = model.avail0, model.avail1
+    return (
+        (max(clb0 - avail0[0], 0.0) + max(clb1 - avail1[0], 0.0))
+        + (max(bram0 - avail0[1], 0.0) + max(bram1 - avail1[1], 0.0))
+        + (max(dsp0 - avail0[2], 0.0) + max(dsp1 - avail1[2], 0.0))
+    )
 
 
 def assignment_feasible(model: BqpModel, assignment: Sequence[int]) -> bool:
@@ -377,25 +387,35 @@ def _greedy_assignment(model: BqpModel) -> list[int]:
     other still fits; ties go to side 0.
     """
     _, by_high = _pair_lists(model)
+    avail0, avail1 = model.avail0, model.avail1
     out: list[int] = []
     load0 = [0.0, 0.0, 0.0]
     load1 = [0.0, 0.0, 0.0]
     for i, pairs in enumerate(by_high):
-        costs = [model.linear[i][0], model.linear[i][1]]
+        cost0, cost1 = model.linear[i]
         for a, corners in pairs:
-            costs[0] += corners[out[a]][0]
-            costs[1] += corners[out[a]][1]
-        fits0 = all(load0[k] + model.occ0[i][k] <= model.avail0[k] for k in range(3))
-        fits1 = all(load1[k] + model.occ1[i][k] <= model.avail1[k] for k in range(3))
+            cost0 += corners[out[a]][0]
+            cost1 += corners[out[a]][1]
+        occ0, occ1 = model.occ0[i], model.occ1[i]
+        fits0 = (
+            load0[0] + occ0[0] <= avail0[0]
+            and load0[1] + occ0[1] <= avail0[1]
+            and load0[2] + occ0[2] <= avail0[2]
+        )
+        fits1 = (
+            load1[0] + occ1[0] <= avail1[0]
+            and load1[1] + occ1[1] <= avail1[1]
+            and load1[2] + occ1[2] <= avail1[2]
+        )
         if fits0 != fits1:
             pick = 0 if fits0 else 1
         else:
-            pick = 0 if costs[0] <= costs[1] else 1
+            pick = 0 if cost0 <= cost1 else 1
         out.append(pick)
-        target = load0 if pick == 0 else load1
-        occ = model.occ0[i] if pick == 0 else model.occ1[i]
-        for k in range(3):
-            target[k] += occ[k]
+        load, occ = (load0, occ0) if pick == 0 else (load1, occ1)
+        load[0] += occ[0]
+        load[1] += occ[1]
+        load[2] += occ[2]
     return out
 
 
@@ -485,7 +505,7 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
 
 def _solve_branch_and_bound(
     model: BqpModel, seed: list[int] | None, node_budget: float
-) -> list[int] | None:
+) -> tuple[list[int] | None, int]:
     """Depth-first search from ``seed`` with two admissible bounds and a node cap.
 
     Side 0 is tried before side 1 and only a strictly cheaper leaf replaces
@@ -499,7 +519,8 @@ def _solve_branch_and_bound(
     nonnegative, and the slack keeps a different float summation order
     from cutting off a strictly cheaper leaf. So the search visits a subset
     of the nodes the linear bound alone visits, finding the same
-    incumbents in the same order.
+    incumbents in the same order. Returns the best assignment found (or
+    ``seed``, or None) and the number of search nodes spent.
     """
     n = len(model.variables)
     linear = model.linear
@@ -515,12 +536,14 @@ def _solve_branch_and_bound(
     settled0 = [c[0] for c in linear]
     settled1 = [c[1] for c in linear]
 
+    occ0, occ1 = model.occ0, model.occ1
+    avail0, avail1 = model.avail0, model.avail1
+    load0 = [0.0, 0.0, 0.0]
+    load1 = [0.0, 0.0, 0.0]
     prefix = [0] * n
     nodes = 0
 
-    def descend(
-        depth: int, cost: float, rest: float, load0: list[float], load1: list[float]
-    ) -> None:
+    def descend(depth: int, cost: float, rest: float) -> None:
         """Branch on variable ``depth``; ``rest`` sums the cheapest settled
         cost of every variable from ``depth`` on."""
         nonlocal best, best_obj, nodes
@@ -530,42 +553,54 @@ def _solve_branch_and_bound(
             return
         s0, s1 = settled0[depth], settled1[depth]
         later = rest - (s0 if s0 < s1 else s1)
+        costs, highs, lows = linear[depth], by_high[depth], by_low[depth]
+        floor = suffix_min[depth + 1]
+        side0, side1 = occ0[depth], occ1[depth]
         for v in (0, 1):
             if nodes >= node_budget:
                 return
             nodes += 1
-            step = cost + linear[depth][v]
-            for i, corners in by_high[depth]:
+            step = cost + costs[v]
+            for i, corners in highs:
                 step += corners[prefix[i]][v]
-            if step + suffix_min[depth + 1] >= best_obj:
+            if step + floor >= best_obj:
                 continue
-            occ = model.occ0[depth] if v == 0 else model.occ1[depth]
-            load = load0 if v == 0 else load1
-            avail = model.avail0 if v == 0 else model.avail1
-            if any(load[k] + occ[k] > avail[k] for k in range(3)):
+            if v:
+                load, occ, avail = load1, side1, avail1
+            else:
+                load, occ, avail = load0, side0, avail0
+            if (
+                load[0] + occ[0] > avail[0]
+                or load[1] + occ[1] > avail[1]
+                or load[2] + occ[2] > avail[2]
+            ):
                 continue
             bound = later
-            undo = []
-            for j, corners in by_low[depth]:
-                a0, a1 = settled0[j], settled1[j]
-                b0 = a0 + corners[v][0]
-                b1 = a1 + corners[v][1]
-                settled0[j] = b0
-                settled1[j] = b1
-                bound += (b0 if b0 < b1 else b1) - (a0 if a0 < a1 else a1)
-                undo.append((j, a0, a1))
+            if lows:
+                undo = []
+                for j, corners in lows:
+                    a0, a1 = settled0[j], settled1[j]
+                    b0 = a0 + corners[v][0]
+                    b1 = a1 + corners[v][1]
+                    settled0[j] = b0
+                    settled1[j] = b1
+                    bound += (b0 if b0 < b1 else b1) - (a0 if a0 < a1 else a1)
+                    undo.append((j, a0, a1))
             if step + bound <= best_obj + best_obj * _SLACK:
                 prefix[depth] = v
-                for k in range(3):
-                    load[k] += occ[k]
-                descend(depth + 1, step, bound, load0, load1)
-                for k in range(3):
-                    load[k] -= occ[k]
-            for j, a0, a1 in undo:
-                settled0[j] = a0
-                settled1[j] = a1
-    descend(0, model.const, suffix_min[0], [0.0] * 3, [0.0] * 3)
-    return best
+                load[0] += occ[0]
+                load[1] += occ[1]
+                load[2] += occ[2]
+                descend(depth + 1, step, bound)
+                load[0] -= occ[0]
+                load[1] -= occ[1]
+                load[2] -= occ[2]
+            if lows:
+                for j, a0, a1 in undo:
+                    settled0[j] = a0
+                    settled1[j] = a1
+    descend(0, model.const, suffix_min[0])
+    return best, nodes
 
 
 def solve_bqp(model: BqpModel) -> dict[str, int] | None:
@@ -588,12 +623,12 @@ def solve_bqp(model: BqpModel) -> dict[str, int] | None:
         if least > model.avail0[k] + model.avail1[k]:
             return None
     if len(model.variables) <= EXACT_LIMIT:
-        bits = _solve_branch_and_bound(model, None, math.inf)
+        bits, _ = _solve_branch_and_bound(model, None, math.inf)
     else:
         seed = _repair(model, _greedy_assignment(model))
         if seed is not None:
             seed = _local_search(model, seed)
-        bits = _solve_branch_and_bound(model, seed, NODE_BUDGET)
+        bits, _ = _solve_branch_and_bound(model, seed, NODE_BUDGET)
     if bits is None:
         return None
     return dict(zip(model.variables, bits))

@@ -29,6 +29,7 @@ from tilefp.design import (
     GenerationError,
     ModuleSpec,
     generate_random_design,
+    parse_design,
 )
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.fixtures import fixture_path
@@ -396,7 +397,7 @@ def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
     design seed 50, scaling.cfg occupancy, no AR window) has 50 variables.
     A search bounded by the linear costs alone needs 66,258 nodes to
     finish; bounding by the pair costs to settled modules as well finishes
-    within 25,000, with the same assignment."""
+    in 19,586, with the same assignment."""
     fab = parse_fabric(fixture_path("xc7k410t.fabric").read_text())
     design = generate_random_design(50, fab, (0.8, 0.3, 0.3), 50)
     cands = generate_placements(fab, design, ar_bounds=None)
@@ -411,9 +412,64 @@ def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
         recursive_bipartition(fab, design, cands, "vertical")
     (model,) = built
     assert len(model.variables) == 50
+    searches = record_searches(monkeypatch)
     full = solve_bqp(model)
-    monkeypatch.setattr(bipartition, "NODE_BUDGET", 25_000)
+    assert searches == [(50, 19_586)]
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 19_586)
     assert solve_bqp(model) == full
+
+
+def record_searches(monkeypatch):
+    """Patch the halving search to log ``(variables, nodes)`` per call."""
+    search = bipartition._solve_branch_and_bound
+    searches = []
+
+    def recording_search(model, seed, node_budget):
+        bits, nodes = search(model, seed, node_budget)
+        searches.append((len(model.variables), nodes))
+        return bits, nodes
+
+    monkeypatch.setattr(bipartition, "_solve_branch_and_bound", recording_search)
+    return searches
+
+
+def anchor_searches(monkeypatch, fabric_name, design):
+    """``(variables, nodes)`` of every halving search ``compute_anchors``
+    runs for a fixture design, or one generated as ``(n, occupancy,
+    seed)``, with no AR window."""
+    fab = parse_fabric(fixture_path(fabric_name).read_text())
+    if isinstance(design, str):
+        design = parse_design(fixture_path(design).read_text())
+    else:
+        design = generate_random_design(design[0], fab, *design[1:])
+    cands = generate_placements(fab, design, ar_bounds=None)
+    searches = record_searches(monkeypatch)
+    compute_anchors(fab, design, cands)
+    return searches
+
+
+# The node counts below were taken before the search loop was rewritten for
+# speed: a change that only makes the search faster keeps every one.
+
+def test_scaling_search_node_counts_are_pinned(monkeypatch):
+    searches = anchor_searches(monkeypatch, "xc7k410t.fabric", (50, (0.8, 0.3, 0.3), 50))
+    assert searches == [
+        (50, 19586), (19, 2), (5, 10), (5, 10), (2, 4), (3, 6), (14, 138), (7, 28),
+        (3, 8), (31, 2), (16, 176), (8, 154), (8, 250), (15, 492), (8, 136), (4, 8),
+        (2, 4), (7, 138), (50, 2), (33, 2), (21, 2), (17, 114),
+    ]
+    assert sum(nodes for _, nodes in searches) == 21_272
+
+
+@pytest.mark.parametrize("design, searches, nodes", [
+    pytest.param((16, (0.8, 0.5, 0.5), 0), 10, 3_558, id="dense-s0"),
+    pytest.param((16, (0.8, 0.5, 0.5), 1), 8, 2_730, id="dense-s1"),
+    pytest.param((16, (0.8, 0.5, 0.5), 2), 7, 1_996, id="dense-s2"),
+    pytest.param("sdr.design", 7, 68, id="sdr-noar"),
+])
+def test_fx70t_search_node_totals_are_pinned(monkeypatch, design, searches, nodes):
+    got = anchor_searches(monkeypatch, "fx70t.fabric", design)
+    assert (len(got), sum(n for _, n in got)) == (searches, nodes)
 
 
 # --- recursion -------------------------------------------------------------

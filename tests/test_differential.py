@@ -572,6 +572,8 @@ def index_inputs(draw):
 @given(index_inputs())
 # past 256 columns the index compares ints: col0 200 <= probe col1 256
 @example((Fabric(1, "C" * 257), [Rect(0, 200, 0, 200)], [Rect(0, 100, 0, 256)]))
+# a candidate ending one column past the device, every row inside
+@example((Fabric(2, "CCCC"), [Rect(0, 0, 0, 1), Rect(0, 2, 1, 4)], [Rect(0, 0, 0, 0)]))
 def test_overlap_index_matches_rect_overlaps(inputs):
     fab, rects, probes = inputs
     index = _Overlaps([PlacementCandidate(r, ResourceVector(), 0) for r in rects], fab)
@@ -669,7 +671,7 @@ def test_search_needs_no_more_nodes_than_walk(model):
     if seed is not None:
         seed = local_search_walk(model, seed)
     bits, nodes = branch_and_bound_walk(model, None if seed is None else seed.copy(), WALK_BUDGET)
-    got = _solve_branch_and_bound(model, None if seed is None else seed.copy(), nodes)
+    got, _ = _solve_branch_and_bound(model, None if seed is None else seed.copy(), nodes)
     if nodes < WALK_BUDGET:
         assert got == bits
     else:
