@@ -21,6 +21,14 @@ pass) or row span (horizontal pass) of a candidate list, holding the
 count and the componentwise-minimum resources of its candidates. The
 rule, the mean extents and the minimum footprints are all computed per
 group.
+
+A halving fails when forced members overflow a half (``build_bqp``
+raises), when the members' smaller footprints overflow both halves
+together, or when the search finds no feasible leaf (``solve_bqp``
+returns None). Its members then all keep the partition's center and
+nothing inside it is halved. A failure at the device root raises
+``InfeasibleModelError``, which the CLI reports as
+``INFEASIBLE_FLOORPLAN`` with exit 3.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import IO, Literal, Mapping, Sequence
 
-from .design import Connection, Design, ModuleSpec
+from .design import Connection, Design
 from .fabric import Fabric, Rect, ResourceVector
 from .tessellation import PlacementCandidate, per_list
 
@@ -41,7 +49,6 @@ __all__ = [
     "Axis",
     "BqpModel",
     "InfeasibleModelError",
-    "Partition",
     "SideData",
     "SpanGroup",
     "assignment_feasible",
@@ -76,15 +83,6 @@ _SLACK = 1e-9
 
 class InfeasibleModelError(Exception):
     """No side assignment can satisfy the capacity constraints."""
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A rectangular slice of the device and the modules routed into it."""
-
-    rect: Rect
-    members: tuple[str, ...]
-    available: ResourceVector
 
 
 @dataclass(frozen=True)
@@ -148,20 +146,14 @@ class BqpModel:
     parent_only: list[str] = field(default_factory=list)
 
 
-def split_partition(parent: Partition, axis: Axis, fabric: Fabric) -> tuple[Partition, Partition]:
-    """Halve a partition; the left (or bottom) child gets the floor half."""
-    rect = parent.rect
+def split_partition(rect: Rect, axis: Axis) -> tuple[Rect, Rect]:
+    """Halve a rect; the left (or bottom) child gets the floor half."""
     lo, hi, _ = _CUT[axis]
     span = rect[hi] - rect[lo] + 1
     if span < 2:
         raise ValueError(f"partition {rect} too thin for a {axis} cut")
     mid = rect[lo] + span // 2
-    r0 = rect._replace(**{Rect._fields[hi]: mid - 1})
-    r1 = rect._replace(**{Rect._fields[lo]: mid})
-    return (
-        Partition(r0, (), fabric.available_in_rect(r0)),
-        Partition(r1, (), fabric.available_in_rect(r1)),
-    )
+    return rect._replace(**{Rect._fields[hi]: mid - 1}), rect._replace(**{Rect._fields[lo]: mid})
 
 
 def span_groups(candidates: Sequence[PlacementCandidate], axis: Axis) -> tuple[SpanGroup, ...]:
@@ -196,11 +188,7 @@ def _side_summary(groups: Sequence[SpanGroup]) -> tuple[float, ResourceVector]:
 
 
 def side_data(
-    module: ModuleSpec,
-    groups: Sequence[SpanGroup],
-    child0: Partition,
-    child1: Partition,
-    axis: Axis,
+    module_id: str, groups: Sequence[SpanGroup], child0: Rect, child1: Rect, axis: Axis
 ) -> SideData:
     """Split a module's span groups between two halves and summarize them.
 
@@ -210,7 +198,7 @@ def side_data(
     whole device across the cut.
     """
     i, j, _ = _CUT[axis]
-    lo0, hi0, lo1, hi1 = child0.rect[i], child0.rect[j], child1.rect[i], child1.rect[j]
+    lo0, hi0, lo1, hi1 = child0[i], child0[j], child1[i], child1[j]
     p0: list[SpanGroup] = []
     p1: list[SpanGroup] = []
     for g in groups:
@@ -222,20 +210,20 @@ def side_data(
             p1.append(g)
     w0, occ0 = _side_summary(p0) if p0 else (None, None)
     w1, occ1 = _side_summary(p1) if p1 else (None, None)
-    return SideData(module.id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
+    return SideData(module_id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
 
 
 def build_bqp(
-    parent: Partition,
+    fabric: Fabric,
+    children: tuple[Rect, Rect],
     data: Sequence[SideData],
     connections: Sequence[Connection],
     anchors: Mapping[str, Point],
     axis: Axis,
     extents: Mapping[str, float],
-    children: tuple[Partition, Partition],
     requirements: Mapping[str, ResourceVector],
 ) -> BqpModel:
-    """Assemble the side-assignment model for one halving.
+    """Assemble the side-assignment model for one halving into ``children``.
 
     Every connection with an endpoint among the members is priced by one
     rule: for each pair of sides its endpoints can take that differ, it
@@ -248,13 +236,14 @@ def build_bqp(
     list, 0 when it has none. The cost goes to the pair's corner table when
     both endpoints are free, to the free endpoint's linear cost when one
     is, and to ``const`` when neither is, so repeated connections add up.
-    ``requirements`` gives the tile needs of the parent-only members,
-    charged to both halves pro rata by area.
+    Each half's capacity is what ``fabric`` has available in it, less the
+    footprints of the members fixed to it and a share of the tile needs
+    in ``requirements`` of the parent-only members, pro rata by area.
     """
     child0, child1 = children
     by_id = {d.module_id: d for d in data}
     _, hi, coord = _CUT[axis]
-    cut = child0.rect[hi] + 1
+    cut = child0[hi] + 1
     # each endpoint as (variable index or None, the (side, extent) pairs it can take)
     ends = {
         m: (None, ((0 if p[coord] <= cut else 1, extents.get(m, 0.0)),))
@@ -275,9 +264,9 @@ def build_bqp(
             ends[d.module_id] = (len(variables), sides)
             variables.append(d.module_id)
 
-    avail0 = list(map(float, children[0].available))
-    avail1 = list(map(float, children[1].available))
-    share0 = child0.rect.tile_count / parent.rect.tile_count
+    avail0 = list(map(float, fabric.available_in_rect(child0)))
+    avail1 = list(map(float, fabric.available_in_rect(child1)))
+    share0 = child0.tile_count / (child0.tile_count + child1.tile_count)
     for m in parent_only:
         for k, amount in enumerate(requirements[m]):
             avail0[k] -= amount * share0
@@ -288,9 +277,7 @@ def build_bqp(
         for k, amount in enumerate(occ):  # type: ignore[union-attr]
             target[k] -= amount
     if min(avail0) < 0 or min(avail1) < 0:
-        raise InfeasibleModelError(
-            f"forced assignments exceed capacity in partition {parent.rect}"
-        )
+        raise InfeasibleModelError(f"forced assignments exceed capacity in {child0} or {child1}")
 
     linear = [[0.0, 0.0] for _ in variables]
     corners: dict[tuple[int, int], list[list[float]]] = {}
@@ -644,50 +631,47 @@ def recursive_bipartition(
     """Anchor every module by recursive halving along one axis.
 
     Each halving solves the side-assignment model and moves the assigned
-    modules' anchors to their half's center; modules stuck at a partition
-    keep its center. A solve may only read the anchors that existed when
-    its parent's solve finished, so sibling subtrees cannot influence each
-    other and the recursion is order-independent.
+    modules' anchors to their half's center; parent-only members, and
+    every member of a failed halving, keep the partition's center. A solve
+    may only read the anchors that existed when its parent's solve
+    finished, so sibling subtrees cannot influence each other and the
+    recursion is order-independent.
     """
     bounds = fabric.bounds
-    module_ids = [m.id for m in design.modules]
-    anchors: dict[str, Point] = {m: bounds.center for m in module_ids}
+    anchors: dict[str, Point] = {m.id: bounds.center for m in design.modules}
     requirements = {m.id: m.req for m in design.modules}
     root_lists = per_list(candidates, lambda options: span_groups(options, axis))
     lo, hi, _ = _CUT[axis]
     extents = {m: _side_summary(g)[0] for m, g in root_lists.items() if g}
 
-    root = Partition(bounds, tuple(module_ids), fabric.available_in_rect(bounds))
-    stack = [(root, root_lists, dict(anchors), True)]
+    # (rect, each member's span groups, the anchors its solve may read)
+    stack = [(bounds, {m: root_lists[m] for m in anchors}, dict(anchors))]
     while stack:
-        partition, group_lists, snapshot, is_root = stack.pop()
-        if len(partition.members) < 2 or partition.rect[hi] <= partition.rect[lo]:
+        rect, groups, snapshot = stack.pop()
+        if len(groups) < 2 or rect[hi] <= rect[lo]:
             continue
-        child0, child1 = split_partition(partition, axis, fabric)
-        data = [
-            side_data(design.module(m), group_lists[m], child0, child1, axis)
-            for m in partition.members
-        ]
+        children = split_partition(rect, axis)
+        data = [side_data(m, g, *children, axis) for m, g in groups.items()]
         started = time.perf_counter()
         try:
             model = build_bqp(
-                partition, data, design.connections, snapshot, axis,
-                extents, (child0, child1), requirements,
+                fabric, children, data, design.connections, snapshot, axis,
+                extents, requirements,
             )
             assignment = solve_bqp(model)
         except InfeasibleModelError:
-            model, assignment = None, None
-        if assignment is None or model is None:
-            if is_root:
+            assignment = None
+        if assignment is None:
+            if rect == bounds:
                 raise InfeasibleModelError(
                     f"no feasible side assignment at the device root ({axis} pass)"
                 )
-            # members keep the parent's anchor; placement may still succeed
+            # members keep the partition's center; placement may still succeed
             continue
         if log is not None:
             record = {
                 "axis": axis,
-                "rect": list(partition.rect),
+                "rect": list(rect),
                 "variables": len(model.variables),
                 "objective": objective_of(
                     model, [assignment[m] for m in model.variables]
@@ -696,29 +680,18 @@ def recursive_bipartition(
             }
             log.write(json.dumps(record) + "\n")
 
-        sides = dict(assignment)
-        sides.update(model.fixed)
-        updates: dict[str, Point] = {}
-        members: tuple[list[str], list[str]] = ([], [])
-        lists: tuple[dict, dict] = ({}, {})
+        sides = {**assignment, **model.fixed}
+        halves: tuple[dict, dict] = ({}, {})
+        # read-only once routed, so both halves share it
+        child_snapshot = dict(snapshot)
         for d in data:
-            if d.module_id not in sides:
+            side = sides.get(d.module_id)
+            if side is None:
                 continue
-            side = sides[d.module_id]
-            child = child0 if side == 0 else child1
-            updates[d.module_id] = child.rect.center
-            anchors[d.module_id] = child.rect.center
-            members[side].append(d.module_id)
-            lists[side][d.module_id] = d.placements0 if side == 0 else d.placements1
-        # read-only from here on, so both children share it
-        child_snapshot = {**snapshot, **updates}
-        for side, child in ((0, child0), (1, child1)):
-            stack.append((
-                Partition(child.rect, tuple(members[side]), child.available),
-                lists[side],
-                child_snapshot,
-                False,
-            ))
+            anchors[d.module_id] = child_snapshot[d.module_id] = children[side].center
+            halves[side][d.module_id] = d.placements1 if side else d.placements0
+        stack.append((children[0], halves[0], child_snapshot))
+        stack.append((children[1], halves[1], child_snapshot))
     return anchors
 
 

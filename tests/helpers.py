@@ -526,7 +526,7 @@ def cut_cost_walk(data, connections, anchors, extents, child1, axis):
     by_id = {d.module_id: d for d in data}
     free = [d for d in data if not d.parent_only and d.forced_side is None]
     index = {d.module_id: i for i, d in enumerate(free)}
-    edge, coord = (child1.rect.col0, 0) if axis == "vertical" else (child1.rect.row0, 1)
+    edge, coord = (child1.col0, 0) if axis == "vertical" else (child1.row0, 1)
 
     def settled(module_id):
         d = by_id.get(module_id)
@@ -706,7 +706,7 @@ def overlap_side(rect, child0, child1):
     return None
 
 
-def side_data_walk(module, candidates, child0, child1, axis):
+def side_data_walk(module_id, candidates, child0, child1, axis):
     """Side data from the candidates themselves: each candidate goes to the
     first child holding at least 75% of its area, and each side gets the
     mean extent along the cut axis and the componentwise-minimum resources
@@ -715,7 +715,7 @@ def side_data_walk(module, candidates, child0, child1, axis):
     for cand in candidates:
         r0, c0, r1, c1 = cand.rect
         area3 = (r1 - r0 + 1) * (c1 - c0 + 1) * 3
-        for side, child in enumerate((child0.rect, child1.rect)):
+        for side, child in enumerate((child0, child1)):
             rows = min(r1, child.row1) - max(r0, child.row0) + 1
             cols = min(c1, child.col1) - max(c0, child.col0) + 1
             if rows > 0 and cols > 0 and rows * cols * 4 >= area3:
@@ -733,4 +733,4 @@ def side_data_walk(module, candidates, child0, child1, axis):
         return (spans + len(cands)) / len(cands), occ
 
     (w0, occ0), (w1, occ1) = summary(sides[0]), summary(sides[1])
-    return SideData(module.id, tuple(sides[0]), tuple(sides[1]), w0, w1, occ0, occ1)
+    return SideData(module_id, tuple(sides[0]), tuple(sides[1]), w0, w1, occ0, occ1)

@@ -1,16 +1,18 @@
 """Halving, cut-cost model and anchor recursion tests."""
 
+import io
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tilefp import bipartition
 from tilefp.bipartition import (
     EXACT_LIMIT,
     BqpModel,
     InfeasibleModelError,
-    Partition,
     SideData,
     assignment_feasible,
     build_bqp,
@@ -52,41 +54,65 @@ def cand(rect, resources=ResourceVector(1, 0, 0)):
     return PlacementCandidate(rect, resources, 0)
 
 
-def make_partition(fabric, rect=None, members=()):
-    rect = rect or fabric.bounds
-    return Partition(rect, tuple(members), fabric.available_in_rect(rect))
-
-
 # --- split_partition -------------------------------------------------------
 
 def test_split_vertical_even_and_odd():
     fab = parse_fabric("rows 2\ncolumns CCCCCCCCCC\n")
-    c0, c1 = split_partition(make_partition(fab), "vertical", fab)
-    assert c0.rect == Rect(0, 0, 1, 4)
-    assert c1.rect == Rect(0, 5, 1, 9)
+    c0, c1 = split_partition(fab.bounds, "vertical")
+    assert c0 == Rect(0, 0, 1, 4)
+    assert c1 == Rect(0, 5, 1, 9)
     fab5 = parse_fabric("rows 2\ncolumns CCCCC\n")
-    c0, c1 = split_partition(make_partition(fab5), "vertical", fab5)
-    assert c0.rect == Rect(0, 0, 1, 1)
-    assert c1.rect == Rect(0, 2, 1, 4)
+    c0, c1 = split_partition(fab5.bounds, "vertical")
+    assert c0 == Rect(0, 0, 1, 1)
+    assert c1 == Rect(0, 2, 1, 4)
 
 
 def test_split_horizontal_and_reserved_capacity():
     fab = parse_fabric("rows 4\ncolumns CB\nreserved 0 0 0 0\n")
-    c0, c1 = split_partition(make_partition(fab), "horizontal", fab)
-    assert c0.rect == Rect(0, 0, 1, 1)
-    assert c1.rect == Rect(2, 0, 3, 1)
+    c0, c1 = split_partition(fab.bounds, "horizontal")
+    assert c0 == Rect(0, 0, 1, 1)
+    assert c1 == Rect(2, 0, 3, 1)
+    model = build_bqp(fab, (c0, c1), [], [], {}, "horizontal", {}, {})
     # the reserved tile is missing from the bottom child's capacity
-    assert c0.available == ResourceVector(1, 2, 0)
-    assert c1.available == ResourceVector(2, 2, 0)
+    assert model.avail0 == tuple(ResourceVector(1, 2, 0))
+    assert model.avail1 == tuple(ResourceVector(2, 2, 0))
 
 
 def test_split_too_thin_raises():
-    fab = parse_fabric("rows 3\ncolumns C\n")
     with pytest.raises(ValueError):
-        split_partition(make_partition(fab), "vertical", fab)
-    flat = parse_fabric("rows 1\ncolumns CCC\n")
+        split_partition(Rect(0, 0, 2, 0), "vertical")
     with pytest.raises(ValueError):
-        split_partition(make_partition(flat), "horizontal", flat)
+        split_partition(Rect(0, 0, 0, 2), "horizontal")
+
+
+def tiles(rect):
+    return {
+        (row, col)
+        for row in range(rect.row0, rect.row1 + 1)
+        for col in range(rect.col0, rect.col1 + 1)
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["vertical", "horizontal"]),
+    st.integers(0, 5), st.integers(0, 5), st.integers(1, 9), st.integers(1, 9),
+)
+def test_split_halves_partition_the_rect(axis, row0, col0, rows, cols):
+    """The halves are disjoint, cover the rect and keep its extent across
+    the cut; the left (or bottom) one takes the floor half of its span."""
+    rect = Rect(row0, col0, row0 + rows - 1, col0 + cols - 1)
+    span = cols if axis == "vertical" else rows
+    assume(span >= 2)
+    c0, c1 = split_partition(rect, axis)
+    assert tiles(c0).isdisjoint(tiles(c1))
+    assert tiles(c0) | tiles(c1) == tiles(rect)
+    if axis == "vertical":
+        assert (c0.col0, c0.width, c1.col1) == (col0, span // 2, rect.col1)
+        assert c0.height == c1.height == rows
+    else:
+        assert (c0.row0, c0.height, c1.row1) == (row0, span // 2, rect.row1)
+        assert c0.width == c1.width == cols
 
 
 # --- side_data -------------------------------------------------------------
@@ -94,14 +120,13 @@ def test_split_too_thin_raises():
 def side_of(rect, c0, c1, axis):
     """Side a one-candidate list is forced to; None when it keeps to the parent."""
     groups = span_groups([cand(rect)], axis)
-    data = side_data(ModuleSpec("m", ResourceVector(1, 0, 0)), groups, c0, c1, axis)
+    data = side_data("m", groups, c0, c1, axis)
     assert data.parent_only == (data.forced_side is None)
     return data.forced_side
 
 
 def test_side_data_single_candidate_fractions():
-    fab = parse_fabric("rows 1\ncolumns CCCCCCCCCC\n")
-    c0, c1 = split_partition(make_partition(fab), "vertical", fab)
+    c0, c1 = split_partition(Rect(0, 0, 0, 9), "vertical")
     assert side_of(Rect(0, 0, 0, 3), c0, c1, "vertical") == 0
     assert side_of(Rect(0, 6, 0, 9), c0, c1, "vertical") == 1
     # 4 of 5 tiles on the left: 80%
@@ -113,17 +138,14 @@ def test_side_data_single_candidate_fractions():
 
 
 def test_side_data_single_candidate_two_dimensional_overlap():
-    fab = parse_fabric("rows 4\ncolumns CCCC\n")
-    c0, c1 = split_partition(make_partition(fab), "horizontal", fab)
+    c0, c1 = split_partition(Rect(0, 0, 3, 3), "horizontal")
     assert side_of(Rect(0, 0, 2, 0), c0, c1, "horizontal") is None
     assert side_of(Rect(1, 0, 2, 3), c0, c1, "horizontal") is None
     assert side_of(Rect(2, 1, 3, 2), c0, c1, "horizontal") == 1
 
 
 def test_side_data_means_and_minima():
-    fab = parse_fabric("rows 2\ncolumns CCCCCCCC\n")
-    c0, c1 = split_partition(make_partition(fab), "vertical", fab)
-    module = ModuleSpec("m", ResourceVector(2, 0, 0))
+    c0, c1 = split_partition(Rect(0, 0, 1, 7), "vertical")
     cands = [
         cand(Rect(0, 0, 0, 1), ResourceVector(2, 0, 0)),
         cand(Rect(0, 0, 0, 3), ResourceVector(4, 0, 0)),
@@ -133,7 +155,7 @@ def test_side_data_means_and_minima():
     groups = span_groups(cands, "vertical")
     # one group per column span, in first-seen order
     assert groups == ((0, 1, 2, 2, 0, 0), (0, 3, 1, 4, 0, 0), (5, 6, 1, 4, 0, 0))
-    data = side_data(module, groups, c0, c1, "vertical")
+    data = side_data("m", groups, c0, c1, "vertical")
     assert data.placements0 == groups[:2] and data.placements1 == groups[2:]
     assert data.forced_side is None and not data.parent_only
     assert data.w0 == (2 + 4 + 2) / 3
@@ -143,11 +165,9 @@ def test_side_data_means_and_minima():
 
 
 def test_side_data_forced_and_parent_only():
-    fab = parse_fabric("rows 2\ncolumns CCCCCCCC\n")
-    c0, c1 = split_partition(make_partition(fab), "vertical", fab)
-    module = ModuleSpec("m", ResourceVector(2, 0, 0))
+    c0, c1 = split_partition(Rect(0, 0, 1, 7), "vertical")
     def alone(rect):
-        return side_data(module, span_groups([cand(rect)], "vertical"), c0, c1, "vertical")
+        return side_data("m", span_groups([cand(rect)], "vertical"), c0, c1, "vertical")
 
     left_only = alone(Rect(0, 0, 1, 1))
     assert left_only.forced_side == 0
@@ -205,20 +225,19 @@ def sd(module_id, w0=None, w1=None, occ0=None, occ1=None):
 
 def two_halves(cols="CCCCCCCC", rows=2):
     fab = parse_fabric(f"rows {rows}\ncolumns {cols}\n")
-    parent = make_partition(fab, members=("a", "b"))
-    return fab, parent, split_partition(parent, "vertical", fab)
+    return fab, split_partition(fab.bounds, "vertical")
 
 
 def test_build_bqp_two_modules_prefer_same_side():
-    fab, parent, children = two_halves()
+    fab, children = two_halves()
     one = ResourceVector(2, 0, 0)
     data = [
         sd("a", w0=2.0, w1=2.0, occ0=one, occ1=one),
         sd("b", w0=2.0, w1=2.0, occ0=one, occ1=one),
     ]
     model = build_bqp(
-        parent, data, [Connection("a", "b", 8)], {}, "vertical", {},
-        children, {"a": one, "b": one},
+        fab, children, data, [Connection("a", "b", 8)], {}, "vertical", {},
+        {"a": one, "b": one},
     )
     assert model.variables == ["a", "b"]
     best = min(
@@ -231,7 +250,7 @@ def test_build_bqp_two_modules_prefer_same_side():
 
 
 def test_build_bqp_forced_overflow_is_infeasible():
-    fab, parent, children = two_halves(cols="CCCC")
+    fab, children = two_halves(cols="CCCC")
     big = ResourceVector(3, 0, 0)
     # both modules only fit on side 0, which holds 4 CLB tiles in total
     data = [
@@ -239,20 +258,17 @@ def test_build_bqp_forced_overflow_is_infeasible():
         sd("b", w0=2.0, occ0=big),
     ]
     with pytest.raises(InfeasibleModelError):
-        build_bqp(parent, data, [], {}, "vertical", {}, children,
-                  {"a": big, "b": big})
+        build_bqp(fab, children, data, [], {}, "vertical", {}, {"a": big, "b": big})
 
 
 def test_build_bqp_chain_severs_one_edge():
     fab = parse_fabric("rows 1\ncolumns CCCCCCCC\n")
-    parent = make_partition(fab, members=("a", "b", "c"))
-    children = split_partition(parent, "vertical", fab)
+    children = split_partition(fab.bounds, "vertical")
     two = ResourceVector(2, 0, 0)
     data = [sd(m, w0=2.0, w1=2.0, occ0=two, occ1=two) for m in ("a", "b", "c")]
     conns = [Connection("a", "b", 5), Connection("b", "c", 5)]
     # each half holds 4 CLB tiles, so at most two modules fit per side
-    model = build_bqp(parent, data, conns, {}, "vertical", {}, children,
-                      {m: two for m in "abc"})
+    model = build_bqp(fab, children, data, conns, {}, "vertical", {}, {m: two for m in "abc"})
     best = None
     for bits in itertools.product((0, 1), repeat=3):
         if not assignment_feasible(model, bits):
@@ -267,21 +283,21 @@ def test_build_bqp_chain_severs_one_edge():
 
 
 def test_build_bqp_parent_only_deduction_and_external():
-    fab, parent, children = two_halves()
+    fab, children = two_halves()
     one = ResourceVector(1, 0, 0)
     data = [
         sd("a", w0=2.0, w1=2.0, occ0=one, occ1=one),
         sd("big"),  # no candidates in either half
     ]
     model = build_bqp(
-        parent, data, [Connection("a", "big", 4)],
+        fab, children, data, [Connection("a", "big", 4)],
         {"big": (6.5, 1.0)}, "vertical", {"a": 2.0, "big": 4.0},
-        children, {"a": one, "big": ResourceVector(4, 0, 0)},
+        {"a": one, "big": ResourceVector(4, 0, 0)},
     )
     assert model.parent_only == ["big"]
     # half of the stuck module's four tiles is charged to each side
-    assert model.avail0[0] == children[0].available.clb - 2.0
-    assert model.avail1[0] == children[1].available.clb - 2.0
+    assert model.avail0[0] == fab.available_in_rect(children[0]).clb - 2.0
+    assert model.avail1[0] == fab.available_in_rect(children[1]).clb - 2.0
     # its anchor sits right of the cut, so only m_a = 0 pays
     assert model.linear[0][0] == 4 * (2.0 + 4.0)
     assert model.linear[0][1] == 0
@@ -289,7 +305,7 @@ def test_build_bqp_parent_only_deduction_and_external():
 
 def test_build_bqp_costs_nonnegative_property():
     rng = random.Random(11)
-    fab, parent, children = two_halves()
+    fab, children = two_halves()
     for _ in range(50):
         ws = [round(rng.uniform(0.5, 4.0), 2) for _ in range(4)]
         occ = ResourceVector(rng.randint(0, 3), 0, 0)
@@ -298,8 +314,8 @@ def test_build_bqp_costs_nonnegative_property():
             sd("b", w0=ws[2], w1=ws[3], occ0=occ, occ1=occ),
         ]
         model = build_bqp(
-            parent, data, [Connection("a", "b", rng.randint(1, 64))],
-            {}, "vertical", {}, children, {"a": occ, "b": occ},
+            fab, children, data, [Connection("a", "b", rng.randint(1, 64))],
+            {}, "vertical", {}, {"a": occ, "b": occ},
         )
         assert model.const >= 0
         assert all(v >= 0 for pair in model.linear for v in pair)
@@ -540,6 +556,77 @@ def test_connected_modules_gather_on_one_side():
     assert anchors["a"][0] < 4.0
     assert anchors["b"][0] < 4.0
     assert abs(anchors["a"][0] - anchors["b"][0]) == 1.0
+
+
+# a and b only fit the left half of the device, c and d only the right one
+FOUR_FORCED = {
+    "a": [cand(Rect(0, 0, 0, 0))],
+    "b": [cand(Rect(0, 1, 0, 1))],
+    "c": [cand(Rect(0, 6, 0, 6))],
+    "d": [cand(Rect(0, 7, 0, 7))],
+}
+
+
+def four_forced():
+    fab = parse_fabric("rows 1\ncolumns CCCCCCCC\n")
+    design = Design([ModuleSpec(m, ResourceVector(1, 0, 0)) for m in "abcd"])
+    return fab, design
+
+
+def model_members(model):
+    return {*model.variables, *model.fixed, *model.parent_only}
+
+
+def fail_halvings(monkeypatch, failing, how):
+    """Make every halving whose members are exactly ``failing`` fail, by
+    ``solve_bqp`` returning None or by ``build_bqp`` raising
+    ``InfeasibleModelError``; returns the members of every model built."""
+    build, solve = bipartition.build_bqp, bipartition.solve_bqp
+    built = []
+
+    def failing_build(*args):
+        model = build(*args)
+        built.append(model_members(model))
+        if how == "build" and built[-1] == failing:
+            raise InfeasibleModelError("overflow")
+        return model
+
+    def failing_solve(model):
+        if how == "solve" and model_members(model) == failing:
+            return None
+        return solve(model)
+
+    monkeypatch.setattr(bipartition, "build_bqp", failing_build)
+    monkeypatch.setattr(bipartition, "solve_bqp", failing_solve)
+    return built
+
+
+@pytest.mark.parametrize("how", ["solve", "build"])
+def test_failed_halving_keeps_members_at_its_center(monkeypatch, how):
+    """The right half's halving fails: c and d stay at its center, nothing
+    is halved inside it and the log has no record for it, while the left
+    half is halved on."""
+    fab, design = four_forced()
+    built = fail_halvings(monkeypatch, {"c", "d"}, how)
+    log = io.StringIO()
+    anchors = recursive_bipartition(fab, design, FOUR_FORCED, "vertical", log)
+    assert anchors == {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (6.0, 0.5), "d": (6.0, 0.5)}
+    assert built.count({"c", "d"}) == 1
+    assert not any(members & {"c", "d"} for members in built[built.index({"c", "d"}) + 1:])
+    rects = [json.loads(line)["rect"] for line in log.getvalue().splitlines()]
+    assert [0, 0, 0, 7] in rects and [0, 0, 0, 3] in rects
+    assert [0, 4, 0, 7] not in rects
+
+
+@pytest.mark.parametrize("how", ["solve", "build"])
+@pytest.mark.parametrize("axis", ["vertical", "horizontal"])
+def test_failed_root_halving_names_the_pass(monkeypatch, how, axis):
+    fab = parse_fabric("rows 8\ncolumns CCCCCCCC\n")
+    design = Design([ModuleSpec(m, ResourceVector(1, 0, 0)) for m in "ab"])
+    cands = generate_placements(fab, design, ar_bounds=None)
+    fail_halvings(monkeypatch, {"a", "b"}, how)
+    with pytest.raises(InfeasibleModelError, match=f"device root \\({axis} pass\\)"):
+        recursive_bipartition(fab, design, cands, axis)
 
 
 def test_compute_anchors_combines_axes():

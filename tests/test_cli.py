@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilefp import place
+from tilefp import bipartition, place
 from tilefp.cli import _FAILURES, EXIT_OK, build_parser, main
 from tilefp.design import parse_design
 from tilefp.fabric import parse_fabric
@@ -518,6 +518,17 @@ def test_infeasible_floorplan_exit_code(tmp_path, capsys):
     design = write(tmp_path, "t.design", "module a 2 0 0\nmodule b 2 0 0\n")
     assert main(["floorplan", "--fabric", fab, "--design", design, "--no-ar"]) == 3
     assert capsys.readouterr().out.startswith("INFEASIBLE_FLOORPLAN")
+
+
+def test_failed_root_solve_exit_code(tmp_path, capsys, monkeypatch):
+    """A root halving whose search finds no feasible leaf ends the run like
+    one whose forced members overflow a side: exit 3."""
+    monkeypatch.setattr(bipartition, "solve_bqp", lambda model: None)
+    code = main(["floorplan", "--fabric", FX, "--design", SDR, "--out", str(tmp_path / "p.fp")])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert out.startswith("INFEASIBLE_FLOORPLAN") and len(out.splitlines()) == 1
+    assert not (tmp_path / "p.fp").exists()
 
 
 def test_timeout_exit_code(capsys):

@@ -13,7 +13,6 @@ from tilefp import place
 from tilefp.bipartition import (
     EXACT_LIMIT,
     BqpModel,
-    Partition,
     SideData,
     build_bqp,
     objective_of,
@@ -229,24 +228,20 @@ def test_side_data_split_matches_overlap_side(data):
     parent_rect = data.draw(rects_in(rows, cols).filter(
         lambda r: (r.width if axis == "vertical" else r.height) >= 2
     ))
-    parent = Partition(parent_rect, ("m",), fab.available_in_rect(parent_rect))
-    child0, child1 = split_partition(parent, axis, fab)
+    child0, child1 = split_partition(parent_rect, axis)
     cands = [
         PlacementCandidate(r, resources_in_rect(fab, r), 0)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
-    module = ModuleSpec("m", ResourceVector(1, 0, 0))
-    split = side_data_walk(module, cands, child0, child1, axis)
+    split = side_data_walk("m", cands, child0, child1, axis)
     for side, placements in ((0, split.placements0), (1, split.placements1)):
-        expected = [
-            c for c in cands if overlap_side(c.rect, child0.rect, child1.rect) == side
-        ]
+        expected = [c for c in cands if overlap_side(c.rect, child0, child1) == side]
         assert list(placements) == expected
     # each candidate alone is forced to the side it lands on, or keeps to
     # the parent when it lands on neither
     for c in cands:
-        alone = side_data_walk(module, [c], child0, child1, axis)
-        assert alone.forced_side == overlap_side(c.rect, child0.rect, child1.rect)
+        alone = side_data_walk("m", [c], child0, child1, axis)
+        assert alone.forced_side == overlap_side(c.rect, child0, child1)
 
 
 @PROPERTY
@@ -268,11 +263,11 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
         groups = span_groups(cands, axis)
         assert sum(g[2] for g in groups) == len(cands)
         members = cands
-        partition = Partition(fab.bounds, ("m",), fab.available_in_rect(fab.bounds))
-        while (partition.rect.width if axis == "vertical" else partition.rect.height) >= 2:
-            child0, child1 = split_partition(partition, axis, fab)
-            got = side_data(module, groups, child0, child1, axis)
-            want = side_data_walk(module, members, child0, child1, axis)
+        rect = fab.bounds
+        while (rect.width if axis == "vertical" else rect.height) >= 2:
+            child0, child1 = split_partition(rect, axis)
+            got = side_data("m", groups, child0, child1, axis)
+            want = side_data_walk("m", members, child0, child1, axis)
             for side in (0, 1):
                 got_side = (got.placements0, got.placements1)[side]
                 want_side = (want.placements0, want.placements1)[side]
@@ -287,7 +282,7 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
             side = data.draw(st.sampled_from(sides))
             groups = (got.placements0, got.placements1)[side]
             members = (want.placements0, want.placements1)[side]
-            partition = (child0, child1)[side]
+            rect = (child0, child1)[side]
 
 
 # Longest candidate list per module count: the whole depth-first tree then
@@ -738,14 +733,12 @@ def test_build_bqp_prices_connections_like_the_cut_formulas(inputs):
             w0 if side0 else None, w1 if side1 else None,
             ResourceVector() if side0 else None, ResourceVector() if side1 else None,
         ))
-    bounds = PRICING_FABRIC.bounds
-    parent = Partition(
-        bounds, tuple(d.module_id for d in data), PRICING_FABRIC.available_in_rect(bounds)
-    )
-    children = split_partition(parent, axis, PRICING_FABRIC)
+    children = split_partition(PRICING_FABRIC.bounds, axis)
     conns = [Connection(*c) for c in connections]
     requirements = {d.module_id: ResourceVector() for d in data}
-    model = build_bqp(parent, data, conns, anchors, axis, extent_of, children, requirements)
+    model = build_bqp(
+        PRICING_FABRIC, children, data, conns, anchors, axis, extent_of, requirements
+    )
     linear, pairs, const = cut_cost_walk(data, conns, anchors, extent_of, children[1], axis)
     assert model.linear == linear
     assert list(model.pairs.items()) == list(pairs.items())
