@@ -28,7 +28,8 @@ together, or when the search finds no feasible leaf (``solve_bqp``
 returns None). Its members then all keep the partition's center and
 nothing inside it is halved. A failure at the device root raises
 ``InfeasibleModelError``, which the CLI reports as
-``INFEASIBLE_FLOORPLAN`` with exit 3.
+``INFEASIBLE_FLOORPLAN`` with exit 3; when ``build_bqp`` raised, its
+reason follows the pass.
 """
 
 from __future__ import annotations
@@ -653,18 +654,19 @@ def recursive_bipartition(
         children = split_partition(rect, axis)
         data = [side_data(m, g, *children, axis) for m, g in groups.items()]
         started = time.perf_counter()
+        reason = ""
         try:
             model = build_bqp(
                 fabric, children, data, design.connections, snapshot, axis,
                 extents, requirements,
             )
             assignment = solve_bqp(model)
-        except InfeasibleModelError:
-            assignment = None
+        except InfeasibleModelError as exc:
+            assignment, reason = None, f": {exc}"
         if assignment is None:
             if rect == bounds:
                 raise InfeasibleModelError(
-                    f"no feasible side assignment at the device root ({axis} pass)"
+                    f"no feasible side assignment at the device root ({axis} pass){reason}"
                 )
             # members keep the partition's center; placement may still succeed
             continue

@@ -25,12 +25,28 @@ to the left is the no-left split of the bare kernel on the l-th of them,
 which comes earlier and has emitted it (or stopped below it at a reserved
 tile the split would hold). A paired module's bare DSP kernel keeps the
 full walk, since the kernel on a DSP column to its left may be paired.
+
+A CLB-only module's walk has a closed form (``_one_kind_rects``), which
+gives the same rects in the same order without walking. For a need N its
+kernels are the free CLB tiles by (row, column) and, when N >= 2, the row
+spans over N consecutive CLB columns by (width, row, column): no bare tile
+holds N, so the walk merges each span and drops those holding a reserved
+tile. A bare kernel on the i-th CLB column grows rightward only, so at
+height h its one split ends on CLB column i + ceil(N/h) - 1, and is
+dropped when that column does not exist or the rect holds a reserved tile;
+the kernel grows until its own column meets a reserved tile or the device
+top. A span holds N per row, so its one split is itself, which grows while
+its columns stay free. Bare kernels differ in (row, column), so their rects
+differ; a span's height-1 rect is the one the bare kernel on its first
+column emitted, and a taller one ends on column i + N - 1, right of the
+bare kernel's i + ceil(N/h) - 1. So no rect comes twice, and no ``seen``
+set is needed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
@@ -279,34 +295,57 @@ def _expand_or_cross(
     return out
 
 
-def generate_module_placements(
-    fabric: Fabric,
-    module: ModuleSpec,
-    ar_bounds: tuple[float, float] | None,
-) -> list[PlacementCandidate]:
-    """All candidate rectangles for one module, deduplicated, in a
-    deterministic order.
+def _one_kind_rects(fabric: Fabric, need: int) -> list[Rect]:
+    """The rects the kernel walk emits for a CLB-only module, in its order:
+    the bare kernels' rects, then the merged spans' taller ones (see the
+    module docstring for why these are the walk's)."""
+    cols = fabric.columns_of(ResourceKind.CLB)
+    reserved = fabric.prefix_tables[0]
+    rows = fabric.rows
+    new = tuple.__new__
+    out: list[Rect] = []
+    append = out.append
+    for row0 in range(rows):
+        bottom = reserved[row0]
+        for i, c in enumerate(cols):
+            for row1 in range(row0, rows):
+                top = reserved[row1 + 1]
+                if top[c + 1] - bottom[c + 1] - top[c] + bottom[c]:
+                    break
+                j = i - (-need // (row1 - row0 + 1)) - 1
+                if j < len(cols):
+                    c1 = cols[j]
+                    if not top[c1 + 1] - bottom[c1 + 1] - top[c] + bottom[c]:
+                        append(new(Rect, (row0, c, row1, c1)))
+    if need < 2:
+        return out
+    spans = sorted(
+        (c1 - c0 + 1, row0, c0)
+        for row0 in range(rows)
+        for c0, c1 in zip(cols, cols[need - 1:])
+    )
+    for width, row0, c0 in spans:
+        c1 = c0 + width - 1
+        bottom = reserved[row0]
+        for row1 in range(row0, rows):
+            top = reserved[row1 + 1]
+            if top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
+                break
+            if row1 > row0:
+                append(new(Rect, (row0, c0, row1, c1)))
+    return out
 
-    Each stage emits only rects that hold its kind's need, and later stages
-    only widen or heighten a rect, so every rect of the last stage covers
-    the requirement; it is priced only once the aspect-ratio window keeps it.
-    """
-    req = module.req
-    req_frames = fabric.frames_of(req)
+
+def _walked_rects(fabric: Fabric, req: ResourceVector) -> Iterator[list[Rect]]:
+    """The last kind's rects of the kernel walk, one list per kernel."""
     first, *rest = kinds = kind_order(req)
     need_first = req.of(first)
-
     found: dict[Rect, None] = {}
     for row in range(fabric.rows):
         base = base_kernels_for_row(fabric, row, kinds)
         found.update(dict.fromkeys(base + merge_row_kernels(fabric, base, need_first, first)))
     kernels = sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0))
 
-    clb, bram, dsp = fabric.prefix_tables[1]
-    w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
-    new = tuple.__new__  # builds the NamedTuples without a constructor frame
-    accepted: list[PlacementCandidate] = []
-    covering = 0
     # One set per kind: the rects its expansion has emitted for this
     # module. A rect reached again from another kernel would be expanded
     # (or judged, for the last kind) identically, so it is skipped; the
@@ -323,6 +362,39 @@ def generate_module_placements(
                 for rect in layer
                 for out in _expand_or_cross(fabric, rect, req.of(kind), kind, first, seen, grown)
             ]
+        yield layer
+
+
+def generate_module_placements(
+    fabric: Fabric,
+    module: ModuleSpec,
+    ar_bounds: tuple[float, float] | None,
+) -> list[PlacementCandidate]:
+    """All candidate rectangles for one module, deduplicated, in a
+    deterministic order.
+
+    Each stage emits only rects that hold its kind's need, and later stages
+    only widen or heighten a rect, so every rect of the last stage covers
+    the requirement; it is priced only once the aspect-ratio window keeps it.
+    A CLB-only module skips the walk. Each of its kernels has exactly one
+    split per height (a bare tile's rightward one, a merged span itself), and
+    no two kernels emit the same rect, except a span at height 1, which its
+    first bare tile emitted before; so ``_one_kind_rects`` lists those rects
+    in the walk's order from the CLB columns and the reserved prefix alone.
+    """
+    req = module.req
+    req_frames = fabric.frames_of(req)
+    if req.bram == req.dsp == 0:
+        layers = [_one_kind_rects(fabric, req.clb)]
+    else:
+        layers = _walked_rects(fabric, req)
+
+    clb, bram, dsp = fabric.prefix_tables[1]
+    w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
+    new = tuple.__new__  # builds the NamedTuples without a constructor frame
+    accepted: list[PlacementCandidate] = []
+    covering = 0
+    for layer in layers:
         covering += len(layer)
         for rect in layer:
             row0, col0, row1, col1 = rect

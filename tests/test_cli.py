@@ -514,10 +514,17 @@ def test_generate_outcome_property(inputs, kind, n, occupancy, to_file, usage):
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):
+    """Both modules need the whole device, so the root halving's forced
+    members overflow a half; the message keeps that reason after the pass."""
     fab = write(tmp_path, "t.fabric", "rows 1\ncolumns CC\n")
     design = write(tmp_path, "t.design", "module a 2 0 0\nmodule b 2 0 0\n")
     assert main(["floorplan", "--fabric", fab, "--design", design, "--no-ar"]) == 3
-    assert capsys.readouterr().out.startswith("INFEASIBLE_FLOORPLAN")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("INFEASIBLE_FLOORPLAN") and len(captured.out.splitlines()) == 1
+    assert captured.err.startswith(
+        "no feasible side assignment at the device root (vertical pass): "
+        "forced assignments exceed capacity in "
+    )
 
 
 def test_failed_root_solve_exit_code(tmp_path, capsys, monkeypatch):

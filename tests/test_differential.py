@@ -188,6 +188,37 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
     assert generate_module_placements(fab, module, ar_bounds) == expected
 
 
+# ``requirements`` draws a CLB-only one about 1 time in 16; these are all
+# CLB-only, with needs up to three times the column count.
+one_kind_needs = fabrics(max_cols=20).flatmap(
+    lambda fab: st.tuples(st.just(fab), st.integers(1, 3 * fab.cols))
+)
+
+
+@PROPERTY
+@given(one_kind_needs, ar_windows)
+# need 1: every bare kernel suffices, so no row span is merged
+@example((Fabric(2, "CBC", [Rect(1, 0, 1, 0)]), 1), None)
+# no CLB column: no kernel, nothing covers, and the error has no reason
+@example((Fabric(2, "BD"), 2), None)
+# the row-0 span from column 0 ends on its 3rd CLB column, which is
+# reserved: the walk's merge runs on to column 4 and drops the span
+@example((Fabric(2, "CCBCC", [Rect(0, 3, 0, 3)]), 3), None)
+# the reserved tile above the bare kernel on column 1 stops its growth,
+# while the kernel on column 0 still emits its taller rects
+@example((Fabric(3, "CCC", [Rect(1, 1, 1, 1)]), 2), None)
+def test_one_kind_placements_match_walk(case, ar_bounds):
+    fab, need = case
+    module = ModuleSpec("m", ResourceVector(need, 0, 0))
+    try:
+        expected = module_placements_walk(fab, module, ar_bounds)
+    except InfeasibleModuleError as exc:
+        with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
+            generate_module_placements(fab, module, ar_bounds)
+        return
+    assert generate_module_placements(fab, module, ar_bounds) == expected
+
+
 # Few distinct coordinates and wastages, so that lists hold equal wastage,
 # equal (row0, col0) under different (row1, col1), equal distances and
 # whole duplicates; weights from 0 to 1e308, whose objective overflows.

@@ -282,7 +282,7 @@ def first_kind_walks(fabric, req):
 
 
 @pytest.mark.parametrize("fabric, req", [
-    (Fabric(2, "CCDCCBCC"), ResourceVector(3, 0, 0)),
+    (Fabric(2, "CCBCCBCC"), ResourceVector(3, 2, 0)),
     (Fabric(2, "DCDCCDC"), ResourceVector(2, 0, 2)),
 ])
 def test_bare_kernels_grow_rightward_only(fabric, req):
@@ -304,6 +304,30 @@ def test_paired_modules_walk_every_kernel_left():
     walks = first_kind_walks(fabric, ResourceVector(2, 1, 3))
     assert Rect(0, 8, 0, 8) in walks and Rect(0, 2, 0, 3) in walks
     assert all(sorted(steps) == [-1, +1] for steps in walks.values())
+
+
+def test_clb_only_modules_skip_the_walk():
+    """A CLB-only module's rects come from the closed form: no kernel is
+    expanded and no column is walked, whether its need merges kernels or
+    not. A module that also needs BRAM shows that the spies see the walk."""
+    fab = Fabric(3, "CCDCCBCC", [Rect(1, 3, 1, 3)])
+    calls = []
+
+    def spy(name):
+        real = getattr(tessellation, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    with mock.patch.object(tessellation, "expand_horizontal", spy("expand_horizontal")), \
+            mock.patch.object(tessellation, "_columns_outward", spy("_columns_outward")):
+        for need in (1, 3):
+            assert generate_module_placements(fab, ModuleSpec("m", ResourceVector(need, 0, 0)), None)
+        assert calls == []
+        generate_module_placements(fab, ModuleSpec("m", ResourceVector(3, 1, 0)), None)
+    assert {"expand_horizontal", "_columns_outward"} <= set(calls)
 
 
 def test_generate_placements_minimal_two_column_case():
