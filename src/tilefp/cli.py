@@ -3,21 +3,30 @@
 Exit codes for the ``floorplan`` subcommand: 0 success, 1 unreadable,
 undecodable (not UTF-8) or malformed input, a device too large to hold in
 memory, an out-of-range option or an unwritable output, 2 a module that
-fits nowhere on the device, 3 no non-overlapping floorplan, 4 the
-placement search stopped at its node budgets or at the ``--time-budget``
-safety net. Every ``floorplan`` invocation ends with one summary line no
-matter how it exits; it goes to standard output unless a successful run
-writes its document there. The document goes to standard output when
-``--out`` is absent or empty (``--out ""``), and to the named file
-otherwise. ``generate`` does the same with ``OK
-modules=<n>`` (exit 0), ``PARSE_ERROR modules=0`` (exit 1: an unreadable,
-undecodable, malformed or oversized fabric, or an unwritable output) or
-``INFEASIBLE_DESIGN modules=0`` (exit 2: a count or occupancy it cannot meet).
+fits nowhere on the device, 3 no non-overlapping floorplan (the placement
+search proved none exists, or the halving at the device root found no
+feasible side assignment), 4 the placement search stopped at its node
+budgets or at the ``--time-budget`` safety net. Every ``floorplan``
+invocation ends with one summary line no matter how it exits; it goes to
+standard output unless a successful run writes its document there. The
+document goes to standard output when ``--out`` is absent or empty
+(``--out ""``), and to the named file otherwise. ``generate`` does the
+same with ``OK modules=<n>`` (exit 0), ``PARSE_ERROR modules=0`` (exit 1:
+an unreadable, undecodable, malformed or oversized fabric, or an
+unwritable output) or ``INFEASIBLE_DESIGN modules=0`` (exit 2: a count or
+occupancy it cannot meet).
 
 ``validate`` exits 0 for a valid document, 1 for an unreadable,
 undecodable or malformed plan or fabric (or a device too large to hold in
 memory) and 3 for a document with violations, and always ends with one
 summary line on standard output.
+
+A summary line that standard output cannot take, because its reader has
+gone (a broken pipe), goes to standard error instead, and standard output
+is pointed at ``os.devnull`` so that the flush at exit stays quiet. The
+exit code stays the run's own: ``floorplan`` and ``generate`` exit 1 when
+the document they write there cannot be written, as for any output they
+cannot write, and ``validate`` keeps its verdict.
 
 A usage error of a subcommand, such as a missing required option, a value
 of the wrong type or an unknown option, exits 1 with that subcommand's
@@ -37,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -94,6 +104,30 @@ def _read_text(path: str) -> str:
         raise UnicodeError(f"{path}: not UTF-8: {exc}") from None
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write an output to ``path``, or to standard output when there is no
+    path; flushed, so an output standard output cannot take fails here."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _summarize(line: str, to_stderr: bool = False) -> None:
+    """Print a subcommand's one summary line: on standard output unless
+    ``to_stderr``, and on standard error when standard output's reader has
+    gone, pointing standard output at ``os.devnull`` so the flush at exit
+    stays quiet (the recipe in the ``signal`` module's documentation)."""
+    if not to_stderr:
+        try:
+            print(line, flush=True)
+            return
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(line, file=sys.stderr)
+
+
 def _floorplan(args: argparse.Namespace) -> Floorplan:
     """Parse, check the options, run the pipeline and write its outputs;
     failures raise a ``_FAILURES`` type."""
@@ -118,23 +152,15 @@ def _floorplan(args: argparse.Namespace) -> Floorplan:
     log = open(args.solver_log, "w") if args.solver_log else contextlib.nullcontext()
     with log as log_handle:
         plan = run_floorplan(fabric, design, ar_bounds, args.time_budget, log_handle)
-    document = write_floorplan(plan, design, fabric, design.alpha, design.beta, ar_bounds)
-    if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
+    _write(write_floorplan(plan, design, fabric, design.alpha, design.beta, ar_bounds), args.out)
     if args.render != "none":
         from .render import render_ascii, render_svg
 
         draw = render_svg if args.render == "svg" else render_ascii
-        rendering = draw(fabric, plan.rects)
-        if args.out:
-            # appended, not substituted: the render must never land on
-            # the document's own path
-            ext = ".svg" if args.render == "svg" else ".ascii"
-            Path(args.out + ext).write_text(rendering, encoding="utf-8")
-        else:
-            sys.stdout.write(rendering)
+        # appended, not substituted: the render must never land on the
+        # document's own path
+        ext = ".svg" if args.render == "svg" else ".ascii"
+        _write(draw(fabric, plan.rects), args.out and args.out + ext)
     return plan
 
 
@@ -149,8 +175,10 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         status, code = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
     ms = round((time.monotonic() - started) * 1000)
     # keep stdout a clean document when it is the document sink
-    stream = sys.stderr if code == EXIT_OK and not args.out else sys.stdout
-    print(f"{status} wastage={wastage} wirelength={wirelength} runtime_ms={ms}", file=stream)
+    _summarize(
+        f"{status} wastage={wastage} wirelength={wirelength} runtime_ms={ms}",
+        to_stderr=code == EXIT_OK and not args.out,
+    )
     return code
 
 
@@ -159,19 +187,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     try:
         fabric = parse_fabric(_read_text(args.fabric))
         design = generate_random_design(args.n, fabric, tuple(args.occupancy), args.seed)
-        text = write_design(design)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write(write_design(design), args.out)
     except GenerationError as exc:
         print(exc, file=sys.stderr)
         status, code = "INFEASIBLE_DESIGN", EXIT_INFEASIBLE_MODULE
     except (FabricError, OSError, UnicodeError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         status, code = "PARSE_ERROR", EXIT_PARSE
-    stream = sys.stderr if code == EXIT_OK and not args.out else sys.stdout
-    print(f"{status} modules={args.n if code == EXIT_OK else 0}", file=stream)
+    _summarize(
+        f"{status} modules={args.n if code == EXIT_OK else 0}",
+        to_stderr=code == EXIT_OK and not args.out,
+    )
     return code
 
 
@@ -184,14 +210,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         problems = validate_floorplan(document, fabric_text)
     except (OSError, ValueError, MemoryError) as exc:
         print(str(exc) or type(exc).__name__, file=sys.stderr)
-        print("PARSE_ERROR violations=0")
+        _summarize("PARSE_ERROR violations=0")
         return EXIT_PARSE
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"INVALID violations={len(problems)}")
+        _summarize(f"INVALID violations={len(problems)}")
         return EXIT_INFEASIBLE_PLAN
-    print("VALID violations=0")
+    _summarize("VALID violations=0")
     return EXIT_OK
 
 
@@ -213,7 +239,7 @@ class _SubcommandParser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        print(self.summary)
+        _summarize(self.summary)
         self.exit(EXIT_PARSE)
 
 

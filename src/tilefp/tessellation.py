@@ -19,34 +19,41 @@ has already emitted is skipped: reached again from another kernel, it would
 be expanded (or judged) the same way. A later kind's kernels share column
 spans at several heights, and a taller one walks a tail of a shorter one's
 heights, so it is walked only when that walk could emit something new
-(``_expand_or_cross``). Unless a module pairs DSP with BRAM, a one-tile
-kernel grows rightward only: its split reaching l >= 1 first-kind columns
-to the left is the no-left split of the bare kernel on the l-th of them,
-which comes earlier and has emitted it (or stopped below it at a reserved
-tile the split would hold). A paired module's bare DSP kernel keeps the
-full walk, since the kernel on a DSP column to its left may be paired.
+(``_expand_or_cross``).
 
-A CLB-only module's walk has a closed form (``_one_kind_rects``), which
-gives the same rects in the same order without walking. For a need N its
-kernels are the free CLB tiles by (row, column) and, when N >= 2, the row
-spans over N consecutive CLB columns by (width, row, column): no bare tile
-holds N, so the walk merges each span and drops those holding a reserved
-tile. A bare kernel on the i-th CLB column grows rightward only, so at
-height h its one split ends on CLB column i + ceil(N/h) - 1, and is
-dropped when that column does not exist or the rect holds a reserved tile;
-the kernel grows until its own column meets a reserved tile or the device
-top. A span holds N per row, so its one split is itself, which grows while
-its columns stay free. Bare kernels differ in (row, column), so their rects
-differ; a span's height-1 rect is the one the bare kernel on its first
-column emitted, and a taller one ends on column i + N - 1, right of the
-bare kernel's i + ceil(N/h) - 1. So no rect comes twice, and no ``seen``
-set is needed.
+A module that does not pair DSP with BRAM (an unpaired module: one scarce
+kind, or CLB alone) has a first stage in closed form (``_one_kind_rects``),
+which gives the kernel walk's rects in the walk's order without walking.
+With no pairing kind, for a need N the walk's kernels are the free tiles
+of the first kind by (row, column) and, when N >= 2, the row spans over N
+consecutive first-kind columns by (width, row, column): no bare tile holds
+N, so the walk merges each span and drops those holding a reserved tile.
+The first kind's walk is blocked by no kind, so it takes in every other
+column on its way. A bare kernel's split reaching l >= 1 first-kind
+columns to its left is the no-left split of the bare kernel on the l-th of
+them, which comes earlier and has emitted it, so only the rightward split
+counts: at height h it ends on first-kind column i + ceil(N/h) - 1 and is
+dropped when that column does not exist or the rect holds a reserved
+tile; the kernel grows until its own column meets a reserved tile or the
+device top. A span holds N per row, so its one split is itself, which
+grows while its columns stay free. Bare kernels differ in (row, column),
+so their rects differ; a span's height-1 rect is the one the bare kernel
+on its first column emitted, and a taller one ends on column i + N - 1,
+right of the bare kernel's i + ceil(N/h) - 1. So no rect comes twice, and
+no ``seen`` set is needed. The walk's per-kernel layers, joined end to
+end, are this sequence, and each later kind's ``seen`` and ``grown``
+state depends only on the sequence it reads, so the module's list is the
+walk's. A CLB-only module is the case with no later kind.
+
+A paired module keeps the kernel walk, both ways for every kernel: a bare
+DSP kernel (one whose pairing span holds a reserved tile) may reach, on
+its left, a DSP column whose kernel is paired rather than bare.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
@@ -200,7 +207,6 @@ def expand_horizontal(
     target: ResourceKind,
     blocked: ResourceKind | None,
     seen: set[Rect],
-    *, leftward: bool = True,
 ) -> tuple[list[Rect], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
@@ -217,8 +223,7 @@ def expand_horizontal(
     rect is added to ``seen``. The int returned with the rects is the
     highest ``row1`` at which some split was free of reserved tiles, seen
     ones included (``seen`` only ever holds emitted, hence free, rects), or
-    -1 when no split at any height was free. With ``leftward`` false only
-    the splits that keep the kernel's left column are tried.
+    -1 when no split at any height was free.
     """
     new = tuple.__new__
     out = []
@@ -226,7 +231,7 @@ def expand_horizontal(
     row0, col0, row1, col1 = kernel
     # The columns stay fixed while the kernel grows upward, so the outward
     # walks are shared by every height; every split is in bounds.
-    lefts = _columns_outward(fabric, col0, -1, target, blocked) if leftward else ()
+    lefts = _columns_outward(fabric, col0, -1, target, blocked)
     rights = _columns_outward(fabric, col1, +1, target, blocked)
     reserved, kind_prefix = fabric.prefix_tables
     bottom = reserved[row0]
@@ -261,14 +266,13 @@ def expand_horizontal(
 
 def _expand_or_cross(
     fabric: Fabric,
-    kernel: Rect,
+    layers: Iterable[list[Rect]],
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind,
-    seen: set[Rect],
-    grown: dict[tuple[int, int, int], tuple[int, int]],
-) -> list[Rect]:
-    """Expansion that may cross scarce columns as a last resort.
+) -> Iterator[list[Rect]]:
+    """A later kind's expansion of every rect in ``layers``, in order, one
+    list per rect; it may cross scarce columns as a last resort.
 
     Staying clear of further scarce columns keeps them available for other
     modules, so that variant is tried first; when it finds no free split at
@@ -282,24 +286,28 @@ def _expand_or_cross(
     height when it fell back. The taller kernel walks a tail of the first
     one's heights, with the same splits, all of them seen by now.
     """
-    row0, col0, row1, col1 = kernel
-    first = grown.get((row0, col0, col1))
-    if first is not None and first[0] <= row1 <= first[1]:
-        return []
-    out, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
-    if free_row1 < 0:
-        out, _ = expand_horizontal(fabric, kernel, needed, target, None, seen)
-        free_row1 = fabric.rows
-    if first is None:
-        grown[row0, col0, col1] = (row1, free_row1)
-    return out
+    seen: set[Rect] = set()
+    grown: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for layer in layers:
+        for kernel in layer:
+            row0, col0, row1, col1 = kernel
+            first = grown.get((row0, col0, col1))
+            if first is not None and first[0] <= row1 <= first[1]:
+                continue
+            out, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
+            if free_row1 < 0:
+                out, _ = expand_horizontal(fabric, kernel, needed, target, None, seen)
+                free_row1 = fabric.rows
+            if first is None:
+                grown[row0, col0, col1] = (row1, free_row1)
+            yield out
 
 
-def _one_kind_rects(fabric: Fabric, need: int) -> list[Rect]:
-    """The rects the kernel walk emits for a CLB-only module, in its order:
-    the bare kernels' rects, then the merged spans' taller ones (see the
-    module docstring for why these are the walk's)."""
-    cols = fabric.columns_of(ResourceKind.CLB)
+def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[Rect]:
+    """The rects the kernel walk emits for the first kind of an unpaired
+    module, in its order: the bare kernels' rects, then the merged spans'
+    taller ones (see the module docstring for why these are the walk's)."""
+    cols = fabric.columns_of(kind)
     reserved = fabric.prefix_tables[0]
     rows = fabric.rows
     new = tuple.__new__
@@ -336,33 +344,20 @@ def _one_kind_rects(fabric: Fabric, need: int) -> list[Rect]:
     return out
 
 
-def _walked_rects(fabric: Fabric, req: ResourceVector) -> Iterator[list[Rect]]:
-    """The last kind's rects of the kernel walk, one list per kernel."""
-    first, *rest = kinds = kind_order(req)
-    need_first = req.of(first)
+def _paired_rects(
+    fabric: Fabric, kinds: tuple[ResourceKind, ...], need: int
+) -> Iterator[list[Rect]]:
+    """The first kind's rects of a paired module's kernel walk, one list per kernel."""
+    first = kinds[0]
     found: dict[Rect, None] = {}
     for row in range(fabric.rows):
         base = base_kernels_for_row(fabric, row, kinds)
-        found.update(dict.fromkeys(base + merge_row_kernels(fabric, base, need_first, first)))
-    kernels = sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0))
-
-    # One set per kind: the rects its expansion has emitted for this
-    # module. A rect reached again from another kernel would be expanded
-    # (or judged, for the last kind) identically, so it is skipped; the
-    # later kinds also keep the spans they have grown.
-    emitted: list[set[Rect]] = [set() for _ in kinds]
-    spans: list[dict] = [{} for _ in rest]
-    for kernel in kernels:
+        found.update(dict.fromkeys(base + merge_row_kernels(fabric, base, need, first)))
+    # a rect reached again from another kernel is skipped
+    seen: set[Rect] = set()
+    for kernel in sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0)):
         # the first kind's own upward growth is the zero-column split
-        layer, _ = expand_horizontal(fabric, kernel, need_first, first, None, emitted[0],
-                                     leftward=len(kinds) == 3 or kernel.col0 < kernel.col1)
-        for kind, seen, grown in zip(rest, emitted[1:], spans):
-            layer = [
-                out
-                for rect in layer
-                for out in _expand_or_cross(fabric, rect, req.of(kind), kind, first, seen, grown)
-            ]
-        yield layer
+        yield expand_horizontal(fabric, kernel, need, first, None, seen)[0]
 
 
 def generate_module_placements(
@@ -376,18 +371,19 @@ def generate_module_placements(
     Each stage emits only rects that hold its kind's need, and later stages
     only widen or heighten a rect, so every rect of the last stage covers
     the requirement; it is priced only once the aspect-ratio window keeps it.
-    A CLB-only module skips the walk. Each of its kernels has exactly one
-    split per height (a bare tile's rightward one, a merged span itself), and
-    no two kernels emit the same rect, except a span at height 1, which its
-    first bare tile emitted before; so ``_one_kind_rects`` lists those rects
-    in the walk's order from the CLB columns and the reserved prefix alone.
+    The first stage of an unpaired module is ``_one_kind_rects``; only a
+    module that pairs DSP with BRAM walks its first-kind kernels.
     """
     req = module.req
     req_frames = fabric.frames_of(req)
-    if req.bram == req.dsp == 0:
-        layers = [_one_kind_rects(fabric, req.clb)]
+    first, *rest = kinds = kind_order(req)
+    layers: Iterable[list[Rect]]
+    if len(kinds) < 3:
+        layers = [_one_kind_rects(fabric, first, req.of(first))]
     else:
-        layers = _walked_rects(fabric, req)
+        layers = _paired_rects(fabric, kinds, req.of(first))
+    for kind in rest:
+        layers = _expand_or_cross(fabric, layers, req.of(kind), kind, first)
 
     clb, bram, dsp = fabric.prefix_tables[1]
     w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)

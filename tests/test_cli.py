@@ -3,6 +3,7 @@
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -182,6 +183,43 @@ def test_oversized_device_is_a_parse_error(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(summary)
         assert "Traceback" not in done.stderr, command
         assert "MemoryError" in done.stderr, command
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command, options, summary, code", [
+    ("floorplan", ["--design", SDR, "--no-ar"], r"PARSE_ERROR wastage=0 wirelength=0 runtime_ms=\d+", 1),
+    ("generate", ["-n", "4", "--occupancy", "0.5", "0.5", "0.5"], "PARSE_ERROR modules=0", 1),
+    ("validate", ["--plan", "sdr.fp"], "VALID violations=0", 0),
+], ids=["floorplan", "generate", "validate"])
+def test_closed_stdout_moves_the_summary_to_stderr(tmp_path, command, options, summary, code, buffered):
+    """A standard output whose reader has gone before the run starts ends
+    the run with its one summary line on standard error and the documented
+    exit code, with no traceback, whether the write or the flush at exit
+    meets the broken pipe. ``floorplan`` and ``generate`` cannot write their
+    document there, so they exit 1; ``validate`` keeps its verdict."""
+    plan = str(tmp_path / "sdr.fp")
+    assert main(["floorplan", "--fabric", FX, "--design", SDR, "--no-ar", "--out", plan]) == 0
+    options = [plan if option == "sdr.fp" else option for option in options]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tilefp.cli", command, "--fabric", FX, *options],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    summaries = [
+        line for line in done.stderr.splitlines()
+        if line.split(" ")[0] in {"OK", "PARSE_ERROR", "VALID", "INVALID"}
+    ]
+    assert len(summaries) == 1 and re.fullmatch(summary, summaries[0])
 
 
 def test_infeasible_module_exit_code(tmp_path, capsys):

@@ -115,17 +115,11 @@ def test_expand_horizontal_matches_walk(data):
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
     blocked = data.draw(st.one_of(st.none(), kinds))
-    leftward = data.draw(st.booleans())
     expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
-    if not leftward:
-        # only the splits with no target column on the left
-        expected = [k for k in expected if k.col0 == kernel.col0]
     # rects emitted earlier are only ever free ones
     seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
     before = set(seen)
-    grown, free_row1 = expand_horizontal(
-        fab, kernel, needed, target, blocked, seen, leftward=leftward
-    )
+    grown, free_row1 = expand_horizontal(fab, kernel, needed, target, blocked, seen)
     assert grown == [k for k in expected if k not in before]
     assert free_row1 == max((k.row1 for k in expected), default=-1)
     assert seen == before | set(expected)
@@ -170,12 +164,12 @@ ar_windows = st.one_of(
 # DSP column 3. Skipping every taller kernel over a span already grown
 # would lose that candidate.
 @example(Fabric(2, "DCCDDC", [Rect(1, 5, 1, 5)]), ResourceVector(1, 0, 1), None)
-# Bare kernels grow rightward only when nothing is paired. Here the DSP at
-# column 8 pairs with no BRAM, since its nearest one at column 9 is
-# reserved, and falls back to the bare tile. Its split reaching two DSP
-# columns left, (0, 3, 0, 8), is no l = 0 split of an earlier kernel: the
-# DSP at column 3 is paired with the BRAM at column 2, not bare. Growing
-# the bare fallback rightward only would lose that candidate.
+# A paired module walks every kernel both ways. Here the DSP at column 8
+# pairs with no BRAM, since its nearest one at column 9 is reserved, and
+# falls back to the bare tile. Its split reaching two DSP columns left,
+# (0, 3, 0, 8), is no l = 0 split of an earlier kernel: the DSP at column
+# 3 is paired with the BRAM at column 2, not bare. The rightward-only rule
+# of an unpaired module's closed form would lose that candidate here.
 @example(Fabric(1, "CDBDDCBCDBDB", [Rect(0, 9, 0, 9)]), ResourceVector(2, 1, 3), None)
 def test_module_placements_match_walk(fab, req, ar_bounds):
     module = ModuleSpec("m", req)
@@ -188,28 +182,44 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
     assert generate_module_placements(fab, module, ar_bounds) == expected
 
 
-# ``requirements`` draws a CLB-only one about 1 time in 16; these are all
-# CLB-only, with needs up to three times the column count.
-one_kind_needs = fabrics(max_cols=20).flatmap(
-    lambda fab: st.tuples(st.just(fab), st.integers(1, 3 * fab.cols))
-)
+@st.composite
+def unpaired_requirements(draw):
+    """A fabric and a requirement that pairs no DSP with BRAM: a first kind
+    needed from 1 to its column count + 2 (to 3x the columns for CLB), and
+    a CLB need from 0 to 3x the columns when CLB is not first."""
+    fab = draw(fabrics(max_cols=20))
+    first = draw(kinds)
+    top = 3 * fab.cols if first is ResourceKind.CLB else len(fab.columns_of(first)) + 2
+    need = draw(st.integers(1, top))
+    clb = need if first is ResourceKind.CLB else draw(st.integers(0, 3 * fab.cols))
+    counts = {ResourceKind.CLB: clb, first: need}
+    return fab, ResourceVector(*(counts.get(kind, 0) for kind in ResourceKind))
 
 
-@PROPERTY
-@given(one_kind_needs, ar_windows)
+# three first kinds, each with as many examples as CLB alone once had
+@settings(PROPERTY, max_examples=900)
+@given(unpaired_requirements(), ar_windows)
 # need 1: every bare kernel suffices, so no row span is merged
-@example((Fabric(2, "CBC", [Rect(1, 0, 1, 0)]), 1), None)
-# no CLB column: no kernel, nothing covers, and the error has no reason
-@example((Fabric(2, "BD"), 2), None)
-# the row-0 span from column 0 ends on its 3rd CLB column, which is
-# reserved: the walk's merge runs on to column 4 and drops the span
-@example((Fabric(2, "CCBCC", [Rect(0, 3, 0, 3)]), 3), None)
+@example((Fabric(2, "CBC", [Rect(1, 0, 1, 0)]), ResourceVector(1, 0, 0)), None)
+@example((Fabric(2, "CBCB", [Rect(1, 1, 1, 1)]), ResourceVector(2, 1, 0)), None)
+# no column of the first kind: no kernel, nothing covers, and the error
+# has no reason
+@example((Fabric(2, "BD"), ResourceVector(2, 0, 0)), None)
+@example((Fabric(2, "CB"), ResourceVector(1, 0, 1)), None)
+# the row-0 span from column 0 ends on its 3rd column of the first kind,
+# which is reserved: the walk's merge runs on to column 4 (5 for BRAM) and
+# drops the span
+@example((Fabric(2, "CCBCC", [Rect(0, 3, 0, 3)]), ResourceVector(3, 0, 0)), None)
+@example((Fabric(2, "BCBBCB", [Rect(0, 3, 0, 3)]), ResourceVector(2, 3, 0)), None)
+# the row-0 span between the two DSP columns holds a reserved CLB tile,
+# so only the row-1 span grows taller
+@example((Fabric(3, "DCD", [Rect(0, 1, 0, 1)]), ResourceVector(1, 0, 2)), None)
 # the reserved tile above the bare kernel on column 1 stops its growth,
 # while the kernel on column 0 still emits its taller rects
-@example((Fabric(3, "CCC", [Rect(1, 1, 1, 1)]), 2), None)
+@example((Fabric(3, "CCC", [Rect(1, 1, 1, 1)]), ResourceVector(2, 0, 0)), None)
 def test_one_kind_placements_match_walk(case, ar_bounds):
-    fab, need = case
-    module = ModuleSpec("m", ResourceVector(need, 0, 0))
+    fab, req = case
+    module = ModuleSpec("m", req)
     try:
         expected = module_placements_walk(fab, module, ar_bounds)
     except InfeasibleModuleError as exc:

@@ -282,19 +282,28 @@ def first_kind_walks(fabric, req):
 
 
 @pytest.mark.parametrize("fabric, req", [
+    (Fabric(3, "CCDCCBCC", [Rect(1, 3, 1, 3)]), ResourceVector(1, 0, 0)),
+    (Fabric(3, "CCDCCBCC", [Rect(1, 3, 1, 3)]), ResourceVector(3, 0, 0)),
     (Fabric(2, "CCBCCBCC"), ResourceVector(3, 2, 0)),
     (Fabric(2, "DCDCCDC"), ResourceVector(2, 0, 2)),
 ])
-def test_bare_kernels_grow_rightward_only(fabric, req):
-    """Without a pairing kind a bare kernel's leftward splits are the
-    rightward splits of earlier bare kernels, so it never walks left;
-    merged kernels still do."""
-    walks = first_kind_walks(fabric, req)
-    bare = [k for k in walks if k.col0 == k.col1]
-    merged = [k for k in walks if k.col0 < k.col1]
-    assert bare and merged
-    assert all(walks[k] == [+1] for k in bare)
-    assert all(sorted(walks[k]) == [-1, +1] for k in merged)
+def test_unpaired_modules_skip_the_kernel_walk(fabric, req):
+    """An unpaired module's first stage comes from the closed form: no
+    kernel is seeded, merged or walked, whether its need merges kernels or
+    not. Its later kind still expands the closed form's rects."""
+    targets = []
+    expand = tessellation.expand_horizontal
+
+    def spy(fabric, kernel, needed, target, *args):
+        targets.append(target)
+        return expand(fabric, kernel, needed, target, *args)
+
+    with mock.patch.object(tessellation, "expand_horizontal", spy), \
+            mock.patch.object(tessellation, "base_kernels_for_row") as seed, \
+            mock.patch.object(tessellation, "merge_row_kernels") as merge:
+        assert first_kind_walks(fabric, req) == {}
+    assert not seed.called and not merge.called
+    assert set(targets) == (set() if kind_order(req) == (CLB,) else {CLB})
 
 
 def test_paired_modules_walk_every_kernel_left():
@@ -304,30 +313,6 @@ def test_paired_modules_walk_every_kernel_left():
     walks = first_kind_walks(fabric, ResourceVector(2, 1, 3))
     assert Rect(0, 8, 0, 8) in walks and Rect(0, 2, 0, 3) in walks
     assert all(sorted(steps) == [-1, +1] for steps in walks.values())
-
-
-def test_clb_only_modules_skip_the_walk():
-    """A CLB-only module's rects come from the closed form: no kernel is
-    expanded and no column is walked, whether its need merges kernels or
-    not. A module that also needs BRAM shows that the spies see the walk."""
-    fab = Fabric(3, "CCDCCBCC", [Rect(1, 3, 1, 3)])
-    calls = []
-
-    def spy(name):
-        real = getattr(tessellation, name)
-
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return call
-
-    with mock.patch.object(tessellation, "expand_horizontal", spy("expand_horizontal")), \
-            mock.patch.object(tessellation, "_columns_outward", spy("_columns_outward")):
-        for need in (1, 3):
-            assert generate_module_placements(fab, ModuleSpec("m", ResourceVector(need, 0, 0)), None)
-        assert calls == []
-        generate_module_placements(fab, ModuleSpec("m", ResourceVector(3, 1, 0)), None)
-    assert {"expand_horizontal", "_columns_outward"} <= set(calls)
 
 
 def test_generate_placements_minimal_two_column_case():
