@@ -18,9 +18,9 @@ every partition spans the device across the cut and the 75% rule reduces
 to three quarters of a candidate's span along the cut axis. Candidates are
 therefore handled as span groups: one per distinct column span (vertical
 pass) or row span (horizontal pass) of a candidate list, holding the
-count and the componentwise-minimum resources of its candidates. The
-rule, the mean extents and the minimum footprints are all computed per
-group.
+count and the componentwise-minimum resources of its candidates, which
+tessellation groups as it prices the list (``CandidateList.groups``). The
+rule, the mean extents and the minimum footprints are computed per group.
 
 A halving fails when forced members overflow a half (``build_bqp``
 raises), when the members' smaller footprints overflow both halves
@@ -39,12 +39,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import IO, Literal, Mapping, Sequence
 
 from .design import Connection, Design
 from .fabric import Fabric, Rect, ResourceVector
-from .tessellation import PlacementCandidate, per_list
+from .tessellation import CandidateList, SpanGroup
 
 __all__ = [
     "Axis",
@@ -59,16 +58,11 @@ __all__ = [
     "recursive_bipartition",
     "side_data",
     "solve_bqp",
-    "span_groups",
     "split_partition",
 ]
 
 Axis = Literal["vertical", "horizontal"]
 Point = tuple[float, float]
-# (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of
-# one list whose span along the cut axis is columns (or rows) lo..hi, and
-# the least of each resource kind any of them holds.
-SpanGroup = tuple[int, int, int, int, int, int]
 
 # Per axis: the rect fields a cut splits (col0, col1 or row0, row1) and the
 # anchor coordinate the pass fixes (x or y).
@@ -155,30 +149,6 @@ def split_partition(rect: Rect, axis: Axis) -> tuple[Rect, Rect]:
         raise ValueError(f"partition {rect} too thin for a {axis} cut")
     mid = rect[lo] + span // 2
     return rect._replace(**{Rect._fields[hi]: mid - 1}), rect._replace(**{Rect._fields[lo]: mid})
-
-
-def span_groups(candidates: Sequence[PlacementCandidate], axis: Axis) -> tuple[SpanGroup, ...]:
-    """Group a candidate list by its span along the cut axis.
-
-    Columns for vertical cuts, rows for horizontal cuts; groups come in the
-    order their spans first appear in the list.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    span = itemgetter(*_CUT[axis][:2])
-    for rect, (clb, bram, dsp), _ in candidates:
-        key = span(rect)
-        g = groups.get(key)
-        if g is None:
-            groups[key] = [1, clb, bram, dsp]
-            continue
-        g[0] += 1
-        if clb < g[1]:
-            g[1] = clb
-        if bram < g[2]:
-            g[2] = bram
-        if dsp < g[3]:
-            g[3] = dsp
-    return tuple((lo, hi, *g) for (lo, hi), g in groups.items())
 
 
 def _side_summary(groups: Sequence[SpanGroup]) -> tuple[float, ResourceVector]:
@@ -625,7 +595,7 @@ def solve_bqp(model: BqpModel) -> dict[str, int] | None:
 def recursive_bipartition(
     fabric: Fabric,
     design: Design,
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    candidates: Mapping[str, CandidateList],
     axis: Axis,
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
@@ -641,7 +611,7 @@ def recursive_bipartition(
     bounds = fabric.bounds
     anchors: dict[str, Point] = {m.id: bounds.center for m in design.modules}
     requirements = {m.id: m.req for m in design.modules}
-    root_lists = per_list(candidates, lambda options: span_groups(options, axis))
+    root_lists = {m: options.groups[axis] for m, options in candidates.items()}
     lo, hi, _ = _CUT[axis]
     extents = {m: _side_summary(g)[0] for m, g in root_lists.items() if g}
 
@@ -700,7 +670,7 @@ def recursive_bipartition(
 def compute_anchors(
     fabric: Fabric,
     design: Design,
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    candidates: Mapping[str, CandidateList],
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
     """Final anchors: x from the vertical-cut pass, y from the horizontal."""

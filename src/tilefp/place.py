@@ -4,9 +4,8 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
-Modules with equal requirements share one candidate list, so what scoring
-needs of a list alone (the maximum wastage, the tie order) is computed
-once per list, and each module adds only its distances, scores and sort.
+Scoring reads what it needs of a list alone from tessellation's summaries
+of it, and each module adds only its distances, scores and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
@@ -35,7 +34,7 @@ from typing import IO, Callable, Iterator, Mapping, Sequence
 from .bipartition import compute_anchors
 from .design import Design
 from .fabric import Fabric, Rect
-from .tessellation import PlacementCandidate, generate_placements, per_list
+from .tessellation import CandidateList, PlacementCandidate, generate_placements, per_list
 
 __all__ = [
     "FAIL_FIRST_NODES",
@@ -173,59 +172,44 @@ def _stages(
 
 
 def _rank(
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    candidates: Mapping[str, CandidateList],
     anchors: Mapping[str, tuple[float, float]],
     alpha: float,
     beta: float,
 ) -> dict[str, array]:
-    """Each module's score order: its list's positions, best first.
-
-    Each distinct list is prepared once, and each module adds its own scores.
-    """
+    """Each module's score order, its list's positions best first; one ``_Scoring`` per list."""
     scorings = per_list(candidates, _Scoring)
     return {m: scoring.order(anchors[m], alpha, beta) for m, scoring in scorings.items()}
 
 
 class _Scoring:
-    """What scoring needs of one candidate list, whatever the anchor: the
-    maximum wastage, and the list's positions sorted by the exact tie key
-    (wastage, row0, col0). A run holds every list's preparation at once, so
-    the positions are kept as a compact array."""
+    """Scores one candidate list against any anchor, from the list's summaries."""
 
-    def __init__(self, candidates: Sequence[PlacementCandidate]) -> None:
+    def __init__(self, candidates: CandidateList) -> None:
         if not candidates:
             raise ValueError("cannot score an empty candidate list")
         self.candidates = candidates
-        rects = [c.rect for c in candidates]
-        wastes = [c.wastage_frames for c in candidates]
-        self.max_waste = max(wastes)
-        # coordinates are non-negative, so c0 + c1 < self.sums[0] and r0 + r1 < self.sums[1]
-        top0, right0, top1, right1 = (max(map(itemgetter(k), rects)) for k in range(4))
-        self.sums = right0 + right1 + 1, top0 + top1 + 1
-        # (wastage, row0, col0) as one exact integer
-        span = 1 + max(top0, right0)
-        ties = [(w * span + r0) * span + c0 for (r0, c0, _, _), w in zip(rects, wastes)]
-        self.ties = array("I", sorted(range(len(rects)), key=ties.__getitem__))
 
     def order(self, anchor: tuple[float, float], alpha: float, beta: float) -> array:
         """The list's positions best first against ``anchor``, as a compact array."""
         ax, ay = anchor
         # the float expressions of ``Rect.center``: dx[c0 + c1] is |(c0 + c1 + 1) / 2 - ax|
-        cols, rows = self.sums
+        candidates = self.candidates
+        cols, rows = candidates.sums
         dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
         dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
-        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in map(itemgetter(0), self.candidates)]
-        max_dist, max_waste = max(dists), self.max_waste
+        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in map(itemgetter(0), candidates)]
+        max_dist, max_waste = max(dists), candidates.max_waste
         scores = [
             alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
-            for w, d in zip(map(itemgetter(2), self.candidates), dists)
+            for w, d in zip(map(itemgetter(2), candidates), dists)
         ]
         # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
-        return array("I", sorted(self.ties, key=scores.__getitem__))
+        return array("I", sorted(candidates.ties, key=scores.__getitem__))
 
 
 def normalize_candidates(
-    candidates: Sequence[PlacementCandidate],
+    candidates: CandidateList,
     anchor: tuple[float, float],
     alpha: float,
     beta: float,
@@ -237,9 +221,9 @@ def normalize_candidates(
     value to zero) and blended as alpha * wastage + beta * distance.
     Sorting is ascending by that objective; ties fall back to raw wastage,
     then bottom-left position. The candidates come back as they are.
-    Rect coordinates are tile indices, so never negative.
-    ``run_floorplan`` scores through the same ``_Scoring``, once per
-    distinct list, and keeps each module's order as positions in its list.
+    ``candidates`` must carry tessellation's summaries (a ``CandidateList``).
+    ``run_floorplan`` scores each distinct list once through the same
+    ``_Scoring`` and keeps each module's order as list positions.
     """
     return [candidates[i] for i in _Scoring(candidates).order(anchor, alpha, beta)]
 
@@ -259,16 +243,13 @@ def trial_and_error_place(
     """First feasible floorplan by one search, run in two phases under node budgets.
 
     ``candidates`` maps each module to its candidates best first, as
-    ``normalize_candidates`` returns them. The search is depth-first: each
-    level places one module, trying its candidates in that order, with
-    forward checking: a placement that leaves some unplaced module without a
-    free candidate is rejected at once. That prunes only subtrees without a
-    floorplan. The phases differ only in which module goes next. Phase 1
-    takes module order, so it finds the first floorplan plain depth-first
-    search finds. After ``FORWARD_CHECK_NODES`` nodes (tentative
-    placements) without an answer, phase 2 searches afresh, always placing
-    the module with the fewest free candidates left (ties go to module
-    order), under ``FAIL_FIRST_NODES`` nodes.
+    ``normalize_candidates`` returns them; any sequences of candidates do.
+    Each level of the depth-first search places one module, trying its
+    candidates in that order; forward checking prunes only subtrees
+    without a floorplan. Phase 1 takes module order, so it finds the first
+    floorplan plain depth-first search finds, under ``FORWARD_CHECK_NODES``
+    nodes (tentative placements). Phase 2 then searches afresh fail-first,
+    ties going to module order, under ``FAIL_FIRST_NODES`` nodes.
 
     Returns the chosen rectangle per module, keyed in module order, and the
     number of times the search backed up a level in either phase. The node

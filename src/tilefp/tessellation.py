@@ -10,7 +10,8 @@ Expansion enumerates every way of splitting the needed columns between the
 left and the right side and emits a candidate at every reachable height,
 which is what gives the aspect-ratio filter something to choose from.
 Only rectangles pass from stage to stage; a rectangle is priced once, when
-the last kind's expansion emits it and the aspect-ratio filter accepts it.
+the last kind's expansion emits it and the aspect-ratio filter accepts it,
+by the loop that also summarizes the list for later stages (``CandidateList``).
 
 Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
@@ -52,6 +53,7 @@ its left, a DSP column whose kernel is paired rather than bare.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -59,6 +61,7 @@ from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
 
 __all__ = [
+    "CandidateList",
     "InfeasibleModuleError",
     "PlacementCandidate",
     "base_kernels_for_row",
@@ -71,6 +74,9 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+# (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of a list whose span
+# along a cut axis is columns (or rows) lo..hi, and the least of each kind any of them holds.
+SpanGroup = tuple[int, int, int, int, int, int]
 
 
 class InfeasibleModuleError(Exception):
@@ -90,6 +96,16 @@ class PlacementCandidate(NamedTuple):
     rect: Rect
     resources: ResourceVector
     wastage_frames: int
+
+
+class CandidateList(list):
+    """A module's candidates with the summaries made as they are priced:
+    ``groups[axis]``, the ``SpanGroup``s by column ("vertical") or row span
+    ("horizontal") in first-appearance order; ``ties``, an array of positions
+    by (wastage, row0, col0), equal keys in list order; ``max_waste``; and
+    ``sums``, two ints above every col0 + col1 and every row0 + row1."""
+
+    __slots__ = ("groups", "ties", "max_waste", "sums")
 
 
 def kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
@@ -364,15 +380,16 @@ def generate_module_placements(
     fabric: Fabric,
     module: ModuleSpec,
     ar_bounds: tuple[float, float] | None,
-) -> list[PlacementCandidate]:
+) -> CandidateList:
     """All candidate rectangles for one module, deduplicated, in a
-    deterministic order.
+    deterministic order, with the list's summaries.
 
     Each stage emits only rects that hold its kind's need, and later stages
     only widen or heighten a rect, so every rect of the last stage covers
-    the requirement; it is priced only once the aspect-ratio window keeps it.
-    The first stage of an unpaired module is ``_one_kind_rects``; only a
-    module that pairs DSP with BRAM walks its first-kind kernels.
+    the requirement; it is priced and summarized only once the aspect-ratio
+    window keeps it. The first stage of an unpaired module is
+    ``_one_kind_rects``; only a module that pairs DSP with BRAM walks its
+    first-kind kernels.
     """
     req = module.req
     req_frames = fabric.frames_of(req)
@@ -387,8 +404,13 @@ def generate_module_placements(
 
     clb, bram, dsp = fabric.prefix_tables[1]
     w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
+    radix = max(fabric.rows, fabric.cols)  # above every row0 and col0
     new = tuple.__new__  # builds the NamedTuples without a constructor frame
-    accepted: list[PlacementCandidate] = []
+    accepted = CandidateList()
+    ties: list[int] = []
+    # (col0, col1) -> [count, least height]; (row0, row1) -> [count, least clb, bram, dsp]
+    by_cols: dict[tuple[int, int], list[int]] = {}
+    by_rows: dict[tuple[int, int], list[int]] = {}
     covering = 0
     for layer in layers:
         covering += len(layer)
@@ -402,13 +424,40 @@ def generate_module_placements(
             b = (bram[col1 + 1] - bram[col0]) * height
             d = (dsp[col1 + 1] - dsp[col0]) * height
             wastage = c * w_clb + b * w_bram + d * w_dsp - req_frames
-            res = new(ResourceVector, (c, b, d))
-            accepted.append(new(PlacementCandidate, (rect, res, wastage)))
+            accepted.append(new(PlacementCandidate, (rect, new(ResourceVector, (c, b, d)), wastage)))
+            ties.append((wastage * radix + row0) * radix + col0)
+            g = by_cols.get((col0, col1))
+            if g is None:
+                by_cols[col0, col1] = [1, height]
+            else:
+                g[0] += 1
+                if height < g[1]:
+                    g[1] = height
+            g = by_rows.get((row0, row1))
+            if g is None:
+                by_rows[row0, row1] = [1, c, b, d]
+            else:
+                g[0] += 1
+                if c < g[1]:
+                    g[1] = c
+                if b < g[2]:
+                    g[2] = b
+                if d < g[3]:
+                    g[3] = d
     if not accepted:
-        raise InfeasibleModuleError(
-            module.id,
-            "aspect-ratio bounds reject everything" if covering else "",
-        )
+        reason = "aspect-ratio bounds reject everything" if covering else ""
+        raise InfeasibleModuleError(module.id, reason)
+    # a column span's candidates hold its per-row counts times their height
+    accepted.groups = {
+        "vertical": tuple(
+            (c0, c1, n, *((k[c1 + 1] - k[c0]) * h for k in (clb, bram, dsp)))
+            for (c0, c1), (n, h) in by_cols.items()
+        ),
+        "horizontal": tuple((r0, r1, *g) for (r0, r1), g in by_rows.items()),
+    }
+    accepted.ties = array("I", sorted(range(len(ties)), key=ties.__getitem__))
+    accepted.max_waste = accepted[accepted.ties[-1]].wastage_frames
+    accepted.sums = tuple(sum(map(max, zip(*spans))) + 1 for spans in (by_cols, by_rows))
     return accepted
 
 
@@ -416,16 +465,16 @@ def generate_placements(
     fabric: Fabric,
     design: Design,
     ar_bounds: tuple[float, float] | None,
-) -> dict[str, list[PlacementCandidate]]:
+) -> dict[str, CandidateList]:
     """Candidate lists for every module of a design, in design order.
 
     A module's list depends only on its requirement, so it is generated
     once per distinct requirement and modules with equal ``req`` share one
-    list object: treat every list as read-only, and derive per-list data
-    through ``per_list``. Raises InfeasibleModuleError for the first
-    module, in design order, without any candidate.
+    list object: treat every list as read-only, and derive further
+    per-list data through ``per_list``. Raises InfeasibleModuleError for
+    the first module, in design order, without any candidate.
     """
-    by_req: dict[ResourceVector, list[PlacementCandidate]] = {}
+    by_req: dict[ResourceVector, CandidateList] = {}
     placements = {}
     for m in design.modules:
         if m.req not in by_req:

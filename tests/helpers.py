@@ -6,6 +6,7 @@ tests can compare algorithm output against ground truth on small inputs.
 
 import math
 import time
+from array import array
 from itertools import combinations, islice, product
 
 from tilefp import place
@@ -13,6 +14,7 @@ from tilefp.bipartition import BqpModel, SideData, assignment_feasible, objectiv
 from tilefp.fabric import Fabric, FabricError, Rect, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
+    CandidateList,
     InfeasibleModuleError,
     PlacementCandidate,
     base_kernels_for_row,
@@ -201,6 +203,50 @@ def normalize_candidates_walk(candidates, anchor, alpha, beta):
         )
 
     return [cand for cand, _ in sorted(zip(candidates, dists), key=key)]
+
+
+def span_groups_walk(candidates, axis):
+    """Reference span groups: one ``(lo, hi, count, min_clb, min_bram,
+    min_dsp)`` per distinct column span (vertical) or row span
+    (horizontal), in the order the spans first appear, with the least of
+    each resource kind over the candidates' own ``resources``."""
+    groups = {}
+    for cand in candidates:
+        r0, c0, r1, c1 = cand.rect
+        key = (c0, c1) if axis == "vertical" else (r0, r1)
+        count, least = groups.get(key, (0, tuple(cand.resources)))
+        groups[key] = (count + 1, tuple(map(min, least, cand.resources)))
+    return tuple((lo, hi, count, *least) for (lo, hi), (count, least) in groups.items())
+
+
+def tie_order_walk(candidates):
+    """List positions sorted by the tuple (wastage, row0, col0); a stable
+    sort, so equal keys keep list order."""
+    def key(j):
+        return candidates[j].wastage_frames, candidates[j].rect.row0, candidates[j].rect.col0
+
+    return sorted(range(len(candidates)), key=key)
+
+
+def coordinate_sums_walk(candidates):
+    """``(max col0 + max col1 + 1, max row0 + max row1 + 1)`` over the list."""
+    rects = [c.rect for c in candidates]
+    col = max(r.col0 for r in rects) + max(r.col1 for r in rects) + 1
+    row = max(r.row0 for r in rects) + max(r.row1 for r in rects) + 1
+    return col, row
+
+
+def summarized(candidates, cls=CandidateList):
+    """``candidates`` as a ``cls`` (``CandidateList`` or a subclass) that
+    carries the summaries tessellation would attach, computed by the walks
+    above, so that a hand-built list can enter anchors and scoring. An
+    empty list gets empty summaries."""
+    out = cls(candidates)
+    out.groups = {axis: span_groups_walk(out, axis) for axis in ("vertical", "horizontal")}
+    out.ties = array("I", tie_order_walk(out))
+    out.max_waste = max((c.wastage_frames for c in out), default=0)
+    out.sums = coordinate_sums_walk(out) if out else (0, 0)
+    return out
 
 
 def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):

@@ -21,7 +21,6 @@ from tilefp.bipartition import (
     recursive_bipartition,
     side_data,
     solve_bqp,
-    span_groups,
     split_partition,
 )
 from tilefp.bipartition import _greedy_assignment
@@ -47,6 +46,8 @@ from helpers import (
     pair_cut_cost,
     random_bqp_model,
     random_fabric,
+    span_groups_walk,
+    summarized,
 )
 
 
@@ -119,7 +120,7 @@ def test_split_halves_partition_the_rect(axis, row0, col0, rows, cols):
 
 def side_of(rect, c0, c1, axis):
     """Side a one-candidate list is forced to; None when it keeps to the parent."""
-    groups = span_groups([cand(rect)], axis)
+    groups = span_groups_walk([cand(rect)], axis)
     data = side_data("m", groups, c0, c1, axis)
     assert data.parent_only == (data.forced_side is None)
     return data.forced_side
@@ -152,7 +153,7 @@ def test_side_data_means_and_minima():
         cand(Rect(1, 0, 1, 1), ResourceVector(2, 1, 0)),
         cand(Rect(0, 5, 1, 6), ResourceVector(4, 0, 0)),
     ]
-    groups = span_groups(cands, "vertical")
+    groups = span_groups_walk(cands, "vertical")
     # one group per column span, in first-seen order
     assert groups == ((0, 1, 2, 2, 0, 0), (0, 3, 1, 4, 0, 0), (5, 6, 1, 4, 0, 0))
     data = side_data("m", groups, c0, c1, "vertical")
@@ -167,7 +168,7 @@ def test_side_data_means_and_minima():
 def test_side_data_forced_and_parent_only():
     c0, c1 = split_partition(Rect(0, 0, 1, 7), "vertical")
     def alone(rect):
-        return side_data("m", span_groups([cand(rect)], "vertical"), c0, c1, "vertical")
+        return side_data("m", span_groups_walk([cand(rect)], "vertical"), c0, c1, "vertical")
 
     left_only = alone(Rect(0, 0, 1, 1))
     assert left_only.forced_side == 0
@@ -504,8 +505,8 @@ def test_forced_modules_anchor_at_child_centers():
         [ModuleSpec("l", ResourceVector(1, 0, 0)), ModuleSpec("r", ResourceVector(1, 0, 0))]
     )
     cands = {
-        "l": [cand(Rect(0, 0, 0, 0))],
-        "r": [cand(Rect(0, 3, 0, 3))],
+        "l": summarized([cand(Rect(0, 0, 0, 0))]),
+        "r": summarized([cand(Rect(0, 3, 0, 3))]),
     }
     anchors = recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["l"] == (1.0, 0.5)
@@ -522,9 +523,9 @@ def test_parent_only_module_keeps_parent_anchor():
         ]
     )
     cands = {
-        "big": [cand(Rect(0, 2, 0, 5), ResourceVector(4, 0, 0))],
-        "l": [cand(Rect(0, 0, 0, 0))],
-        "r": [cand(Rect(0, 7, 0, 7))],
+        "big": summarized([cand(Rect(0, 2, 0, 5), ResourceVector(4, 0, 0))]),
+        "l": summarized([cand(Rect(0, 0, 0, 0))]),
+        "r": summarized([cand(Rect(0, 7, 0, 7))]),
     }
     anchors = recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["big"] == (4.0, 0.5)
@@ -560,10 +561,10 @@ def test_connected_modules_gather_on_one_side():
 
 # a and b only fit the left half of the device, c and d only the right one
 FOUR_FORCED = {
-    "a": [cand(Rect(0, 0, 0, 0))],
-    "b": [cand(Rect(0, 1, 0, 1))],
-    "c": [cand(Rect(0, 6, 0, 6))],
-    "d": [cand(Rect(0, 7, 0, 7))],
+    "a": summarized([cand(Rect(0, 0, 0, 0))]),
+    "b": summarized([cand(Rect(0, 1, 0, 1))]),
+    "c": summarized([cand(Rect(0, 6, 0, 6))]),
+    "d": summarized([cand(Rect(0, 7, 0, 7))]),
 }
 
 
@@ -635,8 +636,8 @@ def test_compute_anchors_combines_axes():
         [ModuleSpec("a", ResourceVector(1, 0, 0)), ModuleSpec("b", ResourceVector(1, 0, 0))]
     )
     cands = {
-        "a": [cand(Rect(0, 0, 0, 0))],  # bottom-left corner
-        "b": [cand(Rect(3, 3, 3, 3))],  # top-right corner
+        "a": summarized([cand(Rect(0, 0, 0, 0))]),  # bottom-left corner
+        "b": summarized([cand(Rect(3, 3, 3, 3))]),  # top-right corner
     }
     anchors = compute_anchors(fab, design, cands)
     ax, ay = anchors["a"]

@@ -18,7 +18,6 @@ from tilefp.bipartition import (
     objective_of,
     side_data,
     solve_bqp,
-    span_groups,
     split_partition,
 )
 from tilefp.bipartition import (
@@ -51,6 +50,7 @@ from tilefp.tessellation import (
 from helpers import (
     branch_and_bound_walk,
     columns_outward_walk,
+    coordinate_sums_walk,
     cut_cost_walk,
     dfs_place_walk,
     expand_horizontal_walk,
@@ -64,6 +64,9 @@ from helpers import (
     pair_cut_cost,
     resources_in_rect,
     side_data_walk,
+    span_groups_walk,
+    summarized,
+    tie_order_walk,
     two_phase_place_walk,
 )
 
@@ -229,6 +232,29 @@ def test_one_kind_placements_match_walk(case, ar_bounds):
     assert generate_module_placements(fab, module, ar_bounds) == expected
 
 
+@PROPERTY
+@given(fabrics(), requirements, ar_windows)
+# a one-candidate list
+@example(Fabric(1, "C"), ResourceVector(1, 0, 0), None)
+# the window keeps the one-tile rects and drops the two-tile-tall ones
+@example(Fabric(2, "CC"), ResourceVector(1, 0, 0), (0.9, 1.1))
+# over 256 columns: a paired module's rects start on columns 254 to 256
+@example(Fabric(2, "C" * 256 + "DBCC", [Rect(1, 100, 1, 100)]), ResourceVector(2, 1, 1), None)
+def test_list_summaries_match_walks(fab, req, ar_bounds):
+    """The summaries tessellation makes while it prices a list equal walks
+    over the finished list: both axes' span groups in first-appearance
+    order, the tie order, the largest wastage and the coordinate sums."""
+    try:
+        cands = generate_module_placements(fab, ModuleSpec("m", req), ar_bounds)
+    except InfeasibleModuleError:
+        return
+    for axis in ("vertical", "horizontal"):
+        assert cands.groups[axis] == span_groups_walk(cands, axis)
+    assert list(cands.ties) == tie_order_walk(cands)
+    assert cands.max_waste == max(c.wastage_frames for c in cands)
+    assert cands.sums == coordinate_sums_walk(cands)
+
+
 # Few distinct coordinates and wastages, so that lists hold equal wastage,
 # equal (row0, col0) under different (row1, col1), equal distances and
 # whole duplicates; weights from 0 to 1e308, whose objective overflows.
@@ -250,7 +276,7 @@ weights = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e308])
     weights,
 )
 def test_normalize_candidates_matches_walk(cands, anchor, alpha, beta):
-    got = normalize_candidates(cands, anchor, alpha, beta)
+    got = normalize_candidates(summarized(cands), anchor, alpha, beta)
     want = normalize_candidates_walk(cands, anchor, alpha, beta)
     assert len(got) == len(want)
     assert all(g is w for g, w in zip(got, want))
@@ -294,14 +320,17 @@ def test_side_data_split_matches_overlap_side(data):
 )
 def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data):
     """Along random root-to-leaf chains of halvings from the whole device,
-    the span-group side data agrees with the candidate-wise walk."""
+    starting from the span groups tessellation attached to the list (which
+    equal the walk's), the span-group side data agrees with the
+    candidate-wise walk."""
     module = ModuleSpec("m", req)
     try:
         cands = generate_module_placements(fab, module, ar_bounds)
     except InfeasibleModuleError:
         assume(False)
     for axis in ("vertical", "horizontal"):
-        groups = span_groups(cands, axis)
+        groups = cands.groups[axis]
+        assert groups == span_groups_walk(cands, axis)
         assert sum(g[2] for g in groups) == len(cands)
         members = cands
         rect = fab.bounds
@@ -313,7 +342,7 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
                 got_side = (got.placements0, got.placements1)[side]
                 want_side = (want.placements0, want.placements1)[side]
                 assert sum(g[2] for g in got_side) == len(want_side)
-                assert sorted(got_side) == sorted(span_groups(want_side, axis))
+                assert sorted(got_side) == sorted(span_groups_walk(want_side, axis))
             assert (got.w0, got.w1, got.occ0, got.occ1) == (want.w0, want.w1, want.occ0, want.occ1)
             assert got.forced_side == want.forced_side
             assert got.parent_only == want.parent_only
@@ -505,6 +534,7 @@ def shared_list_inputs(draw):
         st.one_of(inside, inside, spilling_rects_in(rows, cols)), st.sampled_from([0, 1, 2, 36]),
     )
     lists = draw(st.lists(st.lists(candidate, min_size=1, max_size=40), min_size=1, max_size=2))
+    lists = [summarized(options) for options in lists]
     n = draw(st.integers(2, 6))
     candidates = {f"m{k}": draw(st.sampled_from(lists)) for k in range(n)}
     anchors = {module_id: draw(far_anchors) for module_id in candidates}
@@ -521,7 +551,7 @@ def in_score_order(candidates, anchors, alpha, beta):
 
 def shared_list(rects):
     """One list object of zero-wastage candidates on ``rects``."""
-    return [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
+    return summarized([PlacementCandidate(r, ResourceVector(), 0) for r in rects])
 
 
 # Left to right along one row: an anchor far right scores it in reverse.

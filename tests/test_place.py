@@ -23,13 +23,14 @@ from tilefp.place import (
     trial_and_error_place,
     write_floorplan,
 )
-from tilefp.tessellation import PlacementCandidate
+from tilefp.tessellation import CandidateList, PlacementCandidate
 
 from helpers import (
     brute_force_rects,
     first_feasible_assignment,
     random_fabric,
     random_requirement,
+    summarized,
 )
 
 
@@ -58,7 +59,7 @@ def sdr_design():
 # --- normalize_candidates ---------------------------------------------------
 
 def test_normalize_extremes_map_to_unit_interval():
-    cands = [cand(Rect(0, 4, 0, 5), 72), cand(Rect(0, 0, 0, 1), 0)]
+    cands = summarized([cand(Rect(0, 4, 0, 5), 72), cand(Rect(0, 0, 0, 1), 0)])
     scored = normalize_candidates(cands, (1.0, 0.5), 1.0, 0.0)
     assert [c.rect for c in scored] == [Rect(0, 0, 0, 1), Rect(0, 4, 0, 5)]
     # the module's own candidates come back, only reordered
@@ -66,7 +67,7 @@ def test_normalize_extremes_map_to_unit_interval():
 
 
 def test_normalize_equidistant_candidates_order_by_wastage():
-    cands = [cand(Rect(0, 0, 0, 0), 36), cand(Rect(0, 2, 0, 2), 0)]
+    cands = summarized([cand(Rect(0, 0, 0, 0), 36), cand(Rect(0, 2, 0, 2), 0)])
     # anchor at the midpoint: both centers are 1 tile away
     scored = normalize_candidates(cands, (1.5, 0.5), 0.5, 0.5)
     assert [c.rect for c in scored] == [Rect(0, 2, 0, 2), Rect(0, 0, 0, 0)]
@@ -75,10 +76,10 @@ def test_normalize_equidistant_candidates_order_by_wastage():
 
 def test_normalize_pure_wastage_mode():
     rng = random.Random(3)
-    cands = [
+    cands = summarized([
         cand(Rect(0, c, 0, c + rng.randrange(3)), rng.randrange(0, 300))
         for c in range(10)
-    ]
+    ])
     scored = normalize_candidates(cands, (0.0, 0.0), 1.0, 0.0)
     wastes = [c.wastage_frames for c in scored]
     assert wastes == sorted(wastes)
@@ -86,16 +87,16 @@ def test_normalize_pure_wastage_mode():
 
 
 def test_normalize_zero_maxima_and_tie_break():
-    cands = [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 0, 0, 0), 0)]
+    cands = summarized([cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 0, 0, 0), 0)])
     scored = normalize_candidates(cands, (99.0, 99.0), 1.0, 0.0)
     # wastage norm is zero everywhere, so bottom-left position decides
     assert [c.rect.col0 for c in scored] == [0, 2]
     with pytest.raises(ValueError):
-        normalize_candidates([], (0.0, 0.0), 1.0, 0.0)
+        normalize_candidates(summarized([]), (0.0, 0.0), 1.0, 0.0)
 
 
 def test_normalize_distance_mode_prefers_near_anchor():
-    cands = [cand(Rect(0, c, 0, c), 100 - c) for c in range(6)]
+    cands = summarized([cand(Rect(0, c, 0, c), 100 - c) for c in range(6)])
     scored = normalize_candidates(cands, (5.5, 0.5), 0.0, 1.0)
     assert [c.rect.col0 for c in scored] == [5, 4, 3, 2, 1, 0]
 
@@ -106,7 +107,7 @@ def test_normalize_divides_by_the_maxima_before_blending():
     wasteful = cand(Rect(0, 0, 0, 0), 36)
     worst = cand(Rect(0, 0, 0, 8), 360)
     anchor = (0.5, 0.5)
-    cands = [near, wasteful, worst]
+    cands = summarized([near, wasteful, worst])
 
     def raw_sum(c):
         x, y = c.rect.center
@@ -148,7 +149,7 @@ def test_order_modules_ties_by_id():
 def score_all(cands, anchors=None, alpha=1.0, beta=0.0):
     anchors = anchors or {}
     return {
-        m: normalize_candidates(lst, anchors.get(m, (0.0, 0.0)), alpha, beta)
+        m: normalize_candidates(summarized(lst), anchors.get(m, (0.0, 0.0)), alpha, beta)
         for m, lst in cands.items()
     }
 
@@ -414,13 +415,15 @@ def test_failed_run_frees_its_candidates_before_the_collector_resumes(monkeypatc
     tessellate = place.generate_placements
     lists = []
 
-    class Tracked(list):
-        """A list that can be referenced weakly."""
+    class Tracked(CandidateList):
+        """A candidate list that can be referenced weakly."""
 
     def generate_placements(*args):
         tracked = {}
         for module_id, options in tessellate(*args).items():
             tracked[module_id] = Tracked(options)
+            for name in CandidateList.__slots__:
+                setattr(tracked[module_id], name, getattr(options, name))
             lists.append(weakref.ref(tracked[module_id]))
         return tracked
 

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import tilefp
+from tilefp.design import parse_design
+from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
+from tilefp.tessellation import CandidateList, generate_placements
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(tilefp.__path__, prefix="tilefp.")
@@ -57,3 +60,18 @@ def test_readme_library_snippet_places_every_module():
     namespace = {}
     exec(compile(snippet, "README.md", "exec"), namespace)
     assert set(namespace["rects"]) == {m.id for m in namespace["design"].modules}
+
+
+def test_tessellation_lists_carry_their_summaries():
+    """Every list ``generate_placements`` returns is a ``CandidateList``
+    holding the summaries that the anchor passes and scoring read in place
+    of their own walks, which are no longer public."""
+    fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    design = parse_design(fixture_path("sdr.design").read_text())
+    for options in generate_placements(fabric, design, None).values():
+        assert type(options) is CandidateList
+        assert set(options.groups) == {"vertical", "horizontal"}
+        assert len(options.ties) == len(options)
+        assert options.max_waste == max(c.wastage_frames for c in options)
+        assert len(options.sums) == 2
+    assert "span_groups" not in importlib.import_module("tilefp.bipartition").__all__
