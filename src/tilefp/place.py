@@ -4,8 +4,9 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
-Scoring reads what it needs of a list alone from tessellation's summaries
-of it, and each module adds only its distances, scores and sort.
+A candidate list is its rects and a parallel wastage column; scoring reads
+what it needs of a list alone from those and tessellation's summaries of
+it, and each module adds only its distances, scores and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
@@ -34,7 +35,7 @@ from typing import IO, Callable, Iterator, Mapping, Sequence
 from .bipartition import compute_anchors
 from .design import Design
 from .fabric import Fabric, Rect
-from .tessellation import CandidateList, PlacementCandidate, generate_placements, per_list
+from .tessellation import CandidateList, generate_placements, per_list
 
 __all__ = [
     "FAIL_FIRST_NODES",
@@ -198,11 +199,11 @@ class _Scoring:
         cols, rows = candidates.sums
         dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
         dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
-        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in map(itemgetter(0), candidates)]
+        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in candidates]
         max_dist, max_waste = max(dists), candidates.max_waste
         scores = [
             alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
-            for w, d in zip(map(itemgetter(2), candidates), dists)
+            for w, d in zip(candidates.wastage, dists)
         ]
         # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
         return array("I", sorted(candidates.ties, key=scores.__getitem__))
@@ -213,14 +214,14 @@ def normalize_candidates(
     anchor: tuple[float, float],
     alpha: float,
     beta: float,
-) -> list[PlacementCandidate]:
-    """One module's candidates scored against its anchor, best first.
+) -> list[Rect]:
+    """One module's candidate rects scored against its anchor, best first.
 
     Wastage and the Manhattan distance from the rect's center to the anchor
     are divided by their maximum over the list (a zero maximum maps every
     value to zero) and blended as alpha * wastage + beta * distance.
     Sorting is ascending by that objective; ties fall back to raw wastage,
-    then bottom-left position. The candidates come back as they are.
+    then bottom-left position. The list's own rects come back in that order.
     ``candidates`` must carry tessellation's summaries (a ``CandidateList``).
     ``run_floorplan`` scores each distinct list once through the same
     ``_Scoring`` and keeps each module's order as list positions.
@@ -237,13 +238,13 @@ def order_modules(design: Design, fabric: Fabric) -> list[str]:
 def trial_and_error_place(
     fabric: Fabric,
     ordered_modules: Sequence[str],
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    candidates: Mapping[str, Sequence[Rect]],
     time_budget: float | None = TIME_BUDGET,
 ) -> tuple[dict[str, Rect], int]:
     """First feasible floorplan by one search, run in two phases under node budgets.
 
-    ``candidates`` maps each module to its candidates best first, as
-    ``normalize_candidates`` returns them; any sequences of candidates do.
+    ``candidates`` maps each module to its candidate rects best first, as
+    ``normalize_candidates`` returns them; any sequences of rects do.
     Each level of the depth-first search places one module, trying its
     candidates in that order; forward checking prunes only subtrees
     without a floorplan. Phase 1 takes module order, so it finds the first
@@ -265,7 +266,7 @@ def trial_and_error_place(
 def _place(
     fabric: Fabric,
     ordered_modules: Sequence[str],
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
+    candidates: Mapping[str, Sequence[Rect]],
     ranked: Mapping[str, Sequence[int]],
     time_budget: float | None,
 ) -> tuple[dict[str, Rect], int]:
@@ -322,9 +323,8 @@ class _Overlaps:
     holds the candidates inside the device and off reserved tiles.
     """
 
-    def __init__(self, options: Sequence[PlacementCandidate], fabric: Fabric) -> None:
+    def __init__(self, rects: Sequence[Rect], fabric: Fabric) -> None:
         rows, cols = fabric.rows, fabric.cols
-        rects = [cand.rect for cand in options]
         flat = list(chain.from_iterable(rects))
         coords = [flat[k::4][::-1] for k in range(4)]  # row0, col0, row1, col1
         try:  # bytes, if all candidates lie inside a device of at most 256 rows and columns
@@ -361,7 +361,7 @@ class _Search:
 
     def __init__(
         self, fabric: Fabric, order: list[str],
-        candidates: Mapping[str, Sequence[PlacementCandidate]],
+        candidates: Mapping[str, Sequence[Rect]],
         ranked: Mapping[str, Sequence[int]], deadline: float | None,
     ) -> None:
         self.order, self.deadline = order, deadline
@@ -449,7 +449,7 @@ class _Search:
             nodes += 1
             self.check_clock()
             frame[2] = i
-            rect = options[k][i].rect
+            rect = options[k][i]
             rest = {}
             for j, live in domains.items():
                 if j == k:
@@ -462,7 +462,7 @@ class _Search:
                 self.deepest = max(self.deepest, len(stack))
                 if not rest:
                     frames = sorted(stack, key=itemgetter(0))
-                    return {order[m]: options[m][tried].rect for m, _, tried, _ in frames}
+                    return {order[m]: options[m][tried] for m, _, tried, _ in frames}
                 k = choose(rest)
                 stack.append([k, rest, -1, self.tries(k, rest[k])])
         raise PlacementInfeasibleError(*self.dead_end)

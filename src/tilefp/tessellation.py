@@ -11,7 +11,8 @@ left and the right side and emits a candidate at every reachable height,
 which is what gives the aspect-ratio filter something to choose from.
 Only rectangles pass from stage to stage; a rectangle is priced once, when
 the last kind's expansion emits it and the aspect-ratio filter accepts it,
-by the loop that also summarizes the list for later stages (``CandidateList``).
+by the loop that also summarizes the list for later stages. A module's list
+(``CandidateList``) is its accepted rects with their wastages alongside.
 
 Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
@@ -63,7 +64,6 @@ from .fabric import Fabric, Rect, ResourceKind, ResourceVector
 __all__ = [
     "CandidateList",
     "InfeasibleModuleError",
-    "PlacementCandidate",
     "base_kernels_for_row",
     "expand_horizontal",
     "generate_module_placements",
@@ -90,22 +90,16 @@ class InfeasibleModuleError(Exception):
         super().__init__(msg)
 
 
-class PlacementCandidate(NamedTuple):
-    """One admissible rectangle for a module."""
-
-    rect: Rect
-    resources: ResourceVector
-    wastage_frames: int
-
-
 class CandidateList(list):
-    """A module's candidates with the summaries made as they are priced:
-    ``groups[axis]``, the ``SpanGroup``s by column ("vertical") or row span
-    ("horizontal") in first-appearance order; ``ties``, an array of positions
-    by (wastage, row0, col0), equal keys in list order; ``max_waste``; and
-    ``sums``, two ints above every col0 + col1 and every row0 + row1."""
+    """A module's candidate rects, with ``wastage``, a list of each rect's
+    frames beyond the requirement, position by position, and the summaries
+    made as the rects are priced: ``groups[axis]``, the ``SpanGroup``s by
+    column ("vertical") or row span ("horizontal") in first-appearance
+    order; ``ties``, an array of positions by (wastage, row0, col0), equal
+    keys in list order; ``max_waste``; and ``sums``, two ints above every
+    col0 + col1 and every row0 + row1."""
 
-    __slots__ = ("groups", "ties", "max_waste", "sums")
+    __slots__ = ("wastage", "groups", "ties", "max_waste", "sums")
 
 
 def kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
@@ -382,7 +376,7 @@ def generate_module_placements(
     ar_bounds: tuple[float, float] | None,
 ) -> CandidateList:
     """All candidate rectangles for one module, deduplicated, in a
-    deterministic order, with the list's summaries.
+    deterministic order, with their wastages and the list's summaries.
 
     Each stage emits only rects that hold its kind's need, and later stages
     only widen or heighten a rect, so every rect of the last stage covers
@@ -405,8 +399,8 @@ def generate_module_placements(
     clb, bram, dsp = fabric.prefix_tables[1]
     w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
     radix = max(fabric.rows, fabric.cols)  # above every row0 and col0
-    new = tuple.__new__  # builds the NamedTuples without a constructor frame
     accepted = CandidateList()
+    wastages: list[int] = []
     ties: list[int] = []
     # (col0, col1) -> [count, least height]; (row0, row1) -> [count, least clb, bram, dsp]
     by_cols: dict[tuple[int, int], list[int]] = {}
@@ -424,7 +418,8 @@ def generate_module_placements(
             b = (bram[col1 + 1] - bram[col0]) * height
             d = (dsp[col1 + 1] - dsp[col0]) * height
             wastage = c * w_clb + b * w_bram + d * w_dsp - req_frames
-            accepted.append(new(PlacementCandidate, (rect, new(ResourceVector, (c, b, d)), wastage)))
+            accepted.append(rect)
+            wastages.append(wastage)
             ties.append((wastage * radix + row0) * radix + col0)
             g = by_cols.get((col0, col1))
             if g is None:
@@ -455,8 +450,9 @@ def generate_module_placements(
         ),
         "horizontal": tuple((r0, r1, *g) for (r0, r1), g in by_rows.items()),
     }
+    accepted.wastage = wastages
     accepted.ties = array("I", sorted(range(len(ties)), key=ties.__getitem__))
-    accepted.max_waste = accepted[accepted.ties[-1]].wastage_frames
+    accepted.max_waste = wastages[accepted.ties[-1]]
     accepted.sums = tuple(sum(map(max, zip(*spans))) + 1 for spans in (by_cols, by_rows))
     return accepted
 
@@ -484,8 +480,8 @@ def generate_placements(
 
 
 def per_list(
-    candidates: Mapping[str, Sequence[PlacementCandidate]],
-    make: Callable[[Sequence[PlacementCandidate]], T],
+    candidates: Mapping[str, Sequence[Rect]],
+    make: Callable[[Sequence[Rect]], T],
 ) -> dict[str, T]:
     """``make`` of each module's candidate list, keyed like ``candidates``.
 

@@ -8,6 +8,7 @@ import math
 import time
 from array import array
 from itertools import combinations, islice, product
+from typing import NamedTuple
 
 from tilefp import place
 from tilefp.bipartition import BqpModel, SideData, assignment_feasible, objective_of
@@ -16,10 +17,34 @@ from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
 from tilefp.tessellation import (
     CandidateList,
     InfeasibleModuleError,
-    PlacementCandidate,
     base_kernels_for_row,
     kind_order,
 )
+
+
+class Candidate(NamedTuple):
+    """The oracles' record of one admissible rect: its tile counts and its
+    wastage. The pipeline keeps only the rect and the wastage, in a
+    ``CandidateList`` and its ``wastage`` column."""
+
+    rect: Rect
+    resources: ResourceVector
+    wastage_frames: int
+
+
+def candidate_records(fabric, candidates):
+    """A ``CandidateList``'s rects and wastages as oracle records, the tile
+    counts recounted by ``resources_in_rect``."""
+    return [
+        Candidate(rect, resources_in_rect(fabric, rect), wastage)
+        for rect, wastage in zip(candidates, candidates.wastage, strict=True)
+    ]
+
+
+def as_columns(records):
+    """Oracle records as a ``CandidateList``'s two columns: the rects and
+    their wastages."""
+    return [c.rect for c in records], [c.wastage_frames for c in records]
 
 
 def resources_in_rect(fabric, rect):
@@ -173,7 +198,7 @@ def module_placements_walk(fabric, module, ar_bounds):
                 ar_bounds[0] <= rect.width / rect.height <= ar_bounds[1]
             ):
                 continue
-            accepted.append(PlacementCandidate(rect, res, fabric.frames_of(res - req)))
+            accepted.append(Candidate(rect, res, fabric.frames_of(res - req)))
     if not accepted:
         raise InfeasibleModuleError(
             module.id, "aspect-ratio bounds reject everything" if covering else ""
@@ -237,21 +262,23 @@ def coordinate_sums_walk(candidates):
 
 
 def summarized(candidates, cls=CandidateList):
-    """``candidates`` as a ``cls`` (``CandidateList`` or a subclass) that
-    carries the summaries tessellation would attach, computed by the walks
-    above, so that a hand-built list can enter anchors and scoring. An
-    empty list gets empty summaries."""
-    out = cls(candidates)
-    out.groups = {axis: span_groups_walk(out, axis) for axis in ("vertical", "horizontal")}
-    out.ties = array("I", tie_order_walk(out))
-    out.max_waste = max((c.wastage_frames for c in out), default=0)
-    out.sums = coordinate_sums_walk(out) if out else (0, 0)
+    """The ``Candidate`` records ``candidates`` as a ``cls``
+    (``CandidateList`` or a subclass): their rects, their wastage column
+    and the summaries tessellation would attach, computed by the walks
+    above from the records, so that a hand-built list can enter anchors
+    and scoring. An empty list gets empty summaries."""
+    out = cls(c.rect for c in candidates)
+    out.wastage = [c.wastage_frames for c in candidates]
+    out.groups = {axis: span_groups_walk(candidates, axis) for axis in ("vertical", "horizontal")}
+    out.ties = array("I", tie_order_walk(candidates))
+    out.max_waste = max(out.wastage, default=0)
+    out.sums = coordinate_sums_walk(candidates) if candidates else (0, 0)
     return out
 
 
 def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
     """Reference placer: plain depth-first search in module order that
-    takes each module's first candidate in list order that is free of
+    takes each module's first candidate rect in list order that is free of
     reserved tiles and of every rect placed so far, and backs up a level
     when a module runs out. Returns ``(rects, backtracks)``."""
     order = list(ordered_modules)
@@ -272,7 +299,7 @@ def dfs_place_walk(fabric, ordered_modules, candidates, time_budget=60.0):
         placed = None
         i = next_try[depth]
         while i < len(options):
-            rect = options[i].rect
+            rect = options[i]
             if is_free_rect(fabric, rect, chosen.values()):
                 placed = rect
                 break
@@ -341,8 +368,7 @@ class _WitnessSearch:
         """``(index, rect)`` of every candidate from ``start`` that is in
         bounds and off the ``occupied`` rows, in list order."""
         rows, cols = self.rows, self.cols
-        for j, cand in enumerate(islice(options, start, None), start):
-            rect = cand.rect
+        for j, rect in enumerate(islice(options, start, None), start):
             r0, c0, r1, c1 = rect
             if 0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols:
                 mask = (2 << c1) - (1 << c0)  # _column_mask(c0, c1), inlined
@@ -407,14 +433,14 @@ class _WitnessSearch:
                     raise PlacementInfeasibleError(*self.dead_end)
                 self.backtracks += 1
                 i = picks.pop()
-                undo(options[depth - 1][i].rect, marks.pop())
+                undo(options[depth - 1][i], marks.pop())
                 i = first_free(depth - 1, i + 1)
                 continue
             if nodes == budget:
                 return None
             nodes += 1
             self.check_clock()
-            rect = options[depth][i].rect
+            rect = options[depth][i]
             r0, c0, r1, c1 = rect
             mask = _column_mask(c0, c1)
             for r in range(r0, r1 + 1):
@@ -423,7 +449,7 @@ class _WitnessSearch:
             blocked = None
             for k in range(depth + 1, n):
                 w = witness[k]
-                wr0, wc0, wr1, wc1 = options[k][w].rect
+                wr0, wc0, wr1, wc1 = options[k][w]
                 if wc1 < c0 or wc0 > c1 or wr1 < r0 or wr0 > r1:
                     continue
                 trail.append((k, w))
@@ -441,7 +467,7 @@ class _WitnessSearch:
                 self.reject(depth + 1, blocked)
                 undo(rect, mark)
                 i = first_free(depth, i + 1)
-        return {order[d]: options[d][i].rect for d, i in enumerate(picks)}
+        return {order[d]: options[d][i] for d, i in enumerate(picks)}
 
     def fail_first(self, budget):
         """Phase 2: fewest-candidates-first search, starting over, under ``budget``.
@@ -495,10 +521,10 @@ class _WitnessSearch:
 
 
 def first_feasible_assignment(fabric, candidate_lists):
-    """First non-overlapping pick across ordered candidate lists, scanning
+    """First non-overlapping pick across ordered candidate rect lists, scanning
     index tuples in lexicographic order. Exponential; keep inputs tiny."""
     for combo in product(*(range(len(lst)) for lst in candidate_lists)):
-        rects = [lst[i].rect for lst, i in zip(candidate_lists, combo)]
+        rects = [lst[i] for lst, i in zip(candidate_lists, combo)]
         ok = True
         for i in range(len(rects)):
             if fabric.reserved_tiles_in(rects[i]):

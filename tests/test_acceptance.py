@@ -182,11 +182,11 @@ def test_criterion_05_generator_near_brute_force(generation_suite):
     for fabric, fabric_cases in generation_suite:
         for req, brute, cands in fabric_cases:
             cases += 1
-            for cand in cands:
-                assert cand.rect in brute, f"{req}: {cand.rect} not admissible"
-                assert cand.wastage_frames == brute[cand.rect]
+            for rect, wastage in zip(cands, cands.wastage, strict=True):
+                assert rect in brute, f"{req}: {rect} not admissible"
+                assert wastage == brute[rect]
             floor = min(brute.values())
-            reached = min((c.wastage_frames for c in cands), default=None)
+            reached = min(cands.wastage, default=None)
             if reached is None or reached > 1.1 * floor:
                 deviations += 1
                 print(f"deviation: {fabric.rows}x{fabric.cols} req={tuple(req)} "

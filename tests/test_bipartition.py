@@ -34,13 +34,10 @@ from tilefp.design import (
 )
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.fixtures import fixture_path
-from tilefp.tessellation import (
-    InfeasibleModuleError,
-    PlacementCandidate,
-    generate_placements,
-)
+from tilefp.tessellation import InfeasibleModuleError, generate_placements
 
 from helpers import (
+    Candidate,
     bqp_enumeration_min,
     external_cut_cost,
     pair_cut_cost,
@@ -52,7 +49,7 @@ from helpers import (
 
 
 def cand(rect, resources=ResourceVector(1, 0, 0)):
-    return PlacementCandidate(rect, resources, 0)
+    return Candidate(rect, resources, 0)
 
 
 # --- split_partition -------------------------------------------------------

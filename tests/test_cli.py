@@ -263,6 +263,13 @@ EDGE_FABRICS = {
         "rows 1\ncolumns CCCC\n", "module m 1 0 0\n", [], 2,
         "aspect-ratio bounds reject everything",
     ),
+    # frame weights are unbounded ints: rects that take in a DSP column
+    # waste 10**23 frames and more, far above any machine word
+    "huge-dsp-frame-weight": (
+        "rows 4\ncolumns CCDCCBCCDCCC\nframes 36 30 100000000000000000000000\n",
+        "module a 6 0 0\nmodule b 3 0 1\nmodule c 4 1 0\nconnect a b 8\nconnect b c 8\n",
+        ["--no-ar"], 0, None,
+    ),
 }
 
 

@@ -37,7 +37,6 @@ from tilefp.place import (
 )
 from tilefp.tessellation import (
     InfeasibleModuleError,
-    PlacementCandidate,
     _columns_outward,
     _nearest_column,
     base_kernels_for_row,
@@ -48,7 +47,10 @@ from tilefp.tessellation import (
 )
 
 from helpers import (
+    Candidate,
+    as_columns,
     branch_and_bound_walk,
+    candidate_records,
     columns_outward_walk,
     coordinate_sums_walk,
     cut_cost_walk,
@@ -182,7 +184,8 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
         with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
             generate_module_placements(fab, module, ar_bounds)
         return
-    assert generate_module_placements(fab, module, ar_bounds) == expected
+    got = generate_module_placements(fab, module, ar_bounds)
+    assert (list(got), got.wastage) == as_columns(expected)
 
 
 @st.composite
@@ -229,7 +232,8 @@ def test_one_kind_placements_match_walk(case, ar_bounds):
         with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
             generate_module_placements(fab, module, ar_bounds)
         return
-    assert generate_module_placements(fab, module, ar_bounds) == expected
+    got = generate_module_placements(fab, module, ar_bounds)
+    assert (list(got), got.wastage) == as_columns(expected)
 
 
 @PROPERTY
@@ -248,18 +252,19 @@ def test_list_summaries_match_walks(fab, req, ar_bounds):
         cands = generate_module_placements(fab, ModuleSpec("m", req), ar_bounds)
     except InfeasibleModuleError:
         return
+    records = candidate_records(fab, cands)
     for axis in ("vertical", "horizontal"):
-        assert cands.groups[axis] == span_groups_walk(cands, axis)
-    assert list(cands.ties) == tie_order_walk(cands)
-    assert cands.max_waste == max(c.wastage_frames for c in cands)
-    assert cands.sums == coordinate_sums_walk(cands)
+        assert cands.groups[axis] == span_groups_walk(records, axis)
+    assert list(cands.ties) == tie_order_walk(records)
+    assert cands.max_waste == max(c.wastage_frames for c in records)
+    assert cands.sums == coordinate_sums_walk(records)
 
 
 # Few distinct coordinates and wastages, so that lists hold equal wastage,
 # equal (row0, col0) under different (row1, col1), equal distances and
 # whole duplicates; weights from 0 to 1e308, whose objective overflows.
 tied_candidates = st.builds(
-    lambda r0, c0, dr, dc, waste: PlacementCandidate(
+    lambda r0, c0, dr, dc, waste: Candidate(
         Rect(r0, c0, r0 + dr, c0 + dc), ResourceVector(), waste
     ),
     st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
@@ -279,7 +284,7 @@ def test_normalize_candidates_matches_walk(cands, anchor, alpha, beta):
     got = normalize_candidates(summarized(cands), anchor, alpha, beta)
     want = normalize_candidates_walk(cands, anchor, alpha, beta)
     assert len(got) == len(want)
-    assert all(g is w for g, w in zip(got, want))
+    assert all(g is w.rect for g, w in zip(got, want))
 
 
 @PROPERTY
@@ -297,7 +302,7 @@ def test_side_data_split_matches_overlap_side(data):
     ))
     child0, child1 = split_partition(parent_rect, axis)
     cands = [
-        PlacementCandidate(r, resources_in_rect(fab, r), 0)
+        Candidate(r, resources_in_rect(fab, r), 0)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
     ]
     split = side_data_walk("m", cands, child0, child1, axis)
@@ -330,9 +335,9 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
         assume(False)
     for axis in ("vertical", "horizontal"):
         groups = cands.groups[axis]
-        assert groups == span_groups_walk(cands, axis)
+        members = candidate_records(fab, cands)
+        assert groups == span_groups_walk(members, axis)
         assert sum(g[2] for g in groups) == len(cands)
-        members = cands
         rect = fab.bounds
         while (rect.width if axis == "vertical" else rect.height) >= 2:
             child0, child1 = split_partition(rect, axis)
@@ -380,10 +385,7 @@ def placer_inputs(draw):
         st.lists(small_rects_in(rows, cols), min_size=2, max_size=PLACER_LIST_MAX[n]),
         min_size=n, max_size=n,
     ))
-    candidates = {
-        f"m{k}": [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
-        for k, rects in enumerate(lists)
-    }
+    candidates = {f"m{k}": rects for k, rects in enumerate(lists)}
     return fab, list(candidates), candidates
 
 
@@ -430,17 +432,14 @@ def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
         rects, _ = trial_and_error_place(fab, order, candidates, None)
     assert list(rects) == order
     for module_id, rect in rects.items():
-        assert rect in {c.rect for c in candidates[module_id]}
+        assert rect in candidates[module_id]
     placed = list(rects.values())
     assert all(is_free_rect(fab, rect, placed[:i]) for i, rect in enumerate(placed))
 
 
 def unit_candidates(*lists):
     """Modules m0, m1, ... with candidates on the given rects, in order."""
-    return {
-        f"m{k}": [PlacementCandidate(r, ResourceVector(), 0) for r in rects]
-        for k, rects in enumerate(lists)
-    }
+    return {f"m{k}": list(rects) for k, rects in enumerate(lists)}
 
 
 @st.composite
@@ -530,7 +529,7 @@ def shared_list_inputs(draw):
     fab = Fabric(rows, "C" * cols, draw(st.lists(small_rects_in(rows, cols), max_size=1)))
     inside = small_rects_in(rows, cols)
     candidate = st.builds(
-        lambda rect, waste: PlacementCandidate(rect, ResourceVector(), waste),
+        lambda rect, waste: Candidate(rect, ResourceVector(), waste),
         st.one_of(inside, inside, spilling_rects_in(rows, cols)), st.sampled_from([0, 1, 2, 36]),
     )
     lists = draw(st.lists(st.lists(candidate, min_size=1, max_size=40), min_size=1, max_size=2))
@@ -551,7 +550,7 @@ def in_score_order(candidates, anchors, alpha, beta):
 
 def shared_list(rects):
     """One list object of zero-wastage candidates on ``rects``."""
-    return summarized([PlacementCandidate(r, ResourceVector(), 0) for r in rects])
+    return summarized([Candidate(r, ResourceVector(), 0) for r in rects])
 
 
 # Left to right along one row: an anchor far right scores it in reverse.
@@ -573,9 +572,10 @@ def test_shared_list_scoring_matches_walk(inputs):
     fab, candidates, anchors, (alpha, beta), _ = inputs
     scored = in_score_order(candidates, anchors, alpha, beta)
     for module_id, options in candidates.items():
-        want = normalize_candidates_walk(options, anchors[module_id], alpha, beta)
+        records = [Candidate(r, ResourceVector(), w) for r, w in zip(options, options.wastage)]
+        want = normalize_candidates_walk(records, anchors[module_id], alpha, beta)
         assert len(scored[module_id]) == len(want)
-        assert all(g is w for g, w in zip(scored[module_id], want))
+        assert all(g is w.rect for g, w in zip(scored[module_id], want))
 
 
 @PROPERTY
@@ -642,7 +642,7 @@ def index_inputs(draw):
 @example((Fabric(2, "CCCC"), [Rect(0, 0, 0, 1), Rect(0, 2, 1, 4)], [Rect(0, 0, 0, 0)]))
 def test_overlap_index_matches_rect_overlaps(inputs):
     fab, rects, probes = inputs
-    index = _Overlaps([PlacementCandidate(r, ResourceVector(), 0) for r in rects], fab)
+    index = _Overlaps(rects, fab)
 
     def bitset(indices):
         return sum(1 << j for j in set(indices))

@@ -56,6 +56,8 @@ from tilefp.place import PlacementTimeoutError
 from tilefp.tessellation import generate_placements
 from tilefp.validate import validate_floorplan
 
+from helpers import candidate_records
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -68,23 +70,37 @@ def golden_cases(name):
     return cases
 
 
-def candidate_digest(candidates):
+def priced(fabric, design, candidates):
+    """Each module's (rect, resources, wastage) triples in list order: the
+    resources recounted by the oracle, the wastage read from the list's
+    column and checked against the frames the resources hold beyond the
+    module's requirement."""
+    out = {}
+    for module_id, cands in candidates.items():
+        req = design.module(module_id).req
+        out[module_id] = records = candidate_records(fabric, cands)
+        for c in records:
+            assert c.wastage_frames == fabric.frames_of(c.resources - req), (module_id, c)
+    return out
+
+
+def candidate_digest(fabric, design, candidates):
     """sha256 over every module's sorted (rect, resources, wastage) triples."""
     lines = []
-    for module_id in sorted(candidates):
-        triples = sorted((c.rect, c.resources, c.wastage_frames) for c in candidates[module_id])
-        for rect, resources, wastage in triples:
+    records = priced(fabric, design, candidates)
+    for module_id in sorted(records):
+        for rect, resources, wastage in sorted(records[module_id]):
             lines.append(f"{module_id} {' '.join(map(str, rect + resources))} {wastage}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def ordered_candidate_digest(candidates):
+def ordered_candidate_digest(fabric, design, candidates):
     """sha256 over every module's (rect, resources, wastage) triples, modules
     in design order and candidates in list order."""
     lines = [
         f"{module_id} {' '.join(map(str, c.rect + c.resources))} {c.wastage_frames}"
-        for module_id, cands in candidates.items()
-        for c in cands
+        for module_id, records in priced(fabric, design, candidates).items()
+        for c in records
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -97,7 +113,7 @@ def test_generated_candidate_lists_are_pinned_in_order(digest, options):
     design = generate_random_design(int(n), fabric, occupancy, int(seed))
     candidates = generate_placements(fabric, design, None)
     assert list(candidates) == [m.id for m in design.modules]
-    assert ordered_candidate_digest(candidates) == digest
+    assert ordered_candidate_digest(fabric, design, candidates) == digest
 
 
 @pytest.mark.parametrize("digest, options", golden_cases("sdr_candidates.sha256"))
@@ -105,7 +121,8 @@ def test_sdr_candidate_sets_are_pinned(digest, options):
     fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
     design = parse_design(fixture_path("sdr.design").read_text())
     ar_bounds = tuple(map(float, options)) if options else None
-    assert candidate_digest(generate_placements(fabric, design, ar_bounds)) == digest
+    candidates = generate_placements(fabric, design, ar_bounds)
+    assert candidate_digest(fabric, design, candidates) == digest
 
 
 @pytest.mark.parametrize("digest, options", golden_cases("sdr_documents.sha256"))

@@ -23,9 +23,10 @@ from tilefp.place import (
     trial_and_error_place,
     write_floorplan,
 )
-from tilefp.tessellation import CandidateList, PlacementCandidate
+from tilefp.tessellation import CandidateList
 
 from helpers import (
+    Candidate,
     brute_force_rects,
     first_feasible_assignment,
     random_fabric,
@@ -35,7 +36,7 @@ from helpers import (
 
 
 def cand(rect, wastage):
-    return PlacementCandidate(rect, ResourceVector(1, 0, 0), wastage)
+    return Candidate(rect, ResourceVector(1, 0, 0), wastage)
 
 
 def sdr_design():
@@ -61,17 +62,18 @@ def sdr_design():
 def test_normalize_extremes_map_to_unit_interval():
     cands = summarized([cand(Rect(0, 4, 0, 5), 72), cand(Rect(0, 0, 0, 1), 0)])
     scored = normalize_candidates(cands, (1.0, 0.5), 1.0, 0.0)
-    assert [c.rect for c in scored] == [Rect(0, 0, 0, 1), Rect(0, 4, 0, 5)]
-    # the module's own candidates come back, only reordered
-    assert [id(c) for c in scored] == [id(cands[1]), id(cands[0])]
+    assert scored == [Rect(0, 0, 0, 1), Rect(0, 4, 0, 5)]
+    # the module's own rects come back, only reordered
+    assert [id(r) for r in scored] == [id(cands[1]), id(cands[0])]
 
 
 def test_normalize_equidistant_candidates_order_by_wastage():
     cands = summarized([cand(Rect(0, 0, 0, 0), 36), cand(Rect(0, 2, 0, 2), 0)])
     # anchor at the midpoint: both centers are 1 tile away
     scored = normalize_candidates(cands, (1.5, 0.5), 0.5, 0.5)
-    assert [c.rect for c in scored] == [Rect(0, 2, 0, 2), Rect(0, 0, 0, 0)]
-    assert [c.wastage_frames for c in scored] == [0, 36]
+    assert scored == [Rect(0, 2, 0, 2), Rect(0, 0, 0, 0)]
+    wastage = dict(zip(cands, cands.wastage))
+    assert [wastage[r] for r in scored] == [0, 36]
 
 
 def test_normalize_pure_wastage_mode():
@@ -81,7 +83,8 @@ def test_normalize_pure_wastage_mode():
         for c in range(10)
     ])
     scored = normalize_candidates(cands, (0.0, 0.0), 1.0, 0.0)
-    wastes = [c.wastage_frames for c in scored]
+    wastage = dict(zip(cands, cands.wastage))
+    wastes = [wastage[r] for r in scored]
     assert wastes == sorted(wastes)
     assert sorted(map(id, scored)) == sorted(map(id, cands))
 
@@ -90,7 +93,7 @@ def test_normalize_zero_maxima_and_tie_break():
     cands = summarized([cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 0, 0, 0), 0)])
     scored = normalize_candidates(cands, (99.0, 99.0), 1.0, 0.0)
     # wastage norm is zero everywhere, so bottom-left position decides
-    assert [c.rect.col0 for c in scored] == [0, 2]
+    assert [r.col0 for r in scored] == [0, 2]
     with pytest.raises(ValueError):
         normalize_candidates(summarized([]), (0.0, 0.0), 1.0, 0.0)
 
@@ -98,7 +101,7 @@ def test_normalize_zero_maxima_and_tie_break():
 def test_normalize_distance_mode_prefers_near_anchor():
     cands = summarized([cand(Rect(0, c, 0, c), 100 - c) for c in range(6)])
     scored = normalize_candidates(cands, (5.5, 0.5), 0.0, 1.0)
-    assert [c.rect.col0 for c in scored] == [5, 4, 3, 2, 1, 0]
+    assert [r.col0 for r in scored] == [5, 4, 3, 2, 1, 0]
 
 
 def test_normalize_divides_by_the_maxima_before_blending():
@@ -115,8 +118,9 @@ def test_normalize_divides_by_the_maxima_before_blending():
 
     # summed raw, 4 < 36 puts near first; scaled by the maxima (360 frames,
     # 4 tiles), wasteful scores 0.5 * 0.1 against near's 0.5 * 1
-    assert sorted(cands, key=raw_sum) == [near, wasteful, worst]
-    assert normalize_candidates(cands, anchor, 0.5, 0.5) == [wasteful, near, worst]
+    assert sorted([near, wasteful, worst], key=raw_sum) == [near, wasteful, worst]
+    scored = normalize_candidates(cands, anchor, 0.5, 0.5)
+    assert scored == [wasteful.rect, near.rect, worst.rect]
 
 
 # --- order_modules -----------------------------------------------------------
@@ -182,12 +186,9 @@ def test_place_backtracks_across_depths():
     fab = parse_fabric("rows 1\ncolumns CCCC\n")
     # a's first pick starves b and c; only a's second pick leaves room
     cands = {
-        "a": [
-            cand(Rect(0, 1, 0, 2), 0),
-            cand(Rect(0, 0, 0, 1), 0),
-        ],
-        "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
-        "c": [cand(Rect(0, 3, 0, 3), 0)],
+        "a": [Rect(0, 1, 0, 2), Rect(0, 0, 0, 1)],
+        "b": [Rect(0, 2, 0, 2), Rect(0, 3, 0, 3)],
+        "c": [Rect(0, 3, 0, 3)],
     }
     rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], cands)
     assert rects == {
@@ -207,12 +208,7 @@ def test_place_matches_exhaustive_first_feasible():
         ids = []
         for k in range(rng.randint(2, 4)):
             req = random_requirement(rng, fab)
-            pool = [
-                PlacementCandidate(rect, ResourceVector(), w)
-                for rect, w in sorted(brute_force_rects(fab, req, None).items())[
-                    : rng.randint(1, 6)
-                ]
-            ]
+            pool = sorted(brute_force_rects(fab, req, None))[: rng.randint(1, 6)]
             if not pool:
                 break
             ids.append(f"m{k}")
@@ -227,7 +223,7 @@ def test_place_matches_exhaustive_first_feasible():
         else:
             rects, _ = trial_and_error_place(fab, ids, scored)
             assert rects == {
-                m: lists[k][expect[k]].rect for k, m in enumerate(ids)
+                m: lists[k][expect[k]] for k, m in enumerate(ids)
             }
         agreements += 1
     assert agreements >= 20
@@ -260,9 +256,9 @@ def test_place_fail_first_places_fewest_candidates_first(monkeypatch):
     monkeypatch.setattr(place, "FORWARD_CHECK_NODES", 0)
     fab = parse_fabric("rows 1\ncolumns CCCC\n")
     cands = {
-        "a": [cand(Rect(0, 1, 0, 2), 0), cand(Rect(0, 0, 0, 1), 0)],
-        "b": [cand(Rect(0, 2, 0, 2), 0), cand(Rect(0, 3, 0, 3), 0)],
-        "c": [cand(Rect(0, 3, 0, 3), 0)],
+        "a": [Rect(0, 1, 0, 2), Rect(0, 0, 0, 1)],
+        "b": [Rect(0, 2, 0, 2), Rect(0, 3, 0, 3)],
+        "c": [Rect(0, 3, 0, 3)],
     }
     rects, backtracks = trial_and_error_place(fab, ["a", "b", "c"], cands)
     assert list(rects.items()) == [

@@ -1,6 +1,7 @@
 """The in-process A/B harness ``tools/stage_ab.py`` runs end to end, and
 prints no timings for trees whose outputs differ."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -23,10 +24,17 @@ def test_one_tree_on_both_sides_times_every_sdr_case():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "documents and solver-log records identical on 4 cases"
+    wins = re.compile(
+        r" +B faster in [01]/1 rounds \(tessellation [01], anchors [01], scoring [01], "
+        r"search [01]\), run median [+-]\d+\.\d%"
+    )
     for case in SDR_CASES:
         rows = [line.split() for line in lines if line.startswith(case)]
         assert [row[1] for row in rows] == ["A", "B"]
         assert all(len(row) == 7 for row in rows)  # four stages and the run
+        # the case's win counts follow its B row: the run's, then each stage's
+        first = next(k for k, line in enumerate(lines) if line.startswith(case))
+        assert wins.fullmatch(lines[first + 2]), lines[first + 2]
     assert sum("B faster in" in line for line in lines) == len(SDR_CASES)
 
 

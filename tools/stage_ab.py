@@ -19,9 +19,10 @@ case on both sides with the cyclic garbage collector off, A first in even
 rounds and B first in odd ones. Per case and side it prints the median
 milliseconds of four stages (tessellation: ``generate_placements``;
 anchors: ``compute_anchors``; scoring: ``_rank`` and ``order_modules``;
-search: ``_place``) and of the whole run, and in how many rounds B's run
-was faster than A's. The stages are timed by wrapping those names in each
-tree's ``place`` module, so both trees must define them.
+search: ``_place``) and of the whole run, and in how many rounds B was
+faster than A: over the whole run, and next to that in each stage. The
+stages are timed by wrapping those names in each tree's ``place``
+module, so both trees must define them.
 
 Only the standard library is used, and ``perfbench/`` is only read.
 """
@@ -213,9 +214,13 @@ def main(argv: list[str] | None = None) -> int:
         for label, taken in (("A", taken_a), ("B", taken_b)):
             cells = "".join(f"{statistics.median(taken[c]) * 1000:>14.1f}" for c in columns)
             print(f"{case_id:<22}{label:<6}{cells}")
-        wins = sum(b < a for a, b in zip(taken_a["run"], taken_b["run"]))
+        wins = {c: sum(b < a for a, b in zip(taken_a[c], taken_b[c])) for c in columns}
+        stages = ", ".join(f"{stage} {wins[stage]}" for stage in STAGES)
         change = statistics.median(taken_b["run"]) / statistics.median(taken_a["run"]) - 1
-        print(f"{'':<22}B faster in {wins}/{opts.rounds} rounds, run median {change:+.1%}")
+        print(
+            f"{'':<22}B faster in {wins['run']}/{opts.rounds} rounds ({stages}), "
+            f"run median {change:+.1%}"
+        )
     return 0
 
 
