@@ -22,13 +22,13 @@ count and the componentwise-minimum resources of its candidates, which
 tessellation groups as it prices the list (``CandidateList.groups``). The
 rule, the mean extents and the minimum footprints are computed per group.
 
-A halving fails when forced members overflow a half (``build_bqp``
+A halving fails when forced members overflow a half (``_build_bqp``
 raises), when the members' smaller footprints overflow both halves
-together, or when the search finds no feasible leaf (``solve_bqp``
+together, or when the search finds no feasible leaf (``_solve_bqp``
 returns None). Its members then all keep the partition's center and
 nothing inside it is halved. A failure at the device root raises
 ``InfeasibleModelError``, which the CLI reports as
-``INFEASIBLE_FLOORPLAN`` with exit 3; when ``build_bqp`` raised, its
+``INFEASIBLE_FLOORPLAN`` with exit 3; when ``_build_bqp`` raised, its
 reason follows the pass.
 """
 
@@ -43,25 +43,11 @@ from typing import IO, Literal, Mapping, Sequence
 
 from .design import Connection, Design
 from .fabric import Fabric, Rect, ResourceVector
-from .tessellation import CandidateList, SpanGroup
+from .tessellation import CandidateList, _SpanGroup
 
-__all__ = [
-    "Axis",
-    "BqpModel",
-    "InfeasibleModelError",
-    "SideData",
-    "SpanGroup",
-    "assignment_feasible",
-    "build_bqp",
-    "compute_anchors",
-    "objective_of",
-    "recursive_bipartition",
-    "side_data",
-    "solve_bqp",
-    "split_partition",
-]
+__all__ = ["InfeasibleModelError", "compute_anchors"]
 
-Axis = Literal["vertical", "horizontal"]
+_Axis = Literal["vertical", "horizontal"]
 Point = tuple[float, float]
 
 # Per axis: the rect fields a cut splits (col0, col1 or row0, row1) and the
@@ -81,7 +67,7 @@ class InfeasibleModelError(Exception):
 
 
 @dataclass(frozen=True)
-class SideData:
+class _SideData:
     """How one module relates to the two halves of a partition.
 
     ``placements0``/``placements1`` are the span groups landing on each
@@ -93,8 +79,8 @@ class SideData:
     """
 
     module_id: str
-    placements0: tuple[SpanGroup, ...]
-    placements1: tuple[SpanGroup, ...]
+    placements0: tuple[_SpanGroup, ...]
+    placements1: tuple[_SpanGroup, ...]
     w0: float | None
     w1: float | None
     occ0: ResourceVector | None
@@ -115,7 +101,7 @@ class SideData:
 
 
 @dataclass
-class BqpModel:
+class _BqpModel:
     """Binary side-assignment model in tabular form.
 
     Every variable i carries a cost pair ``linear[i][v]`` for taking value
@@ -141,7 +127,7 @@ class BqpModel:
     parent_only: list[str] = field(default_factory=list)
 
 
-def split_partition(rect: Rect, axis: Axis) -> tuple[Rect, Rect]:
+def _split_partition(rect: Rect, axis: _Axis) -> tuple[Rect, Rect]:
     """Halve a rect; the left (or bottom) child gets the floor half."""
     lo, hi, _ = _CUT[axis]
     span = rect[hi] - rect[lo] + 1
@@ -151,16 +137,16 @@ def split_partition(rect: Rect, axis: Axis) -> tuple[Rect, Rect]:
     return rect._replace(**{Rect._fields[hi]: mid - 1}), rect._replace(**{Rect._fields[lo]: mid})
 
 
-def _side_summary(groups: Sequence[SpanGroup]) -> tuple[float, ResourceVector]:
+def _side_summary(groups: Sequence[_SpanGroup]) -> tuple[float, ResourceVector]:
     """Mean extent and componentwise-minimum footprint of nonempty groups."""
     _, _, counts, clb, bram, dsp = zip(*groups)
     extent = sum(n * (hi - lo + 1) for lo, hi, n, _, _, _ in groups)
     return extent / sum(counts), ResourceVector(min(clb), min(bram), min(dsp))
 
 
-def side_data(
-    module_id: str, groups: Sequence[SpanGroup], child0: Rect, child1: Rect, axis: Axis
-) -> SideData:
+def _side_data(
+    module_id: str, groups: Sequence[_SpanGroup], child0: Rect, child1: Rect, axis: _Axis
+) -> _SideData:
     """Split a module's span groups between two halves and summarize them.
 
     A group lands on the first half that holds at least 75% of its span
@@ -170,8 +156,8 @@ def side_data(
     """
     i, j, _ = _CUT[axis]
     lo0, hi0, lo1, hi1 = child0[i], child0[j], child1[i], child1[j]
-    p0: list[SpanGroup] = []
-    p1: list[SpanGroup] = []
+    p0: list[_SpanGroup] = []
+    p1: list[_SpanGroup] = []
     for g in groups:
         lo, hi = g[0], g[1]
         span3 = (hi - lo + 1) * 3
@@ -181,19 +167,19 @@ def side_data(
             p1.append(g)
     w0, occ0 = _side_summary(p0) if p0 else (None, None)
     w1, occ1 = _side_summary(p1) if p1 else (None, None)
-    return SideData(module_id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
+    return _SideData(module_id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
 
 
-def build_bqp(
+def _build_bqp(
     fabric: Fabric,
     children: tuple[Rect, Rect],
-    data: Sequence[SideData],
+    data: Sequence[_SideData],
     connections: Sequence[Connection],
     anchors: Mapping[str, Point],
-    axis: Axis,
+    axis: _Axis,
     extents: Mapping[str, float],
     requirements: Mapping[str, ResourceVector],
-) -> BqpModel:
+) -> _BqpModel:
     """Assemble the side-assignment model for one halving into ``children``.
 
     Every connection with an endpoint among the members is priced by one
@@ -273,7 +259,7 @@ def build_bqp(
                     else:
                         const += cost
 
-    return BqpModel(
+    return _BqpModel(
         variables=variables,
         linear=[tuple(row) for row in linear],  # type: ignore[misc]
         pairs={key: (tuple(t[0]), tuple(t[1])) for key, t in corners.items()},  # type: ignore[misc]
@@ -287,7 +273,7 @@ def build_bqp(
     )
 
 
-def objective_of(model: BqpModel, assignment: Sequence[int]) -> float:
+def _objective_of(model: _BqpModel, assignment: Sequence[int]) -> float:
     """Objective value of a full 0/1 assignment."""
     total = model.const
     for i, v in enumerate(assignment):
@@ -297,7 +283,7 @@ def objective_of(model: BqpModel, assignment: Sequence[int]) -> float:
     return total
 
 
-def _overflow(model: BqpModel, assignment: Sequence[int]) -> float:
+def _overflow(model: _BqpModel, assignment: Sequence[int]) -> float:
     """Summed excess of the side loads over the six capacity rows."""
     clb0 = bram0 = dsp0 = clb1 = bram1 = dsp1 = 0
     for v, occ0, occ1 in zip(assignment, model.occ0, model.occ1):
@@ -317,12 +303,12 @@ def _overflow(model: BqpModel, assignment: Sequence[int]) -> float:
     )
 
 
-def assignment_feasible(model: BqpModel, assignment: Sequence[int]) -> bool:
+def _assignment_feasible(model: _BqpModel, assignment: Sequence[int]) -> bool:
     """Whether an assignment satisfies all six capacity rows."""
     return _overflow(model, assignment) == 0
 
 
-def _pair_lists(model: BqpModel) -> tuple[list[list], list[list]]:
+def _pair_lists(model: _BqpModel) -> tuple[list[list], list[list]]:
     """Each variable's pairs, in ``model.pairs`` order.
 
     ``by_low[i]`` holds ``(j, corners)`` for every pair (i, j) and
@@ -338,7 +324,7 @@ def _pair_lists(model: BqpModel) -> tuple[list[list], list[list]]:
     return by_low, by_high
 
 
-def _greedy_assignment(model: BqpModel) -> list[int]:
+def _greedy_assignment(model: _BqpModel) -> list[int]:
     """Sequential seed: each variable takes the locally cheaper side.
 
     Capacity is tracked and a side that would overflow is avoided when the
@@ -377,7 +363,7 @@ def _greedy_assignment(model: BqpModel) -> list[int]:
     return out
 
 
-def _repair(model: BqpModel, assignment: list[int]) -> list[int] | None:
+def _repair(model: _BqpModel, assignment: list[int]) -> list[int] | None:
     """Flip variables until capacity holds, greedily by overflow reduction."""
     current = _overflow(model, assignment)
     for _ in range(2 * len(assignment) + 1):
@@ -389,7 +375,7 @@ def _repair(model: BqpModel, assignment: list[int]) -> list[int] | None:
             flipped[i] ^= 1
             over = _overflow(model, flipped)
             if over < current:
-                key = (over, objective_of(model, flipped), i)
+                key = (over, _objective_of(model, flipped), i)
                 if best is None or key < best[0]:
                     best = (key, flipped)
         if best is None:
@@ -399,7 +385,7 @@ def _repair(model: BqpModel, assignment: list[int]) -> list[int] | None:
     return assignment if current == 0 else None
 
 
-def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
+def _local_search(model: _BqpModel, assignment: list[int]) -> list[int]:
     """Deterministic improvement sweeps: single flips, then opposite swaps.
 
     A move is first priced by its change in cost, from the moved variables'
@@ -428,15 +414,15 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
         nonlocal best_obj
         for i in moved:
             assignment[i] ^= 1
-        obj = objective_of(model, assignment)
-        if obj < best_obj and assignment_feasible(model, assignment):
+        obj = _objective_of(model, assignment)
+        if obj < best_obj and _assignment_feasible(model, assignment):
             best_obj = obj
             return True
         for i in moved:
             assignment[i] ^= 1
         return False
 
-    best_obj = objective_of(model, assignment)
+    best_obj = _objective_of(model, assignment)
     improved = True
     while improved:
         improved = False
@@ -462,7 +448,7 @@ def _local_search(model: BqpModel, assignment: list[int]) -> list[int]:
 
 
 def _solve_branch_and_bound(
-    model: BqpModel, seed: list[int] | None, node_budget: float
+    model: _BqpModel, seed: list[int] | None, node_budget: float
 ) -> tuple[list[int] | None, int]:
     """Depth-first search from ``seed`` with two admissible bounds and a node cap.
 
@@ -483,7 +469,7 @@ def _solve_branch_and_bound(
     n = len(model.variables)
     linear = model.linear
     best = seed
-    best_obj = math.inf if seed is None else objective_of(model, seed)
+    best_obj = math.inf if seed is None else _objective_of(model, seed)
 
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -561,7 +547,7 @@ def _solve_branch_and_bound(
     return best, nodes
 
 
-def solve_bqp(model: BqpModel) -> dict[str, int] | None:
+def _solve_bqp(model: _BqpModel) -> dict[str, int] | None:
     """Best side assignment found for the model's free variables.
 
     One branch-and-bound search serves every size. Up to ``EXACT_LIMIT``
@@ -592,11 +578,11 @@ def solve_bqp(model: BqpModel) -> dict[str, int] | None:
     return dict(zip(model.variables, bits))
 
 
-def recursive_bipartition(
+def _recursive_bipartition(
     fabric: Fabric,
     design: Design,
     candidates: Mapping[str, CandidateList],
-    axis: Axis,
+    axis: _Axis,
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
     """Anchor every module by recursive halving along one axis.
@@ -621,16 +607,16 @@ def recursive_bipartition(
         rect, groups, snapshot = stack.pop()
         if len(groups) < 2 or rect[hi] <= rect[lo]:
             continue
-        children = split_partition(rect, axis)
-        data = [side_data(m, g, *children, axis) for m, g in groups.items()]
+        children = _split_partition(rect, axis)
+        data = [_side_data(m, g, *children, axis) for m, g in groups.items()]
         started = time.perf_counter()
         reason = ""
         try:
-            model = build_bqp(
+            model = _build_bqp(
                 fabric, children, data, design.connections, snapshot, axis,
                 extents, requirements,
             )
-            assignment = solve_bqp(model)
+            assignment = _solve_bqp(model)
         except InfeasibleModelError as exc:
             assignment, reason = None, f": {exc}"
         if assignment is None:
@@ -645,7 +631,7 @@ def recursive_bipartition(
                 "axis": axis,
                 "rect": list(rect),
                 "variables": len(model.variables),
-                "objective": objective_of(
+                "objective": _objective_of(
                     model, [assignment[m] for m in model.variables]
                 ),
                 "solve_ms": round((time.perf_counter() - started) * 1000.0, 3),
@@ -674,6 +660,6 @@ def compute_anchors(
     log: IO[str] | None = None,
 ) -> dict[str, Point]:
     """Final anchors: x from the vertical-cut pass, y from the horizontal."""
-    vertical = recursive_bipartition(fabric, design, candidates, "vertical", log)
-    horizontal = recursive_bipartition(fabric, design, candidates, "horizontal", log)
+    vertical = _recursive_bipartition(fabric, design, candidates, "vertical", log)
+    horizontal = _recursive_bipartition(fabric, design, candidates, "horizontal", log)
     return {m: (vertical[m][0], horizontal[m][1]) for m in vertical}

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .fabric import Fabric, ResourceKind, ResourceVector, read_directives
+from .fabric import Fabric, ResourceKind, ResourceVector, _read_directives
 
 __all__ = [
     "Connection",
@@ -134,7 +134,7 @@ def parse_design(text: str) -> Design:
     pairs: dict[frozenset[str], tuple] = {}
     weights: tuple[float, float] | None = None
 
-    for fail, directive, values in read_directives(text, DesignError, _DESIGN_LAYOUTS):
+    for fail, directive, values in _read_directives(text, DesignError, _DESIGN_LAYOUTS):
         try:
             if directive == "module":
                 mid, *req = values

@@ -9,6 +9,7 @@ heterogeneity is purely column-wise. Rectangles are inclusive on both ends.
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 __all__ = [
@@ -19,7 +20,6 @@ __all__ = [
     "ResourceKind",
     "ResourceVector",
     "parse_fabric",
-    "read_directives",
 ]
 
 
@@ -279,7 +279,7 @@ def _fit(matchers: list, words: list[str]) -> list:
     return values
 
 
-def read_directives(
+def _read_directives(
     text: str, error: type[Exception], layouts: Iterable[str]
 ) -> Iterator[tuple[Callable[[str], NoReturn], str, list]]:
     """Read a line document, one directive per line, against usage layouts.
@@ -341,13 +341,17 @@ def parse_fabric(text: str) -> Fabric:
     ``reserved row0 col0 row1 col1`` (repeatable) and an optional
     ``frames clb bram dsp`` override. ``#`` starts a comment. A repeated
     ``rows``, ``columns`` or ``frames`` line must match the first one;
-    column kinds, for one, are uniform over the column height.
+    column kinds, for one, are uniform over the column height. A frame
+    count times the device's tile count must stay below 10 to the power of
+    Python's limit on the digits of a printed int: every wastage is below
+    that product, so every document and summary line can print it.
     """
     # the values of the first rows, columns and frames line
     first: dict[str, list] = {}
     reserved = []
+    frames_fail = None
 
-    for fail, directive, values in read_directives(text, FabricError, _FABRIC_LAYOUTS):
+    for fail, directive, values in _read_directives(text, FabricError, _FABRIC_LAYOUTS):
         if directive == "reserved":
             reserved.append((fail, Rect(*values)))
         elif first.setdefault(directive, values) != values:
@@ -361,6 +365,8 @@ def parse_fabric(text: str) -> Fabric:
                     fail(f"unknown resource kind {ch!r}")
         elif any(v < 1 for v in values):
             fail("frame counts must be positive")
+        else:
+            frames_fail = fail
 
     if "rows" not in first:
         raise FabricError("missing 'rows' directive")
@@ -368,6 +374,10 @@ def parse_fabric(text: str) -> Fabric:
         raise FabricError("missing 'columns' directive")
     (rows,), (columns,) = first["rows"], first["columns"]
     frames = dict(zip(ResourceKind, first["frames"])) if "frames" in first else None
+    # 0 when ints print at any length; absent before Python 3.10.7, which had no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if frames_fail and digits and max(frames.values()) * rows * len(columns) >= 10**digits:
+        frames_fail(f"a frame count times the {rows * len(columns)} tiles reaches 10**{digits}")
     for fail, (r0, c0, r1, c1) in reserved:
         if not (0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < len(columns)):
             fail("reserved rect out of bounds")

@@ -4,9 +4,10 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
-A candidate list is its rects and a parallel wastage column; scoring reads
-what it needs of a list alone from those and tessellation's summaries of
-it, and each module adds only its distances, scores and sort.
+A candidate list is its rects and a parallel wastage column; scoring
+prepares nothing per list, since it reads the column and tessellation's
+summaries of the list, and each module computes only its distances,
+scores and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
@@ -35,7 +36,7 @@ from typing import IO, Callable, Iterator, Mapping, Sequence
 from .bipartition import compute_anchors
 from .design import Design
 from .fabric import Fabric, Rect
-from .tessellation import CandidateList, generate_placements, per_list
+from .tessellation import CandidateList, generate_placements
 
 __all__ = [
     "FAIL_FIRST_NODES",
@@ -178,35 +179,30 @@ def _rank(
     alpha: float,
     beta: float,
 ) -> dict[str, array]:
-    """Each module's score order, its list's positions best first; one ``_Scoring`` per list."""
-    scorings = per_list(candidates, _Scoring)
-    return {m: scoring.order(anchors[m], alpha, beta) for m, scoring in scorings.items()}
+    """Each module's score order: its list's positions, best first."""
+    return {m: _score_order(options, anchors[m], alpha, beta) for m, options in candidates.items()}
 
 
-class _Scoring:
-    """Scores one candidate list against any anchor, from the list's summaries."""
-
-    def __init__(self, candidates: CandidateList) -> None:
-        if not candidates:
-            raise ValueError("cannot score an empty candidate list")
-        self.candidates = candidates
-
-    def order(self, anchor: tuple[float, float], alpha: float, beta: float) -> array:
-        """The list's positions best first against ``anchor``, as a compact array."""
-        ax, ay = anchor
-        # the float expressions of ``Rect.center``: dx[c0 + c1] is |(c0 + c1 + 1) / 2 - ax|
-        candidates = self.candidates
-        cols, rows = candidates.sums
-        dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
-        dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
-        dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in candidates]
-        max_dist, max_waste = max(dists), candidates.max_waste
-        scores = [
-            alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
-            for w, d in zip(candidates.wastage, dists)
-        ]
-        # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
-        return array("I", sorted(candidates.ties, key=scores.__getitem__))
+def _score_order(
+    candidates: CandidateList, anchor: tuple[float, float], alpha: float, beta: float
+) -> array:
+    """The list's positions best first against ``anchor``, as a compact
+    array, from the list's wastage column and tessellation's summaries."""
+    if not candidates:
+        raise ValueError("cannot score an empty candidate list")
+    ax, ay = anchor
+    # the float expressions of ``Rect.center``: dx[c0 + c1] is |(c0 + c1 + 1) / 2 - ax|
+    cols, rows = candidates.sums
+    dx = [abs((s + 1) / 2 - ax) for s in range(cols)]
+    dy = [abs((s + 1) / 2 - ay) for s in range(rows)]
+    dists = [dx[c0 + c1] + dy[r0 + r1] for r0, c0, r1, c1 in candidates]
+    max_dist, max_waste = max(dists), candidates.max_waste
+    scores = [
+        alpha * (w / max_waste if max_waste else 0.0) + beta * (d / max_dist if max_dist else 0.0)
+        for w, d in zip(candidates.wastage, dists)
+    ]
+    # a stable sort of the tie order: (score, wastage, row0, col0), full ties in list order
+    return array("I", sorted(candidates.ties, key=scores.__getitem__))
 
 
 def normalize_candidates(
@@ -223,10 +219,10 @@ def normalize_candidates(
     Sorting is ascending by that objective; ties fall back to raw wastage,
     then bottom-left position. The list's own rects come back in that order.
     ``candidates`` must carry tessellation's summaries (a ``CandidateList``).
-    ``run_floorplan`` scores each distinct list once through the same
-    ``_Scoring`` and keeps each module's order as list positions.
+    ``run_floorplan`` scores every module the same way and keeps each
+    module's order as list positions.
     """
-    return [candidates[i] for i in _Scoring(candidates).order(anchor, alpha, beta)]
+    return [candidates[i] for i in _score_order(candidates, anchor, alpha, beta)]
 
 
 def order_modules(design: Design, fabric: Fabric) -> list[str]:
@@ -368,8 +364,11 @@ class _Search:
         self.options = [candidates[module_id] for module_id in order]
         self.ranked = [ranked[module_id] for module_id in order]
         self.positions: dict[int, list[int]] = {}
-        indexes = per_list(candidates, lambda options: _Overlaps(options, fabric))
-        self.overlaps = [indexes[module_id] for module_id in order]
+        indexes: dict[int, _Overlaps] = {}  # by list identity: modules sharing a list share it
+        for options in self.options:
+            if id(options) not in indexes:
+                indexes[id(options)] = _Overlaps(options, fabric)
+        self.overlaps = [indexes[id(options)] for options in self.options]
         for k, index in enumerate(self.overlaps):
             if not index.free:
                 raise PlacementInfeasibleError(order[k], 0)

@@ -1,6 +1,6 @@
 """Candidate placement generation by columnar kernel tessellation.
 
-A module's resource kinds are taken scarcest first (``kind_order``): DSP,
+A module's resource kinds are taken scarcest first (``_kind_order``): DSP,
 then BRAM, then CLB, each only if the module needs it. Placements are
 grown from kernels: minimal rectangles seeded on the first kind. Kernels of
 one row can merge into wider spans when a single column cannot provide
@@ -47,36 +47,30 @@ end, are this sequence, and each later kind's ``seen`` and ``grown``
 state depends only on the sequence it reads, so the module's list is the
 walk's. A CLB-only module is the case with no later kind.
 
-A paired module keeps the kernel walk, both ways for every kernel: a bare
-DSP kernel (one whose pairing span holds a reserved tile) may reach, on
-its left, a DSP column whose kernel is paired rather than bare.
+A paired module keeps the kernel walk (``_paired_kernels`` seeds it),
+both ways for every kernel: a bare DSP kernel (one whose pairing span
+holds a reserved tile) may reach, on its left, a DSP column whose kernel
+is paired rather than bare.
+
+The module's public names are ``generate_placements``, the
+``CandidateList`` it returns and ``InfeasibleModuleError``; every stage
+above is internal to it.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 from .design import Design, ModuleSpec
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector
 
-__all__ = [
-    "CandidateList",
-    "InfeasibleModuleError",
-    "base_kernels_for_row",
-    "expand_horizontal",
-    "generate_module_placements",
-    "generate_placements",
-    "kind_order",
-    "merge_row_kernels",
-    "per_list",
-]
+__all__ = ["CandidateList", "InfeasibleModuleError", "generate_placements"]
 
-T = TypeVar("T")
 # (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of a list whose span
 # along a cut axis is columns (or rows) lo..hi, and the least of each kind any of them holds.
-SpanGroup = tuple[int, int, int, int, int, int]
+_SpanGroup = tuple[int, int, int, int, int, int]
 
 
 class InfeasibleModuleError(Exception):
@@ -93,7 +87,7 @@ class InfeasibleModuleError(Exception):
 class CandidateList(list):
     """A module's candidate rects, with ``wastage``, a list of each rect's
     frames beyond the requirement, position by position, and the summaries
-    made as the rects are priced: ``groups[axis]``, the ``SpanGroup``s by
+    made as the rects are priced: ``groups[axis]``, the ``_SpanGroup``s by
     column ("vertical") or row span ("horizontal") in first-appearance
     order; ``ties``, an array of positions by (wastage, row0, col0), equal
     keys in list order; ``max_waste``; and ``sums``, two ints above every
@@ -102,7 +96,7 @@ class CandidateList(list):
     __slots__ = ("wastage", "groups", "ties", "max_waste", "sums")
 
 
-def kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
+def _kind_order(req: ResourceVector) -> tuple[ResourceKind, ...]:
     """The kinds a module's candidates are grown for, scarcest first.
 
     DSP if the module needs any, then BRAM if it needs any, then CLB always.
@@ -124,35 +118,32 @@ def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
     return left if col - left <= right - col else right
 
 
-def base_kernels_for_row(
-    fabric: Fabric, row: int, kinds: tuple[ResourceKind, ...]
-) -> list[Rect]:
-    """Seed kernels of one row, one per column of the first kind.
+def _paired_kernels(fabric: Fabric, row: int) -> list[Rect]:
+    """Seed kernels of one row for a module that pairs DSP with BRAM, one
+    per DSP column.
 
-    When ``kinds`` holds two scarce kinds before CLB (DSP plus BRAM), each
-    kernel spans from its DSP column to the nearest BRAM column, including
-    everything between; a paired span that would touch reserved tiles
+    Each kernel spans from its DSP column to the nearest BRAM column,
+    including everything between; a span that would touch reserved tiles
     shrinks back to the bare DSP tile. Kernels whose own tile is reserved
     are dropped.
     """
-    pair_cols = fabric.columns_of(kinds[1]) if len(kinds) == 3 else None
+    bram_cols = fabric.columns_of(ResourceKind.BRAM)
     kernels = []
-    for c in fabric.columns_of(kinds[0]):
-        if pair_cols is not None:
-            near = _nearest_column(pair_cols, c)
-            if near is None:
-                continue
-            paired = Rect(row, min(c, near), row, max(c, near))
-            if not fabric.reserved_tiles_in(paired):
-                kernels.append(paired)
-                continue
+    for c in fabric.columns_of(ResourceKind.DSP):
+        near = _nearest_column(bram_cols, c)
+        if near is None:
+            continue
+        paired = Rect(row, min(c, near), row, max(c, near))
+        if not fabric.reserved_tiles_in(paired):
+            kernels.append(paired)
+            continue
         bare = Rect(row, c, row, c)
         if not fabric.reserved_tiles_in(bare):
             kernels.append(bare)
     return kernels
 
 
-def merge_row_kernels(
+def _merge_row_kernels(
     fabric: Fabric,
     kernels: list[Rect],
     needed: int,
@@ -210,7 +201,7 @@ def _columns_outward(
     return cols[bisect_right(cols, start):bisect_left(cols, hi)]
 
 
-def expand_horizontal(
+def _expand_horizontal(
     fabric: Fabric,
     kernel: Rect,
     needed: int,
@@ -304,9 +295,9 @@ def _expand_or_cross(
             first = grown.get((row0, col0, col1))
             if first is not None and first[0] <= row1 <= first[1]:
                 continue
-            out, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, seen)
+            out, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, seen)
             if free_row1 < 0:
-                out, _ = expand_horizontal(fabric, kernel, needed, target, None, seen)
+                out, _ = _expand_horizontal(fabric, kernel, needed, target, None, seen)
                 free_row1 = fabric.rows
             if first is None:
                 grown[row0, col0, col1] = (row1, free_row1)
@@ -354,23 +345,22 @@ def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[Rect]
     return out
 
 
-def _paired_rects(
-    fabric: Fabric, kinds: tuple[ResourceKind, ...], need: int
-) -> Iterator[list[Rect]]:
-    """The first kind's rects of a paired module's kernel walk, one list per kernel."""
-    first = kinds[0]
+def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[Rect]]:
+    """The first kind's (DSP) rects of a paired module's kernel walk, one
+    list per kernel."""
+    dsp = ResourceKind.DSP
     found: dict[Rect, None] = {}
     for row in range(fabric.rows):
-        base = base_kernels_for_row(fabric, row, kinds)
-        found.update(dict.fromkeys(base + merge_row_kernels(fabric, base, need, first)))
+        base = _paired_kernels(fabric, row)
+        found.update(dict.fromkeys(base + _merge_row_kernels(fabric, base, need, dsp)))
     # a rect reached again from another kernel is skipped
     seen: set[Rect] = set()
     for kernel in sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0)):
         # the first kind's own upward growth is the zero-column split
-        yield expand_horizontal(fabric, kernel, need, first, None, seen)[0]
+        yield _expand_horizontal(fabric, kernel, need, dsp, None, seen)[0]
 
 
-def generate_module_placements(
+def _generate_module_placements(
     fabric: Fabric,
     module: ModuleSpec,
     ar_bounds: tuple[float, float] | None,
@@ -387,12 +377,12 @@ def generate_module_placements(
     """
     req = module.req
     req_frames = fabric.frames_of(req)
-    first, *rest = kinds = kind_order(req)
+    first, *rest = kinds = _kind_order(req)
     layers: Iterable[list[Rect]]
     if len(kinds) < 3:
         layers = [_one_kind_rects(fabric, first, req.of(first))]
     else:
-        layers = _paired_rects(fabric, kinds, req.of(first))
+        layers = _paired_rects(fabric, req.of(first))
     for kind in rest:
         layers = _expand_or_cross(fabric, layers, req.of(kind), kind, first)
 
@@ -466,30 +456,15 @@ def generate_placements(
 
     A module's list depends only on its requirement, so it is generated
     once per distinct requirement and modules with equal ``req`` share one
-    list object: treat every list as read-only, and derive further
-    per-list data through ``per_list``. Raises InfeasibleModuleError for
-    the first module, in design order, without any candidate.
+    list object: treat every list as read-only. Raises
+    InfeasibleModuleError for the first module, in design order, without
+    any candidate.
     """
     by_req: dict[ResourceVector, CandidateList] = {}
     placements = {}
     for m in design.modules:
         if m.req not in by_req:
-            by_req[m.req] = generate_module_placements(fabric, m, ar_bounds)
+            by_req[m.req] = _generate_module_placements(fabric, m, ar_bounds)
         placements[m.id] = by_req[m.req]
     return placements
 
-
-def per_list(
-    candidates: Mapping[str, Sequence[Rect]],
-    make: Callable[[Sequence[Rect]], T],
-) -> dict[str, T]:
-    """``make`` of each module's candidate list, keyed like ``candidates``.
-
-    Modules that share one list object share one result: ``make`` runs once
-    per distinct list, in the order the lists first appear.
-    """
-    made: dict[int, T] = {}
-    for options in candidates.values():
-        if id(options) not in made:
-            made[id(options)] = make(options)
-    return {module_id: made[id(options)] for module_id, options in candidates.items()}

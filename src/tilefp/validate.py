@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric, read_directives
+from .fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric, _read_directives
 
 __all__ = [
     "FloorplanDocument",
@@ -57,7 +57,7 @@ def parse_floorplan(text: str) -> FloorplanDocument:
     mode = None
     records = []
     total = None
-    for fail, directive, values in read_directives(text, ValueError, _FLOORPLAN_LAYOUTS):
+    for fail, directive, values in _read_directives(text, ValueError, _FLOORPLAN_LAYOUTS):
         if (directive == "mode") != (mode is None):
             fail("the mode line must come first, and only once")
         if directive == "mode":

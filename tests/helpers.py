@@ -2,6 +2,11 @@
 
 These enumerate exhaustively and independently of the production code, so
 tests can compare algorithm output against ground truth on small inputs.
+Each rule they share with the pipeline (the kind order, the base kernels,
+a halving's objective and capacity rows, a rect's tile counts) is
+transcribed here from the paper and the module docstrings; from tilefp they
+import only data types, parsers, exceptions and the placer's node budgets,
+which ``test_public_api`` checks.
 """
 
 import math
@@ -11,15 +16,10 @@ from itertools import combinations, islice, product
 from typing import NamedTuple
 
 from tilefp import place
-from tilefp.bipartition import BqpModel, SideData, assignment_feasible, objective_of
-from tilefp.fabric import Fabric, FabricError, Rect, ResourceVector
+from tilefp.bipartition import _BqpModel, _SideData
+from tilefp.fabric import Fabric, FabricError, Rect, ResourceKind, ResourceVector
 from tilefp.place import PlacementInfeasibleError, PlacementTimeoutError
-from tilefp.tessellation import (
-    CandidateList,
-    InfeasibleModuleError,
-    base_kernels_for_row,
-    kind_order,
-)
+from tilefp.tessellation import CandidateList, InfeasibleModuleError
 
 
 class Candidate(NamedTuple):
@@ -48,14 +48,13 @@ def as_columns(records):
 
 
 def resources_in_rect(fabric, rect):
-    """Tile counts by kind inside ``rect``, reserved tiles included;
-    FabricError when it leaves the fabric."""
+    """Tile counts by kind inside ``rect``, reserved tiles included: each
+    column's kind times the rect's height. FabricError when ``rect`` leaves
+    the fabric."""
     if not fabric.in_bounds(rect):
         raise FabricError(f"rect out of bounds: {rect}")
-    _, kind_prefix = fabric.prefix_tables
-    return ResourceVector(*(
-        (prefix[rect.col1 + 1] - prefix[rect.col0]) * rect.height for prefix in kind_prefix
-    ))
+    kinds = [fabric.kind_of(c) for c in range(rect.col0, rect.col1 + 1)]
+    return ResourceVector(*(kinds.count(kind) * rect.height for kind in ResourceKind))
 
 
 def is_free_rect(fabric, rect, occupied=()):
@@ -137,6 +136,42 @@ def expand_horizontal_walk(fabric, rect, needed, target, blocked):
     return out
 
 
+def kind_order_walk(req):
+    """The kinds a module's candidates grow through, scarcest first: DSP if
+    the module needs any, then BRAM if it needs any, then CLB, even at a
+    need of zero."""
+    scarce = [kind for kind in (ResourceKind.DSP, ResourceKind.BRAM) if req.of(kind)]
+    return (*scarce, ResourceKind.CLB)
+
+
+def base_kernels_walk(fabric, row, kinds):
+    """Reference seed kernels of one row, one per column of the first kind
+    ``kinds[0]``, left to right. A module that pairs DSP with BRAM seeds
+    each DSP tile with the span from it to the nearest BRAM column, ties to
+    the left; when that span holds a reserved tile the kernel is the bare
+    DSP tile. Any other module seeds the bare tiles of its first kind. A
+    kernel on a reserved tile, or a paired one with no BRAM column at all,
+    is dropped."""
+    paired = ResourceKind.DSP in kinds and ResourceKind.BRAM in kinds
+    brams = [c for c in range(fabric.cols) if fabric.kind_of(c) is ResourceKind.BRAM]
+    kernels = []
+    for c in range(fabric.cols):
+        if fabric.kind_of(c) is not kinds[0]:
+            continue
+        bare = Rect(row, c, row, c)
+        if paired:
+            if not brams:
+                continue
+            near = min(brams, key=lambda b: (abs(b - c), b))
+            span = Rect(row, min(c, near), row, max(c, near))
+            if not fabric.reserved_tiles_in(span):
+                kernels.append(span)
+                continue
+        if not fabric.reserved_tiles_in(bare):
+            kernels.append(bare)
+    return kernels
+
+
 def merge_row_kernels_walk(fabric, kernels, needed, kind):
     """Reference row merge: when no kernel holds ``needed`` tiles, every
     start kernel widens to the right one kernel at a time, each span priced
@@ -162,10 +197,10 @@ def module_placements_walk(fabric, module, ar_bounds):
     per kind. A blocked expansion that emits nothing is redone unblocked.
     Every final rect is priced and kept only if it covers the requirement."""
     req = module.req
-    first, *rest = kinds = kind_order(req)
+    first, *rest = kinds = kind_order_walk(req)
     kernels = []
     for row in range(fabric.rows):
-        base = base_kernels_for_row(fabric, row, kinds)
+        base = base_kernels_walk(fabric, row, kinds)
         kernels += base + merge_row_kernels_walk(fabric, base, req.of(first), first)
     kernels = sorted(dict.fromkeys(kernels), key=lambda k: (k.tile_count, k.row0, k.col0))
 
@@ -587,7 +622,7 @@ def external_cut_cost(n_ie, m_i, w_i0, w_i1, external_side, w_e):
 
 
 def cut_cost_walk(data, connections, anchors, extents, child1, axis):
-    """The linear costs, pair corners and constant of ``build_bqp``, summed
+    """The linear costs, pair corners and constant of ``_build_bqp``, summed
     connection by connection: ``pair_cut_cost`` between two free
     variables, ``external_cut_cost`` from a free variable to a settled
     module, and the signal count times both extents between two settled
@@ -652,7 +687,7 @@ def random_bqp_model(rng, n_vars):
                 (float(n * (w[1] + w[2])), 0.0),
             )
     cap = max(2, (3 * n_vars) // 2)
-    return BqpModel(
+    return _BqpModel(
         variables=[f"m{i}" for i in range(n_vars)],
         linear=linear,
         pairs=pairs,
@@ -664,25 +699,37 @@ def random_bqp_model(rng, n_vars):
     )
 
 
+def objective_walk(model, assignment):
+    """A side assignment's cost: the constant, then each variable's linear
+    cost for its side, then each pair's corner for the pair's two sides."""
+    cost = model.const
+    for i, v in enumerate(assignment):
+        cost += model.linear[i][v]
+    for (i, j), corners in model.pairs.items():
+        cost += corners[assignment[i]][assignment[j]]
+    return cost
+
+
+def capacity_holds_walk(model, assignment):
+    """Whether the six capacity rows hold: on each side, for each kind, the
+    footprints of the variables on that side sum to at most what the side
+    has available."""
+    loads = [[0.0] * 3, [0.0] * 3]
+    for i, v in enumerate(assignment):
+        occ = model.occ0[i] if v == 0 else model.occ1[i]
+        for k in range(3):
+            loads[v][k] += occ[k]
+    avail = (model.avail0, model.avail1)
+    return all(loads[v][k] <= avail[v][k] for v in (0, 1) for k in range(3))
+
+
 def bqp_enumeration_min(model):
     """Brute-force reference: scan every assignment the slow way."""
     best = None
-    n = len(model.variables)
-    for bits in product((0, 1), repeat=n):
-        loads = [[0.0] * 3, [0.0] * 3]
-        for i, v in enumerate(bits):
-            occ = model.occ0[i] if v == 0 else model.occ1[i]
-            for k in range(3):
-                loads[v][k] += occ[k]
-        if any(loads[0][k] > model.avail0[k] for k in range(3)):
+    for bits in product((0, 1), repeat=len(model.variables)):
+        if not capacity_holds_walk(model, bits):
             continue
-        if any(loads[1][k] > model.avail1[k] for k in range(3)):
-            continue
-        cost = model.const
-        for i, v in enumerate(bits):
-            cost += model.linear[i][v]
-        for (i, j), corners in model.pairs.items():
-            cost += corners[bits[i]][bits[j]]
+        cost = objective_walk(model, bits)
         if best is None or cost < best[1]:
             best = (bits, cost)
     return best
@@ -694,7 +741,7 @@ def branch_and_bound_walk(model, seed, node_budget):
     ``seed``, or None) and the number of search nodes spent."""
     n = len(model.variables)
     best = seed
-    best_obj = math.inf if seed is None else objective_of(model, seed)
+    best_obj = math.inf if seed is None else objective_walk(model, seed)
 
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -740,14 +787,14 @@ def local_search_walk(model, assignment):
     """Improvement sweeps that sum the whole objective for every single
     flip and every opposite-side swap they try."""
     n = len(assignment)
-    best_obj = objective_of(model, assignment)
+    best_obj = objective_walk(model, assignment)
     improved = True
     while improved:
         improved = False
         for i in range(n):
             assignment[i] ^= 1
-            obj = objective_of(model, assignment)
-            if obj < best_obj and assignment_feasible(model, assignment):
+            obj = objective_walk(model, assignment)
+            if obj < best_obj and capacity_holds_walk(model, assignment):
                 best_obj = obj
                 improved = True
             else:
@@ -757,8 +804,8 @@ def local_search_walk(model, assignment):
                 continue
             assignment[i] ^= 1
             assignment[j] ^= 1
-            obj = objective_of(model, assignment)
-            if obj < best_obj and assignment_feasible(model, assignment):
+            obj = objective_walk(model, assignment)
+            if obj < best_obj and capacity_holds_walk(model, assignment):
                 best_obj = obj
                 improved = True
             else:
@@ -805,4 +852,4 @@ def side_data_walk(module_id, candidates, child0, child1, axis):
         return (spans + len(cands)) / len(cands), occ
 
     (w0, occ0), (w1, occ1) = summary(sides[0]), summary(sides[1])
-    return SideData(module_id, tuple(sides[0]), tuple(sides[1]), w0, w1, occ0, occ1)
+    return _SideData(module_id, tuple(sides[0]), tuple(sides[1]), w0, w1, occ0, occ1)

@@ -20,11 +20,11 @@ from helpers import (
     random_fabric,
     random_requirement,
 )
-from tilefp.bipartition import assignment_feasible, objective_of, solve_bqp
+from tilefp.bipartition import _assignment_feasible, _objective_of, _solve_bqp
 from tilefp.cli import main
 from tilefp.design import ModuleSpec
 from tilefp.fixtures import fixture_path
-from tilefp.tessellation import generate_module_placements
+from tilefp.tessellation import _generate_module_placements
 from tilefp.validate import parse_floorplan, validate_floorplan
 
 FX_FABRIC = fixture_path("fx70t.fabric")
@@ -121,7 +121,7 @@ def generation_suite():
                 if brute:
                     break
             module = ModuleSpec(f"m{k}", req)
-            cands = generate_module_placements(fabric, module, None)
+            cands = _generate_module_placements(fabric, module, None)
             cases.append((req, brute, cands))
         suite.append((fabric, cases))
     return suite
@@ -165,13 +165,13 @@ def test_criterion_04_solver_matches_enumeration():
     for trial in range(200):
         model = random_bqp_model(rng, rng.randint(2, 12))
         want = bqp_enumeration_min(model)
-        got = solve_bqp(model)
+        got = _solve_bqp(model)
         if want is None:
             assert got is None, f"trial {trial}: phantom assignment"
         else:
             bits = [got[m] for m in model.variables]
-            assert assignment_feasible(model, bits), f"trial {trial}"
-            assert objective_of(model, bits) == want[1], f"trial {trial}"
+            assert _assignment_feasible(model, bits), f"trial {trial}"
+            assert _objective_of(model, bits) == want[1], f"trial {trial}"
     elapsed = time.monotonic() - start
     print(f"matched=200/200 elapsed={elapsed:.1f}s")
     assert elapsed < 30.0

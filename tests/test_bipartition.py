@@ -11,19 +11,19 @@ from hypothesis import assume, given, settings, strategies as st
 from tilefp import bipartition
 from tilefp.bipartition import (
     EXACT_LIMIT,
-    BqpModel,
     InfeasibleModelError,
-    SideData,
-    assignment_feasible,
-    build_bqp,
+    _BqpModel,
+    _SideData,
+    _assignment_feasible,
+    _build_bqp,
+    _greedy_assignment,
+    _objective_of,
+    _recursive_bipartition,
+    _side_data,
+    _solve_bqp,
+    _split_partition,
     compute_anchors,
-    objective_of,
-    recursive_bipartition,
-    side_data,
-    solve_bqp,
-    split_partition,
 )
-from tilefp.bipartition import _greedy_assignment
 from tilefp.design import (
     Connection,
     Design,
@@ -52,25 +52,25 @@ def cand(rect, resources=ResourceVector(1, 0, 0)):
     return Candidate(rect, resources, 0)
 
 
-# --- split_partition -------------------------------------------------------
+# --- _split_partition -------------------------------------------------------
 
 def test_split_vertical_even_and_odd():
     fab = parse_fabric("rows 2\ncolumns CCCCCCCCCC\n")
-    c0, c1 = split_partition(fab.bounds, "vertical")
+    c0, c1 = _split_partition(fab.bounds, "vertical")
     assert c0 == Rect(0, 0, 1, 4)
     assert c1 == Rect(0, 5, 1, 9)
     fab5 = parse_fabric("rows 2\ncolumns CCCCC\n")
-    c0, c1 = split_partition(fab5.bounds, "vertical")
+    c0, c1 = _split_partition(fab5.bounds, "vertical")
     assert c0 == Rect(0, 0, 1, 1)
     assert c1 == Rect(0, 2, 1, 4)
 
 
 def test_split_horizontal_and_reserved_capacity():
     fab = parse_fabric("rows 4\ncolumns CB\nreserved 0 0 0 0\n")
-    c0, c1 = split_partition(fab.bounds, "horizontal")
+    c0, c1 = _split_partition(fab.bounds, "horizontal")
     assert c0 == Rect(0, 0, 1, 1)
     assert c1 == Rect(2, 0, 3, 1)
-    model = build_bqp(fab, (c0, c1), [], [], {}, "horizontal", {}, {})
+    model = _build_bqp(fab, (c0, c1), [], [], {}, "horizontal", {}, {})
     # the reserved tile is missing from the bottom child's capacity
     assert model.avail0 == tuple(ResourceVector(1, 2, 0))
     assert model.avail1 == tuple(ResourceVector(2, 2, 0))
@@ -78,9 +78,9 @@ def test_split_horizontal_and_reserved_capacity():
 
 def test_split_too_thin_raises():
     with pytest.raises(ValueError):
-        split_partition(Rect(0, 0, 2, 0), "vertical")
+        _split_partition(Rect(0, 0, 2, 0), "vertical")
     with pytest.raises(ValueError):
-        split_partition(Rect(0, 0, 0, 2), "horizontal")
+        _split_partition(Rect(0, 0, 0, 2), "horizontal")
 
 
 def tiles(rect):
@@ -102,7 +102,7 @@ def test_split_halves_partition_the_rect(axis, row0, col0, rows, cols):
     rect = Rect(row0, col0, row0 + rows - 1, col0 + cols - 1)
     span = cols if axis == "vertical" else rows
     assume(span >= 2)
-    c0, c1 = split_partition(rect, axis)
+    c0, c1 = _split_partition(rect, axis)
     assert tiles(c0).isdisjoint(tiles(c1))
     assert tiles(c0) | tiles(c1) == tiles(rect)
     if axis == "vertical":
@@ -113,18 +113,18 @@ def test_split_halves_partition_the_rect(axis, row0, col0, rows, cols):
         assert c0.width == c1.width == cols
 
 
-# --- side_data -------------------------------------------------------------
+# --- _side_data -------------------------------------------------------------
 
 def side_of(rect, c0, c1, axis):
     """Side a one-candidate list is forced to; None when it keeps to the parent."""
     groups = span_groups_walk([cand(rect)], axis)
-    data = side_data("m", groups, c0, c1, axis)
+    data = _side_data("m", groups, c0, c1, axis)
     assert data.parent_only == (data.forced_side is None)
     return data.forced_side
 
 
 def test_side_data_single_candidate_fractions():
-    c0, c1 = split_partition(Rect(0, 0, 0, 9), "vertical")
+    c0, c1 = _split_partition(Rect(0, 0, 0, 9), "vertical")
     assert side_of(Rect(0, 0, 0, 3), c0, c1, "vertical") == 0
     assert side_of(Rect(0, 6, 0, 9), c0, c1, "vertical") == 1
     # 4 of 5 tiles on the left: 80%
@@ -136,14 +136,14 @@ def test_side_data_single_candidate_fractions():
 
 
 def test_side_data_single_candidate_two_dimensional_overlap():
-    c0, c1 = split_partition(Rect(0, 0, 3, 3), "horizontal")
+    c0, c1 = _split_partition(Rect(0, 0, 3, 3), "horizontal")
     assert side_of(Rect(0, 0, 2, 0), c0, c1, "horizontal") is None
     assert side_of(Rect(1, 0, 2, 3), c0, c1, "horizontal") is None
     assert side_of(Rect(2, 1, 3, 2), c0, c1, "horizontal") == 1
 
 
 def test_side_data_means_and_minima():
-    c0, c1 = split_partition(Rect(0, 0, 1, 7), "vertical")
+    c0, c1 = _split_partition(Rect(0, 0, 1, 7), "vertical")
     cands = [
         cand(Rect(0, 0, 0, 1), ResourceVector(2, 0, 0)),
         cand(Rect(0, 0, 0, 3), ResourceVector(4, 0, 0)),
@@ -153,7 +153,7 @@ def test_side_data_means_and_minima():
     groups = span_groups_walk(cands, "vertical")
     # one group per column span, in first-seen order
     assert groups == ((0, 1, 2, 2, 0, 0), (0, 3, 1, 4, 0, 0), (5, 6, 1, 4, 0, 0))
-    data = side_data("m", groups, c0, c1, "vertical")
+    data = _side_data("m", groups, c0, c1, "vertical")
     assert data.placements0 == groups[:2] and data.placements1 == groups[2:]
     assert data.forced_side is None and not data.parent_only
     assert data.w0 == (2 + 4 + 2) / 3
@@ -163,9 +163,9 @@ def test_side_data_means_and_minima():
 
 
 def test_side_data_forced_and_parent_only():
-    c0, c1 = split_partition(Rect(0, 0, 1, 7), "vertical")
+    c0, c1 = _split_partition(Rect(0, 0, 1, 7), "vertical")
     def alone(rect):
-        return side_data("m", span_groups_walk([cand(rect)], "vertical"), c0, c1, "vertical")
+        return _side_data("m", span_groups_walk([cand(rect)], "vertical"), c0, c1, "vertical")
 
     left_only = alone(Rect(0, 0, 1, 1))
     assert left_only.forced_side == 0
@@ -206,11 +206,11 @@ def test_external_cut_cost_examples():
     assert external_cut_cost(5, 0, 2.0, 9.0, 1, 1.0) == 15
 
 
-# --- build_bqp -------------------------------------------------------------
+# --- _build_bqp -------------------------------------------------------------
 
 def sd(module_id, w0=None, w1=None, occ0=None, occ1=None):
     filler = (0, 0, 1, 1, 0, 0)  # one span group: a single one-column candidate
-    return SideData(
+    return _SideData(
         module_id,
         (filler,) if w0 is not None else (),
         (filler,) if w1 is not None else (),
@@ -223,7 +223,7 @@ def sd(module_id, w0=None, w1=None, occ0=None, occ1=None):
 
 def two_halves(cols="CCCCCCCC", rows=2):
     fab = parse_fabric(f"rows {rows}\ncolumns {cols}\n")
-    return fab, split_partition(fab.bounds, "vertical")
+    return fab, _split_partition(fab.bounds, "vertical")
 
 
 def test_build_bqp_two_modules_prefer_same_side():
@@ -233,18 +233,18 @@ def test_build_bqp_two_modules_prefer_same_side():
         sd("a", w0=2.0, w1=2.0, occ0=one, occ1=one),
         sd("b", w0=2.0, w1=2.0, occ0=one, occ1=one),
     ]
-    model = build_bqp(
+    model = _build_bqp(
         fab, children, data, [Connection("a", "b", 8)], {}, "vertical", {},
         {"a": one, "b": one},
     )
     assert model.variables == ["a", "b"]
     best = min(
         itertools.product((0, 1), repeat=2),
-        key=lambda bits: objective_of(model, bits),
+        key=lambda bits: _objective_of(model, bits),
     )
     assert best[0] == best[1]
-    assert objective_of(model, best) == 0
-    assert assignment_feasible(model, best)
+    assert _objective_of(model, best) == 0
+    assert _assignment_feasible(model, best)
 
 
 def test_build_bqp_forced_overflow_is_infeasible():
@@ -256,22 +256,22 @@ def test_build_bqp_forced_overflow_is_infeasible():
         sd("b", w0=2.0, occ0=big),
     ]
     with pytest.raises(InfeasibleModelError):
-        build_bqp(fab, children, data, [], {}, "vertical", {}, {"a": big, "b": big})
+        _build_bqp(fab, children, data, [], {}, "vertical", {}, {"a": big, "b": big})
 
 
 def test_build_bqp_chain_severs_one_edge():
     fab = parse_fabric("rows 1\ncolumns CCCCCCCC\n")
-    children = split_partition(fab.bounds, "vertical")
+    children = _split_partition(fab.bounds, "vertical")
     two = ResourceVector(2, 0, 0)
     data = [sd(m, w0=2.0, w1=2.0, occ0=two, occ1=two) for m in ("a", "b", "c")]
     conns = [Connection("a", "b", 5), Connection("b", "c", 5)]
     # each half holds 4 CLB tiles, so at most two modules fit per side
-    model = build_bqp(fab, children, data, conns, {}, "vertical", {}, {m: two for m in "abc"})
+    model = _build_bqp(fab, children, data, conns, {}, "vertical", {}, {m: two for m in "abc"})
     best = None
     for bits in itertools.product((0, 1), repeat=3):
-        if not assignment_feasible(model, bits):
+        if not _assignment_feasible(model, bits):
             continue
-        if best is None or objective_of(model, bits) < objective_of(model, best):
+        if best is None or _objective_of(model, bits) < _objective_of(model, best):
             best = bits
     cut_edges = sum(
         1 for x, y in (("a", "b"), ("b", "c"))
@@ -287,7 +287,7 @@ def test_build_bqp_parent_only_deduction_and_external():
         sd("a", w0=2.0, w1=2.0, occ0=one, occ1=one),
         sd("big"),  # no candidates in either half
     ]
-    model = build_bqp(
+    model = _build_bqp(
         fab, children, data, [Connection("a", "big", 4)],
         {"big": (6.5, 1.0)}, "vertical", {"a": 2.0, "big": 4.0},
         {"a": one, "big": ResourceVector(4, 0, 0)},
@@ -311,7 +311,7 @@ def test_build_bqp_costs_nonnegative_property():
             sd("a", w0=ws[0], w1=ws[1], occ0=occ, occ1=occ),
             sd("b", w0=ws[2], w1=ws[3], occ0=occ, occ1=occ),
         ]
-        model = build_bqp(
+        model = _build_bqp(
             fab, children, data, [Connection("a", "b", rng.randint(1, 64))],
             {}, "vertical", {}, {"a": occ, "b": occ},
         )
@@ -320,10 +320,10 @@ def test_build_bqp_costs_nonnegative_property():
         for corners in model.pairs.values():
             assert all(c >= 0 for row in corners for c in row)
         for bits in itertools.product((0, 1), repeat=2):
-            assert objective_of(model, bits) >= 0
+            assert _objective_of(model, bits) >= 0
 
 
-# --- solve_bqp -------------------------------------------------------------
+# --- _solve_bqp -------------------------------------------------------------
 
 def test_solver_matches_enumeration(monkeypatch):
     rng = random.Random(23)
@@ -331,23 +331,23 @@ def test_solver_matches_enumeration(monkeypatch):
     sizes = [rng.randint(2, 10) for _ in range(60)] + list(range(13, EXACT_LIMIT + 1))
     for n_vars in sizes:
         model = random_bqp_model(rng, n_vars)
-        got = solve_bqp(model)
+        got = _solve_bqp(model)
         want = bqp_enumeration_min(model)
         # the exact range ignores the node budget
         with monkeypatch.context() as patch:
             patch.setattr(bipartition, "NODE_BUDGET", 1)
-            assert solve_bqp(model) == got
+            assert _solve_bqp(model) == got
         if want is None:
             assert got is None
         else:
             # the oracle, too, keeps the lexicographically first minimum
             bits = [got[m] for m in model.variables]
             assert bits == list(want[0])
-            assert objective_of(model, bits) == want[1]
+            assert _objective_of(model, bits) == want[1]
 
 
 def test_solver_tie_break_is_lexicographic():
-    model = BqpModel(
+    model = _BqpModel(
         variables=["a", "b", "c"],
         linear=[(0.0, 0.0)] * 3,
         pairs={},
@@ -358,20 +358,20 @@ def test_solver_tie_break_is_lexicographic():
         avail1=(2.0, 0.0, 0.0),
     )
     # every feasible assignment costs zero; 0,1,1 is the smallest feasible
-    assert solve_bqp(model) == {"a": 0, "b": 1, "c": 1}
+    assert _solve_bqp(model) == {"a": 0, "b": 1, "c": 1}
 
 
 def test_large_solver_beats_greedy_seed(monkeypatch):
     rng = random.Random(31)
     model = random_bqp_model(rng, 20)
     monkeypatch.setattr(bipartition, "NODE_BUDGET", 20_000)
-    got = solve_bqp(model)
+    got = _solve_bqp(model)
     assert got is not None
     bits = [got[m] for m in model.variables]
-    assert assignment_feasible(model, bits)
+    assert _assignment_feasible(model, bits)
     greedy = _greedy_assignment(model)
-    if assignment_feasible(model, greedy):
-        assert objective_of(model, bits) <= objective_of(model, greedy)
+    if _assignment_feasible(model, greedy):
+        assert _objective_of(model, bits) <= _objective_of(model, greedy)
 
 
 @pytest.mark.parametrize("n", [3, EXACT_LIMIT + 4])
@@ -384,7 +384,7 @@ def test_solver_rejects_footprints_that_cannot_fit_before_searching(monkeypatch,
     monkeypatch.setattr(bipartition, "_solve_branch_and_bound", no_search)
     monkeypatch.setattr(bipartition, "_greedy_assignment", no_search)
     half = (n - 1) / 2
-    model = BqpModel(
+    model = _BqpModel(
         variables=[f"m{i}" for i in range(n)],
         linear=[(0.0, 1.0)] * n,
         pairs={},
@@ -394,12 +394,12 @@ def test_solver_rejects_footprints_that_cannot_fit_before_searching(monkeypatch,
         avail0=(float(n), half, 0.0),
         avail1=(float(n), half, 0.0),
     )
-    assert solve_bqp(model) is None
+    assert _solve_bqp(model) is None
 
 
 def test_solver_empty_model():
-    model = BqpModel([], [], {}, 3.0, [], [], (0, 0, 0), (0, 0, 0))
-    assert solve_bqp(model) == {}
+    model = _BqpModel([], [], {}, 3.0, [], [], (0, 0, 0), (0, 0, 0))
+    assert _solve_bqp(model) == {}
 
 
 class _RootBuilt(Exception):
@@ -418,19 +418,19 @@ def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
     built = []
 
     def build_first(*args):
-        built.append(build_bqp(*args))
+        built.append(_build_bqp(*args))
         raise _RootBuilt
 
-    monkeypatch.setattr(bipartition, "build_bqp", build_first)
+    monkeypatch.setattr(bipartition, "_build_bqp", build_first)
     with pytest.raises(_RootBuilt):
-        recursive_bipartition(fab, design, cands, "vertical")
+        _recursive_bipartition(fab, design, cands, "vertical")
     (model,) = built
     assert len(model.variables) == 50
     searches = record_searches(monkeypatch)
-    full = solve_bqp(model)
+    full = _solve_bqp(model)
     assert searches == [(50, 19_586)]
     monkeypatch.setattr(bipartition, "NODE_BUDGET", 19_586)
-    assert solve_bqp(model) == full
+    assert _solve_bqp(model) == full
 
 
 def record_searches(monkeypatch):
@@ -505,7 +505,7 @@ def test_forced_modules_anchor_at_child_centers():
         "l": summarized([cand(Rect(0, 0, 0, 0))]),
         "r": summarized([cand(Rect(0, 3, 0, 3))]),
     }
-    anchors = recursive_bipartition(fab, design, cands, "vertical")
+    anchors = _recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["l"] == (1.0, 0.5)
     assert anchors["r"] == (3.0, 0.5)
 
@@ -524,7 +524,7 @@ def test_parent_only_module_keeps_parent_anchor():
         "l": summarized([cand(Rect(0, 0, 0, 0))]),
         "r": summarized([cand(Rect(0, 7, 0, 7))]),
     }
-    anchors = recursive_bipartition(fab, design, cands, "vertical")
+    anchors = _recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["big"] == (4.0, 0.5)
     assert anchors["l"][0] < 4.0 < anchors["r"][0]
 
@@ -536,7 +536,7 @@ def test_capacity_forces_modules_apart():
         [Connection("a", "b", 64)],
     )
     cands = generate_placements(fab, design, ar_bounds=None)
-    anchors = recursive_bipartition(fab, design, cands, "vertical")
+    anchors = _recursive_bipartition(fab, design, cands, "vertical")
     assert anchors["a"] != anchors["b"]
     assert {anchors["a"], anchors["b"]} == {(1.0, 0.5), (3.0, 0.5)}
 
@@ -548,7 +548,7 @@ def test_connected_modules_gather_on_one_side():
         [Connection("a", "b", 64)],
     )
     cands = generate_placements(fab, design, ar_bounds=None)
-    anchors = recursive_bipartition(fab, design, cands, "vertical")
+    anchors = _recursive_bipartition(fab, design, cands, "vertical")
     # the halving bottoms out at single-column children whose capacity
     # forces the pair apart, but both stay inside the root's left half
     assert anchors["a"][0] < 4.0
@@ -577,9 +577,9 @@ def model_members(model):
 
 def fail_halvings(monkeypatch, failing, how):
     """Make every halving whose members are exactly ``failing`` fail, by
-    ``solve_bqp`` returning None or by ``build_bqp`` raising
+    ``_solve_bqp`` returning None or by ``_build_bqp`` raising
     ``InfeasibleModelError``; returns the members of every model built."""
-    build, solve = bipartition.build_bqp, bipartition.solve_bqp
+    build, solve = bipartition._build_bqp, bipartition._solve_bqp
     built = []
 
     def failing_build(*args):
@@ -594,8 +594,8 @@ def fail_halvings(monkeypatch, failing, how):
             return None
         return solve(model)
 
-    monkeypatch.setattr(bipartition, "build_bqp", failing_build)
-    monkeypatch.setattr(bipartition, "solve_bqp", failing_solve)
+    monkeypatch.setattr(bipartition, "_build_bqp", failing_build)
+    monkeypatch.setattr(bipartition, "_solve_bqp", failing_solve)
     return built
 
 
@@ -607,7 +607,7 @@ def test_failed_halving_keeps_members_at_its_center(monkeypatch, how):
     fab, design = four_forced()
     built = fail_halvings(monkeypatch, {"c", "d"}, how)
     log = io.StringIO()
-    anchors = recursive_bipartition(fab, design, FOUR_FORCED, "vertical", log)
+    anchors = _recursive_bipartition(fab, design, FOUR_FORCED, "vertical", log)
     assert anchors == {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (6.0, 0.5), "d": (6.0, 0.5)}
     assert built.count({"c", "d"}) == 1
     assert not any(members & {"c", "d"} for members in built[built.index({"c", "d"}) + 1:])
@@ -624,7 +624,7 @@ def test_failed_root_halving_names_the_pass(monkeypatch, how, axis):
     cands = generate_placements(fab, design, ar_bounds=None)
     fail_halvings(monkeypatch, {"a", "b"}, how)
     with pytest.raises(InfeasibleModelError, match=f"device root \\({axis} pass\\)"):
-        recursive_bipartition(fab, design, cands, axis)
+        _recursive_bipartition(fab, design, cands, axis)
 
 
 def test_compute_anchors_combines_axes():

@@ -270,6 +270,13 @@ EDGE_FABRICS = {
         "module a 6 0 0\nmodule b 3 0 1\nmodule c 4 1 0\nconnect a b 8\nconnect b c 8\n",
         ["--no-ar"], 0, None,
     ),
+    # a 4,300-digit DSP weight: the default window's rects would waste more
+    # frames than Python prints digits of an int, so the fabric is refused
+    "int-string-limit-frame-weight": (
+        "rows 4\ncolumns CCDCCBCCDCCC\nframes 36 30 " + "9" * 4300 + "\n",
+        "module a 6 0 0\nmodule b 3 0 1\nmodule c 4 1 0\nconnect a b 8\nconnect b c 8\n",
+        [], 1, "line 3: a frame count times the 48 tiles reaches 10**4300",
+    ),
 }
 
 
@@ -283,8 +290,9 @@ def test_edge_fabrics_floorplan_and_validate(tmp_path, capsys, case):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert code == expected
-    status = "OK" if expected == 0 else "INFEASIBLE_MODULE"
+    status = {0: "OK", 1: "PARSE_ERROR", 2: "INFEASIBLE_MODULE"}[expected]
     assert len(lines) == 1 and lines[0].startswith(f"{status} wastage=")
+    assert "Traceback" not in captured.err
     if expected:
         assert excerpt in captured.err
         assert not out.exists()
@@ -575,7 +583,7 @@ def test_infeasible_floorplan_exit_code(tmp_path, capsys):
 def test_failed_root_solve_exit_code(tmp_path, capsys, monkeypatch):
     """A root halving whose search finds no feasible leaf ends the run like
     one whose forced members overflow a side: exit 3."""
-    monkeypatch.setattr(bipartition, "solve_bqp", lambda model: None)
+    monkeypatch.setattr(bipartition, "_solve_bqp", lambda model: None)
     code = main(["floorplan", "--fabric", FX, "--design", SDR, "--out", str(tmp_path / "p.fp")])
     assert code == 3
     out = capsys.readouterr().out

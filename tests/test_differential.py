@@ -12,19 +12,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from tilefp import place
 from tilefp.bipartition import (
     EXACT_LIMIT,
-    BqpModel,
-    SideData,
-    build_bqp,
-    objective_of,
-    side_data,
-    solve_bqp,
-    split_partition,
-)
-from tilefp.bipartition import (
+    _BqpModel,
+    _SideData,
+    _build_bqp,
     _greedy_assignment,
     _local_search,
     _repair,
+    _side_data,
+    _solve_bqp,
     _solve_branch_and_bound,
+    _split_partition,
 )
 from tilefp.design import Connection, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
@@ -38,17 +35,16 @@ from tilefp.place import (
 from tilefp.tessellation import (
     InfeasibleModuleError,
     _columns_outward,
+    _expand_horizontal,
+    _generate_module_placements,
+    _merge_row_kernels,
     _nearest_column,
-    base_kernels_for_row,
-    expand_horizontal,
-    generate_module_placements,
-    kind_order,
-    merge_row_kernels,
 )
 
 from helpers import (
     Candidate,
     as_columns,
+    base_kernels_walk,
     branch_and_bound_walk,
     candidate_records,
     columns_outward_walk,
@@ -58,10 +54,12 @@ from helpers import (
     expand_horizontal_walk,
     external_cut_cost,
     is_free_rect,
+    kind_order_walk,
     local_search_walk,
     merge_row_kernels_walk,
     module_placements_walk,
     normalize_candidates_walk,
+    objective_walk,
     overlap_side,
     pair_cut_cost,
     resources_in_rect,
@@ -124,7 +122,7 @@ def test_expand_horizontal_matches_walk(data):
     # rects emitted earlier are only ever free ones
     seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
     before = set(seen)
-    grown, free_row1 = expand_horizontal(fab, kernel, needed, target, blocked, seen)
+    grown, free_row1 = _expand_horizontal(fab, kernel, needed, target, blocked, seen)
     assert grown == [k for k in expected if k not in before]
     assert free_row1 == max((k.row1 for k in expected), default=-1)
     assert seen == before | set(expected)
@@ -142,10 +140,10 @@ requirements = st.builds(
 def test_merge_row_kernels_matches_walk(data):
     fab = data.draw(fabrics(max_cols=20))
     row = data.draw(st.integers(0, fab.rows - 1))
-    kinds = kind_order(data.draw(requirements))
-    kernels = base_kernels_for_row(fab, row, kinds)
+    kinds = kind_order_walk(data.draw(requirements))
+    kernels = base_kernels_walk(fab, row, kinds)
     needed = data.draw(st.integers(0, len(fab.columns_of(kinds[0])) + 1))
-    assert merge_row_kernels(fab, kernels, needed, kinds[0]) == (
+    assert _merge_row_kernels(fab, kernels, needed, kinds[0]) == (
         merge_row_kernels_walk(fab, kernels, needed, kinds[0])
     )
 
@@ -182,9 +180,9 @@ def test_module_placements_match_walk(fab, req, ar_bounds):
         expected = module_placements_walk(fab, module, ar_bounds)
     except InfeasibleModuleError as exc:
         with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
-            generate_module_placements(fab, module, ar_bounds)
+            _generate_module_placements(fab, module, ar_bounds)
         return
-    got = generate_module_placements(fab, module, ar_bounds)
+    got = _generate_module_placements(fab, module, ar_bounds)
     assert (list(got), got.wastage) == as_columns(expected)
 
 
@@ -230,9 +228,9 @@ def test_one_kind_placements_match_walk(case, ar_bounds):
         expected = module_placements_walk(fab, module, ar_bounds)
     except InfeasibleModuleError as exc:
         with pytest.raises(InfeasibleModuleError, match=f"^{re.escape(str(exc))}$"):
-            generate_module_placements(fab, module, ar_bounds)
+            _generate_module_placements(fab, module, ar_bounds)
         return
-    got = generate_module_placements(fab, module, ar_bounds)
+    got = _generate_module_placements(fab, module, ar_bounds)
     assert (list(got), got.wastage) == as_columns(expected)
 
 
@@ -249,7 +247,7 @@ def test_list_summaries_match_walks(fab, req, ar_bounds):
     over the finished list: both axes' span groups in first-appearance
     order, the tie order, the largest wastage and the coordinate sums."""
     try:
-        cands = generate_module_placements(fab, ModuleSpec("m", req), ar_bounds)
+        cands = _generate_module_placements(fab, ModuleSpec("m", req), ar_bounds)
     except InfeasibleModuleError:
         return
     records = candidate_records(fab, cands)
@@ -300,7 +298,7 @@ def test_side_data_split_matches_overlap_side(data):
     parent_rect = data.draw(rects_in(rows, cols).filter(
         lambda r: (r.width if axis == "vertical" else r.height) >= 2
     ))
-    child0, child1 = split_partition(parent_rect, axis)
+    child0, child1 = _split_partition(parent_rect, axis)
     cands = [
         Candidate(r, resources_in_rect(fab, r), 0)
         for r in data.draw(st.lists(rects_in(rows, cols), max_size=12))
@@ -330,7 +328,7 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
     candidate-wise walk."""
     module = ModuleSpec("m", req)
     try:
-        cands = generate_module_placements(fab, module, ar_bounds)
+        cands = _generate_module_placements(fab, module, ar_bounds)
     except InfeasibleModuleError:
         assume(False)
     for axis in ("vertical", "horizontal"):
@@ -340,8 +338,8 @@ def test_side_data_groups_match_walk_down_the_halvings(fab, req, ar_bounds, data
         assert sum(g[2] for g in groups) == len(cands)
         rect = fab.bounds
         while (rect.width if axis == "vertical" else rect.height) >= 2:
-            child0, child1 = split_partition(rect, axis)
-            got = side_data("m", groups, child0, child1, axis)
+            child0, child1 = _split_partition(rect, axis)
+            got = _side_data("m", groups, child0, child1, axis)
             want = side_data_walk("m", members, child0, child1, axis)
             for side in (0, 1):
                 got_side = (got.placements0, got.placements1)[side]
@@ -660,7 +658,7 @@ def test_overlap_index_matches_rect_overlaps(inputs):
 
 BQP_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-# Mean extents as ``build_bqp`` takes them from span groups: ratios of small
+# Mean extents as ``_build_bqp`` takes them from span groups: ratios of small
 # integers, here sums of thirds and sevenths. Many assignments then cost the
 # same in exact arithmetic and differ only in float rounding.
 extents = st.builds(lambda a, b: a / 3 + b / 7, st.integers(1, 6), st.integers(0, 6))
@@ -668,7 +666,7 @@ extents = st.builds(lambda a, b: a / 3 + b / 7, st.integers(1, 6), st.integers(0
 
 @st.composite
 def fractional_bqp_models(draw, min_vars, max_vars):
-    """Models priced the way ``build_bqp`` prices them: each variable has a
+    """Models priced the way ``_build_bqp`` prices them: each variable has a
     mean extent per side, a few connections to settled modules make its
     linear costs and connections between variables make the pair corners.
     Capacity ranges from tight, where many flips overflow a side, to the
@@ -693,7 +691,7 @@ def fractional_bqp_models(draw, min_vars, max_vars):
             )
     occ = st.tuples(st.integers(0, 3), st.integers(0, 2), st.just(0))
     cap = float(max(2, draw(st.integers(n // 2, (3 * n) // 2))))
-    return BqpModel(
+    return _BqpModel(
         variables=[f"m{i}" for i in range(n)],
         linear=linear,
         pairs=pairs,
@@ -708,18 +706,18 @@ def fractional_bqp_models(draw, min_vars, max_vars):
 @BQP_PROPERTY
 @given(fractional_bqp_models(1, EXACT_LIMIT))
 # the variables' smaller BRAM footprints, 3, overflow both sides' 2 together
-@example(BqpModel(
+@example(_BqpModel(
     ["m0", "m1", "m2"], [(0.0, 1.0)] * 3, {}, 0.0,
     [(1, 1, 0)] * 3, [(2, 1, 0)] * 3, (4.0, 1.0, 1.0), (4.0, 1.0, 1.0),
 ))
 # ... and fill them exactly when one side holds one more
-@example(BqpModel(
+@example(_BqpModel(
     ["m0", "m1", "m2"], [(0.0, 1.0)] * 3, {}, 0.0,
     [(1, 1, 0)] * 3, [(2, 1, 0)] * 3, (4.0, 1.0, 1.0), (4.0, 2.0, 1.0),
 ))
 def test_exact_solver_matches_branch_and_bound_walk(model):
     bits, _ = branch_and_bound_walk(model, None, math.inf)
-    assert solve_bqp(model) == (None if bits is None else dict(zip(model.variables, bits)))
+    assert _solve_bqp(model) == (None if bits is None else dict(zip(model.variables, bits)))
 
 
 # A cap on the walk keeps each example fast; the search the walk does not
@@ -730,7 +728,7 @@ WALK_BUDGET = 20_000
 @settings(BQP_PROPERTY, max_examples=30)
 @given(fractional_bqp_models(EXACT_LIMIT + 1, EXACT_LIMIT + 6))
 def test_search_needs_no_more_nodes_than_walk(model):
-    """From the seed ``solve_bqp`` uses, the search given the walk's own node
+    """From the seed ``_solve_bqp`` uses, the search given the walk's own node
     count returns the walk's assignment: it finds the walk's incumbents in
     the walk's order, within as many nodes."""
     seed = _repair(model, _greedy_assignment(model))
@@ -741,7 +739,7 @@ def test_search_needs_no_more_nodes_than_walk(model):
     if nodes < WALK_BUDGET:
         assert got == bits
     else:
-        assert got is not None and objective_of(model, got) <= objective_of(model, bits)
+        assert got is not None and objective_walk(model, got) <= objective_walk(model, bits)
 
 
 @BQP_PROPERTY
@@ -799,15 +797,15 @@ def test_build_bqp_prices_connections_like_the_cut_formulas(inputs):
     data = []
     for i, (kind, w0, w1) in enumerate(members):
         side0, side1 = kind in ("free", 0), kind in ("free", 1)
-        data.append(SideData(
+        data.append(_SideData(
             f"m{i}", (FILLER,) if side0 else (), (FILLER,) if side1 else (),
             w0 if side0 else None, w1 if side1 else None,
             ResourceVector() if side0 else None, ResourceVector() if side1 else None,
         ))
-    children = split_partition(PRICING_FABRIC.bounds, axis)
+    children = _split_partition(PRICING_FABRIC.bounds, axis)
     conns = [Connection(*c) for c in connections]
     requirements = {d.module_id: ResourceVector() for d in data}
-    model = build_bqp(
+    model = _build_bqp(
         PRICING_FABRIC, children, data, conns, anchors, axis, extent_of, requirements
     )
     linear, pairs, const = cut_cost_walk(data, conns, anchors, extent_of, children[1], axis)

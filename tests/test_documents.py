@@ -34,7 +34,7 @@ each candidate, before it worked on span groups.
 builds for SDR with and without the aspect-ratio window, the scaling
 design and the three dense designs, failed solves included: each model's
 variables, cost tables in full, capacities, fixed and parent-only members,
-and what ``solve_bqp`` returned for it. Floats are pinned bit for bit, so a
+and what ``_solve_bqp`` returned for it. Floats are pinned bit for bit, so a
 change to how connections are priced shows up even where the anchors stay.
 """
 
@@ -258,7 +258,7 @@ def test_bqp_models_are_pinned(monkeypatch, digest, options):
     fabric = parse_fabric(fixture_path(fabric_name).read_text())
     design = pinned_design(fabric, design_spec)
     ar_bounds = None if ar == "none" else tuple(map(float, ar.split(":")))
-    solve = bipartition.solve_bqp
+    solve = bipartition._solve_bqp
     records = []
 
     def recording_solve(model, *args, **kwargs):
@@ -266,6 +266,6 @@ def test_bqp_models_are_pinned(monkeypatch, digest, options):
         records.append(bqp_model_record(model, result))
         return result
 
-    monkeypatch.setattr(bipartition, "solve_bqp", recording_solve)
+    monkeypatch.setattr(bipartition, "_solve_bqp", recording_solve)
     compute_anchors(fabric, design, generate_placements(fabric, design, ar_bounds))
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Grid model and fabric parser tests."""
 
 import random
+import sys
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_parse_reserved_and_comments():
 def test_parse_frames_override():
     fab = parse_fabric("rows 1\ncolumns CB\nframes 10 20 30\n")
     assert fab.frames_of(ResourceVector(1, 1, 1)) == 60
+
+
+def test_parse_rejects_frame_weights_whose_wastage_cannot_print():
+    """A weight times the tile count must stay below 10**limit, the limit
+    on the digits of a printed int, since no wastage exceeds that product."""
+    top = 10 ** sys.get_int_max_str_digits() - 1
+    assert parse_fabric(f"rows 1\ncolumns C\nframes {top} 30 28\n").frames_of(
+        ResourceVector(1, 0, 0)
+    ) == top
+    with pytest.raises(FabricError, match="^line 3: a frame count times the 2 tiles reaches"):
+        parse_fabric(f"rows 1\ncolumns CD\nframes 36 30 {top}\n")
 
 
 def test_parse_rejects_zero_rows():

@@ -10,16 +10,17 @@ from tilefp.design import Design, ModuleSpec
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
 from tilefp.tessellation import (
     InfeasibleModuleError,
-    base_kernels_for_row,
-    expand_horizontal,
-    generate_module_placements,
+    _expand_horizontal,
+    _generate_module_placements,
+    _kind_order,
+    _merge_row_kernels,
+    _paired_kernels,
     generate_placements,
-    kind_order,
-    merge_row_kernels,
 )
 
 from helpers import (
     aspect_ratio,
+    base_kernels_walk,
     brute_force_rects,
     random_fabric,
     random_requirement,
@@ -37,45 +38,35 @@ def columns(cands):
 def expand(fabric, kernel, needed, target, blocked):
     """One expansion with nothing seen before, whose highest free row1 is
     then just that of the tallest rect it emitted."""
-    grown, free_row1 = expand_horizontal(fabric, kernel, needed, target, blocked, set())
+    grown, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, set())
     assert free_row1 == max((k.row1 for k in grown), default=-1)
     return grown
 
 
 def test_kind_order_covers_all_mixes():
-    assert kind_order(ResourceVector(55, 2, 5)) == (DSP, BRAM, CLB)
-    assert kind_order(ResourceVector(25, 0, 5)) == (DSP, CLB)
-    assert kind_order(ResourceVector(5, 2, 0)) == (BRAM, CLB)
-    assert kind_order(ResourceVector(10, 0, 0)) == (CLB,)
+    assert _kind_order(ResourceVector(55, 2, 5)) == (DSP, BRAM, CLB)
+    assert _kind_order(ResourceVector(25, 0, 5)) == (DSP, CLB)
+    assert _kind_order(ResourceVector(5, 2, 0)) == (BRAM, CLB)
+    assert _kind_order(ResourceVector(10, 0, 0)) == (CLB,)
 
 
 def test_base_kernels_pair_scarce_kinds():
     fab = parse_fabric("rows 1\ncolumns CCBCD\n")
-    kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
+    kernels = _paired_kernels(fab, 0)
     # DSP at 4 pairs with the BRAM at 2, everything between included
     assert kernels == [Rect(0, 2, 0, 4)]
     assert resources_in_rect(fab, kernels[0]) == ResourceVector(1, 1, 1)
 
 
-def test_base_kernels_single_primary_tiles():
-    fab = parse_fabric("rows 1\ncolumns CCBCD\n")
-    assert base_kernels_for_row(fab, 0, (BRAM, CLB)) == [Rect(0, 2, 0, 2)]
-    assert base_kernels_for_row(fab, 0, (DSP, CLB)) == [Rect(0, 4, 0, 4)]
-    assert base_kernels_for_row(fab, 0, (CLB,)) == [
-        Rect(0, 0, 0, 0),
-        Rect(0, 1, 0, 1),
-        Rect(0, 3, 0, 3),
-    ]
-
-
 def test_base_kernels_empty_without_primary():
-    fab = parse_fabric("rows 1\ncolumns CCBC\n")
-    assert base_kernels_for_row(fab, 0, (DSP, CLB)) == []
+    # no DSP column to seed on, or no BRAM column to pair with
+    assert _paired_kernels(parse_fabric("rows 1\ncolumns CCBC\n"), 0) == []
+    assert _paired_kernels(parse_fabric("rows 1\ncolumns CCDC\n"), 0) == []
 
 
 def test_base_kernels_tie_breaks_left():
     fab = parse_fabric("rows 1\ncolumns BCDCB\n")
-    kernels = base_kernels_for_row(fab, 0, (DSP, BRAM, CLB))
+    kernels = _paired_kernels(fab, 0)
     assert kernels == [Rect(0, 0, 0, 2)]
 
 
@@ -83,24 +74,24 @@ def test_base_kernels_skip_reserved():
     fab = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 3 0 3\n")
     # the span from DSP 4 to BRAM 2 crosses the reserved col 3 in row 0, so
     # the kernel shrinks back to the bare DSP tile there
-    assert base_kernels_for_row(fab, 0, (DSP, BRAM, CLB)) == [Rect(0, 4, 0, 4)]
-    assert base_kernels_for_row(fab, 1, (DSP, BRAM, CLB)) == [Rect(1, 2, 1, 4)]
+    assert _paired_kernels(fab, 0) == [Rect(0, 4, 0, 4)]
+    assert _paired_kernels(fab, 1) == [Rect(1, 2, 1, 4)]
     # a reserved primary tile kills the kernel outright
     fab2 = parse_fabric("rows 2\ncolumns CCBCD\nreserved 0 4 0 4\n")
-    assert base_kernels_for_row(fab2, 0, (DSP, BRAM, CLB)) == []
+    assert _paired_kernels(fab2, 0) == []
 
 
 def test_merge_keeps_input_when_one_kernel_fits():
     fab = parse_fabric("rows 1\ncolumns BBBCB\n")
-    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
-    merged = merge_row_kernels(fab, kernels, 1, ResourceKind.BRAM)
+    kernels = base_kernels_walk(fab, 0, (BRAM, CLB))
+    merged = _merge_row_kernels(fab, kernels, 1, ResourceKind.BRAM)
     assert merged == kernels
 
 
 def test_merge_spans_to_first_sufficient():
     fab = parse_fabric("rows 1\ncolumns CCBCCCB\n")
-    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
-    merged = merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
+    kernels = base_kernels_walk(fab, 0, (BRAM, CLB))
+    merged = _merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
     # from col 2 the span reaches the BRAM at 6; from col 6 nothing suffices
     assert merged == [Rect(0, 2, 0, 6)]
 
@@ -113,11 +104,11 @@ def test_merge_matches_span_enumeration_oracle():
         if "B" not in cols:
             cols = "B" + cols[1:]
         fab = Fabric(1, cols)
-        kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
+        kernels = base_kernels_walk(fab, 0, (BRAM, CLB))
         needed = rng.randrange(2, 5)
         if any(resources_in_rect(fab, k).bram >= needed for k in kernels):
             continue
-        merged = merge_row_kernels(fab, kernels, needed, ResourceKind.BRAM)
+        merged = _merge_row_kernels(fab, kernels, needed, ResourceKind.BRAM)
         expected = []
         for i in range(len(kernels)):
             for j in range(i + 1, len(kernels)):
@@ -130,7 +121,7 @@ def test_merge_matches_span_enumeration_oracle():
 
 def test_merge_discards_spans_over_reserved():
     fab = parse_fabric("rows 1\ncolumns BCBCB\nreserved 0 3 0 3\n")
-    kernels = base_kernels_for_row(fab, 0, (BRAM, CLB))
+    kernels = base_kernels_walk(fab, 0, (BRAM, CLB))
     assert kernels == [
         Rect(0, 0, 0, 0),
         Rect(0, 2, 0, 2),
@@ -138,7 +129,7 @@ def test_merge_discards_spans_over_reserved():
     ]
     # the span starting at column 2 would have to cross the reserved column
     # to reach a second BRAM, so only the leftmost start yields a merge
-    merged = merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
+    merged = _merge_row_kernels(fab, kernels, 2, ResourceKind.BRAM)
     assert merged == [Rect(0, 0, 0, 2)]
 
 
@@ -199,16 +190,16 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
     start = Rect(0, 2, 0, 2)
     seen = {Rect(0, 1, 0, 3)}
-    grown, free_row1 = expand_horizontal(fab, start, 2, CLB, DSP, seen)
+    grown, free_row1 = _expand_horizontal(fab, start, 2, CLB, DSP, seen)
     assert grown == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
     assert free_row1 == 0
     assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
     # every free split seen: nothing to emit, yet a free split existed
-    assert expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], 0)
+    assert _expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], 0)
     # nothing free at all, and nothing recorded
     blocked = parse_fabric("rows 1\ncolumns DDCC\n")
     none_seen = set()
-    assert expand_horizontal(
+    assert _expand_horizontal(
         blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen
     ) == ([], -1)
     assert none_seen == set()
@@ -250,23 +241,23 @@ def test_taller_kernel_over_grown_span_is_not_walked(fabric, taller):
     """A later-kind kernel over a column span already grown from a lower
     kernel can emit nothing new, so it is never walked."""
     walked = []
-    walk = tessellation.expand_horizontal
+    walk = tessellation._expand_horizontal
 
     def spy(fabric, kernel, *args, **kwargs):
         walked.append(kernel)
         return walk(fabric, kernel, *args, **kwargs)
 
-    with mock.patch.object(tessellation, "expand_horizontal", spy):
-        generate_module_placements(fabric, ModuleSpec("m", ResourceVector(1, 0, 1)), None)
+    with mock.patch.object(tessellation, "_expand_horizontal", spy):
+        _generate_module_placements(fabric, ModuleSpec("m", ResourceVector(1, 0, 1)), None)
     assert Rect(taller.row0, taller.col0, 0, taller.col1) in walked
     assert taller not in walked
 
 
 def first_kind_walks(fabric, req):
     """The steps of the column walks each first-kind kernel's expansion makes."""
-    first = kind_order(req)[0]
+    first = _kind_order(req)[0]
     walks, expanding = {}, []
-    expand, outward = tessellation.expand_horizontal, tessellation._columns_outward
+    expand, outward = tessellation._expand_horizontal, tessellation._columns_outward
 
     def spy_expand(fabric, kernel, needed, target, *args, **kwargs):
         expanding.append(kernel if target is first else None)
@@ -280,9 +271,9 @@ def first_kind_walks(fabric, req):
             walks.setdefault(expanding[-1], []).append(step)
         return outward(fabric, start, step, *args)
 
-    with mock.patch.object(tessellation, "expand_horizontal", spy_expand), \
+    with mock.patch.object(tessellation, "_expand_horizontal", spy_expand), \
             mock.patch.object(tessellation, "_columns_outward", spy_outward):
-        generate_module_placements(fabric, ModuleSpec("m", req), None)
+        _generate_module_placements(fabric, ModuleSpec("m", req), None)
     return walks
 
 
@@ -297,18 +288,18 @@ def test_unpaired_modules_skip_the_kernel_walk(fabric, req):
     kernel is seeded, merged or walked, whether its need merges kernels or
     not. Its later kind still expands the closed form's rects."""
     targets = []
-    expand = tessellation.expand_horizontal
+    expand = tessellation._expand_horizontal
 
     def spy(fabric, kernel, needed, target, *args):
         targets.append(target)
         return expand(fabric, kernel, needed, target, *args)
 
-    with mock.patch.object(tessellation, "expand_horizontal", spy), \
-            mock.patch.object(tessellation, "base_kernels_for_row") as seed, \
-            mock.patch.object(tessellation, "merge_row_kernels") as merge:
+    with mock.patch.object(tessellation, "_expand_horizontal", spy), \
+            mock.patch.object(tessellation, "_paired_kernels") as seed, \
+            mock.patch.object(tessellation, "_merge_row_kernels") as merge:
         assert first_kind_walks(fabric, req) == {}
     assert not seed.called and not merge.called
-    assert set(targets) == (set() if kind_order(req) == (CLB,) else {CLB})
+    assert set(targets) == (set() if _kind_order(req) == (CLB,) else {CLB})
 
 
 def test_paired_modules_walk_every_kernel_left():
@@ -361,7 +352,7 @@ def test_modules_with_equal_requirements_get_equal_lists():
     )
     cands = generate_placements(fab, design, ar_bounds=None)
     for module in design.modules:
-        assert columns(cands[module.id]) == columns(generate_module_placements(fab, module, None))
+        assert columns(cands[module.id]) == columns(_generate_module_placements(fab, module, None))
     assert columns(cands["a"]) == columns(cands["c"]) != columns(cands["d"])
 
 
@@ -421,7 +412,7 @@ def test_candidates_are_sound_and_near_optimal():
             module = ModuleSpec("m", req)
             valid = brute_force_rects(fab, req, None)
             try:
-                cands = generate_module_placements(fab, module, None)
+                cands = _generate_module_placements(fab, module, None)
             except InfeasibleModuleError:
                 assert not valid
                 continue
@@ -445,7 +436,7 @@ def test_candidates_respect_aspect_bounds():
         req = random_requirement(rng, fab)
         module = ModuleSpec("m", req)
         try:
-            cands = generate_module_placements(fab, module, (0.2, 0.7))
+            cands = _generate_module_placements(fab, module, (0.2, 0.7))
         except InfeasibleModuleError:
             continue
         for rect in cands:
