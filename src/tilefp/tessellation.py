@@ -13,6 +13,12 @@ Only rectangles pass from stage to stage; a rectangle is priced once, when
 the last kind's expansion emits it and the aspect-ratio filter accepts it,
 by the loop that also summarizes the list for later stages. A module's list
 (``CandidateList``) is its accepted rects with their wastages alongside.
+A rect holds its column span's per-row counts times its height, so it is
+priced as the span's frames per row times its height, less the
+requirement's frames. The loop computes each distinct column span once per
+list, and each distinct row band once, in records keyed by one integer in
+a dict: a table indexed by span would grow with the square of the device
+width.
 
 Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
@@ -91,7 +97,9 @@ class CandidateList(list):
     column ("vertical") or row span ("horizontal") in first-appearance
     order; ``ties``, an array of positions by (wastage, row0, col0), equal
     keys in list order; ``max_waste``; and ``sums``, two ints above every
-    col0 + col1 and every row0 + row1."""
+    col0 + col1 and every row0 + row1. A rect's wastage is its column
+    span's frames per row times its height, less the requirement's frames,
+    and each span and row band is computed once per list."""
 
     __slots__ = ("wastage", "groups", "ties", "max_waste", "sums")
 
@@ -388,13 +396,15 @@ def _generate_module_placements(
 
     clb, bram, dsp = fabric.prefix_tables[1]
     w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
-    radix = max(fabric.rows, fabric.cols)  # above every row0 and col0
+    rows, cols = fabric.rows, fabric.cols
+    radix = max(rows, cols)  # above every row0 and col0
     accepted = CandidateList()
     wastages: list[int] = []
     ties: list[int] = []
-    # (col0, col1) -> [count, least height]; (row0, row1) -> [count, least clb, bram, dsp]
-    by_cols: dict[tuple[int, int], list[int]] = {}
-    by_rows: dict[tuple[int, int], list[int]] = {}
+    # col0 * cols + col1 -> [count, least height, clb, bram, dsp per row, frames per row]
+    spans: dict[int, list[int]] = {}
+    # row0 * rows + row1 -> [count, least clb, bram, dsp per row]
+    bands: dict[int, list[int]] = {}
     covering = 0
     for layer in layers:
         covering += len(layer)
@@ -404,23 +414,26 @@ def _generate_module_placements(
             if ar_bounds is not None:
                 if not ar_bounds[0] <= (col1 - col0 + 1) / height <= ar_bounds[1]:
                     continue
-            c = (clb[col1 + 1] - clb[col0]) * height
-            b = (bram[col1 + 1] - bram[col0]) * height
-            d = (dsp[col1 + 1] - dsp[col0]) * height
-            wastage = c * w_clb + b * w_bram + d * w_dsp - req_frames
+            key = col0 * cols + col1
+            s = spans.get(key)
+            if s is None:
+                c = clb[col1 + 1] - clb[col0]
+                b = bram[col1 + 1] - bram[col0]
+                d = dsp[col1 + 1] - dsp[col0]
+                s = spans[key] = [1, height, c, b, d, c * w_clb + b * w_bram + d * w_dsp]
+            else:
+                s[0] += 1
+                if height < s[1]:
+                    s[1] = height
+                c, b, d = s[2], s[3], s[4]
+            wastage = s[5] * height - req_frames
             accepted.append(rect)
             wastages.append(wastage)
             ties.append((wastage * radix + row0) * radix + col0)
-            g = by_cols.get((col0, col1))
+            key = row0 * rows + row1
+            g = bands.get(key)
             if g is None:
-                by_cols[col0, col1] = [1, height]
-            else:
-                g[0] += 1
-                if height < g[1]:
-                    g[1] = height
-            g = by_rows.get((row0, row1))
-            if g is None:
-                by_rows[row0, row1] = [1, c, b, d]
+                bands[key] = [1, c, b, d]
             else:
                 g[0] += 1
                 if c < g[1]:
@@ -432,18 +445,24 @@ def _generate_module_placements(
     if not accepted:
         reason = "aspect-ratio bounds reject everything" if covering else ""
         raise InfeasibleModuleError(module.id, reason)
-    # a column span's candidates hold its per-row counts times their height
-    accepted.groups = {
-        "vertical": tuple(
-            (c0, c1, n, *((k[c1 + 1] - k[c0]) * h for k in (clb, bram, dsp)))
-            for (c0, c1), (n, h) in by_cols.items()
-        ),
-        "horizontal": tuple((r0, r1, *g) for (r0, r1), g in by_rows.items()),
-    }
+    # a span's candidates hold its per-row counts times their height, which
+    # is fixed within a band
+    vertical = tuple(
+        (*divmod(key, cols), n, c * h, b * h, d * h) for key, (n, h, c, b, d, _) in spans.items()
+    )
+    horizontal = []
+    for key, (n, c, b, d) in bands.items():
+        r0, r1 = divmod(key, rows)
+        h = r1 - r0 + 1
+        horizontal.append((r0, r1, n, c * h, b * h, d * h))
+    accepted.groups = {"vertical": vertical, "horizontal": tuple(horizontal)}
     accepted.wastage = wastages
     accepted.ties = array("I", sorted(range(len(ties)), key=ties.__getitem__))
     accepted.max_waste = wastages[accepted.ties[-1]]
-    accepted.sums = tuple(sum(map(max, zip(*spans))) + 1 for spans in (by_cols, by_rows))
+    accepted.sums = tuple(
+        max(g[0] for g in groups) + max(g[1] for g in groups) + 1
+        for groups in (vertical, horizontal)
+    )
     return accepted
 
 

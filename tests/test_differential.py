@@ -2,6 +2,7 @@
 paths against the plain step-by-step reference versions in ``helpers``."""
 
 import math
+import operator
 import re
 from itertools import combinations
 from unittest import mock
@@ -85,11 +86,18 @@ def rects_in(draw, rows, cols):
 
 
 @st.composite
-def fabrics(draw, max_rows=5, max_cols=16):
+def fabrics(draw, max_rows=5, max_cols=16, frames=st.none()):
     rows = draw(st.integers(1, max_rows))
     columns = draw(st.text(alphabet="CBD", min_size=1, max_size=max_cols))
     reserved = draw(st.lists(rects_in(rows, len(columns)), max_size=2))
-    return Fabric(rows, columns, reserved)
+    return Fabric(rows, columns, reserved, draw(frames))
+
+
+# frames per tile of each kind, from 1 up to 10**23, whose sums leave every
+# machine integer behind
+frame_weights = st.fixed_dictionaries(
+    {kind: st.one_of(st.integers(1, 40), st.just(10**23)) for kind in ResourceKind}
+)
 
 
 @PROPERTY
@@ -235,9 +243,16 @@ def test_one_kind_placements_match_walk(case, ar_bounds):
 
 
 @PROPERTY
-@given(fabrics(), requirements, ar_windows)
+@given(fabrics(frames=frame_weights), requirements, ar_windows)
 # a one-candidate list
 @example(Fabric(1, "C"), ResourceVector(1, 0, 0), None)
+# columns 0..6 come first two rows tall, from row 0, and only later one
+# row tall, from row 1: a span's least height need not be its first rect's
+@example(Fabric(2, "DBBDDBC"), ResourceVector(1, 3, 1), None)
+# a DSP tile worth 10**23 frames, as in the CLI's huge-frame-weight case
+@example(
+    Fabric(2, "CCDCCBCCDCCC", frames={ResourceKind.DSP: 10**23}), ResourceVector(3, 1, 1), None
+)
 # the window keeps the one-tile rects and drops the two-tile-tall ones
 @example(Fabric(2, "CC"), ResourceVector(1, 0, 0), (0.9, 1.1))
 # over 256 columns: a paired module's rects start on columns 254 to 256
@@ -245,12 +260,17 @@ def test_one_kind_placements_match_walk(case, ar_bounds):
 def test_list_summaries_match_walks(fab, req, ar_bounds):
     """The summaries tessellation makes while it prices a list equal walks
     over the finished list: both axes' span groups in first-appearance
-    order, the tie order, the largest wastage and the coordinate sums."""
+    order, the tie order, the largest wastage and the coordinate sums; and
+    each wastage is the frames its rect holds beyond the requirement."""
     try:
         cands = _generate_module_placements(fab, ModuleSpec("m", req), ar_bounds)
     except InfeasibleModuleError:
         return
     records = candidate_records(fab, cands)
+    weights = [fab.frames[kind] for kind in ResourceKind]
+    for c in records:
+        held = sum(map(operator.mul, c.resources - req, weights))
+        assert c.wastage_frames == held, c
     for axis in ("vertical", "horizontal"):
         assert cands.groups[axis] == span_groups_walk(records, axis)
     assert list(cands.ties) == tie_order_walk(records)

@@ -1,5 +1,5 @@
 """The in-process A/B harness ``tools/stage_ab.py`` runs end to end, and
-prints no timings for trees whose outputs differ."""
+prints no timings for trees whose outputs or candidate lists differ."""
 
 import re
 import shutil
@@ -23,7 +23,9 @@ def test_one_tree_on_both_sides_times_every_sdr_case():
     out = run_tool(ROOT, ROOT)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "documents and solver-log records identical on 4 cases"
+    assert lines[0] == (
+        "documents, solver-log records and candidate lists identical on 4 cases"
+    )
     wins = re.compile(
         r" +B faster in [01]/1 rounds \(tessellation [01], anchors [01], scoring [01], "
         r"search [01]\), run median [+-]\d+\.\d%"
@@ -38,17 +40,36 @@ def test_one_tree_on_both_sides_times_every_sdr_case():
     assert sum("B faster in" in line for line in lines) == len(SDR_CASES)
 
 
-def test_differing_documents_print_no_timings(tmp_path):
+def changed_copy(tmp_path, name, old, new):
+    """A copy of ``src/tilefp`` under ``tmp_path`` with ``old`` replaced by
+    ``new`` in module ``name``."""
     copy = tmp_path / "src" / "tilefp"
     shutil.copytree(ROOT / "src" / "tilefp", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    place = copy / "place.py"
-    text = place.read_text()
-    changed = text.replace('f"total wastage ', 'f"total  wastage ')
+    module = copy / name
+    text = module.read_text()
+    changed = text.replace(old, new)
     assert changed != text
-    place.write_text(changed)
-    out = run_tool(ROOT, tmp_path)
+    module.write_text(changed)
+    return tmp_path
+
+
+def assert_no_timings_for_any_sdr_case(out):
     assert out.returncode == 1
     head, tail = "outputs differ on ", ": no timings\n"
     assert out.stdout.startswith(head) and out.stdout.endswith(tail)
     named = out.stdout.removeprefix(head).removesuffix(tail).split(", ")
     assert sorted(named) == sorted(SDR_CASES)
+
+
+def test_differing_documents_print_no_timings(tmp_path):
+    changed = changed_copy(tmp_path, "place.py", 'f"total wastage ', 'f"total  wastage ')
+    assert_no_timings_for_any_sdr_case(run_tool(ROOT, changed))
+
+
+def test_differing_candidate_lists_print_no_timings(tmp_path):
+    # Reversed vertical groups leave every corpus document and solver-log
+    # record as it is, so only the list check names the cases.
+    changed = changed_copy(
+        tmp_path, "tessellation.py", '{"vertical": vertical,', '{"vertical": vertical[::-1],'
+    )
+    assert_no_timings_for_any_sdr_case(run_tool(ROOT, changed))

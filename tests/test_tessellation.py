@@ -1,13 +1,15 @@
 """Kernel tessellation tests, anchored by brute-force enumeration."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
 
 from tilefp import tessellation
-from tilefp.design import Design, ModuleSpec
+from tilefp.design import Design, ModuleSpec, generate_random_design, parse_design
 from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
+from tilefp.fixtures import fixture_path
 from tilefp.tessellation import (
     InfeasibleModuleError,
     _expand_horizontal,
@@ -22,9 +24,13 @@ from helpers import (
     aspect_ratio,
     base_kernels_walk,
     brute_force_rects,
+    candidate_records,
+    coordinate_sums_walk,
     random_fabric,
     random_requirement,
     resources_in_rect,
+    span_groups_walk,
+    tie_order_walk,
 )
 
 DSP, BRAM, CLB = ResourceKind.DSP, ResourceKind.BRAM, ResourceKind.CLB
@@ -448,3 +454,50 @@ def test_candidates_never_touch_reserved():
     design = Design([ModuleSpec("m", ResourceVector(3, 1, 0))])
     for rect in generate_placements(fab, design, ar_bounds=None)["m"]:
         assert fab.reserved_tiles_in(rect) == 0
+
+
+@pytest.mark.parametrize(
+    "fabric_name, design, ar_bounds",
+    [
+        pytest.param("fx70t.fabric", "sdr", None, id="sdr-noar"),
+        pytest.param("fx70t.fabric", "sdr", (0.2, 0.7), id="sdr-ar-default"),
+        pytest.param("xc7k410t.fabric", (50, (0.8, 0.3, 0.3), 50), None, id="scaling-n50"),
+        *(
+            pytest.param("fx70t.fabric", (16, (0.8, 0.5, 0.5), seed), None, id=f"dense-s{seed}")
+            for seed in range(3)
+        ),
+    ],
+)
+def test_bench_list_summaries_match_walks(fabric_name, design, ar_bounds):
+    """Every list of the benchmark corpus carries the summaries that walks
+    over its recounted records give: both axes' span groups, the tie order,
+    the largest wastage and the coordinate sums."""
+    fabric = parse_fabric(fixture_path(fabric_name).read_text())
+    if design == "sdr":
+        design = parse_design(fixture_path("sdr.design").read_text())
+    else:
+        design = generate_random_design(design[0], fabric, *design[1:])
+    lists = {id(c): c for c in generate_placements(fabric, design, ar_bounds).values()}
+    for cands in lists.values():
+        records = candidate_records(fabric, cands)
+        for axis in ("vertical", "horizontal"):
+            assert cands.groups[axis] == span_groups_walk(records, axis)
+        assert list(cands.ties) == tie_order_walk(records)
+        assert cands.max_waste == max(c.wastage_frames for c in records)
+        assert cands.sums == coordinate_sums_walk(records)
+
+
+def test_wide_device_lists_stay_small():
+    """Spans and bands are kept per key that occurs, not in tables sized by
+    the square of the device width: the list of three-CLB rects on a
+    4,000-column device peaks far below such a table."""
+    fab = Fabric(1, "C" * 4000)
+    design = Design([ModuleSpec("m", ResourceVector(3, 0, 0))])
+    tracemalloc.start()
+    try:
+        cands = generate_placements(fab, design, None)["m"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cands) == len(cands.groups["vertical"]) == 3998  # one per span
+    assert peak < 16 * 2**20

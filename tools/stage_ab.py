@@ -12,11 +12,15 @@ checkout that holds this script, and the generated designs written by
 tree A.
 
 Each case first runs once on each side. Unless both trees write
-byte-identical documents (or raise the same error) and identical
-``--solver-log`` records, ``solve_ms`` aside, the script names the cases
-that differ, prints no timings and exits 1. Then each round runs every
-case on both sides with the cyclic garbage collector off, A first in even
-rounds and B first in odd ones. Per case and side it prints the median
+byte-identical documents (or raise the same error), identical
+``--solver-log`` records, ``solve_ms`` aside, and identical candidate
+lists, the script names the cases that differ, prints no timings and exits
+1. The lists come from one call of each tree's
+``tessellation.generate_placements`` and are compared module by module:
+the rects, the ``wastage`` column and the summaries ``groups``, ``ties``,
+``max_waste`` and ``sums``. Then each round runs every case on both
+sides with the cyclic garbage collector off, A first in even rounds and B
+first in odd ones. Per case and side it prints the median
 milliseconds of four stages (tessellation: ``generate_placements``;
 anchors: ``compute_anchors``; scoring: ``_rank`` and ``order_modules``;
 search: ``_place``) and of the whole run, and in how many rounds B was
@@ -75,6 +79,7 @@ class Tree:
 
     def __post_init__(self) -> None:
         self.place = importlib.import_module(f"{self.package}.place")
+        self.tessellation = importlib.import_module(f"{self.package}.tessellation")
         self.fabric = importlib.import_module(f"{self.package}.fabric")
         self.design = importlib.import_module(f"{self.package}.design")
         for stage, names in STAGES.items():
@@ -115,6 +120,22 @@ class Tree:
         for record in records:
             record.pop("solve_ms", None)
         return seconds, document, records
+
+    def lists(self, inputs: tuple) -> dict[str, tuple] | str:
+        """Per module id, its candidate list's rects, wastages and summaries,
+        or the error ``generate_placements`` raised."""
+        fabric, design, ar_bounds, _ = inputs
+        try:
+            placements = self.tessellation.generate_placements(fabric, design, ar_bounds)
+        except Exception as exc:  # an infeasible module is compared by its error
+            return f"{type(exc).__name__}: {exc}"
+        return {
+            module_id: (
+                list(cands), cands.wastage, cands.groups, list(cands.ties),
+                cands.max_waste, cands.sums,
+            )
+            for module_id, cands in placements.items()
+        }
 
 
 def load_tree(root: Path, label: str) -> Tree:
@@ -183,12 +204,16 @@ def main(argv: list[str] | None = None) -> int:
     differ = []
     for case_id, pair in inputs.items():
         (_, doc_a, log_a), (_, doc_b, log_b) = (tree.run(i) for tree, i in zip(sides, pair))
-        if doc_a != doc_b or log_a != log_b:
+        lists_a, lists_b = (tree.lists(i) for tree, i in zip(sides, pair))
+        if doc_a != doc_b or log_a != log_b or lists_a != lists_b:
             differ.append(case_id)
     if differ:
         print(f"outputs differ on {', '.join(differ)}: no timings")
         return 1
-    print(f"documents and solver-log records identical on {len(inputs)} cases")
+    print(
+        "documents, solver-log records and candidate lists identical "
+        f"on {len(inputs)} cases"
+    )
 
     # per case and side: stage -> seconds per round, with "run" for the whole run
     samples = {case_id: ({}, {}) for case_id in inputs}
