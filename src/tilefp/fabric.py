@@ -131,7 +131,8 @@ class Fabric:
 
     ``column_kinds`` is a string of C/B/D characters, one per column.
     Reserved rectangles mark tiles (typically static logic) no
-    reconfigurable region may use.
+    reconfigurable region may use. The rect queries also take a plain
+    ``(row0, col0, row1, col1)`` tuple, such as a tessellation candidate.
     """
 
     def __init__(
@@ -224,14 +225,12 @@ class Fabric:
         return self._columns_by_kind[kind]
 
     def in_bounds(self, rect: Rect) -> bool:
-        return (
-            0 <= rect.row0 <= rect.row1 < self._rows
-            and 0 <= rect.col0 <= rect.col1 < self.cols
-        )
+        row0, col0, row1, col1 = rect
+        return 0 <= row0 <= row1 < self._rows and 0 <= col0 <= col1 < self.cols
 
     def _check_rect(self, rect: Rect) -> None:
         if not self.in_bounds(rect):
-            raise FabricError(f"rect out of bounds: {rect}")
+            raise FabricError(f"rect out of bounds: {Rect._make(rect)}")
 
     @property
     def prefix_tables(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -240,13 +239,9 @@ class Fabric:
 
     def reserved_tiles_in(self, rect: Rect) -> int:
         self._check_rect(rect)
-        pref = self._reserved_prefix
-        return (
-            pref[rect.row1 + 1][rect.col1 + 1]
-            - pref[rect.row0][rect.col1 + 1]
-            - pref[rect.row1 + 1][rect.col0]
-            + pref[rect.row0][rect.col0]
-        )
+        row0, col0, row1, col1 = rect
+        bottom, top = self._reserved_prefix[row0], self._reserved_prefix[row1 + 1]
+        return top[col1 + 1] - bottom[col1 + 1] - top[col0] + bottom[col0]
 
     def is_reserved(self, row: int, col: int) -> bool:
         return self.reserved_tiles_in(Rect(row, col, row, col)) > 0
@@ -259,10 +254,12 @@ class Fabric:
     def available_in_rect(self, rect: Rect) -> ResourceVector:
         """Tile counts by kind inside ``rect`` but outside reserved areas."""
         self._check_rect(rect)
+        row0, col0, row1, col1 = rect
+        bottom, top = self._reserved_prefix[row0], self._reserved_prefix[row1 + 1]
         counts = [0, 0, 0]
-        for c in range(rect.col0, rect.col1 + 1):
-            reserved = self.reserved_tiles_in(Rect(rect.row0, c, rect.row1, c))
-            counts[self._kinds[c].index] += rect.height - reserved
+        for c in range(col0, col1 + 1):
+            reserved = top[c + 1] - bottom[c + 1] - top[c] + bottom[c]
+            counts[self._kinds[c].index] += row1 - row0 + 1 - reserved
         return ResourceVector(*counts)
 
 

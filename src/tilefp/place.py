@@ -4,10 +4,11 @@ Every candidate of a module is scored against the module's anchor point:
 wastage in frames and Manhattan distance to the anchor are each normalized
 to the module's own maxima and blended with the two objective weights.
 Scoring only reorders the module's own tessellation candidates, best first.
-A candidate list is its rects and a parallel wastage column; scoring
-prepares nothing per list, since it reads the column and tessellation's
-summaries of the list, and each module computes only its distances,
-scores and sort.
+A candidate list is its rects, as plain tuples, and a parallel wastage
+column; the placer makes a ``Rect`` only of each module's chosen one.
+Scoring prepares nothing per list, since it reads the column and
+tessellation's summaries of the list, and each module computes only its
+distances, scores and sort.
 The placer is one depth-first search, run with two module orders. Each
 level places one module on its best-scored rectangle not colliding with
 anything placed so far, and the search backs up a level whenever that
@@ -218,9 +219,10 @@ def normalize_candidates(
     value to zero) and blended as alpha * wastage + beta * distance.
     Sorting is ascending by that objective; ties fall back to raw wastage,
     then bottom-left position. The list's own rects come back in that order.
-    ``candidates`` must carry tessellation's summaries (a ``CandidateList``).
-    ``run_floorplan`` scores every module the same way and keeps each
-    module's order as list positions.
+    ``candidates`` must carry tessellation's summaries (a ``CandidateList``),
+    so the rects come back as its plain ``(row0, col0, row1, col1)`` tuples,
+    equal to the ``Rect``s they name. ``run_floorplan`` scores every module
+    the same way and keeps each module's order as list positions.
     """
     return [candidates[i] for i in _score_order(candidates, anchor, alpha, beta)]
 
@@ -240,7 +242,8 @@ def trial_and_error_place(
     """First feasible floorplan by one search, run in two phases under node budgets.
 
     ``candidates`` maps each module to its candidate rects best first, as
-    ``normalize_candidates`` returns them; any sequences of rects do.
+    ``normalize_candidates`` returns them; any sequences of ``Rect``s or of
+    plain ``(row0, col0, row1, col1)`` tuples do.
     Each level of the depth-first search places one module, trying its
     candidates in that order; forward checking prunes only subtrees
     without a floorplan. Phase 1 takes module order, so it finds the first
@@ -248,10 +251,10 @@ def trial_and_error_place(
     nodes (tentative placements). Phase 2 then searches afresh fail-first,
     ties going to module order, under ``FAIL_FIRST_NODES`` nodes.
 
-    Returns the chosen rectangle per module, keyed in module order, and the
-    number of times the search backed up a level in either phase. The node
-    budgets decide the outcome, so it is the same on every machine;
-    ``time_budget`` seconds is only an outer safety net. Raises
+    Returns the chosen rectangle per module as a ``Rect``, keyed in module
+    order, and the number of times the search backed up a level in either
+    phase. The node budgets decide the outcome, so it is the same on every
+    machine; ``time_budget`` seconds is only an outer safety net. Raises
     PlacementInfeasibleError when a search proves that no floorplan exists
     and PlacementTimeoutError when a limit stops it first.
     """
@@ -461,7 +464,7 @@ class _Search:
                 self.deepest = max(self.deepest, len(stack))
                 if not rest:
                     frames = sorted(stack, key=itemgetter(0))
-                    return {order[m]: options[m][tried] for m, _, tried, _ in frames}
+                    return {order[m]: Rect._make(options[m][tried]) for m, _, tried, _ in frames}
                 k = choose(rest)
                 stack.append([k, rest, -1, self.tries(k, rest[k])])
         raise PlacementInfeasibleError(*self.dead_end)

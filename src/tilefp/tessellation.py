@@ -70,9 +70,13 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 from .design import Design, ModuleSpec
-from .fabric import Fabric, Rect, ResourceKind, ResourceVector
+from .fabric import Fabric, ResourceKind, ResourceVector
 
 __all__ = ["CandidateList", "InfeasibleModuleError", "generate_placements"]
+
+# A candidate (row0, col0, row1, col1), equal and hashing equal to its ``Rect``: a plain
+# tuple, since CPython builds and unpacks only an exact tuple on its fast paths.
+_Coords = tuple[int, int, int, int]
 
 # (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of a list whose span
 # along a cut axis is columns (or rows) lo..hi, and the least of each kind any of them holds.
@@ -91,15 +95,18 @@ class InfeasibleModuleError(Exception):
 
 
 class CandidateList(list):
-    """A module's candidate rects, with ``wastage``, a list of each rect's
-    frames beyond the requirement, position by position, and the summaries
-    made as the rects are priced: ``groups[axis]``, the ``_SpanGroup``s by
-    column ("vertical") or row span ("horizontal") in first-appearance
-    order; ``ties``, an array of positions by (wastage, row0, col0), equal
-    keys in list order; ``max_waste``; and ``sums``, two ints above every
-    col0 + col1 and every row0 + row1. A rect's wastage is its column
-    span's frames per row times its height, less the requirement's frames,
-    and each span and row band is computed once per list."""
+    """A module's candidate rects, each a plain ``(row0, col0, row1, col1)``
+    tuple that is equal, and hashes equal, to the ``Rect`` it names
+    (``Rect._make`` gives the attributes back), with ``wastage``, a list of
+    each rect's frames beyond the requirement, position by position, and
+    the summaries made as the rects are priced: ``groups[axis]``, the
+    ``_SpanGroup``s by column ("vertical") or row span ("horizontal") in
+    first-appearance order; ``ties``, an array of positions by (wastage,
+    row0, col0), equal keys in list order; ``max_waste``; and ``sums``, two
+    ints above every col0 + col1 and every row0 + row1. A rect's wastage is
+    its column span's frames per row times its height, less the
+    requirement's frames, and each span and row band is computed once per
+    list."""
 
     __slots__ = ("wastage", "groups", "ties", "max_waste", "sums")
 
@@ -126,7 +133,7 @@ def _nearest_column(columns: tuple[int, ...], col: int) -> int | None:
     return left if col - left <= right - col else right
 
 
-def _paired_kernels(fabric: Fabric, row: int) -> list[Rect]:
+def _paired_kernels(fabric: Fabric, row: int) -> list[_Coords]:
     """Seed kernels of one row for a module that pairs DSP with BRAM, one
     per DSP column.
 
@@ -141,11 +148,11 @@ def _paired_kernels(fabric: Fabric, row: int) -> list[Rect]:
         near = _nearest_column(bram_cols, c)
         if near is None:
             continue
-        paired = Rect(row, min(c, near), row, max(c, near))
+        paired = (row, min(c, near), row, max(c, near))
         if not fabric.reserved_tiles_in(paired):
             kernels.append(paired)
             continue
-        bare = Rect(row, c, row, c)
+        bare = (row, c, row, c)
         if not fabric.reserved_tiles_in(bare):
             kernels.append(bare)
     return kernels
@@ -153,10 +160,10 @@ def _paired_kernels(fabric: Fabric, row: int) -> list[Rect]:
 
 def _merge_row_kernels(
     fabric: Fabric,
-    kernels: list[Rect],
+    kernels: list[_Coords],
     needed: int,
     kind: ResourceKind,
-) -> list[Rect]:
+) -> list[_Coords]:
     """Merge a row's kernels into wider spans when no single one suffices.
 
     If some kernel already holds ``needed`` tiles the input comes
@@ -168,15 +175,15 @@ def _merge_row_kernels(
     the only one checked for reserved tiles.
     """
     kind_prefix = fabric.prefix_tables[1][kind.index]
-    if any(kind_prefix[k.col1 + 1] - kind_prefix[k.col0] >= needed for k in kernels):
+    if any(kind_prefix[c1 + 1] - kind_prefix[c0] >= needed for _, c0, _, c1 in kernels):
         return list(kernels)
     merged = []
     for i, (row, col0, _, col1) in enumerate(kernels):
         enough = kind_prefix[col0] + needed
         for j in range(i + 1, len(kernels)):
-            col1 = max(col1, kernels[j].col1)
+            col1 = max(col1, kernels[j][3])
             if kind_prefix[col1 + 1] >= enough:
-                span = Rect(row, col0, row, col1)
+                span = (row, col0, row, col1)
                 if not fabric.reserved_tiles_in(span):
                     merged.append(span)
                 break
@@ -211,12 +218,12 @@ def _columns_outward(
 
 def _expand_horizontal(
     fabric: Fabric,
-    kernel: Rect,
+    kernel: _Coords,
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind | None,
-    seen: set[Rect],
-) -> tuple[list[Rect], int]:
+    seen: set[_Coords],
+) -> tuple[list[_Coords], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
     At the current height the kernel needs some number N of target columns
@@ -234,7 +241,6 @@ def _expand_horizontal(
     ones included (``seen`` only ever holds emitted, hence free, rects), or
     -1 when no split at any height was free.
     """
-    new = tuple.__new__
     out = []
     free_row1 = -1
     row0, col0, row1, col1 = kernel
@@ -255,11 +261,10 @@ def _expand_horizontal(
             r = n_cols - l
             c0 = lefts[l - 1] if l else col0
             c1 = rights[r - 1] if r else col1
-            # a plain tuple hashes and compares equal to the Rect it names
-            if (row0, c0, row1, c1) in seen:
+            rect = (row0, c0, row1, c1)
+            if rect in seen:
                 free_row1 = row1
             elif not top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
-                rect = new(Rect, (row0, c0, row1, c1))
                 seen.add(rect)
                 out.append(rect)
                 free_row1 = row1
@@ -275,11 +280,11 @@ def _expand_horizontal(
 
 def _expand_or_cross(
     fabric: Fabric,
-    layers: Iterable[list[Rect]],
+    layers: Iterable[list[_Coords]],
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind,
-) -> Iterator[list[Rect]]:
+) -> Iterator[list[_Coords]]:
     """A later kind's expansion of every rect in ``layers``, in order, one
     list per rect; it may cross scarce columns as a last resort.
 
@@ -288,6 +293,9 @@ def _expand_or_cross(
     any height the walk is repeated unblocked, since a rectangle hoarding a
     scarce column beats no rectangle at all. A blocked walk whose free
     splits were all seen before emits nothing and still needs no fallback.
+    Nor does one whose first free split is taller, so it emits no one-row
+    rect where the same kernel one row up, unable to grow, falls back and
+    may: a kernel's one-row rects can therefore depend on its row.
 
     ``grown`` maps a column span ``(row0, col0, col1)`` to the tops a
     taller kernel over it may have and still emit nothing new: from the
@@ -295,7 +303,7 @@ def _expand_or_cross(
     height when it fell back. The taller kernel walks a tail of the first
     one's heights, with the same splits, all of them seen by now.
     """
-    seen: set[Rect] = set()
+    seen: set[_Coords] = set()
     grown: dict[tuple[int, int, int], tuple[int, int]] = {}
     for layer in layers:
         for kernel in layer:
@@ -312,15 +320,14 @@ def _expand_or_cross(
             yield out
 
 
-def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[Rect]:
+def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[_Coords]:
     """The rects the kernel walk emits for the first kind of an unpaired
     module, in its order: the bare kernels' rects, then the merged spans'
     taller ones (see the module docstring for why these are the walk's)."""
     cols = fabric.columns_of(kind)
     reserved = fabric.prefix_tables[0]
     rows = fabric.rows
-    new = tuple.__new__
-    out: list[Rect] = []
+    out: list[_Coords] = []
     append = out.append
     for row0 in range(rows):
         bottom = reserved[row0]
@@ -333,7 +340,7 @@ def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[Rect]
                 if j < len(cols):
                     c1 = cols[j]
                     if not top[c1 + 1] - bottom[c1 + 1] - top[c] + bottom[c]:
-                        append(new(Rect, (row0, c, row1, c1)))
+                        append((row0, c, row1, c1))
     if need < 2:
         return out
     spans = sorted(
@@ -349,21 +356,21 @@ def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[Rect]
             if top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
                 break
             if row1 > row0:
-                append(new(Rect, (row0, c0, row1, c1)))
+                append((row0, c0, row1, c1))
     return out
 
 
-def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[Rect]]:
+def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[_Coords]]:
     """The first kind's (DSP) rects of a paired module's kernel walk, one
     list per kernel."""
     dsp = ResourceKind.DSP
-    found: dict[Rect, None] = {}
+    found: dict[_Coords, None] = {}
     for row in range(fabric.rows):
         base = _paired_kernels(fabric, row)
         found.update(dict.fromkeys(base + _merge_row_kernels(fabric, base, need, dsp)))
     # a rect reached again from another kernel is skipped
-    seen: set[Rect] = set()
-    for kernel in sorted(found, key=lambda k: (k.tile_count, k.row0, k.col0)):
+    seen: set[_Coords] = set()
+    for kernel in sorted(found, key=lambda k: ((k[2] - k[0] + 1) * (k[3] - k[1] + 1), k[0], k[1])):
         # the first kind's own upward growth is the zero-column split
         yield _expand_horizontal(fabric, kernel, need, dsp, None, seen)[0]
 
@@ -386,7 +393,7 @@ def _generate_module_placements(
     req = module.req
     req_frames = fabric.frames_of(req)
     first, *rest = kinds = _kind_order(req)
-    layers: Iterable[list[Rect]]
+    layers: Iterable[list[_Coords]]
     if len(kinds) < 3:
         layers = [_one_kind_rects(fabric, first, req.of(first))]
     else:

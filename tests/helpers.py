@@ -33,10 +33,10 @@ class Candidate(NamedTuple):
 
 
 def candidate_records(fabric, candidates):
-    """A ``CandidateList``'s rects and wastages as oracle records, the tile
-    counts recounted by ``resources_in_rect``."""
+    """A ``CandidateList``'s rects and wastages as oracle records, each rect
+    a ``Rect`` and its tile counts recounted by ``resources_in_rect``."""
     return [
-        Candidate(rect, resources_in_rect(fabric, rect), wastage)
+        Candidate(Rect._make(rect), resources_in_rect(fabric, rect), wastage)
         for rect, wastage in zip(candidates, candidates.wastage, strict=True)
     ]
 
@@ -50,7 +50,8 @@ def as_columns(records):
 def resources_in_rect(fabric, rect):
     """Tile counts by kind inside ``rect``, reserved tiles included: each
     column's kind times the rect's height. FabricError when ``rect`` leaves
-    the fabric."""
+    the fabric. ``rect`` may be a ``Rect`` or a plain 4-tuple."""
+    rect = Rect._make(rect)
     if not fabric.in_bounds(rect):
         raise FabricError(f"rect out of bounds: {rect}")
     kinds = [fabric.kind_of(c) for c in range(rect.col0, rect.col1 + 1)]
@@ -58,16 +59,19 @@ def resources_in_rect(fabric, rect):
 
 
 def is_free_rect(fabric, rect, occupied=()):
-    """True when ``rect`` is in bounds, off reserved tiles and off ``occupied``."""
+    """True when ``rect`` is in bounds, off reserved tiles and off
+    ``occupied``; each rect may be a ``Rect`` or a plain 4-tuple."""
+    rect = Rect._make(rect)
     return (
         fabric.in_bounds(rect)
         and not fabric.reserved_tiles_in(rect)
-        and not any(rect.overlaps(other) for other in occupied)
+        and not any(rect.overlaps(Rect._make(other)) for other in occupied)
     )
 
 
 def aspect_ratio(rect):
-    """Width over height."""
+    """Width over height of a ``Rect`` or a plain 4-tuple."""
+    rect = Rect._make(rect)
     return rect.width / rect.height
 
 

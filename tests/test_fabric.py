@@ -132,6 +132,26 @@ def test_queries_reject_out_of_range_columns_and_rects():
             fab.reserved_tiles_in(rect)
 
 
+def test_rect_queries_take_plain_tuples():
+    """Every rect query gives a plain ``(row0, col0, row1, col1)`` tuple,
+    as tessellation's candidates are, the answer or the FabricError it
+    gives the ``Rect`` with those coordinates."""
+    fab = parse_fabric("rows 3\ncolumns CBDC\nreserved 1 1 2 2\n")
+    queries = (fab.in_bounds, fab.reserved_tiles_in, fab.available_in_rect)
+    coords = [(r0, c0, r1, c1) for r0 in range(-1, 4) for r1 in range(-1, 4)
+              for c0 in range(-1, 5) for c1 in range(-1, 5)]
+    for coord in coords:
+        for query in queries:
+            try:
+                expected = query(Rect(*coord))
+            except FabricError as exc:
+                with pytest.raises(FabricError) as info:
+                    query(coord)
+                assert str(info.value) == str(exc)
+            else:
+                assert query(coord) == expected
+
+
 def test_resources_additive_over_partitions():
     rng = random.Random(7)
     kinds = "".join(rng.choice("CCCBD") for _ in range(12))

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 from tilefp import place
+from tilefp.bipartition import compute_anchors
 from tilefp.design import Connection, Design, ModuleSpec, generate_random_design
 from tilefp.fabric import Rect, ResourceVector, parse_fabric
 from tilefp.fixtures import fixture_path
@@ -23,7 +24,7 @@ from tilefp.place import (
     trial_and_error_place,
     write_floorplan,
 )
-from tilefp.tessellation import CandidateList
+from tilefp.tessellation import CandidateList, generate_placements
 
 from helpers import (
     Candidate,
@@ -387,6 +388,34 @@ def test_end_to_end_small_pipeline_is_deterministic():
         outputs.append(write_floorplan(plan, design, fab, 0.5, 0.5, None))
     assert outputs[0] == outputs[1]
     assert "total wastage" in outputs[0]
+
+
+def test_placer_returns_rects_for_tuple_and_rect_candidates():
+    """Candidates are plain tuples; the placer makes a ``Rect`` of each
+    chosen one. ``run_floorplan`` and ``trial_and_error_place``, given
+    ``normalize_candidates``' lists or the same lists as ``Rect``s, return
+    ``Rect``s and pick the same rects."""
+    fab = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    design = sdr_design()
+    plan = run_floorplan(fab, design, None)
+    candidates = generate_placements(fab, design, None)
+    anchors = compute_anchors(fab, design, candidates)
+    scored = {
+        m: normalize_candidates(options, anchors[m], design.alpha, design.beta)
+        for m, options in candidates.items()
+    }
+    assert all(type(rect) is tuple for options in scored.values() for rect in options)
+    as_rects = {m: [Rect._make(rect) for rect in options] for m, options in scored.items()}
+    order = order_modules(design, fab)
+    picks = [plan.rects]
+    for lists in (scored, as_rects):
+        rects, backtracks = trial_and_error_place(fab, order, lists)
+        assert backtracks == plan.backtracks
+        picks.append(rects)
+    for rects in picks:
+        assert list(rects) == order
+        assert all(type(rect) is Rect for rect in rects.values())
+    assert picks[0] == picks[1] == picks[2]
 
 
 # --- per-list work in run_floorplan ------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import tilefp
 from tilefp.design import parse_design
-from tilefp.fabric import Rect, parse_fabric
+from tilefp.fabric import parse_fabric
 from tilefp.fixtures import fixture_path
 from tilefp.tessellation import CandidateList, generate_placements
 
@@ -115,14 +115,18 @@ def test_readme_library_snippet_places_every_module():
 
 def test_tessellation_lists_carry_their_summaries():
     """Every list ``generate_placements`` returns is a ``CandidateList`` of
-    plain ``Rect``s with an int wastage per rect, no per-candidate record,
+    plain ``(row0, col0, row1, col1)`` tuples of ints, not ``Rect``s, with
+    an int wastage per rect, no per-candidate record,
     holding the summaries that the anchor passes and scoring read in place
     of their own walks, which are no longer public."""
     fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
     design = parse_design(fixture_path("sdr.design").read_text())
     for options in generate_placements(fabric, design, None).values():
         assert type(options) is CandidateList
-        assert all(type(rect) is Rect for rect in options)
+        assert all(
+            type(rect) is tuple and len(rect) == 4 and all(type(v) is int for v in rect)
+            for rect in options
+        )
         assert len(options.wastage) == len(options)
         assert all(type(w) is int for w in options.wastage)
         assert set(options.groups) == {"vertical", "horizontal"}

@@ -21,11 +21,13 @@ from tilefp.tessellation import (
 )
 
 from helpers import (
+    as_columns,
     aspect_ratio,
     base_kernels_walk,
     brute_force_rects,
     candidate_records,
     coordinate_sums_walk,
+    module_placements_walk,
     random_fabric,
     random_requirement,
     resources_in_rect,
@@ -43,8 +45,9 @@ def columns(cands):
 
 def expand(fabric, kernel, needed, target, blocked):
     """One expansion with nothing seen before, whose highest free row1 is
-    then just that of the tallest rect it emitted."""
+    then just that of the tallest rect it emitted; the rects as ``Rect``s."""
     grown, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, set())
+    grown = [Rect._make(k) for k in grown]
     assert free_row1 == max((k.row1 for k in grown), default=-1)
     return grown
 
@@ -257,6 +260,23 @@ def test_taller_kernel_over_grown_span_is_not_walked(fabric, taller):
         _generate_module_placements(fabric, ModuleSpec("m", ResourceVector(1, 0, 1)), None)
     assert Rect(taller.row0, taller.col0, 0, taller.col1) in walked
     assert taller not in walked
+
+
+def test_fallback_only_when_no_height_has_a_free_split():
+    """A later kind's blocked walk falls back unblocked only when it finds
+    no free split at any height, so a kernel's one-row rects can depend on
+    its row. The BRAM walk from row 0's kernel (0, 0, 0, 1), blocked at
+    DSP column 3, first succeeds at height 2 and emits no one-row rect; row
+    1's kernel cannot grow, so its walk falls back and crosses the DSP
+    columns. Both one-row rects over all seven columns are free and equally
+    wasteful; only row 1's is listed, as the reference walk lists it."""
+    fab = Fabric(2, "DBBDDBC")
+    module = ModuleSpec("m", ResourceVector(1, 3, 1))
+    got = _generate_module_placements(fab, module, None)
+    assert (1, 0, 1, 6) in got and (0, 0, 0, 6) not in got
+    admissible = brute_force_rects(fab, module.req, None)
+    assert admissible[Rect(0, 0, 0, 6)] == admissible[Rect(1, 0, 1, 6)]
+    assert (list(got), got.wastage) == as_columns(module_placements_walk(fab, module, None))
 
 
 def first_kind_walks(fabric, req):
