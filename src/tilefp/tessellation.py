@@ -27,7 +27,12 @@ has already emitted is skipped: reached again from another kernel, it would
 be expanded (or judged) the same way. A later kind's kernels share column
 spans at several heights, and a taller one walks a tail of a shorter one's
 heights, so it is walked only when that walk could emit something new
-(``_expand_or_cross``).
+(``_expand_or_cross``). Within one stage, which has one target kind, a
+kernel's splits depend only on its column span, the kind that blocks its
+walk and the number of columns it needs, and the stage's kernels meet the
+same spans at many rows and heights, so each stage computes a span's
+outward columns and split lists once, in a split table of its own
+(``_expand_horizontal``).
 
 A module that does not pair DSP with BRAM (an unpaired module: one scarce
 kind, or CLB alone) has a first stage in closed form (``_one_kind_rects``),
@@ -81,6 +86,14 @@ _Coords = tuple[int, int, int, int]
 # (lo, hi, count, min_clb, min_bram, min_dsp): the ``count`` candidates of a list whose span
 # along a cut axis is columns (or rows) lo..hi, and the least of each kind any of them holds.
 _SpanGroup = tuple[int, int, int, int, int, int]
+
+# One expansion stage's splits (``_expand_horizontal``): per (col0, col1, blocked) column
+# span, its outward target columns left and right, its per-row target count, and its
+# (c0, c1) splits per needed column count.
+_SplitTable = dict[
+    tuple[int, int, ResourceKind | None],
+    tuple[tuple[int, ...], tuple[int, ...], int, dict[int, list[tuple[int, int]]]],
+]
 
 
 class InfeasibleModuleError(Exception):
@@ -223,6 +236,7 @@ def _expand_horizontal(
     target: ResourceKind,
     blocked: ResourceKind | None,
     seen: set[_Coords],
+    splits: _SplitTable,
 ) -> tuple[list[_Coords], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
@@ -235,6 +249,14 @@ def _expand_horizontal(
     one clock region upward and the process repeats, so taller and narrower
     variants of the same footprint are emitted too.
 
+    The splits depend only on ``target``, ``blocked``, the kernel's column
+    span and N. ``splits`` is the calling stage's table, and a stage has
+    one target, so it holds them per ``(col0, col1, blocked)``: the span's
+    outward target columns on each side, its per-row target count, and for
+    each N met so far its ``(c0, c1)`` splits in the order above. The
+    kernels of a stage meet the same spans at many rows and heights, and
+    each walk reads the entry instead of recomputing it.
+
     A split whose rect is already in ``seen`` is skipped; every emitted
     rect is added to ``seen``. The int returned with the rects is the
     highest ``row1`` at which some split was free of reserved tiles, seen
@@ -244,23 +266,32 @@ def _expand_horizontal(
     out = []
     free_row1 = -1
     row0, col0, row1, col1 = kernel
-    # The columns stay fixed while the kernel grows upward, so the outward
-    # walks are shared by every height; every split is in bounds.
-    lefts = _columns_outward(fabric, col0, -1, target, blocked)
-    rights = _columns_outward(fabric, col1, +1, target, blocked)
-    reserved, kind_prefix = fabric.prefix_tables
+    # The columns stay fixed while the kernel grows upward, so the span's
+    # entry serves every height; every split is in bounds.
+    span = splits.get((col0, col1, blocked))
+    if span is None:
+        kind_prefix = fabric.prefix_tables[1][target.index]
+        span = splits[col0, col1, blocked] = (
+            _columns_outward(fabric, col0, -1, target, blocked),
+            _columns_outward(fabric, col1, +1, target, blocked),
+            kind_prefix[col1 + 1] - kind_prefix[col0],  # same in every row
+            {},
+        )
+    lefts, rights, per_row, by_count = span
+    reserved = fabric.prefix_tables[0]
     bottom = reserved[row0]
-    k = target.index
-    per_row = kind_prefix[k][col1 + 1] - kind_prefix[k][col0]  # same in every row
     height = row1 - row0 + 1
     while True:
         have = per_row * height
         n_cols = 0 if have >= needed else -((have - needed) // height)  # ceiling
+        pairs = by_count.get(n_cols)
+        if pairs is None:
+            pairs = by_count[n_cols] = [
+                (lefts[l - 1] if l else col0, rights[n_cols - l - 1] if l < n_cols else col1)
+                for l in range(max(0, n_cols - len(rights)), min(n_cols, len(lefts)) + 1)
+            ]
         top = reserved[row1 + 1]
-        for l in range(max(0, n_cols - len(rights)), min(n_cols, len(lefts)) + 1):
-            r = n_cols - l
-            c0 = lefts[l - 1] if l else col0
-            c1 = rights[r - 1] if r else col1
+        for c0, c1 in pairs:
             rect = (row0, c0, row1, c1)
             if rect in seen:
                 free_row1 = row1
@@ -304,6 +335,7 @@ def _expand_or_cross(
     one's heights, with the same splits, all of them seen by now.
     """
     seen: set[_Coords] = set()
+    splits: _SplitTable = {}
     grown: dict[tuple[int, int, int], tuple[int, int]] = {}
     for layer in layers:
         for kernel in layer:
@@ -311,9 +343,11 @@ def _expand_or_cross(
             first = grown.get((row0, col0, col1))
             if first is not None and first[0] <= row1 <= first[1]:
                 continue
-            out, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, seen)
+            out, free_row1 = _expand_horizontal(
+                fabric, kernel, needed, target, blocked, seen, splits
+            )
             if free_row1 < 0:
-                out, _ = _expand_horizontal(fabric, kernel, needed, target, None, seen)
+                out, _ = _expand_horizontal(fabric, kernel, needed, target, None, seen, splits)
                 free_row1 = fabric.rows
             if first is None:
                 grown[row0, col0, col1] = (row1, free_row1)
@@ -370,9 +404,10 @@ def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[_Coords]]:
         found.update(dict.fromkeys(base + _merge_row_kernels(fabric, base, need, dsp)))
     # a rect reached again from another kernel is skipped
     seen: set[_Coords] = set()
+    splits: _SplitTable = {}
     for kernel in sorted(found, key=lambda k: ((k[2] - k[0] + 1) * (k[3] - k[1] + 1), k[0], k[1])):
         # the first kind's own upward growth is the zero-column split
-        yield _expand_horizontal(fabric, kernel, need, dsp, None, seen)[0]
+        yield _expand_horizontal(fabric, kernel, need, dsp, None, seen, splits)[0]
 
 
 def _generate_module_placements(

@@ -8,6 +8,7 @@ an empty violation list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric, _read_directives
@@ -53,7 +54,12 @@ _FLOORPLAN_LAYOUTS = (
 
 
 def parse_floorplan(text: str) -> FloorplanDocument:
-    """Parse a floorplan document; malformed input raises ValueError."""
+    """Parse a floorplan document; malformed input raises ValueError.
+
+    The mode line must hold weights that ``floorplan`` could have run with:
+    finite, non-negative and not both zero, and an aspect-ratio window, if
+    any, with 0 < lo <= hi (hi may be infinite).
+    """
     mode = None
     records = []
     total = None
@@ -62,6 +68,10 @@ def parse_floorplan(text: str) -> FloorplanDocument:
             fail("the mode line must come first, and only once")
         if directive == "mode":
             alpha, beta, *ar = values
+            if not all(math.isfinite(w) and w >= 0 for w in (alpha, beta)) or alpha == beta == 0:
+                fail("weights must be finite, non-negative and not both zero")
+            if ar and not 0 < ar[0] <= ar[1]:
+                fail("aspect-ratio window must satisfy 0 < lo <= hi")
             mode = (alpha, beta, tuple(ar) or None)
         elif directive == "place":
             module_id, *nums = values
@@ -107,6 +117,8 @@ def validate_floorplan(document_text: str, fabric_text: str) -> list[str]:
     problems: list[str] = []
 
     seen_ids: set[str] = set()
+    # each module's first record; a repeat is reported once, as placed twice
+    recs: list[PlacementRecord] = []
     wastage_sum = 0
     for rec in doc.records:
         rid = rec.module_id
@@ -114,6 +126,7 @@ def validate_floorplan(document_text: str, fabric_text: str) -> list[str]:
             problems.append(f"{rid}: placed twice")
             continue
         seen_ids.add(rid)
+        recs.append(rec)
         rect = rec.rect
         if not (
             0 <= rect.row0 <= rect.row1 < fabric.rows
@@ -162,7 +175,6 @@ def validate_floorplan(document_text: str, fabric_text: str) -> list[str]:
                     f"{rid}: aspect ratio {ar!r} outside [{lo!r}, {hi!r}]"
                 )
 
-    recs = doc.records
     for i in range(len(recs)):
         for j in range(i + 1, len(recs)):
             if recs[i].rect.overlaps(recs[j].rect):

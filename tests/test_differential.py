@@ -121,21 +121,32 @@ def test_nearest_column_matches_scan(columns, col):
 @PROPERTY
 @given(st.data())
 def test_expand_horizontal_matches_walk(data):
+    """Kernels of one stage walk in turn, as ``_expand_or_cross`` walks
+    them, with one shared split table and one shared ``seen``: each emits
+    the reference walk's rects less those seen before. The kernels share a
+    few column spans at several rows, blocked and unblocked, so the table's
+    entries are reused across rows, heights and fallbacks."""
     fab = data.draw(fabrics())
-    kernel = data.draw(rects_in(fab.rows, fab.cols))
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
-    blocked = data.draw(st.one_of(st.none(), kinds))
-    expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
-    # rects emitted earlier are only ever free ones
-    seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
-    before = set(seen)
-    grown, free_row1 = _expand_horizontal(fab, kernel, needed, target, blocked, seen)
-    assert grown == [k for k in expected if k not in before]
-    assert free_row1 == max((k.row1 for k in expected), default=-1)
-    assert seen == before | set(expected)
-    # each stage emits only rects that hold its kind's need
-    assert all(resources_in_rect(fab, k).of(target) >= needed for k in expected)
+    spans = data.draw(st.lists(rects_in(1, fab.cols), min_size=1, max_size=3))
+    seen, splits = None, {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        span = data.draw(st.sampled_from(spans))
+        row0 = data.draw(st.integers(0, fab.rows - 1))
+        kernel = Rect(row0, span.col0, data.draw(st.integers(row0, fab.rows - 1)), span.col1)
+        blocked = data.draw(st.one_of(st.none(), kinds))
+        expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
+        if seen is None:
+            # rects emitted earlier are only ever free ones
+            seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
+        before = set(seen)
+        grown, free_row1 = _expand_horizontal(fab, kernel, needed, target, blocked, seen, splits)
+        assert grown == [k for k in expected if k not in before]
+        assert free_row1 == max((k.row1 for k in expected), default=-1)
+        assert seen == before | set(expected)
+        # each stage emits only rects that hold its kind's need
+        assert all(resources_in_rect(fab, k).of(target) >= needed for k in expected)
 
 
 requirements = st.builds(

@@ -44,9 +44,10 @@ def columns(cands):
 
 
 def expand(fabric, kernel, needed, target, blocked):
-    """One expansion with nothing seen before, whose highest free row1 is
-    then just that of the tallest rect it emitted; the rects as ``Rect``s."""
-    grown, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, set())
+    """One expansion with nothing seen before and an empty split table,
+    whose highest free row1 is then just that of the tallest rect it
+    emitted; the rects as ``Rect``s."""
+    grown, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, set(), {})
     grown = [Rect._make(k) for k in grown]
     assert free_row1 == max((k.row1 for k in grown), default=-1)
     return grown
@@ -199,17 +200,21 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     fab = parse_fabric("rows 1\ncolumns CCDCC\n")
     start = Rect(0, 2, 0, 2)
     seen = {Rect(0, 1, 0, 3)}
-    grown, free_row1 = _expand_horizontal(fab, start, 2, CLB, DSP, seen)
+    splits = {}
+    grown, free_row1 = _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits)
     assert grown == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
     assert free_row1 == 0
     assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
+    # the span's entry: its outward CLB columns, its per-row CLB count and
+    # its splits of two columns, in the order they were tried
+    assert splits == {(2, 2, DSP): ((1, 0), (3, 4), 0, {2: [(2, 4), (1, 3), (0, 2)]})}
     # every free split seen: nothing to emit, yet a free split existed
-    assert _expand_horizontal(fab, start, 2, CLB, DSP, seen) == ([], 0)
+    assert _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits) == ([], 0)
     # nothing free at all, and nothing recorded
     blocked = parse_fabric("rows 1\ncolumns DDCC\n")
     none_seen = set()
     assert _expand_horizontal(
-        blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen
+        blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen, {}
     ) == ([], -1)
     assert none_seen == set()
 

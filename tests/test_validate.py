@@ -35,6 +35,10 @@ def test_parse_roundtrip_fields():
 def test_parse_ar_bounds():
     doc = parse_floorplan(GOOD.replace("ar off", "ar 0.2 0.7"))
     assert doc.ar_bounds == (0.2, 0.7)
+    # floorplan accepts --ar-max inf, so the window's top may be infinite
+    doc = parse_floorplan(GOOD.replace("ar off", "ar 0.5 inf"))
+    assert doc.ar_bounds == (0.5, float("inf"))
+    assert parse_floorplan(GOOD.replace("ar off", "ar 0.5 0.5")).ar_bounds == (0.5, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +61,16 @@ def test_parse_ar_bounds():
             "mode alpha", "place a 0 0 2 1 5 0 0 36\nmode alpha"
         ),
         lambda t: t.replace("place b", "mode alpha 1 beta 0 ar off\nplace b"),
+        # weights floorplan refuses: not finite, negative, or both zero
+        lambda t: t.replace("alpha 1 beta 0", "alpha nan beta -3"),
+        lambda t: t.replace("alpha 1 beta 0", "alpha inf beta 0"),
+        lambda t: t.replace("alpha 1 beta 0", "alpha 1 beta -0.5"),
+        lambda t: t.replace("alpha 1 beta 0", "alpha 0 beta 0"),
+        # aspect-ratio windows outside 0 < lo <= hi
+        lambda t: t.replace("ar off", "ar -1 5"),
+        lambda t: t.replace("ar off", "ar 0 0"),
+        lambda t: t.replace("ar off", "ar nan nan"),
+        lambda t: t.replace("ar off", "ar 0.7 0.2"),
     ],
 )
 def test_parse_rejects_malformed(mutation):
@@ -125,6 +139,14 @@ def test_detects_duplicate_module():
     )
     problems = validate_floorplan(bad, FABRIC)
     assert any("placed twice" in p for p in problems)
+
+
+def test_verbatim_duplicate_is_one_violation():
+    """A repeated place line is reported as placed twice and kept out of
+    the overlap check, so it does not also overlap its first record."""
+    line = "place b 0 2 1 3 2 2 0 0\n"
+    bad = GOOD.replace(line, line + line)
+    assert validate_floorplan(bad, FABRIC) == ["b: placed twice"]
 
 
 def test_detects_aspect_ratio_violation():
