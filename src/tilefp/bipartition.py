@@ -8,10 +8,10 @@ the far side of an already-anchored external module), and knapsack rows per
 resource kind keep each half within its capacity, using the most optimistic
 footprint a module could take on that side. A candidate goes to a half
 that holds at least 75% of its area; modules with no candidate on either
-side stay behind at the parent's center and their requirement is charged to
-both halves in proportion to area. Two independent passes, one with
-vertical cuts and one with horizontal cuts, fix the x and the y coordinate
-of each anchor.
+side stay behind at the parent's center and each kind of their requirement
+is charged to both halves in proportion to the tiles of that kind each
+holds. Two independent passes, one with vertical cuts and one with
+horizontal cuts, fix the x and the y coordinate of each anchor.
 
 A pass starts from the whole device and cuts only along its own axis, so
 every partition spans the device across the cut and the 75% rule reduces
@@ -21,6 +21,9 @@ pass) or row span (horizontal pass) of a candidate list, holding the
 count and the componentwise-minimum resources of its candidates, which
 tessellation groups as it prices the list (``CandidateList.groups``). The
 rule, the mean extents and the minimum footprints are computed per group.
+Modules with equal requirements share one candidate list and so one tuple
+of groups; a halving splits each shared tuple once, and the split hands its
+members the same tuples again, so the sharing carries down the halvings.
 
 A halving fails when forced members overflow a half (``_build_bqp``
 raises), when the members' smaller footprints overflow both halves
@@ -38,7 +41,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Literal, Mapping, Sequence
 
 from .design import Connection, Design
@@ -195,7 +198,9 @@ def _build_bqp(
     is, and to ``const`` when neither is, so repeated connections add up.
     Each half's capacity is what ``fabric`` has available in it, less the
     footprints of the members fixed to it and a share of the tile needs
-    in ``requirements`` of the parent-only members, pro rata by area.
+    in ``requirements`` of the parent-only members: of each kind, the share
+    of that kind's available tiles the half holds, so a half with none of
+    a kind owes none. A kind neither half holds is shared by area.
     """
     child0, child1 = children
     by_id = {d.module_id: d for d in data}
@@ -223,11 +228,12 @@ def _build_bqp(
 
     avail0 = list(map(float, fabric.available_in_rect(child0)))
     avail1 = list(map(float, fabric.available_in_rect(child1)))
-    share0 = child0.tile_count / (child0.tile_count + child1.tile_count)
+    area0 = child0.tile_count / (child0.tile_count + child1.tile_count)
+    shares = [a / (a + b) if a + b else area0 for a, b in zip(avail0, avail1)]
     for m in parent_only:
         for k, amount in enumerate(requirements[m]):
-            avail0[k] -= amount * share0
-            avail1[k] -= amount * (1 - share0)
+            avail0[k] -= amount * shares[k]
+            avail1[k] -= amount * (1 - shares[k])
     for m, side in fixed.items():
         occ = by_id[m].occ0 if side == 0 else by_id[m].occ1
         target = avail0 if side == 0 else avail1
@@ -363,6 +369,53 @@ def _greedy_assignment(model: _BqpModel) -> list[int]:
     return out
 
 
+def _packed_assignment(model: _BqpModel) -> list[int] | None:
+    """Assignment that keeps each set of variables ``model.pairs`` joins on one side.
+
+    The sets go largest summed smaller CLB footprint first, each to the side
+    with the lower summed linear cost that still fits all three kinds; ties
+    go to the side with more CLB room left, then to side 0. Returns None
+    when a set fits neither side.
+    """
+    n = len(model.variables)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in model.pairs:
+        parent[find(i)] = find(j)
+    sets: dict[int, list[int]] = {}
+    for i in range(n):
+        sets.setdefault(find(i), []).append(i)
+    occs = (model.occ0, model.occ1)
+    avails = (model.avail0, model.avail1)
+    loads = ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    out = [0] * n
+    for members in sorted(
+        sets.values(), key=lambda s: -sum(min(occs[0][i][0], occs[1][i][0]) for i in s)
+    ):
+        best = None
+        for side in (0, 1):
+            load, avail = loads[side], avails[side]
+            need = [sum(occs[side][i][k] for i in members) for k in range(3)]
+            if all(load[k] + need[k] <= avail[k] for k in range(3)):
+                key = (sum(model.linear[i][side] for i in members), load[0] - avail[0])
+                if best is None or key < best[0]:
+                    best = (key, side, need)
+        if best is None:
+            return None
+        _, side, need = best
+        for k in range(3):
+            loads[side][k] += need[k]
+        for i in members:
+            out[i] = side
+    return out
+
+
 def _repair(model: _BqpModel, assignment: list[int]) -> list[int] | None:
     """Flip variables until capacity holds, greedily by overflow reduction."""
     current = _overflow(model, assignment)
@@ -392,6 +445,7 @@ def _local_search(model: _BqpModel, assignment: list[int]) -> list[int]:
     linear and pair terms. Only a move whose change is not clearly positive
     is summed in full and checked for capacity, so every accept or reject
     compares the same full objective sums as trying each move outright.
+    Every cost is nonnegative, so the sweeps stop once the objective is 0.
     """
     n = len(assignment)
     linear = model.linear
@@ -423,11 +477,13 @@ def _local_search(model: _BqpModel, assignment: list[int]) -> list[int]:
         return False
 
     best_obj = _objective_of(model, assignment)
-    improved = True
+    improved = best_obj > 0
     while improved:
         improved = False
         for i in range(n):
             if flip_change(i) <= best_obj * _SLACK and move(i):
+                if not best_obj:
+                    return assignment
                 improved = True
         changes = [flip_change(i) for i in range(n)]
         for i, j in itertools.combinations(range(n), 2):
@@ -442,13 +498,18 @@ def _local_search(model: _BqpModel, assignment: list[int]) -> list[int]:
                     corners[x ^ 1][y ^ 1] - corners[x ^ 1][y] - corners[x][y ^ 1] + corners[x][y]
                 )
             if change <= best_obj * _SLACK and move(i, j):
+                if not best_obj:
+                    return assignment
                 improved = True
                 changes = [flip_change(k) for k in range(n)]
     return assignment
 
 
 def _solve_branch_and_bound(
-    model: _BqpModel, seed: list[int] | None, node_budget: float
+    model: _BqpModel,
+    seed: list[int] | None,
+    node_budget: float,
+    upper: Sequence[int] | None = None,
 ) -> tuple[list[int] | None, int]:
     """Depth-first search from ``seed`` with two admissible bounds and a node cap.
 
@@ -465,11 +526,25 @@ def _solve_branch_and_bound(
     of the nodes the linear bound alone visits, finding the same
     incumbents in the same order. Returns the best assignment found (or
     ``seed``, or None) and the number of search nodes spent.
+
+    ``upper``, a feasible assignment of objective u, bounds the search
+    when T, the next double above u plus its ``_SLACK`` share, is below the
+    seed's objective: the search then starts with no incumbent and T as
+    the value to beat, and never returns ``upper`` itself. The cheapest
+    objective is at most u, below T and the seed's, so the unbounded
+    search ends on the first cheapest leaf in search order. Until the
+    bounded search holds a leaf below T it cuts only where the unbounded
+    one's incumbent is T or more, and from their first shared incumbent on
+    both make the same cuts. So a bounded search that finishes returns the
+    unbounded one's assignment within a subset of its nodes; one that
+    spends ``node_budget`` is followed by the unbounded search with
+    ``node_budget`` nodes of its own, whose result is returned with the
+    nodes of both.
     """
     n = len(model.variables)
     linear = model.linear
     best = seed
-    best_obj = math.inf if seed is None else _objective_of(model, seed)
+    best_obj = start = math.inf if seed is None else _objective_of(model, seed)
 
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -486,11 +561,12 @@ def _solve_branch_and_bound(
     load1 = [0.0, 0.0, 0.0]
     prefix = [0] * n
     nodes = 0
+    spent = False
 
     def descend(depth: int, cost: float, rest: float) -> None:
         """Branch on variable ``depth``; ``rest`` sums the cheapest settled
         cost of every variable from ``depth`` on."""
-        nonlocal best, best_obj, nodes
+        nonlocal best, best_obj, nodes, spent
         if depth == n:
             if cost < best_obj:
                 best, best_obj = prefix.copy(), cost
@@ -502,6 +578,7 @@ def _solve_branch_and_bound(
         side0, side1 = occ0[depth], occ1[depth]
         for v in (0, 1):
             if nodes >= node_budget:
+                spent = True
                 return
             nodes += 1
             step = cost + costs[v]
@@ -543,6 +620,16 @@ def _solve_branch_and_bound(
                 for j, a0, a1 in undo:
                     settled0[j] = a0
                     settled1[j] = a1
+    if upper is not None:
+        u = _objective_of(model, upper)
+        ceiling = math.nextafter(u + u * _SLACK, math.inf)
+        if ceiling < start:
+            best, best_obj = None, ceiling
+            descend(0, model.const, suffix_min[0])
+            if not spent:
+                return best, nodes
+            # the ceiling may have cut what the unbounded search keeps
+            best, best_obj, node_budget = seed, start, nodes + node_budget
     descend(0, model.const, suffix_min[0])
     return best, nodes
 
@@ -555,10 +642,13 @@ def _solve_bqp(model: _BqpModel) -> dict[str, int] | None:
     lexicographically first assignment. Beyond that it starts from a greedy
     seed, repaired to fit and improved by local search, and stops after
     ``NODE_BUDGET`` search nodes (read at call time), so results are
-    reproducible. Returns None when no feasible assignment exists (or
-    none was found within budget), and returns it before any search when
-    the variables' smaller footprints alone overflow both sides together
-    in some resource kind.
+    reproducible. There the search is also bounded by
+    ``_packed_assignment``, when that fits, which leaves its result as it
+    is and spares it the nodes the seed's objective alone cannot cut.
+    Returns None when no feasible assignment exists (or none was found
+    within budget), and returns it before any search when the variables'
+    smaller footprints alone overflow both sides together in some
+    resource kind.
     """
     if not model.variables:
         return {}
@@ -572,7 +662,7 @@ def _solve_bqp(model: _BqpModel) -> dict[str, int] | None:
         seed = _repair(model, _greedy_assignment(model))
         if seed is not None:
             seed = _local_search(model, seed)
-        bits, _ = _solve_branch_and_bound(model, seed, NODE_BUDGET)
+        bits, _ = _solve_branch_and_bound(model, seed, NODE_BUDGET, _packed_assignment(model))
     if bits is None:
         return None
     return dict(zip(model.variables, bits))
@@ -599,7 +689,9 @@ def _recursive_bipartition(
     requirements = {m.id: m.req for m in design.modules}
     root_lists = {m: options.groups[axis] for m, options in candidates.items()}
     lo, hi, _ = _CUT[axis]
-    extents = {m: _side_summary(g)[0] for m, g in root_lists.items() if g}
+    # per groups object: one summary for every module whose list it is
+    means = {id(g): _side_summary(g)[0] for g in root_lists.values() if g}
+    extents = {m: means[id(g)] for m, g in root_lists.items() if g}
 
     # (rect, each member's span groups, the anchors its solve may read)
     stack = [(bounds, {m: root_lists[m] for m in anchors}, dict(anchors))]
@@ -608,7 +700,17 @@ def _recursive_bipartition(
         if len(groups) < 2 or rect[hi] <= rect[lo]:
             continue
         children = _split_partition(rect, axis)
-        data = [_side_data(m, g, *children, axis) for m, g in groups.items()]
+        # per groups object, every one alive in ``groups``: one split for
+        # all the members that share it
+        splits: dict[int, _SideData] = {}
+        data = []
+        for m, g in groups.items():
+            split = splits.get(id(g))
+            if split is None:
+                split = splits[id(g)] = _side_data(m, g, *children, axis)
+            else:
+                split = replace(split, module_id=m)
+            data.append(split)
         started = time.perf_counter()
         reason = ""
         try:

@@ -17,10 +17,14 @@ from tilefp.bipartition import (
     _assignment_feasible,
     _build_bqp,
     _greedy_assignment,
+    _local_search,
     _objective_of,
+    _packed_assignment,
     _recursive_bipartition,
+    _repair,
     _side_data,
     _solve_bqp,
+    _solve_branch_and_bound,
     _split_partition,
     compute_anchors,
 )
@@ -301,6 +305,32 @@ def test_build_bqp_parent_only_deduction_and_external():
     assert model.linear[0][1] == 0
 
 
+def test_build_bqp_charges_parent_only_members_by_kind():
+    """Each kind of a parent-only requirement is charged to the halves in
+    proportion to the tiles of that kind they hold: the CLB-only left half
+    owes no BRAM and no DSP. A kind neither half holds is shared by area,
+    which overdraws both halves."""
+    fab = parse_fabric("rows 3\ncolumns CBD\n")
+    children = _split_partition(fab.bounds, "vertical")
+    clb0 = fab.available_in_rect(children[0])
+    assert (clb0.bram, clb0.dsp) == (0, 0)
+    model = _build_bqp(
+        fab, children, [sd("a")], [], {"a": (1.5, 1.5)}, "vertical", {},
+        {"a": ResourceVector(1, 1, 1)},
+    )
+    assert model.parent_only == ["a"]
+    assert model.avail0 == (clb0.clb - 1, 0, 0)
+    both = fab.available_in_rect(children[1])
+    assert model.avail1 == (both.clb, both.bram - 1, both.dsp - 1)
+
+    fab, children = two_halves(cols="CCC", rows=1)
+    with pytest.raises(InfeasibleModelError):
+        _build_bqp(
+            fab, children, [sd("a")], [], {"a": (1.5, 0.5)}, "vertical", {},
+            {"a": ResourceVector(1, 0, 3)},
+        )
+
+
 def test_build_bqp_costs_nonnegative_property():
     rng = random.Random(11)
     fab, children = two_halves()
@@ -397,6 +427,29 @@ def test_solver_rejects_footprints_that_cannot_fit_before_searching(monkeypatch,
     assert _solve_bqp(model) is None
 
 
+def test_packed_assignment_places_joined_sets_whole():
+    """{a, b} is the larger set and goes first, to its cheaper side 0 when
+    that holds it; c costs the same on either side and goes to the side
+    with more CLB room left, side 0 on a tie. With room for {a, b} on
+    neither side there is no packing."""
+    def model(avail0, avail1):
+        return _BqpModel(
+            variables=["a", "b", "c"],
+            linear=[(0.0, 1.0), (0.0, 0.0), (0.0, 0.0)],
+            pairs={(0, 1): ((0.0, 2.0), (2.0, 0.0))},
+            const=0.0,
+            occ0=[(2, 0, 0), (1, 0, 0), (1, 0, 0)],
+            occ1=[(2, 0, 0), (1, 0, 0), (1, 0, 0)],
+            avail0=(avail0, 0.0, 0.0),
+            avail1=(avail1, 0.0, 0.0),
+        )
+
+    assert _packed_assignment(model(4.0, 3.0)) == [0, 0, 1]
+    assert _packed_assignment(model(6.0, 3.0)) == [0, 0, 0]
+    assert _packed_assignment(model(2.0, 3.0)) == [1, 1, 0]
+    assert _packed_assignment(model(2.0, 2.0)) is None
+
+
 def test_solver_empty_model():
     model = _BqpModel([], [], {}, 3.0, [], [], (0, 0, 0), (0, 0, 0))
     assert _solve_bqp(model) == {}
@@ -406,31 +459,76 @@ class _RootBuilt(Exception):
     pass
 
 
-def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch):
+@pytest.fixture(scope="module")
+def scaling_root():
     """The first vertical halving of the scaling n = 50 design (xc7k410t,
-    design seed 50, scaling.cfg occupancy, no AR window) has 50 variables.
-    A search bounded by the linear costs alone needs 66,258 nodes to
-    finish; bounding by the pair costs to settled modules as well finishes
-    in 19,586, with the same assignment."""
+    design seed 50, scaling.cfg occupancy, no AR window): its model and the
+    members of each ``_side_data`` call that built it."""
     fab = parse_fabric(fixture_path("xc7k410t.fabric").read_text())
     design = generate_random_design(50, fab, (0.8, 0.3, 0.3), 50)
     cands = generate_placements(fab, design, ar_bounds=None)
-    built = []
+    built, split = [], []
+    side_data = bipartition._side_data
 
     def build_first(*args):
         built.append(_build_bqp(*args))
         raise _RootBuilt
 
-    monkeypatch.setattr(bipartition, "_build_bqp", build_first)
-    with pytest.raises(_RootBuilt):
-        _recursive_bipartition(fab, design, cands, "vertical")
+    def recording_side_data(module_id, *args):
+        split.append(module_id)
+        return side_data(module_id, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bipartition, "_build_bqp", build_first)
+        patch.setattr(bipartition, "_side_data", recording_side_data)
+        with pytest.raises(_RootBuilt):
+            _recursive_bipartition(fab, design, cands, "vertical")
     (model,) = built
+    return model, split
+
+
+def test_scaling_root_splits_each_shared_list_once(scaling_root):
+    """The 50 members of the scaling root share 23 candidate lists, so the
+    halving splits 23 groups tuples, one per list."""
+    model, split = scaling_root
+    assert len(model_members(model)) == 50
+    assert len(split) == len(set(split)) == 23
+
+
+def large_seed(model):
+    """The seed ``_solve_bqp`` searches from beyond ``EXACT_LIMIT``."""
+    seed = _repair(model, _greedy_assignment(model))
+    return None if seed is None else _local_search(model, seed)
+
+
+def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch, scaling_root):
+    """The scaling root has 50 variables. From the seed alone, a search
+    bounded by the linear costs needs 66,258 nodes to finish; bounding by
+    the pair costs to settled modules as well finishes in 19,586. Bounded
+    by the packed assignment too, which costs 0, it finishes in 10,768,
+    with the same assignment."""
+    model, _ = scaling_root
     assert len(model.variables) == 50
+    bits, nodes = _solve_branch_and_bound(model, large_seed(model), bipartition.NODE_BUDGET)
+    assert nodes == 19_586
+    assert _objective_of(model, _packed_assignment(model)) == 0
     searches = record_searches(monkeypatch)
     full = _solve_bqp(model)
-    assert searches == [(50, 19_586)]
-    monkeypatch.setattr(bipartition, "NODE_BUDGET", 19_586)
+    assert full == dict(zip(model.variables, bits))
+    assert searches == [(50, 10_768)]
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 10_768)
     assert _solve_bqp(model) == full
+
+
+def test_spent_packed_bound_falls_back_to_the_unbounded_search(monkeypatch, scaling_root):
+    """Under a node budget the bounded root search cannot finish within,
+    ``_solve_bqp`` returns what the search from the seed alone returns
+    under that budget."""
+    model, _ = scaling_root
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 5_000)
+    bits, _ = _solve_branch_and_bound(model, large_seed(model), 5_000)
+    assert bits is not None
+    assert _solve_bqp(model) == dict(zip(model.variables, bits))
 
 
 def record_searches(monkeypatch):
@@ -438,8 +536,8 @@ def record_searches(monkeypatch):
     search = bipartition._solve_branch_and_bound
     searches = []
 
-    def recording_search(model, seed, node_budget):
-        bits, nodes = search(model, seed, node_budget)
+    def recording_search(model, seed, node_budget, upper=None):
+        bits, nodes = search(model, seed, node_budget, upper)
         searches.append((len(model.variables), nodes))
         return bits, nodes
 
@@ -463,16 +561,18 @@ def anchor_searches(monkeypatch, fabric_name, design):
 
 
 # The node counts below were taken before the search loop was rewritten for
-# speed: a change that only makes the search faster keeps every one.
+# speed: a change that only makes the search faster keeps every one. The
+# scaling root's alone was lowered from 19,586 to 10,768 by the packed
+# bound, which leaves every assignment as it was.
 
 def test_scaling_search_node_counts_are_pinned(monkeypatch):
     searches = anchor_searches(monkeypatch, "xc7k410t.fabric", (50, (0.8, 0.3, 0.3), 50))
     assert searches == [
-        (50, 19586), (19, 2), (5, 10), (5, 10), (2, 4), (3, 6), (14, 138), (7, 28),
+        (50, 10768), (19, 2), (5, 10), (5, 10), (2, 4), (3, 6), (14, 138), (7, 28),
         (3, 8), (31, 2), (16, 176), (8, 154), (8, 250), (15, 492), (8, 136), (4, 8),
         (2, 4), (7, 138), (50, 2), (33, 2), (21, 2), (17, 114),
     ]
-    assert sum(nodes for _, nodes in searches) == 21_272
+    assert sum(nodes for _, nodes in searches) == 12_454
 
 
 @pytest.mark.parametrize("design, searches, nodes", [

@@ -580,6 +580,19 @@ def test_infeasible_floorplan_exit_code(tmp_path, capsys):
     )
 
 
+def test_parent_only_member_owes_no_kind_a_half_lacks(tmp_path, capsys):
+    """``a`` fits only across all three columns, so it stays at the root.
+    The CLB-only left half owes none of its BRAM and DSP tile, so ``b``
+    can go there, and the floorplan that exists is found."""
+    fab = write(tmp_path, "t.fabric", "rows 3\ncolumns CBD\n")
+    design = write(tmp_path, "t.design", "module a 1 1 1\nmodule b 1 0 0\n")
+    plan = tmp_path / "t.fp"
+    argv = ["floorplan", "--fabric", fab, "--design", design, "--no-ar", "--out", str(plan)]
+    assert main(argv) == 0
+    assert main(["validate", "--fabric", fab, "--plan", str(plan)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
+
+
 def test_failed_root_solve_exit_code(tmp_path, capsys, monkeypatch):
     """A root halving whose search finds no feasible leaf ends the run like
     one whose forced members overflow a side: exit 3."""

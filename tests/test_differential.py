@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tilefp import place
+from tilefp import bipartition, place
 from tilefp.bipartition import (
     EXACT_LIMIT,
     _BqpModel,
@@ -18,6 +18,7 @@ from tilefp.bipartition import (
     _build_bqp,
     _greedy_assignment,
     _local_search,
+    _packed_assignment,
     _repair,
     _side_data,
     _solve_bqp,
@@ -48,6 +49,7 @@ from helpers import (
     base_kernels_walk,
     branch_and_bound_walk,
     candidate_records,
+    capacity_holds_walk,
     columns_outward_walk,
     coordinate_sums_walk,
     cut_cost_walk,
@@ -771,6 +773,65 @@ def test_search_needs_no_more_nodes_than_walk(model):
         assert got == bits
     else:
         assert got is not None and objective_walk(model, got) <= objective_walk(model, bits)
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(1, EXACT_LIMIT + 10))
+def test_packed_assignment_fits_and_keeps_pairs_together(model):
+    packed = _packed_assignment(model)
+    if packed is not None:
+        assert capacity_holds_walk(model, packed)
+        assert all(packed[i] == packed[j] for i, j in model.pairs)
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(EXACT_LIMIT + 1, EXACT_LIMIT + 10))
+def test_packed_bound_keeps_the_unbounded_assignment(model):
+    """Beyond the exact range ``_solve_bqp`` also bounds its search by the
+    packed assignment. It returns what the search from the same seed alone
+    returns, and when that search finishes, in no more nodes; when only
+    the bounded search finishes, it returns no dearer an assignment."""
+    seed = _repair(model, _greedy_assignment(model))
+    if seed is not None:
+        seed = _local_search(model, seed)
+    bits, nodes = _solve_branch_and_bound(model, seed, WALK_BUDGET)
+    search = bipartition._solve_branch_and_bound
+    spent = []
+
+    def recording_search(*args):
+        got, used = search(*args)
+        spent.append(used)
+        return got, used
+
+    with mock.patch.object(bipartition, "NODE_BUDGET", WALK_BUDGET), \
+            mock.patch.object(bipartition, "_solve_branch_and_bound", recording_search):
+        result = _solve_bqp(model)
+    got = None if result is None else [result[m] for m in model.variables]
+    if spent and spent[0] < WALK_BUDGET <= nodes:
+        assert got is not None and objective_walk(model, got) <= objective_walk(model, bits)
+    else:
+        assert got == bits
+        if spent and nodes < WALK_BUDGET:
+            assert spent[0] <= nodes
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(2, EXACT_LIMIT + 4), st.data())
+def test_spent_packed_bound_hands_over_to_the_unbounded_search(model, data):
+    """Under any node budget, the search bounded by the packed assignment
+    finishes with the unbounded search's assignment, or spends the budget
+    and returns what the unbounded search returns under it."""
+    upper = _packed_assignment(model)
+    if upper is None:
+        return
+    full, _ = _solve_branch_and_bound(model, None, math.inf)
+    _, needed = _solve_branch_and_bound(model, None, math.inf, upper)
+    budget = data.draw(st.integers(1, needed))
+    got, nodes = _solve_branch_and_bound(model, None, budget, upper)
+    if nodes <= budget:
+        assert got == full
+    else:
+        assert got == _solve_branch_and_bound(model, None, budget)[0]
 
 
 @BQP_PROPERTY

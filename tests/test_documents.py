@@ -36,6 +36,11 @@ design and the three dense designs, failed solves included: each model's
 variables, cost tables in full, capacities, fixed and parent-only members,
 and what ``_solve_bqp`` returned for it. Floats are pinned bit for bit, so a
 change to how connections are priced shows up even where the anchors stay.
+
+``data/reserved_documents.sha256`` pins the documents of SDR, with and
+without the aspect-ratio window, and of a generated n=16 design on fx70t
+with a reserved hard block, so a change to the paths that skip reserved
+tiles in tessellation and placement shows up. No fixture fabric has one.
 """
 
 import contextlib
@@ -269,3 +274,26 @@ def test_bqp_models_are_pinned(monkeypatch, digest, options):
     monkeypatch.setattr(bipartition, "_solve_bqp", recording_solve)
     compute_anchors(fabric, design, generate_placements(fabric, design, ar_bounds))
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("reserved_documents.sha256"))
+def test_reserved_tile_documents_are_pinned(tmp_path, digest, options):
+    wastage, design_spec, *flags = options
+    fabric_text = fixture_path("fx70t.fabric").read_text() + "reserved 4 15 7 21\n"
+    fabric_path = tmp_path / "reserved.fabric"
+    fabric_path.write_text(fabric_text)
+    design_path = tmp_path / "pinned.design"
+    design_path.write_text(write_design(pinned_design(parse_fabric(fabric_text), design_spec)))
+    out = tmp_path / "plan.fp"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "floorplan", "--fabric", str(fabric_path), "--design", str(design_path),
+            "--out", str(out), *flags,
+        ])
+    assert code == 0
+    document = out.read_text()
+    assert validate_floorplan(document, fabric_text) == []
+    total = document.splitlines()[-1].split()
+    assert total[:2] == ["total", "wastage"]
+    assert total[2] == wastage
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -33,7 +33,9 @@ def test_one_tree_on_both_sides_times_every_sdr_case():
     for case in SDR_CASES:
         rows = [line.split() for line in lines if line.startswith(case)]
         assert [row[1] for row in rows] == ["A", "B"]
-        assert all(len(row) == 7 for row in rows)  # four stages and the run
+        assert all(len(row) == 8 for row in rows)  # four stages, the run and the nodes
+        # one tree spends the same halving-search nodes on both sides
+        assert rows[0][-1].isdigit() and rows[0][-1] == rows[1][-1]
         # the case's win counts follow its B row: the run's, then each stage's
         first = next(k for k, line in enumerate(lines) if line.startswith(case))
         assert wins.fullmatch(lines[first + 2]), lines[first + 2]

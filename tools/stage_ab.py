@@ -23,10 +23,12 @@ sides with the cyclic garbage collector off, A first in even rounds and B
 first in odd ones. Per case and side it prints the median
 milliseconds of four stages (tessellation: ``generate_placements``;
 anchors: ``compute_anchors``; scoring: ``_rank`` and ``order_modules``;
-search: ``_place``) and of the whole run, and in how many rounds B was
-faster than A: over the whole run, and next to that in each stage. The
-stages are timed by wrapping those names in each tree's ``place``
-module, so both trees must define them.
+search: ``_place``) and of the whole run, then the nodes its halving
+searches spent in the first run, and in how many rounds B was faster than
+A: over the whole run, and next to that in each stage. The stages are
+timed by wrapping those names in each tree's ``place`` module, so both
+trees must define them; the nodes are counted by wrapping each tree's
+``bipartition._solve_branch_and_bound``, whatever its parameters.
 
 Only the standard library is used, and ``perfbench/`` is only read.
 """
@@ -76,9 +78,12 @@ class Tree:
     label: str
     package: str
     times: dict[str, float] = dataclasses.field(default_factory=dict)
+    nodes: int = 0
 
     def __post_init__(self) -> None:
         self.place = importlib.import_module(f"{self.package}.place")
+        bipartition = importlib.import_module(f"{self.package}.bipartition")
+        bipartition._solve_branch_and_bound = self.counted(bipartition._solve_branch_and_bound)
         self.tessellation = importlib.import_module(f"{self.package}.tessellation")
         self.fabric = importlib.import_module(f"{self.package}.fabric")
         self.design = importlib.import_module(f"{self.package}.design")
@@ -100,11 +105,21 @@ class Tree:
 
         return wrapper
 
+    def counted(self, search):
+        def wrapper(*args):
+            bits, nodes = search(*args)
+            self.nodes += nodes
+            return bits, nodes
+
+        return wrapper
+
     def run(self, inputs: tuple) -> tuple[float, str, list[dict]]:
         """One floorplan run: its seconds, its document (or error) and its
-        solver-log records without ``solve_ms``; ``times`` holds its stages."""
+        solver-log records without ``solve_ms``; ``times`` holds its stages
+        and ``nodes`` its halving-search nodes."""
         fabric, design, ar_bounds, time_budget = inputs
         self.times.clear()
+        self.nodes = 0
         log = io.StringIO()
         started = perf_counter()
         try:
@@ -202,8 +217,10 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     differ = []
+    nodes = {}
     for case_id, pair in inputs.items():
         (_, doc_a, log_a), (_, doc_b, log_b) = (tree.run(i) for tree, i in zip(sides, pair))
+        nodes[case_id] = [tree.nodes for tree in sides]
         lists_a, lists_b = (tree.lists(i) for tree, i in zip(sides, pair))
         if doc_a != doc_b or log_a != log_b or lists_a != lists_b:
             differ.append(case_id)
@@ -234,11 +251,11 @@ def main(argv: list[str] | None = None) -> int:
 
     columns = [*STAGES, "run"]
     print(f"median ms of {opts.rounds} rounds, GC off, first side alternating")
-    print(f"{'case':<22}{'side':<6}" + "".join(f"{c:>14}" for c in columns))
+    print(f"{'case':<22}{'side':<6}" + "".join(f"{c:>14}" for c in [*columns, "nodes"]))
     for case_id, (taken_a, taken_b) in samples.items():
-        for label, taken in (("A", taken_a), ("B", taken_b)):
+        for label, taken, spent in zip("AB", (taken_a, taken_b), nodes[case_id]):
             cells = "".join(f"{statistics.median(taken[c]) * 1000:>14.1f}" for c in columns)
-            print(f"{case_id:<22}{label:<6}{cells}")
+            print(f"{case_id:<22}{label:<6}{cells}{spent:>14}")
         wins = {c: sum(b < a for a, b in zip(taken_a[c], taken_b[c])) for c in columns}
         stages = ", ".join(f"{stage} {wins[stage]}" for stage in STAGES)
         change = statistics.median(taken_b["run"]) / statistics.median(taken_a["run"]) - 1
