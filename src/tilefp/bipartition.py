@@ -20,7 +20,8 @@ therefore handled as span groups: one per distinct column span (vertical
 pass) or row span (horizontal pass) of a candidate list, holding the
 count and the componentwise-minimum resources of its candidates, which
 tessellation groups as it prices the list (``CandidateList.groups``). The
-rule, the mean extents and the minimum footprints are computed per group.
+rule, the mean extents and the minimum footprints are computed per group,
+in one pass over a module's groups.
 Modules with equal requirements share one candidate list and so one tuple
 of groups; a halving splits each shared tuple once, and the split hands its
 members the same tuples again, so the sharing carries down the halvings.
@@ -140,11 +141,10 @@ def _split_partition(rect: Rect, axis: _Axis) -> tuple[Rect, Rect]:
     return rect._replace(**{Rect._fields[hi]: mid - 1}), rect._replace(**{Rect._fields[lo]: mid})
 
 
-def _side_summary(groups: Sequence[_SpanGroup]) -> tuple[float, ResourceVector]:
-    """Mean extent and componentwise-minimum footprint of nonempty groups."""
-    _, _, counts, clb, bram, dsp = zip(*groups)
+def _mean_extent(groups: Sequence[_SpanGroup]) -> float:
+    """Mean extent along the cut axis of the candidates of nonempty groups."""
     extent = sum(n * (hi - lo + 1) for lo, hi, n, _, _, _ in groups)
-    return extent / sum(counts), ResourceVector(min(clb), min(bram), min(dsp))
+    return extent / sum(g[2] for g in groups)
 
 
 def _side_data(
@@ -155,22 +155,47 @@ def _side_data(
     A group lands on the first half that holds at least 75% of its span
     along the cut axis, and on neither when no half does. That is the 75%
     area rule for partitions that, like every partition of a pass, span the
-    whole device across the cut.
+    whole device across the cut. The same loop sums each half's extents
+    and candidate counts and keeps its per-kind minima.
     """
     i, j, _ = _CUT[axis]
     lo0, hi0, lo1, hi1 = child0[i], child0[j], child1[i], child1[j]
     p0: list[_SpanGroup] = []
     p1: list[_SpanGroup] = []
+    extent0 = count0 = extent1 = count1 = 0
+    clb0 = bram0 = dsp0 = clb1 = bram1 = dsp1 = math.inf
     for g in groups:
-        lo, hi = g[0], g[1]
-        span3 = (hi - lo + 1) * 3
-        if ((hi if hi < hi0 else hi0) - (lo if lo > lo0 else lo0) + 1) * 4 >= span3:
+        lo, hi, n, clb, bram, dsp = g
+        span = hi - lo + 1
+        if ((hi if hi < hi0 else hi0) - (lo if lo > lo0 else lo0) + 1) * 4 >= span * 3:
             p0.append(g)
-        elif ((hi if hi < hi1 else hi1) - (lo if lo > lo1 else lo1) + 1) * 4 >= span3:
+            extent0 += n * span
+            count0 += n
+            if clb < clb0:
+                clb0 = clb
+            if bram < bram0:
+                bram0 = bram
+            if dsp < dsp0:
+                dsp0 = dsp
+        elif ((hi if hi < hi1 else hi1) - (lo if lo > lo1 else lo1) + 1) * 4 >= span * 3:
             p1.append(g)
-    w0, occ0 = _side_summary(p0) if p0 else (None, None)
-    w1, occ1 = _side_summary(p1) if p1 else (None, None)
-    return _SideData(module_id, tuple(p0), tuple(p1), w0, w1, occ0, occ1)
+            extent1 += n * span
+            count1 += n
+            if clb < clb1:
+                clb1 = clb
+            if bram < bram1:
+                bram1 = bram
+            if dsp < dsp1:
+                dsp1 = dsp
+    return _SideData(
+        module_id,
+        tuple(p0),
+        tuple(p1),
+        extent0 / count0 if p0 else None,
+        extent1 / count1 if p1 else None,
+        ResourceVector(clb0, bram0, dsp0) if p0 else None,  # type: ignore[arg-type]
+        ResourceVector(clb1, bram1, dsp1) if p1 else None,  # type: ignore[arg-type]
+    )
 
 
 def _build_bqp(
@@ -540,6 +565,21 @@ def _solve_branch_and_bound(
     spends ``node_budget`` is followed by the unbounded search with
     ``node_budget`` nodes of its own, whose result is returned with the
     nodes of both.
+
+    A search that starts with a value to beat, from ``seed`` or under
+    ``upper``, also fixes variables by reduced cost (Nemhauser & Wolsey,
+    1988). Past the settled bound, let ``gap`` be what the branch may still
+    add before it exceeds the incumbent by more than the slack. An unset
+    variable whose settled cost on one side exceeds the other's by more
+    than ``gap`` takes the cheaper side in every leaf that could replace
+    the incumbent, so that side's footprint joins its load, and the branch
+    is cut when a forced load overflows. A leaf it removes either holds a
+    variable on its dearer side, and so costs more than the settled bound
+    already allows, or holds every forced footprint and so overflows. The
+    search thus finds the same incumbents in the same order, within a
+    subset of its nodes. An unseeded search without ``upper`` fixes
+    nothing, and neither does the unseeded rerun after a spent bound, so
+    that rerun is the search a call without ``upper`` makes.
     """
     n = len(model.variables)
     linear = model.linear
@@ -562,6 +602,40 @@ def _solve_branch_and_bound(
     prefix = [0] * n
     nodes = 0
     spent = False
+
+    # spread[j] bounds |settled0[j] - settled1[j]|, reach[d] is its largest
+    # value from variable d on, and ``order`` walks the variables by
+    # decreasing spread; a reach of 0 throughout fixes nothing
+    reach = unfixed = [0.0] * (n + 1)
+    if seed is not None or upper is not None:
+        spread = [abs(c[0] - c[1]) for c in linear]
+        for (_, j), ((c00, c01), (c10, c11)) in model.pairs.items():
+            spread[j] += max(abs(c00 - c01), abs(c10 - c11))
+        reach = list(itertools.accumulate(reversed(spread), max, initial=0.0))[::-1]
+        order = sorted(range(n), key=lambda j: -spread[j])
+
+    def forced_fit(depth: int, gap: float) -> bool:
+        """Whether the loads still fit once every unset variable whose
+        settled costs differ by more than ``gap`` takes its cheaper side."""
+        f0, f1 = load0.copy(), load1.copy()
+        for j in order:
+            if spread[j] <= gap:
+                break
+            if j > depth:
+                diff = settled0[j] - settled1[j]
+                if diff > gap:
+                    f, occ = f1, occ1[j]
+                elif -diff > gap:
+                    f, occ = f0, occ0[j]
+                else:
+                    continue
+                f[0] += occ[0]
+                f[1] += occ[1]
+                f[2] += occ[2]
+        return (
+            f0[0] <= avail0[0] and f0[1] <= avail0[1] and f0[2] <= avail0[2]
+            and f1[0] <= avail1[0] and f1[1] <= avail1[1] and f1[2] <= avail1[2]
+        )
 
     def descend(depth: int, cost: float, rest: float) -> None:
         """Branch on variable ``depth``; ``rest`` sums the cheapest settled
@@ -607,12 +681,14 @@ def _solve_branch_and_bound(
                     settled1[j] = b1
                     bound += (b0 if b0 < b1 else b1) - (a0 if a0 < a1 else a1)
                     undo.append((j, a0, a1))
-            if step + bound <= best_obj + best_obj * _SLACK:
+            gap = best_obj + best_obj * _SLACK - (step + bound)
+            if gap >= 0:
                 prefix[depth] = v
                 load[0] += occ[0]
                 load[1] += occ[1]
                 load[2] += occ[2]
-                descend(depth + 1, step, bound)
+                if gap >= reach[depth + 1] or forced_fit(depth, gap):
+                    descend(depth + 1, step, bound)
                 load[0] -= occ[0]
                 load[1] -= occ[1]
                 load[2] -= occ[2]
@@ -630,6 +706,8 @@ def _solve_branch_and_bound(
                 return best, nodes
             # the ceiling may have cut what the unbounded search keeps
             best, best_obj, node_budget = seed, start, nodes + node_budget
+            if seed is None:
+                reach = unfixed
     descend(0, model.const, suffix_min[0])
     return best, nodes
 
@@ -643,8 +721,10 @@ def _solve_bqp(model: _BqpModel) -> dict[str, int] | None:
     seed, repaired to fit and improved by local search, and stops after
     ``NODE_BUDGET`` search nodes (read at call time), so results are
     reproducible. There the search is also bounded by
-    ``_packed_assignment``, when that fits, which leaves its result as it
-    is and spares it the nodes the seed's objective alone cannot cut.
+    ``_packed_assignment``, when that fits, and, having a value to beat
+    from the start, fixes variables by reduced cost; both leave its result
+    as it is and spare it nodes the seed's objective alone cannot cut.
+    The exact searches start with nothing to beat and fix nothing.
     Returns None when no feasible assignment exists (or none was found
     within budget), and returns it before any search when the variables'
     smaller footprints alone overflow both sides together in some
@@ -689,8 +769,9 @@ def _recursive_bipartition(
     requirements = {m.id: m.req for m in design.modules}
     root_lists = {m: options.groups[axis] for m, options in candidates.items()}
     lo, hi, _ = _CUT[axis]
-    # per groups object: one summary for every module whose list it is
-    means = {id(g): _side_summary(g)[0] for g in root_lists.values() if g}
+    # per groups object: one mean for every module whose list it is
+    shared = {id(g): g for g in root_lists.values() if g}
+    means = {key: _mean_extent(g) for key, g in shared.items()}
     extents = {m: means[id(g)] for m, g in root_lists.items() if g}
 
     # (rect, each member's span groups, the anchors its solve may read)

@@ -504,31 +504,36 @@ def large_seed(model):
 def test_settled_interconnect_bound_prunes_scaling_root(monkeypatch, scaling_root):
     """The scaling root has 50 variables. From the seed alone, a search
     bounded by the linear costs needs 66,258 nodes to finish; bounding by
-    the pair costs to settled modules as well finishes in 19,586. Bounded
-    by the packed assignment too, which costs 0, it finishes in 10,768,
-    with the same assignment."""
+    the pair costs to settled modules as well finishes in 19,586, and
+    fixing variables by reduced cost too in 4,976. Bounded by the packed
+    assignment too, which costs 0, it finishes in 1,410 (10,768 without
+    fixing), with the same assignment."""
     model, _ = scaling_root
     assert len(model.variables) == 50
     bits, nodes = _solve_branch_and_bound(model, large_seed(model), bipartition.NODE_BUDGET)
-    assert nodes == 19_586
+    assert nodes == 4_976
     assert _objective_of(model, _packed_assignment(model)) == 0
     searches = record_searches(monkeypatch)
     full = _solve_bqp(model)
     assert full == dict(zip(model.variables, bits))
-    assert searches == [(50, 10_768)]
-    monkeypatch.setattr(bipartition, "NODE_BUDGET", 10_768)
+    assert searches == [(50, 1_410)]
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 1_410)
     assert _solve_bqp(model) == full
 
 
 def test_spent_packed_bound_falls_back_to_the_unbounded_search(monkeypatch, scaling_root):
     """Under a node budget the bounded root search cannot finish within,
     ``_solve_bqp`` returns what the search from the seed alone returns
-    under that budget."""
+    under that budget. The one search call spends the budget bounded and
+    then the budget again from the seed alone, which needs 4,976 nodes to
+    finish."""
     model, _ = scaling_root
-    monkeypatch.setattr(bipartition, "NODE_BUDGET", 5_000)
-    bits, _ = _solve_branch_and_bound(model, large_seed(model), 5_000)
-    assert bits is not None
+    monkeypatch.setattr(bipartition, "NODE_BUDGET", 1_000)
+    bits, nodes = _solve_branch_and_bound(model, large_seed(model), 1_000)
+    assert bits is not None and nodes == 1_000
+    searches = record_searches(monkeypatch)
     assert _solve_bqp(model) == dict(zip(model.variables, bits))
+    assert searches == [(50, 2_000)]
 
 
 def record_searches(monkeypatch):
@@ -560,19 +565,23 @@ def anchor_searches(monkeypatch, fabric_name, design):
     return searches
 
 
-# The node counts below were taken before the search loop was rewritten for
-# speed: a change that only makes the search faster keeps every one. The
-# scaling root's alone was lowered from 19,586 to 10,768 by the packed
-# bound, which leaves every assignment as it was.
+# The node counts below move only down, and only with a pruning rule that
+# leaves every assignment, document and solver-log record as it was; a
+# change that only makes the search loop faster keeps every one. The
+# scaling root's went 19,586 -> 10,768 with the packed bound and 10,768 ->
+# 1,410 with reduced-cost fixing, which also took the last search, of 17
+# variables, from 114 to 64 nodes. Fixing runs only in searches that start
+# with a value to beat, so the exact searches of the fx70t designs keep
+# their counts.
 
 def test_scaling_search_node_counts_are_pinned(monkeypatch):
     searches = anchor_searches(monkeypatch, "xc7k410t.fabric", (50, (0.8, 0.3, 0.3), 50))
     assert searches == [
-        (50, 10768), (19, 2), (5, 10), (5, 10), (2, 4), (3, 6), (14, 138), (7, 28),
+        (50, 1410), (19, 2), (5, 10), (5, 10), (2, 4), (3, 6), (14, 138), (7, 28),
         (3, 8), (31, 2), (16, 176), (8, 154), (8, 250), (15, 492), (8, 136), (4, 8),
-        (2, 4), (7, 138), (50, 2), (33, 2), (21, 2), (17, 114),
+        (2, 4), (7, 138), (50, 2), (33, 2), (21, 2), (17, 64),
     ]
-    assert sum(nodes for _, nodes in searches) == 12_454
+    assert sum(nodes for _, nodes in searches) == 3_046
 
 
 @pytest.mark.parametrize("design, searches, nodes", [

@@ -784,6 +784,12 @@ def test_packed_assignment_fits_and_keeps_pairs_together(model):
         assert all(packed[i] == packed[j] for i, j in model.pairs)
 
 
+def large_seed(model):
+    """The seed ``_solve_bqp`` searches from beyond ``EXACT_LIMIT``."""
+    seed = _repair(model, _greedy_assignment(model))
+    return None if seed is None else _local_search(model, seed)
+
+
 @BQP_PROPERTY
 @given(fractional_bqp_models(EXACT_LIMIT + 1, EXACT_LIMIT + 10))
 def test_packed_bound_keeps_the_unbounded_assignment(model):
@@ -791,9 +797,7 @@ def test_packed_bound_keeps_the_unbounded_assignment(model):
     packed assignment. It returns what the search from the same seed alone
     returns, and when that search finishes, in no more nodes; when only
     the bounded search finishes, it returns no dearer an assignment."""
-    seed = _repair(model, _greedy_assignment(model))
-    if seed is not None:
-        seed = _local_search(model, seed)
+    seed = large_seed(model)
     bits, nodes = _solve_branch_and_bound(model, seed, WALK_BUDGET)
     search = bipartition._solve_branch_and_bound
     spent = []
@@ -813,6 +817,55 @@ def test_packed_bound_keeps_the_unbounded_assignment(model):
         assert got == bits
         if spent and nodes < WALK_BUDGET:
             assert spent[0] <= nodes
+
+
+# Variable 0 costs 0.5 on side 1 and needs no tile; the 16 others cost 1 on
+# side 1 and one CLB on either side, and side 0 holds 15 CLBs. The seed
+# costs 1, so a branch with variable 0 on side 1 may add at most 0.5 more:
+# every other variable is forced to side 0, where 16 CLBs overflow it.
+FORCED_OVERFLOW = _BqpModel(
+    [f"m{i}" for i in range(17)],
+    [(0.0, 0.5)] + [(0.0, 1.0)] * 16,
+    {},
+    0.0,
+    [(0, 0, 0)] + [(1, 0, 0)] * 16,
+    [(0, 0, 0)] + [(1, 0, 0)] * 16,
+    (15.0, 0.0, 0.0),
+    (17.0, 0.0, 0.0),
+)
+
+
+@BQP_PROPERTY
+@given(fractional_bqp_models(EXACT_LIMIT + 1, EXACT_LIMIT + 10))
+@example(FORCED_OVERFLOW)
+def test_fixing_search_returns_the_walks_assignment_in_no_more_nodes(model):
+    """Beyond the exact range the search from ``_solve_bqp``'s seed fixes
+    variables by reduced cost, with or without the packed assignment as
+    ``upper``. Wherever the walk, which bounds by linear costs alone and
+    fixes nothing, finishes, the search returns its assignment within as
+    many nodes."""
+    seed = large_seed(model)
+    bits, walked = branch_and_bound_walk(model, None if seed is None else seed.copy(), WALK_BUDGET)
+    if walked >= WALK_BUDGET:
+        return
+    for upper in (None, _packed_assignment(model)):
+        got, nodes = _solve_branch_and_bound(
+            model, None if seed is None else seed.copy(), WALK_BUDGET, upper
+        )
+        assert got == bits
+        assert nodes <= walked
+
+
+def test_forced_overflow_example_needs_fewer_nodes():
+    """On ``FORCED_OVERFLOW`` the walk, like the search before it fixed
+    variables, spends 66 nodes; fixing cuts every branch with variable 0
+    on side 1 at once, and the search spends 34."""
+    seed = large_seed(FORCED_OVERFLOW)
+    assert objective_walk(FORCED_OVERFLOW, seed) == 1.0
+    bits, walked = branch_and_bound_walk(FORCED_OVERFLOW, seed.copy(), WALK_BUDGET)
+    got, nodes = _solve_branch_and_bound(FORCED_OVERFLOW, seed.copy(), WALK_BUDGET)
+    assert got == bits
+    assert (walked, nodes) == (66, 34)
 
 
 @BQP_PROPERTY
