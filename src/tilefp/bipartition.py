@@ -30,10 +30,9 @@ A halving fails when forced members overflow a half (``_build_bqp``
 raises), when the members' smaller footprints overflow both halves
 together, or when the search finds no feasible leaf (``_solve_bqp``
 returns None). Its members then all keep the partition's center and
-nothing inside it is halved. A failure at the device root raises
-``InfeasibleModelError``, which the CLI reports as
-``INFEASIBLE_FLOORPLAN`` with exit 3; when ``_build_bqp`` raised, its
-reason follows the pass.
+nothing inside it is halved; at the device root, every anchor of the
+pass stays at the device center. Anchors only steer scoring, so a failed
+halving never ends a run: ``compute_anchors`` raises no error.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ _SLACK = 1e-9
 
 
 class InfeasibleModelError(Exception):
-    """No side assignment can satisfy the capacity constraints."""
+    """Forced members overflow a half: ``_build_bqp``'s signal that its
+    halving failed, caught by ``_recursive_bipartition``."""
 
 
 @dataclass(frozen=True)
@@ -793,21 +793,17 @@ def _recursive_bipartition(
                 split = replace(split, module_id=m)
             data.append(split)
         started = time.perf_counter()
-        reason = ""
         try:
             model = _build_bqp(
                 fabric, children, data, design.connections, snapshot, axis,
                 extents, requirements,
             )
             assignment = _solve_bqp(model)
-        except InfeasibleModelError as exc:
-            assignment, reason = None, f": {exc}"
+        except InfeasibleModelError:
+            assignment = None
         if assignment is None:
-            if rect == bounds:
-                raise InfeasibleModelError(
-                    f"no feasible side assignment at the device root ({axis} pass){reason}"
-                )
-            # members keep the partition's center; placement may still succeed
+            # members keep the partition's center, the root's included;
+            # placement may still succeed
             continue
         if log is not None:
             record = {

@@ -4,17 +4,16 @@ Exit codes for the ``floorplan`` subcommand: 0 success, 1 unreadable,
 undecodable (not UTF-8) or malformed input, a device too large to hold in
 memory, an out-of-range option or an unwritable output, 2 a module that
 fits nowhere on the device, 3 no non-overlapping floorplan (the placement
-search proved none exists, or the halving at the device root found no
-feasible side assignment), 4 the placement search stopped at its node
-budgets or at the ``--time-budget`` safety net. Every ``floorplan``
-invocation ends with one summary line no matter how it exits; it goes to
-standard output unless a successful run writes its document there. The
-document goes to standard output when ``--out`` is absent or empty
-(``--out ""``), and to the named file otherwise. ``generate`` does the
-same with ``OK modules=<n>`` (exit 0), ``PARSE_ERROR modules=0`` (exit 1:
-an unreadable, undecodable, malformed or oversized fabric, or an
-unwritable output) or ``INFEASIBLE_DESIGN modules=0`` (exit 2: a count or
-occupancy it cannot meet).
+search proved that none exists among the candidates), 4 the placement
+search stopped at its node budgets or at the ``--time-budget`` safety net.
+Every ``floorplan`` invocation ends with one summary line no matter how it
+exits; it goes to standard output unless a successful run writes its
+document there. The document goes to standard output when ``--out`` is
+absent or empty (``--out ""``), and to the named file otherwise.
+``generate`` does the same with ``OK modules=<n>`` (exit 0), ``PARSE_ERROR
+modules=0`` (exit 1: an unreadable, undecodable, malformed or oversized
+fabric, or an unwritable output) or ``INFEASIBLE_DESIGN modules=0`` (exit
+2: a count or occupancy it cannot meet).
 
 ``validate`` exits 0 for a valid document, 1 for an unreadable,
 undecodable or malformed plan or fabric (or a device too large to hold in
@@ -52,7 +51,6 @@ import time
 from pathlib import Path
 from typing import NoReturn
 
-from .bipartition import InfeasibleModelError
 from .design import (
     DesignError,
     GenerationError,
@@ -90,7 +88,6 @@ _FAILURES = {
     # a device too large to model, such as ``rows 100000000``
     MemoryError: ("PARSE_ERROR", EXIT_PARSE),
     InfeasibleModuleError: ("INFEASIBLE_MODULE", EXIT_INFEASIBLE_MODULE),
-    InfeasibleModelError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
     PlacementInfeasibleError: ("INFEASIBLE_FLOORPLAN", EXIT_INFEASIBLE_PLAN),
     PlacementTimeoutError: ("TIMEOUT", EXIT_TIMEOUT),
 }

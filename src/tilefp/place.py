@@ -129,9 +129,10 @@ def run_floorplan(
     Tessellation keeps the rects whose width/height lies in ``ar_bounds``
     (None keeps all), ``compute_anchors`` writes one JSON line per halving
     solve to ``log``, candidates are scored with the design's weights, and
-    the placer runs with ``time_budget`` seconds as its safety net. Each
-    stage's failure propagates: InfeasibleModuleError,
-    InfeasibleModelError, PlacementInfeasibleError or PlacementTimeoutError.
+    the placer runs with ``time_budget`` seconds as its safety net. A
+    failure propagates: InfeasibleModuleError from tessellation, or
+    PlacementInfeasibleError or PlacementTimeoutError from the placer; a
+    failed halving only leaves anchors at its partition's center.
     The cyclic garbage collector is paused for the run and left as it was
     found, however the run ends. When a stage fails, the finished frames
     in the traceback are cleared first (their code and line numbers stay),

@@ -708,11 +708,33 @@ def fail_halvings(monkeypatch, failing, how):
     return built
 
 
-@pytest.mark.parametrize("how", ["solve", "build"])
-def test_failed_halving_keeps_members_at_its_center(monkeypatch, how):
-    """The right half's halving fails: c and d stay at its center, nothing
-    is halved inside it and the log has no record for it, while the left
-    half is halved on."""
+# (the pass whose device-root halving fails, or None when the right
+# half's halving fails; how it fails)
+FAILED_HALVINGS = [pytest.param(None, how, id=how) for how in ("solve", "build")] + [
+    pytest.param(axis, how, id=f"{axis}-root-{how}")
+    for axis in ("vertical", "horizontal")
+    for how in ("solve", "build")
+]
+
+
+@pytest.mark.parametrize(("root", "how"), FAILED_HALVINGS)
+def test_failed_halving_keeps_members_at_its_center(monkeypatch, root, how):
+    """A failed halving's members keep its center, nothing is halved
+    inside it and the log has no record for it. When the right half's
+    halving fails, the left half is halved on; when the device root's
+    fails, in either pass, every anchor stays at the device center and
+    the pass ends without an error."""
+    if root is not None:
+        fab = parse_fabric("rows 8\ncolumns CCCCCCCC\n")
+        design = Design([ModuleSpec(m, ResourceVector(1, 0, 0)) for m in "ab"])
+        cands = generate_placements(fab, design, ar_bounds=None)
+        built = fail_halvings(monkeypatch, {"a", "b"}, how)
+        log = io.StringIO()
+        anchors = _recursive_bipartition(fab, design, cands, root, log)
+        assert anchors == dict.fromkeys("ab", fab.bounds.center)
+        assert built == [{"a", "b"}]
+        assert log.getvalue() == ""
+        return
     fab, design = four_forced()
     built = fail_halvings(monkeypatch, {"c", "d"}, how)
     log = io.StringIO()
@@ -723,17 +745,6 @@ def test_failed_halving_keeps_members_at_its_center(monkeypatch, how):
     rects = [json.loads(line)["rect"] for line in log.getvalue().splitlines()]
     assert [0, 0, 0, 7] in rects and [0, 0, 0, 3] in rects
     assert [0, 4, 0, 7] not in rects
-
-
-@pytest.mark.parametrize("how", ["solve", "build"])
-@pytest.mark.parametrize("axis", ["vertical", "horizontal"])
-def test_failed_root_halving_names_the_pass(monkeypatch, how, axis):
-    fab = parse_fabric("rows 8\ncolumns CCCCCCCC\n")
-    design = Design([ModuleSpec(m, ResourceVector(1, 0, 0)) for m in "ab"])
-    cands = generate_placements(fab, design, ar_bounds=None)
-    fail_halvings(monkeypatch, {"a", "b"}, how)
-    with pytest.raises(InfeasibleModelError, match=f"device root \\({axis} pass\\)"):
-        _recursive_bipartition(fab, design, cands, axis)
 
 
 def test_compute_anchors_combines_axes():

@@ -567,17 +567,54 @@ def test_generate_outcome_property(inputs, kind, n, occupancy, to_file, usage):
 
 
 def test_infeasible_floorplan_exit_code(tmp_path, capsys):
-    """Both modules need the whole device, so the root halving's forced
-    members overflow a half; the message keeps that reason after the pass."""
+    """Both modules need the whole device. The root halving fails, its
+    members keep the device center, and the placer proves that the second
+    module has no candidate left: exit 3 with the placer's message."""
     fab = write(tmp_path, "t.fabric", "rows 1\ncolumns CC\n")
     design = write(tmp_path, "t.design", "module a 2 0 0\nmodule b 2 0 0\n")
     assert main(["floorplan", "--fabric", fab, "--design", design, "--no-ar"]) == 3
     captured = capsys.readouterr()
     assert captured.out.startswith("INFEASIBLE_FLOORPLAN") and len(captured.out.splitlines()) == 1
-    assert captured.err.startswith(
-        "no feasible side assignment at the device root (vertical pass): "
-        "forced assignments exceed capacity in "
+    assert captured.err == (
+        "module 'b' has no non-overlapping candidate left "
+        "(deepest search state placed 1 modules)\n"
     )
+
+
+def test_forced_overflow_at_root_still_places(tmp_path, capsys):
+    """Each module's only candidate inside one half is the 2x2 block on
+    columns 2-3, so the root's vertical halving forces both into the
+    right half, which cannot hold two. The failed halving keeps them at
+    the device center, and the placer puts one module on each row."""
+    fab = write(tmp_path, "t.fabric", "rows 2\ncolumns CBCC\n")
+    design = write(tmp_path, "t.design", "module m0 3 0 0\nmodule m1 3 0 0\nconnect m0 m1 64\n")
+    plan = tmp_path / "t.fp"
+    argv = ["floorplan", "--fabric", fab, "--design", design, "--no-ar", "--out", str(plan)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("OK wastage=60 wirelength=64 ")
+    doc = parse_floorplan(plan.read_text())
+    assert {r.module_id: tuple(r.rect) for r in doc.records} == {
+        "m0": (0, 0, 0, 3), "m1": (1, 0, 1, 3),
+    }
+    assert (doc.total_wastage, doc.total_wirelength) == (60, 64)
+    assert main(["validate", "--fabric", fab, "--plan", str(plan)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
+
+
+def test_failed_root_halving_on_a_large_design_gets_the_placer_proof(tmp_path, capsys):
+    """A dense xc7k410t design whose vertical root halving fails: the run
+    goes on, and the placer searches its candidates and proves that
+    ``m4`` has none left."""
+    xc7 = str(fixture_path("xc7k410t.fabric"))
+    design = str(tmp_path / "g.design")
+    argv = ["generate", "-n", "8", "--fabric", xc7, "--occupancy", "0.95", "0.9", "0.9",
+            "--seed", "0", "--out", design]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["floorplan", "--fabric", xc7, "--design", design, "--no-ar"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("INFEASIBLE_FLOORPLAN") and len(captured.out.splitlines()) == 1
+    assert captured.err.startswith("module 'm4' has no non-overlapping candidate left")
 
 
 def test_parent_only_member_owes_no_kind_a_half_lacks(tmp_path, capsys):
@@ -593,15 +630,17 @@ def test_parent_only_member_owes_no_kind_a_half_lacks(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
 
 
-def test_failed_root_solve_exit_code(tmp_path, capsys, monkeypatch):
-    """A root halving whose search finds no feasible leaf ends the run like
-    one whose forced members overflow a side: exit 3."""
+def test_failed_root_solve_still_places(tmp_path, capsys, monkeypatch):
+    """Every halving search finds no feasible leaf, the root's included:
+    every anchor stays at the device center, and SDR still gets a valid
+    floorplan."""
     monkeypatch.setattr(bipartition, "_solve_bqp", lambda model: None)
-    code = main(["floorplan", "--fabric", FX, "--design", SDR, "--out", str(tmp_path / "p.fp")])
-    assert code == 3
+    plan = tmp_path / "p.fp"
+    assert main(["floorplan", "--fabric", FX, "--design", SDR, "--out", str(plan)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("INFEASIBLE_FLOORPLAN") and len(out.splitlines()) == 1
-    assert not (tmp_path / "p.fp").exists()
+    assert out.startswith("OK wastage=") and len(out.splitlines()) == 1
+    assert main(["validate", "--fabric", FX, "--plan", str(plan)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
 
 
 def test_timeout_exit_code(capsys):

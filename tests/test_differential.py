@@ -25,14 +25,17 @@ from tilefp.bipartition import (
     _solve_branch_and_bound,
     _split_partition,
 )
-from tilefp.design import Connection, ModuleSpec
-from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector
+from tilefp.design import Connection, Design, ModuleSpec
+from tilefp.fabric import Fabric, Rect, ResourceKind, ResourceVector, parse_fabric
 from tilefp.place import (
     PlacementInfeasibleError,
     PlacementTimeoutError,
     _Overlaps,
     normalize_candidates,
+    order_modules,
+    run_floorplan,
     trial_and_error_place,
+    write_floorplan,
 )
 from tilefp.tessellation import (
     InfeasibleModuleError,
@@ -41,7 +44,9 @@ from tilefp.tessellation import (
     _generate_module_placements,
     _merge_row_kernels,
     _nearest_column,
+    generate_placements,
 )
+from tilefp.validate import validate_floorplan
 
 from helpers import (
     Candidate,
@@ -466,6 +471,62 @@ def test_fail_first_phase_agrees_with_walk_on_feasibility(inputs):
         assert rect in candidates[module_id]
     placed = list(rects.values())
     assert all(is_free_rect(fab, rect, placed[:i]) for i, rect in enumerate(placed))
+
+
+@st.composite
+def whole_designs(draw):
+    """A fabric document of 1-5 rows by 2-10 columns with 0-2 reserved
+    rects, 2-5 modules with each pair connected by 64 signals about two
+    times in five, and no aspect-ratio window or the CLI's default one."""
+    rows = draw(st.integers(1, 5))
+    columns = "".join(draw(st.lists(st.sampled_from("CCCBD"), min_size=2, max_size=10)))
+    lines = [f"rows {rows}", f"columns {columns}"]
+    for rect in draw(st.lists(rects_in(rows, len(columns)), max_size=2)):
+        lines.append("reserved {} {} {} {}".format(*rect))
+    modules = [
+        ModuleSpec(f"m{i}", ResourceVector(
+            draw(st.integers(1, 4)), draw(st.sampled_from((0, 0, 1, 2))),
+            draw(st.sampled_from((0, 0, 1))),
+        ))
+        for i in range(draw(st.integers(2, 5)))
+    ]
+    connections = [
+        Connection(a.id, b.id, 64)
+        for a, b in combinations(modules, 2)
+        if draw(st.integers(0, 4)) < 2
+    ]
+    ar_bounds = draw(st.sampled_from([None, (0.2, 0.7)]))
+    return "\n".join(lines) + "\n", Design(modules, connections), ar_bounds
+
+
+@PROPERTY
+@given(whole_designs())
+def test_pipeline_places_whenever_its_lists_hold_a_floorplan(inputs):
+    """The whole pipeline against a plain depth-first walk over its own
+    candidate lists. When the walk finds a floorplan, ``run_floorplan``
+    returns a valid one or stops on a node budget; when the walk finds
+    none, the placer proves it. Anchors only steer the search, so no
+    halving may end a run."""
+    fabric_text, design, ar_bounds = inputs
+    fab = parse_fabric(fabric_text)
+    try:
+        lists = generate_placements(fab, design, ar_bounds)
+    except InfeasibleModuleError:
+        with pytest.raises(InfeasibleModuleError):
+            run_floorplan(fab, design, ar_bounds, None)
+        return
+    try:
+        dfs_place_walk(fab, order_modules(design, fab), lists, None)
+    except PlacementInfeasibleError:
+        with pytest.raises(PlacementInfeasibleError):
+            run_floorplan(fab, design, ar_bounds, None)
+        return
+    try:
+        plan = run_floorplan(fab, design, ar_bounds, None)
+    except PlacementTimeoutError:
+        return
+    document = write_floorplan(plan, design, fab, design.alpha, design.beta, ar_bounds)
+    assert validate_floorplan(document, fabric_text) == []
 
 
 def unit_candidates(*lists):
