@@ -8,9 +8,13 @@ enough of it. Every kernel is then expanded once per kind in that order,
 sideways (and upward) column by column until the kind's requirement is met.
 Expansion enumerates every way of splitting the needed columns between the
 left and the right side and emits a candidate at every reachable height,
-which is what gives the aspect-ratio filter something to choose from.
-Only rectangles pass from stage to stage; a rectangle is priced once, when
-the last kind's expansion emits it and the aspect-ratio filter accepts it,
+which is what gives the aspect-ratio window something to choose from.
+The last stage (the CLB one) tests each split against the window before it
+builds the split's rect, and emits only the rects that fit; earlier stages
+take no window, since later ones only widen or heighten a rect. A misfit
+is rejected wherever it is reached, so it is never built, kept in ``seen``
+or priced, and that changes no other decision. Only rectangles pass from
+stage to stage; a rectangle is priced once, when the last stage emits it,
 by the loop that also summarizes the list for later stages. A module's list
 (``CandidateList``) is its accepted rects with their wastages alongside.
 A rect holds its column span's per-row counts times its height, so it is
@@ -237,6 +241,7 @@ def _expand_horizontal(
     blocked: ResourceKind | None,
     seen: set[_Coords],
     splits: _SplitTable,
+    ar_bounds: tuple[float, float] | None,
 ) -> tuple[list[_Coords], int]:
     """Expand sideways for ``target`` tiles, emitting at every height.
 
@@ -257,11 +262,16 @@ def _expand_horizontal(
     kernels of a stage meet the same spans at many rows and heights, and
     each walk reads the entry instead of recomputing it.
 
-    A split whose rect is already in ``seen`` is skipped; every emitted
-    rect is added to ``seen``. The int returned with the rects is the
-    highest ``row1`` at which some split was free of reserved tiles, seen
-    ones included (``seen`` only ever holds emitted, hence free, rects), or
-    -1 when no split at any height was free.
+    Under an aspect-ratio window ``ar_bounds`` (given to the last stage
+    only), a split whose width over height misfits is tested before its
+    rect is built: it is neither built, looked up in or added to ``seen``
+    nor emitted. A misfit is rejected wherever it is reached, so leaving it
+    out of ``seen`` changes no later decision. A split whose rect is
+    already in ``seen`` is skipped; every emitted rect is added to
+    ``seen``. The int returned with the rects is the highest ``row1`` at
+    which some split was free of reserved tiles, seen ones and misfits
+    included (``seen`` only ever holds emitted, hence free, rects), or -1
+    when no split at any height was free: the window never changes it.
     """
     out = []
     free_row1 = -1
@@ -278,6 +288,7 @@ def _expand_horizontal(
             {},
         )
     lefts, rights, per_row, by_count = span
+    lo, hi = ar_bounds if ar_bounds is not None else (0.0, 0.0)
     reserved = fabric.prefix_tables[0]
     bottom = reserved[row0]
     height = row1 - row0 + 1
@@ -292,6 +303,10 @@ def _expand_horizontal(
             ]
         top = reserved[row1 + 1]
         for c0, c1 in pairs:
+            if ar_bounds is not None and not lo <= (c1 - c0 + 1) / height <= hi:
+                if not top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
+                    free_row1 = row1
+                continue
             rect = (row0, c0, row1, c1)
             if rect in seen:
                 free_row1 = row1
@@ -315,15 +330,20 @@ def _expand_or_cross(
     needed: int,
     target: ResourceKind,
     blocked: ResourceKind,
+    ar_bounds: tuple[float, float] | None,
 ) -> Iterator[list[_Coords]]:
     """A later kind's expansion of every rect in ``layers``, in order, one
-    list per rect; it may cross scarce columns as a last resort.
+    list per rect; it may cross scarce columns as a last resort. The CLB
+    stage, the last, takes the aspect-ratio window ``ar_bounds`` into both
+    of its walks and emits only rects that fit it; any other stage takes
+    None.
 
     Staying clear of further scarce columns keeps them available for other
     modules, so that variant is tried first; when it finds no free split at
     any height the walk is repeated unblocked, since a rectangle hoarding a
     scarce column beats no rectangle at all. A blocked walk whose free
-    splits were all seen before emits nothing and still needs no fallback.
+    splits were all seen before, or all misfit the window, emits nothing
+    and still needs no fallback: the window decides nothing here.
     Nor does one whose first free split is taller, so it emits no one-row
     rect where the same kernel one row up, unable to grow, falls back and
     may: a kernel's one-row rects can therefore depend on its row.
@@ -344,21 +364,32 @@ def _expand_or_cross(
             if first is not None and first[0] <= row1 <= first[1]:
                 continue
             out, free_row1 = _expand_horizontal(
-                fabric, kernel, needed, target, blocked, seen, splits
+                fabric, kernel, needed, target, blocked, seen, splits, ar_bounds
             )
             if free_row1 < 0:
-                out, _ = _expand_horizontal(fabric, kernel, needed, target, None, seen, splits)
+                out, _ = _expand_horizontal(
+                    fabric, kernel, needed, target, None, seen, splits, ar_bounds
+                )
                 free_row1 = fabric.rows
             if first is None:
                 grown[row0, col0, col1] = (row1, free_row1)
             yield out
 
 
-def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[_Coords]:
+def _one_kind_rects(
+    fabric: Fabric,
+    kind: ResourceKind,
+    need: int,
+    ar_bounds: tuple[float, float] | None,
+) -> list[_Coords]:
     """The rects the kernel walk emits for the first kind of an unpaired
     module, in its order: the bare kernels' rects, then the merged spans'
-    taller ones (see the module docstring for why these are the walk's)."""
+    taller ones (see the module docstring for why these are the walk's).
+    Of a CLB-only module, whose last stage this is, it takes the
+    aspect-ratio window ``ar_bounds`` and keeps only the rects that fit
+    it, testing each before it is built; a misfit still ends no growth."""
     cols = fabric.columns_of(kind)
+    lo, hi = ar_bounds if ar_bounds is not None else (0.0, 0.0)
     reserved = fabric.prefix_tables[0]
     rows = fabric.rows
     out: list[_Coords] = []
@@ -370,9 +401,12 @@ def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[_Coor
                 top = reserved[row1 + 1]
                 if top[c + 1] - bottom[c + 1] - top[c] + bottom[c]:
                     break
-                j = i - (-need // (row1 - row0 + 1)) - 1
+                height = row1 - row0 + 1
+                j = i - (-need // height) - 1
                 if j < len(cols):
                     c1 = cols[j]
+                    if ar_bounds is not None and not lo <= (c1 - c + 1) / height <= hi:
+                        continue
                     if not top[c1 + 1] - bottom[c1 + 1] - top[c] + bottom[c]:
                         append((row0, c, row1, c1))
     if need < 2:
@@ -389,7 +423,7 @@ def _one_kind_rects(fabric: Fabric, kind: ResourceKind, need: int) -> list[_Coor
             top = reserved[row1 + 1]
             if top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]:
                 break
-            if row1 > row0:
+            if row1 > row0 and (ar_bounds is None or lo <= width / (row1 - row0 + 1) <= hi):
                 append((row0, c0, row1, c1))
     return out
 
@@ -407,7 +441,36 @@ def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[_Coords]]:
     splits: _SplitTable = {}
     for kernel in sorted(found, key=lambda k: ((k[2] - k[0] + 1) * (k[3] - k[1] + 1), k[0], k[1])):
         # the first kind's own upward growth is the zero-column split
-        yield _expand_horizontal(fabric, kernel, need, dsp, None, seen, splits)[0]
+        yield _expand_horizontal(fabric, kernel, need, dsp, None, seen, splits, None)[0]
+
+
+def _last_stage(
+    fabric: Fabric,
+    req: ResourceVector,
+    ar_bounds: tuple[float, float] | None,
+) -> Iterable[list[_Coords]]:
+    """The rects of a requirement's last stage that fit ``ar_bounds``, one
+    list per rect of the stage before it (a single list when there is
+    none), lazily.
+
+    The first stage of an unpaired module is ``_one_kind_rects``; only a
+    module that pairs DSP with BRAM walks its first-kind kernels. CLB comes
+    last in every kind order, so the CLB stage alone takes the window:
+    later stages only widen or heighten a rect, so an earlier stage's
+    misfit may still grow into a fit.
+    """
+    first, *rest = kinds = _kind_order(req)
+    clb = ResourceKind.CLB
+    layers: Iterable[list[_Coords]]
+    if len(kinds) < 3:
+        window = ar_bounds if first is clb else None
+        layers = [_one_kind_rects(fabric, first, req.of(first), window)]
+    else:
+        layers = _paired_rects(fabric, req.of(first))
+    for kind in rest:
+        window = ar_bounds if kind is clb else None
+        layers = _expand_or_cross(fabric, layers, req.of(kind), kind, first, window)
+    return layers
 
 
 def _generate_module_placements(
@@ -420,22 +483,13 @@ def _generate_module_placements(
 
     Each stage emits only rects that hold its kind's need, and later stages
     only widen or heighten a rect, so every rect of the last stage covers
-    the requirement; it is priced and summarized only once the aspect-ratio
-    window keeps it. The first stage of an unpaired module is
-    ``_one_kind_rects``; only a module that pairs DSP with BRAM walks its
-    first-kind kernels.
+    the requirement. The last stage (``_last_stage``) emits only the rects
+    that fit the aspect-ratio window, so each one it emits is priced and
+    summarized. When none fits, the window is blamed only if the same
+    stages without it emit some rect.
     """
     req = module.req
     req_frames = fabric.frames_of(req)
-    first, *rest = kinds = _kind_order(req)
-    layers: Iterable[list[_Coords]]
-    if len(kinds) < 3:
-        layers = [_one_kind_rects(fabric, first, req.of(first))]
-    else:
-        layers = _paired_rects(fabric, req.of(first))
-    for kind in rest:
-        layers = _expand_or_cross(fabric, layers, req.of(kind), kind, first)
-
     clb, bram, dsp = fabric.prefix_tables[1]
     w_clb, w_bram, w_dsp = (fabric.frames[kind] for kind in ResourceKind)
     rows, cols = fabric.rows, fabric.cols
@@ -447,15 +501,10 @@ def _generate_module_placements(
     spans: dict[int, list[int]] = {}
     # row0 * rows + row1 -> [count, least clb, bram, dsp per row]
     bands: dict[int, list[int]] = {}
-    covering = 0
-    for layer in layers:
-        covering += len(layer)
+    for layer in _last_stage(fabric, req, ar_bounds):
         for rect in layer:
             row0, col0, row1, col1 = rect
             height = row1 - row0 + 1
-            if ar_bounds is not None:
-                if not ar_bounds[0] <= (col1 - col0 + 1) / height <= ar_bounds[1]:
-                    continue
             key = col0 * cols + col1
             s = spans.get(key)
             if s is None:
@@ -485,6 +534,7 @@ def _generate_module_placements(
                 if d < g[3]:
                     g[3] = d
     if not accepted:
+        covering = ar_bounds is not None and any(_last_stage(fabric, req, None))
         reason = "aspect-ratio bounds reject everything" if covering else ""
         raise InfeasibleModuleError(module.id, reason)
     # a span's candidates hold its per-row counts times their height, which

@@ -51,6 +51,7 @@ from tilefp.validate import validate_floorplan
 from helpers import (
     Candidate,
     as_columns,
+    aspect_ratio,
     base_kernels_walk,
     branch_and_bound_walk,
     candidate_records,
@@ -125,6 +126,12 @@ def test_nearest_column_matches_scan(columns, col):
     assert _nearest_column(columns, col) == expected
 
 
+ar_windows = st.one_of(
+    st.none(),
+    st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2).map(lambda w: (min(w), max(w))),
+)
+
+
 @PROPERTY
 @given(st.data())
 def test_expand_horizontal_matches_walk(data):
@@ -132,11 +139,15 @@ def test_expand_horizontal_matches_walk(data):
     them, with one shared split table and one shared ``seen``: each emits
     the reference walk's rects less those seen before. The kernels share a
     few column spans at several rows, blocked and unblocked, so the table's
-    entries are reused across rows, heights and fallbacks."""
+    entries are reused across rows, heights and fallbacks. Under an
+    aspect-ratio window the rects that misfit it are left out, of the
+    walk's output and of ``seen``, and the highest free row1 stays the
+    reference walk's."""
     fab = data.draw(fabrics())
     needed = data.draw(st.integers(0, fab.rows * fab.cols))
     target = data.draw(kinds)
     spans = data.draw(st.lists(rects_in(1, fab.cols), min_size=1, max_size=3))
+    ar_bounds = data.draw(ar_windows)
     seen, splits = None, {}
     for _ in range(data.draw(st.integers(1, 6))):
         span = data.draw(st.sampled_from(spans))
@@ -144,14 +155,20 @@ def test_expand_horizontal_matches_walk(data):
         kernel = Rect(row0, span.col0, data.draw(st.integers(row0, fab.rows - 1)), span.col1)
         blocked = data.draw(st.one_of(st.none(), kinds))
         expected = expand_horizontal_walk(fab, kernel, needed, target, blocked)
+        fitting = [
+            k for k in expected
+            if ar_bounds is None or ar_bounds[0] <= aspect_ratio(k) <= ar_bounds[1]
+        ]
         if seen is None:
-            # rects emitted earlier are only ever free ones
-            seen = set(data.draw(st.lists(st.sampled_from(expected)))) if expected else set()
+            # rects emitted earlier are only ever free ones that fit
+            seen = set(data.draw(st.lists(st.sampled_from(fitting)))) if fitting else set()
         before = set(seen)
-        grown, free_row1 = _expand_horizontal(fab, kernel, needed, target, blocked, seen, splits)
-        assert grown == [k for k in expected if k not in before]
+        grown, free_row1 = _expand_horizontal(
+            fab, kernel, needed, target, blocked, seen, splits, ar_bounds
+        )
+        assert grown == [k for k in fitting if k not in before]
         assert free_row1 == max((k.row1 for k in expected), default=-1)
-        assert seen == before | set(expected)
+        assert seen == before | set(fitting)
         # each stage emits only rects that hold its kind's need
         assert all(resources_in_rect(fab, k).of(target) >= needed for k in expected)
 
@@ -174,12 +191,6 @@ def test_merge_row_kernels_matches_walk(data):
     )
 
 
-ar_windows = st.one_of(
-    st.none(),
-    st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2).map(lambda w: (min(w), max(w))),
-)
-
-
 @PROPERTY
 @given(fabrics(), requirements, ar_windows)
 # The DSP-blocked CLB walk from each two-row DSP rect reaches only the rect
@@ -200,6 +211,20 @@ ar_windows = st.one_of(
 # 3 is paired with the BRAM at column 2, not bare. The rightward-only rule
 # of an unpaired module's closed form would lose that candidate here.
 @example(Fabric(1, "CDBDDCBCDBDB", [Rect(0, 9, 0, 9)]), ResourceVector(2, 1, 3), None)
+# The last stage tests the window before it builds a rect. The DSP-blocked
+# CLB walk from (0, 1, 0, 1) reaches one CLB column, too few at height 1;
+# at height 2 its one split, (0, 0, 1, 1), is free but square, a misfit.
+# A free misfit is still a free split, so the walk must not fall back and
+# cross DSP column 2 to (0, 1, 1, 3), 3 wide by 2 tall, which would fit.
+@example(Fabric(2, "CDDC"), ResourceVector(2, 0, 1), (1.5, 2.5))
+# The BRAM-blocked CLB walk from the three-row kernel on BRAM column 2 has
+# one split, (0, 2, 2, 3): it misfits and holds the reserved tile (2, 3).
+# A misfit over a reserved tile is no free split, so the walk falls back
+# and crosses BRAM column 1 to (0, 0, 2, 2), which fits.
+@example(Fabric(3, "CBBC", [Rect(2, 3, 2, 3)]), ResourceVector(1, 1, 0), (1.0, 1.0))
+# The one rect of a paired module, 3 wide by 1 tall, misfits: the window,
+# not the fabric, is to blame.
+@example(Fabric(1, "DBC"), ResourceVector(1, 1, 1), (0.2, 0.7))
 def test_module_placements_match_walk(fab, req, ar_bounds):
     module = ModuleSpec("m", req)
     try:
@@ -247,6 +272,8 @@ def unpaired_requirements(draw):
 # the reserved tile above the bare kernel on column 1 stops its growth,
 # while the kernel on column 0 still emits its taller rects
 @example((Fabric(3, "CCC", [Rect(1, 1, 1, 1)]), ResourceVector(2, 0, 0)), None)
+# every rect of a CLB-only module misfits, so the window is to blame
+@example((Fabric(1, "CC"), ResourceVector(2, 0, 0)), (0.2, 0.7))
 def test_one_kind_placements_match_walk(case, ar_bounds):
     fab, req = case
     module = ModuleSpec("m", req)

@@ -47,7 +47,9 @@ def expand(fabric, kernel, needed, target, blocked):
     """One expansion with nothing seen before and an empty split table,
     whose highest free row1 is then just that of the tallest rect it
     emitted; the rects as ``Rect``s."""
-    grown, free_row1 = _expand_horizontal(fabric, kernel, needed, target, blocked, set(), {})
+    grown, free_row1 = _expand_horizontal(
+        fabric, kernel, needed, target, blocked, set(), {}, None
+    )
     grown = [Rect._make(k) for k in grown]
     assert free_row1 == max((k.row1 for k in grown), default=-1)
     return grown
@@ -201,7 +203,7 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     start = Rect(0, 2, 0, 2)
     seen = {Rect(0, 1, 0, 3)}
     splits = {}
-    grown, free_row1 = _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits)
+    grown, free_row1 = _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits, None)
     assert grown == [Rect(0, 2, 0, 4), Rect(0, 0, 0, 2)]
     assert free_row1 == 0
     assert seen == {Rect(0, 0, 0, 2), Rect(0, 1, 0, 3), Rect(0, 2, 0, 4)}
@@ -209,14 +211,40 @@ def test_expand_horizontal_skips_and_records_seen_rects():
     # its splits of two columns, in the order they were tried
     assert splits == {(2, 2, DSP): ((1, 0), (3, 4), 0, {2: [(2, 4), (1, 3), (0, 2)]})}
     # every free split seen: nothing to emit, yet a free split existed
-    assert _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits) == ([], 0)
+    assert _expand_horizontal(fab, start, 2, CLB, DSP, seen, splits, None) == ([], 0)
     # nothing free at all, and nothing recorded
     blocked = parse_fabric("rows 1\ncolumns DDCC\n")
     none_seen = set()
     assert _expand_horizontal(
-        blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen, {}
+        blocked, Rect(0, 0, 0, 0), 1, CLB, DSP, none_seen, {}, None
     ) == ([], -1)
     assert none_seen == set()
+
+
+def test_expand_horizontal_window_drops_misfits_before_they_are_built():
+    """Under an aspect-ratio window the walk emits only the rects that fit
+    it and keeps no misfit in ``seen``, yet returns the highest free row1
+    of the same walk without a window: a free misfit is still a free
+    split, and a misfit over a reserved tile is not."""
+    fab = parse_fabric("rows 3\ncolumns CCDCC\n")
+    start = Rect(0, 2, 0, 2)
+    # one 5-wide rect one row tall, three 3-wide two rows tall, three
+    # 3-wide three rows tall
+    unwindowed = expand(fab, start, 4, CLB, DSP)
+    for ar_bounds, kept in [((4.0, 5.0), 1), ((1.4, 1.6), 3), ((0.9, 1.1), 3), ((0.1, 0.2), 0)]:
+        seen = set()
+        grown, free_row1 = _expand_horizontal(fab, start, 4, CLB, DSP, seen, {}, ar_bounds)
+        fitting = [k for k in unwindowed if ar_bounds[0] <= aspect_ratio(k) <= ar_bounds[1]]
+        assert len(fitting) == kept
+        assert grown == fitting and seen == set(fitting)
+        assert free_row1 == 2
+    # the square split two rows tall holds the reserved tile (1, 1): only
+    # the one-row split, 2 wide, is free, whether it fits or not
+    reserved = Fabric(2, "DC", [Rect(1, 1, 1, 1)])
+    for ar_bounds, grown in [(None, [(0, 0, 0, 1)]), ((1.9, 2.1), [(0, 0, 0, 1)]), ((0.9, 1.1), [])]:
+        assert _expand_horizontal(
+            reserved, Rect(0, 0, 0, 0), 1, CLB, DSP, set(), {}, ar_bounds
+        ) == (grown, 0)
 
 
 def test_expand_horizontal_emits_kernel_when_satisfied():
