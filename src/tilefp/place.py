@@ -30,8 +30,7 @@ import gc
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import IO, Callable, Iterator, Mapping, Sequence
 
 from .bipartition import compute_anchors
@@ -296,10 +295,10 @@ class _Bound(dict):
 
     Candidate j's coordinate is at position -1 - j of ``coords``: bytes
     when coordinates and t fit in a byte, so that ``_bits`` reads a bitset
-    in one pass, else a list of ints compared one by one.
+    in one pass, else a sequence of ints compared one by one.
     """
 
-    def __init__(self, coords: bytes | list[int], at_least: bool) -> None:
+    def __init__(self, coords: bytes | Sequence[int], at_least: bool) -> None:
         self.coords, self.at_least = coords, at_least
 
     def __missing__(self, t: int) -> int:
@@ -312,6 +311,20 @@ class _Bound(dict):
         return mask
 
 
+def _ordered(lo: bytes, hi: bytes) -> bool:
+    """Whether ``lo[i] <= hi[i]`` at every position, by one big-int subtraction.
+
+    Position i is a 16-bit lane holding 256 + hi[i] - lo[i]. That lies in
+    1..511, so no lane borrows from the next, and its high byte is 1
+    exactly when lo[i] <= hi[i].
+    """
+    n = len(lo)
+    top, bottom = bytearray(2 * n), bytearray(2 * n)
+    top[::2], top[1::2], bottom[1::2] = b"\x01" * n, hi, lo
+    lanes = int.from_bytes(top, "big") - int.from_bytes(bottom, "big")
+    return lanes.to_bytes(2 * n, "big")[::2] == b"\x01" * n
+
+
 class _Overlaps:
     """Which candidates of one candidate list overlap a rect, as a bitset.
 
@@ -321,21 +334,32 @@ class _Overlaps:
     meets R's, so the answer is the AND of four bound bitsets: row0 <=
     R.row1, row1 >= R.row0, col0 <= R.col1 and col1 >= R.col0. ``free``
     holds the candidates inside the device and off reserved tiles.
+
+    The four coordinate columns come from one transpose of the list. On a
+    device of at most 256 rows and columns they are byte strings, and
+    every candidate is checked in C-level passes: ``translate`` deletes
+    the in-range bytes of the row1 and col1 columns, which must leave
+    nothing, and ``_ordered`` checks row0 <= row1 and col0 <= col1 at
+    once. A list that fails any of these, or has a coordinate outside a
+    byte, is checked candidate by candidate and keeps int coordinates.
     """
 
     def __init__(self, rects: Sequence[Rect], fabric: Fabric) -> None:
         rows, cols = fabric.rows, fabric.cols
-        flat = list(chain.from_iterable(rects))
-        coords = [flat[k::4][::-1] for k in range(4)]  # row0, col0, row1, col1
+        columns = list(zip(*rects)) or [()] * 4  # row0, col0, row1, col1
         try:  # bytes, if all candidates lie inside a device of at most 256 rows and columns
-            row0, col0, row1, col1 = packed = [bytes(c) for c in coords]
-            inside = max(rows, cols) <= 256 and max(row1) < rows and max(col1) < cols
-            inside = inside and all(map(le, row0, row1)) and all(map(le, col0, col1))
-        except ValueError:  # a coordinate outside 0..255, or no candidates
+            row0, col0, row1, col1 = packed = [bytes(c)[::-1] for c in columns]
+            inside = (
+                not row1.translate(None, bytes(range(rows)))
+                and not col1.translate(None, bytes(range(cols)))
+                and _ordered(row0 + col0, row1 + col1)
+            )
+        except ValueError:  # a coordinate outside 0..255, or a device past 256
             inside = False
         if inside:
             self.free, coords = (1 << len(rects)) - 1, packed
         else:
+            coords = [c[::-1] for c in columns]
             fits = [0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols for r0, c0, r1, c1 in rects]
             self.free = _bits(bytes(fits[::-1]), 1, 1)
         self.row0, self.col0 = _Bound(coords[0], False), _Bound(coords[1], False)

@@ -759,6 +759,10 @@ def index_inputs(draw):
 @example((Fabric(1, "C" * 257), [Rect(0, 200, 0, 200)], [Rect(0, 100, 0, 256)]))
 # a candidate ending one column past the device, every row inside
 @example((Fabric(2, "CCCC"), [Rect(0, 0, 0, 1), Rect(0, 2, 1, 4)], [Rect(0, 0, 0, 0)]))
+# an upside-down candidate, every coordinate inside the device
+@example((Fabric(2, "CCCC"), [Rect(0, 0, 0, 0), Rect(1, 0, 0, 0)], [Rect(0, 0, 1, 3)]))
+# a candidate ending one row past the device, every column inside
+@example((Fabric(2, "CCCC"), [Rect(0, 0, 1, 0), Rect(0, 0, 2, 0)], [Rect(1, 0, 1, 0)]))
 def test_overlap_index_matches_rect_overlaps(inputs):
     fab, rects, probes = inputs
     index = _Overlaps(rects, fab)
@@ -773,6 +777,29 @@ def test_overlap_index_matches_rect_overlaps(inputs):
     )
     for probe in probes:
         assert index(probe) == bitset(j for j, r in enumerate(rects) if r.overlaps(probe))
+
+
+@st.composite
+def byte_pairs(draw):
+    """Equal-length byte strings ``lo`` and ``hi``, ``hi >= lo`` at every
+    position in about half the draws, with 0, 255 and equal bytes common."""
+    octets = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+    lo = draw(st.lists(octets, max_size=40))
+    if draw(st.booleans()):
+        hi = [draw(st.one_of(st.sampled_from([x, 255]), st.integers(x, 255))) for x in lo]
+    else:
+        hi = draw(st.lists(octets, min_size=len(lo), max_size=len(lo)))
+    return bytes(lo), bytes(hi)
+
+
+@PROPERTY
+@given(byte_pairs())
+@example((b"", b""))
+@example((b"\x00\xff", b"\x00\xff"))
+@example((b"\x01\x00", b"\x00\xff"))
+def test_lane_order_check_matches_pairwise_comparison(pair):
+    lo, hi = pair
+    assert place._ordered(lo, hi) == all(map(operator.le, lo, hi))
 
 
 # --- side-assignment search ------------------------------------------------

@@ -431,6 +431,27 @@ def test_run_floorplan_indexes_each_distinct_list_once():
     assert overlaps.call_count == 23
 
 
+@pytest.mark.parametrize("fabric_name, design_of, ar_bounds", [
+    pytest.param("fx70t.fabric", lambda fab: sdr_design(), None, id="sdr-noar"),
+    pytest.param("fx70t.fabric", lambda fab: sdr_design(), (0.2, 0.7), id="sdr-ar"),
+    pytest.param(
+        "xc7k410t.fabric", lambda fab: generate_random_design(50, fab, (0.8, 0.3, 0.3), 50),
+        None, id="scaling-50",
+    ),
+])
+def test_device_lists_take_the_byte_index(fabric_name, design_of, ar_bounds):
+    """Every list of SDR on fx70t (44 columns) and of scaling n=50 on
+    xc7k410t (158 columns) passes the overlap index's byte-level checks:
+    it keeps byte coordinates and starts with every candidate free. A
+    fallback to the per-candidate checks would change only the speed."""
+    fab = parse_fabric(fixture_path(fabric_name).read_text())
+    for options in generate_placements(fab, design_of(fab), ar_bounds).values():
+        index = place._Overlaps(options, fab)
+        assert index.free == (1 << len(options)) - 1
+        bounds = (index.row0, index.col0, index.row1, index.col1)
+        assert all(type(bound.coords) is bytes for bound in bounds)
+
+
 def test_failed_run_frees_its_candidates_before_the_collector_resumes(monkeypatch):
     """A run that raises leaves no candidate list alive when it turns the
     cyclic garbage collector back on, so resuming does not rewalk them."""
