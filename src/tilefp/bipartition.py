@@ -27,7 +27,7 @@ of groups; a halving splits each shared tuple once, and the split hands its
 members the same tuples again, so the sharing carries down the halvings.
 
 A halving fails when forced members overflow a half (``_build_bqp``
-raises), when the members' smaller footprints overflow both halves
+returns None), when the members' smaller footprints overflow both halves
 together, or when the search finds no feasible leaf (``_solve_bqp``
 returns None). Its members then all keep the partition's center and
 nothing inside it is halved; at the device root, every anchor of the
@@ -66,8 +66,8 @@ _SLACK = 1e-9
 
 
 class InfeasibleModelError(Exception):
-    """Forced members overflow a half: ``_build_bqp``'s signal that its
-    halving failed, caught by ``_recursive_bipartition``."""
+    """Kept for importers that catch it around ``compute_anchors``; nothing
+    in tilefp raises it, since a failed halving never ends a run."""
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,9 @@ def _build_bqp(
     axis: _Axis,
     extents: Mapping[str, float],
     requirements: Mapping[str, ResourceVector],
-) -> _BqpModel:
-    """Assemble the side-assignment model for one halving into ``children``.
+) -> _BqpModel | None:
+    """Assemble the side-assignment model for one halving into ``children``,
+    or None when the members fixed to a half overflow it.
 
     Every connection with an endpoint among the members is priced by one
     rule: for each pair of sides its endpoints can take that differ, it
@@ -265,7 +266,7 @@ def _build_bqp(
         for k, amount in enumerate(occ):  # type: ignore[union-attr]
             target[k] -= amount
     if min(avail0) < 0 or min(avail1) < 0:
-        raise InfeasibleModelError(f"forced assignments exceed capacity in {child0} or {child1}")
+        return None
 
     linear = [[0.0, 0.0] for _ in variables]
     corners: dict[tuple[int, int], list[list[float]]] = {}
@@ -793,14 +794,11 @@ def _recursive_bipartition(
                 split = replace(split, module_id=m)
             data.append(split)
         started = time.perf_counter()
-        try:
-            model = _build_bqp(
-                fabric, children, data, design.connections, snapshot, axis,
-                extents, requirements,
-            )
-            assignment = _solve_bqp(model)
-        except InfeasibleModelError:
-            assignment = None
+        model = _build_bqp(
+            fabric, children, data, design.connections, snapshot, axis,
+            extents, requirements,
+        )
+        assignment = None if model is None else _solve_bqp(model)
         if assignment is None:
             # members keep the partition's center, the root's included;
             # placement may still succeed

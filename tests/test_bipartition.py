@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from tilefp import bipartition
 from tilefp.bipartition import (
     EXACT_LIMIT,
-    InfeasibleModelError,
     _BqpModel,
     _SideData,
     _assignment_feasible,
@@ -259,8 +258,7 @@ def test_build_bqp_forced_overflow_is_infeasible():
         sd("a", w0=2.0, occ0=big),
         sd("b", w0=2.0, occ0=big),
     ]
-    with pytest.raises(InfeasibleModelError):
-        _build_bqp(fab, children, data, [], {}, "vertical", {}, {"a": big, "b": big})
+    assert _build_bqp(fab, children, data, [], {}, "vertical", {}, {"a": big, "b": big}) is None
 
 
 def test_build_bqp_chain_severs_one_edge():
@@ -324,11 +322,11 @@ def test_build_bqp_charges_parent_only_members_by_kind():
     assert model.avail1 == (both.clb, both.bram - 1, both.dsp - 1)
 
     fab, children = two_halves(cols="CCC", rows=1)
-    with pytest.raises(InfeasibleModelError):
-        _build_bqp(
-            fab, children, [sd("a")], [], {"a": (1.5, 0.5)}, "vertical", {},
-            {"a": ResourceVector(1, 0, 3)},
-        )
+    model = _build_bqp(
+        fab, children, [sd("a")], [], {"a": (1.5, 0.5)}, "vertical", {},
+        {"a": ResourceVector(1, 0, 3)},
+    )
+    assert model is None
 
 
 def test_build_bqp_costs_nonnegative_property():
@@ -686,8 +684,8 @@ def model_members(model):
 
 def fail_halvings(monkeypatch, failing, how):
     """Make every halving whose members are exactly ``failing`` fail, by
-    ``_solve_bqp`` returning None or by ``_build_bqp`` raising
-    ``InfeasibleModelError``; returns the members of every model built."""
+    ``_solve_bqp`` or ``_build_bqp`` returning None; returns the members
+    of every model built."""
     build, solve = bipartition._build_bqp, bipartition._solve_bqp
     built = []
 
@@ -695,7 +693,7 @@ def fail_halvings(monkeypatch, failing, how):
         model = build(*args)
         built.append(model_members(model))
         if how == "build" and built[-1] == failing:
-            raise InfeasibleModelError("overflow")
+            return None
         return model
 
     def failing_solve(model):

@@ -1,34 +1,42 @@
-"""In-process A/B timing of two tilefp source trees, stage by stage.
+"""In-process A/B of two tilefp source trees: identity checks, then stage timings.
 
-    python3 tools/stage_ab.py A B --rounds N [--workload sdr scaling dense]
+    python3 tools/stage_ab.py A B [--rounds N] [--workload sdr scaling dense] [--fabrics N]
 
-A and B are repository roots, each holding ``src/tilefp``. Both trees are
-imported into one process under distinct package names (``tilefp_a`` and
-``tilefp_b``), and every case of the chosen workloads of
-``perfbench/workloads.py`` runs through each tree's
-``place.run_floorplan``, with the arguments the benchmark passes to
-``floorplan`` parsed by tree A's command-line parser, the fixtures of the
-checkout that holds this script, and the generated designs written by
-tree A.
+A and B are repository roots, each holding ``src/tilefp``, imported into
+one process as the packages ``tilefp_a`` and ``tilefp_b``. Nothing is
+timed unless both checks below pass; the first that fails names what
+differs and exits 1.
 
-Each case first runs once on each side. Unless both trees write
-byte-identical documents (or raise the same error), identical
-``--solver-log`` records, ``solve_ms`` aside, and identical candidate
-lists, the script names the cases that differ, prints no timings and exits
-1. The lists come from one call of each tree's
-``tessellation.generate_placements`` and are compared module by module:
-the rects, the ``wastage`` column and the summaries ``groups``, ``ties``,
-``max_waste`` and ``sums``. Then each round runs every case on both
-sides with the cyclic garbage collector off, A first in even rounds and B
-first in odd ones. Per case and side it prints the median
-milliseconds of four stages (tessellation: ``generate_placements``;
-anchors: ``compute_anchors``; scoring: ``_rank`` and ``order_modules``;
-search: ``_place``) and of the whole run, then the nodes its halving
-searches spent in the first run, and in how many rounds B was faster than
-A: over the whole run, and next to that in each stage. The stages are
-timed by wrapping those names in each tree's ``place`` module, so both
-trees must define them; the nodes are counted by wrapping each tree's
-``bipartition._solve_branch_and_bound``, whatever its parameters.
+1. Candidate lists. Each tree's ``tessellation._generate_module_placements``
+   runs on every case under no aspect-ratio window and under (0.2, 0.7),
+   (0.5, 2) and (0.9, 1.1). Both lists must have equal rects, ``wastage``,
+   ``groups``, ``ties``, ``max_waste`` and ``sums``, or both calls must
+   raise the same error text. The cases are the distinct requirements of
+   each chosen workload's corpus, whose designs tree A parses or generates
+   (sdr: the SDR design; dense: the dense designs of
+   ``perfbench/workloads.py`` with design seeds 0 to 11; scaling: every
+   ``scaling.cfg`` size with design seed n), and which holds every
+   requirement and window of the benchmark's cases; then ``--fabrics``
+   random fabrics (default 400, fixed seed) of up to 6 x 24 tiles with 0
+   to 3 reserved rects, each with one requirement per kind mix: CLB alone,
+   BRAM and CLB, DSP and CLB, and all three.
+2. Documents. Every benchmark case of the chosen workloads runs once per
+   side through ``place.run_floorplan``, its ``floorplan`` arguments
+   parsed by tree A's command-line parser, with the fixtures of this
+   checkout and the designs tree A generates. Both sides must write
+   byte-identical documents (or raise the same error) and ``--solver-log``
+   records, ``solve_ms`` aside.
+
+Then each round runs every case on both sides with the cyclic garbage
+collector off, A first in even rounds and B first in odd ones. Per case
+and side it prints the median milliseconds of four stages (tessellation:
+``generate_placements``; anchors: ``compute_anchors``; scoring: ``_rank``
+and ``order_modules``; search: ``_place``) and of the whole run, the
+first run's halving-search nodes, and in how many rounds B was faster
+than A, over the whole run and in each stage. Both trees must define
+those ``place`` names, which are wrapped in timers; the nodes are counted
+by wrapping ``bipartition._solve_branch_and_bound``, whatever its
+parameters.
 
 Only the standard library is used, and ``perfbench/`` is only read.
 """
@@ -42,6 +50,7 @@ import importlib
 import importlib.util
 import io
 import json
+import random
 import statistics
 import sys
 import tempfile
@@ -50,12 +59,15 @@ from time import perf_counter
 from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "tilefp" / "fixtures"
 STAGES = {
     "tessellation": ("generate_placements",),
     "anchors": ("compute_anchors",),
     "scoring": ("_rank", "order_modules"),
     "search": ("_place",),
 }
+WINDOWS = (None, (0.2, 0.7), (0.5, 2.0), (0.9, 1.1))
+DENSE_SEEDS = range(12)
 
 
 def load_module(name: str, path: Path, package_dir: Path | None = None) -> ModuleType:
@@ -136,20 +148,17 @@ class Tree:
             record.pop("solve_ms", None)
         return seconds, document, records
 
-    def lists(self, inputs: tuple) -> dict[str, tuple] | str:
-        """Per module id, its candidate list's rects, wastages and summaries,
-        or the error ``generate_placements`` raised."""
-        fabric, design, ar_bounds, _ = inputs
+    def candidate_list(self, fabric, req: tuple[int, int, int], ar_bounds) -> dict:
+        """One requirement's list: its rects, wastages and summaries, or
+        its error text."""
+        module = self.design.ModuleSpec("m", self.fabric.ResourceVector(*req))
         try:
-            placements = self.tessellation.generate_placements(fabric, design, ar_bounds)
+            cands = self.tessellation._generate_module_placements(fabric, module, ar_bounds)
         except Exception as exc:  # an infeasible module is compared by its error
-            return f"{type(exc).__name__}: {exc}"
+            return {"error": f"{type(exc).__name__}: {exc}"}
         return {
-            module_id: (
-                list(cands), cands.wastage, cands.groups, list(cands.ties),
-                cands.max_waste, cands.sums,
-            )
-            for module_id, cands in placements.items()
+            "rects": list(cands), "wastage": cands.wastage, "groups": cands.groups,
+            "ties": list(cands.ties), "max_waste": cands.max_waste, "sums": cands.sums,
         }
 
 
@@ -162,21 +171,90 @@ def load_tree(root: Path, label: str) -> Tree:
     return Tree(label, package)
 
 
+def corpus_cases(workloads: ModuleType, names: list[str], a: Tree) -> list[tuple]:
+    """(name, fabric text, requirement) per distinct requirement of each
+    chosen workload's corpus designs, parsed or generated by tree ``a``."""
+    cases = []
+    generate = a.design.generate_random_design
+    for name in names:
+        text = (FIXTURES / (workloads.K410T if name == "scaling" else workloads.FX70T)).read_text()
+        fabric = a.fabric.parse_fabric(text)
+        if name == "sdr":
+            designs = {"sdr": a.design.parse_design((FIXTURES / workloads.SDR).read_text())}
+        elif name == "dense":
+            n, occupancy = workloads.DENSE_N, workloads.DENSE_OCCUPANCY
+            designs = {f"dense seed {s}": generate(n, fabric, occupancy, s) for s in DENSE_SEEDS}
+        else:
+            designs = {
+                f"scaling n = {n}": generate(n, fabric, occupancy, n)
+                for n, occupancy in workloads._scaling_config(FIXTURES).items()
+            }
+        cases += [
+            (f"{label}, req {req}", text, req)
+            for label, design in designs.items()
+            for req in dict.fromkeys(tuple(m.req) for m in design.modules)
+        ]
+    return cases
+
+
+def random_cases(count: int) -> list[tuple]:
+    """(name, fabric text, requirement) for ``count`` random fabrics, four
+    requirements each."""
+    rng = random.Random(0)
+    cases = []
+    for i in range(count):
+        rows = rng.randint(1, 6)
+        kinds = "".join(rng.choice("CCCBD") for _ in range(rng.randint(1, 24)))
+        lines = [f"rows {rows}", f"columns {kinds}"]
+        for _ in range(rng.randint(0, 3)):
+            r0, r1 = sorted(rng.randrange(rows) for _ in range(2))
+            c0, c1 = sorted(rng.randrange(len(kinds)) for _ in range(2))
+            lines.append(f"reserved {r0} {c0} {r1} {min(c1, c0 + 2)}")
+        name, text = f"random fabric {i} ({'; '.join(lines)})", "\n".join(lines)
+        bram, dsp = (rng.randint(1, kinds.count(kind) + 2) for kind in "BD")
+        for req in (
+            (rng.randint(1, 3 * len(kinds)), 0, 0),
+            (rng.randint(0, 3 * len(kinds)), bram, 0),
+            (rng.randint(0, 3 * len(kinds)), 0, dsp),
+            (rng.randint(0, 3 * len(kinds)), bram, dsp),
+        ):
+            cases.append((f"{name}, req {req}", text, req))
+    return cases
+
+
+def list_difference(sides: tuple[Tree, Tree], cases: list[tuple]) -> str | None:
+    """The first case and window whose lists differ, and the fields that
+    differ, or None."""
+    fabrics: dict[str, list] = {}  # fabric text -> each side's parsed fabric
+    for name, text, req in cases:
+        if text not in fabrics:
+            fabrics[text] = [tree.fabric.parse_fabric(text) for tree in sides]
+        for ar_bounds in WINDOWS:
+            got_a, got_b = (
+                tree.candidate_list(fabric, req, ar_bounds)
+                for tree, fabric in zip(sides, fabrics[text])
+            )
+            if got_a != got_b:
+                keys = dict.fromkeys([*got_a, *got_b])
+                fields = [key for key in keys if got_a.get(key) != got_b.get(key)]
+                return f"lists differ on {name}, window {ar_bounds}: {', '.join(fields)}"
+    return None
+
+
 def case_inputs(workloads: ModuleType, names: list[str], a: Tree, work: Path) -> dict:
     """Per case id, its parsed ``floorplan`` arguments and aspect-ratio
     window; the generated designs are written into ``work``."""
-    fixtures = ROOT / "src" / "tilefp" / "fixtures"
     cli = importlib.import_module(f"{a.package}.cli")
     cases = {}
     for name in names:
-        workload = workloads.build_workload(name, 0, fixtures)
+        workload = workloads.build_workload(name, 0, FIXTURES)
         for spec in workload.designs:
-            fabric = a.fabric.parse_fabric((fixtures / spec.fabric).read_text())
+            fabric = a.fabric.parse_fabric((FIXTURES / spec.fabric).read_text())
             design = a.design.generate_random_design(spec.n, fabric, spec.occupancy, spec.seed)
             (work / spec.file).write_text(a.design.write_design(design))
         for case in workload.cases:
             args = cli.build_parser().parse_args(
-                workloads.case_argv(case, fixtures, work, work / "out.fp")
+                workloads.case_argv(case, FIXTURES, work, work / "out.fp")
             )
             ar_bounds = None if args.no_ar else (args.ar_min, args.ar_max)
             cases[case.id] = (args, ar_bounds)
@@ -203,34 +281,44 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", nargs="+", default=["sdr", "scaling", "dense"],
         choices=["sdr", "scaling", "dense"],
     )
+    parser.add_argument("--fabrics", type=int, default=400, help="random fabrics")
     opts = parser.parse_args(argv)
     if opts.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if opts.fabrics < 0:
+        parser.error("--fabrics must not be negative")
 
     workloads = load_module("stage_ab_workloads", ROOT / "perfbench" / "workloads.py")
     sides = load_tree(opts.a, "A"), load_tree(opts.b, "B")
+    corpus = corpus_cases(workloads, opts.workload, sides[0])
+    randoms = random_cases(opts.fabrics)
+    difference = list_difference(sides, corpus + randoms)
+    if difference is not None:
+        print(difference)
+        return 1
+    print(
+        f"candidate lists identical on {(len(corpus) + len(randoms)) * len(WINDOWS)} cases: "
+        f"{len(corpus)} corpus and {len(randoms)} random requirements, "
+        f"each under {len(WINDOWS)} windows"
+    )
+
     with tempfile.TemporaryDirectory() as work:
         settings = case_inputs(workloads, opts.workload, sides[0], Path(work))
         inputs = {
             case_id: [parse_inputs(tree, args, ar) for tree in sides]
             for case_id, (args, ar) in settings.items()
         }
-
     differ = []
     nodes = {}
     for case_id, pair in inputs.items():
         (_, doc_a, log_a), (_, doc_b, log_b) = (tree.run(i) for tree, i in zip(sides, pair))
         nodes[case_id] = [tree.nodes for tree in sides]
-        lists_a, lists_b = (tree.lists(i) for tree, i in zip(sides, pair))
-        if doc_a != doc_b or log_a != log_b or lists_a != lists_b:
+        if doc_a != doc_b or log_a != log_b:
             differ.append(case_id)
     if differ:
         print(f"outputs differ on {', '.join(differ)}: no timings")
         return 1
-    print(
-        "documents, solver-log records and candidate lists identical "
-        f"on {len(inputs)} cases"
-    )
+    print(f"documents and solver-log records identical on {len(inputs)} cases")
 
     # per case and side: stage -> seconds per round, with "run" for the whole run
     samples = {case_id: ({}, {}) for case_id in inputs}
