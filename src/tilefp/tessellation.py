@@ -10,19 +10,24 @@ Expansion enumerates every way of splitting the needed columns between the
 left and the right side and emits a candidate at every reachable height,
 which is what gives the aspect-ratio window something to choose from.
 The last stage (the CLB one) tests each split against the window before it
-builds the split's rect, and emits only the rects that fit; earlier stages
-take no window, since later ones only widen or heighten a rect. A misfit
-is rejected wherever it is reached, so it is never built, kept in ``seen``
-or priced, and that changes no other decision. Only rectangles pass from
-stage to stage; a rectangle is priced once, when the last stage emits it,
-by the loop that also summarizes the list for later stages. A module's list
-(``CandidateList``) is its accepted rects with their wastages alongside.
-A rect holds its column span's per-row counts times its height, so it is
-priced as the span's frames per row times its height, less the
-requirement's frames. The loop computes each distinct column span once per
-list, and each distinct row band once, in records keyed by one integer in
-a dict: a table indexed by span would grow with the square of the device
-width.
+builds the split's rect, and emits only the rects that fit. A misfit is
+rejected wherever it is reached, so it is never built, kept in ``seen`` or
+priced, and that changes no other decision. Earlier stages cannot test the
+window, since later ones only widen or heighten a rect, but its top bounds
+their rects' widths: a rect is at most as tall as the rows from its row0 to
+the device top, and the next stage must add some columns of its kind at
+that height, so a rect too wide for that is dropped before the next stage
+walks it (``_may_fit``). Every rect grown from it would misfit, so that
+changes no list either (``_expand_or_cross`` says why). Only rectangles
+pass from stage to stage; a rectangle is priced once, when the last stage
+emits it, by the loop that also summarizes the list for later stages. A
+module's list (``CandidateList``) is its accepted rects with their
+wastages alongside. A rect holds its column span's per-row counts times
+its height, so it is priced as the span's frames per row times its height,
+less the requirement's frames. The loop computes each distinct column span
+once per list, and each distinct row band once, in records keyed by one
+integer in a dict: a table indexed by span would grow with the square of
+the device width.
 
 Each piece of work is done once. A module's candidates depend only on its
 requirement, so ``generate_placements`` generates one list per distinct
@@ -338,6 +343,25 @@ def _expand_or_cross(
     of its walks and emits only rects that fit it; any other stage takes
     None.
 
+    Under a window, ``layers`` holds only the rects that pass ``_may_fit``
+    for this stage: a rect w wide from ``row0`` is dropped when (w + n) / H
+    exceeds the window's top, where H = rows - row0 is the tallest it can
+    grow and n = max(0, ceil((needed - p*H) / H)) the target columns it
+    must still add at that height, p being its target columns. That keeps
+    every list as it is:
+
+    - every rect grown from it, in this stage or a later one, is at least
+      w + n wide and at most H tall, and float division is monotone, so
+      the split test ``(c1 - c0 + 1) / height`` rejects each one;
+    - so its walks in the last stage emit nothing, and misfits never
+      enter ``seen``; a rect its walk in an earlier stage would have put in
+      ``seen`` has its row0 and is at least w + n wide, so it is dropped at
+      the next boundary wherever it is emitted;
+    - a free split is free whether or not it is in ``seen``, so no other
+      walk's fallback changes;
+    - the bound reads only row0, col0 and col1, so every rect that shares
+      its ``grown`` key gets the same verdict.
+
     Staying clear of further scarce columns keeps them available for other
     modules, so that variant is tried first; when it finds no free split at
     any height the walk is repeated unblocked, since a rectangle hoarding a
@@ -444,20 +468,59 @@ def _paired_rects(fabric: Fabric, need: int) -> Iterator[list[_Coords]]:
         yield _expand_horizontal(fabric, kernel, need, dsp, None, seen, splits, None)[0]
 
 
+def _may_fit(
+    fabric: Fabric,
+    layers: Iterable[list[_Coords]],
+    needed: int,
+    target: ResourceKind,
+    hi: float,
+) -> Iterator[list[_Coords]]:
+    """The rects of ``layers``, layer by layer, that an expansion for
+    ``needed`` ``target`` tiles may still grow into rects no wider than
+    ``hi`` times their height.
+
+    A rect w columns wide from ``row0`` is at most H = rows - row0 tall,
+    and at any height h <= H its expansion adds at least ceil(needed / h)
+    - p target columns, p being its own target columns. So it is dropped
+    when (w + n) / H > hi, with n = max(0, ceil((needed - p*H) / H));
+    ``_expand_or_cross`` says why that changes no list.
+    """
+    rows = fabric.rows
+    kind_prefix = fabric.prefix_tables[1][target.index]
+    for layer in layers:
+        kept = []
+        for rect in layer:
+            row0, col0, _, col1 = rect
+            tallest = rows - row0
+            have = (kind_prefix[col1 + 1] - kind_prefix[col0]) * tallest
+            width = col1 - col0 + 1
+            if have < needed:
+                width -= (have - needed) // tallest  # plus the ceiling
+            if width / tallest <= hi:
+                kept.append(rect)
+        yield kept
+
+
 def _last_stage(
     fabric: Fabric,
     req: ResourceVector,
     ar_bounds: tuple[float, float] | None,
 ) -> Iterable[list[_Coords]]:
     """The rects of a requirement's last stage that fit ``ar_bounds``, one
-    list per rect of the stage before it (a single list when there is
-    none), lazily.
+    list per rect of the stage before it that the stage walks (a single
+    list when there is no stage before it), lazily.
 
     The first stage of an unpaired module is ``_one_kind_rects``; only a
     module that pairs DSP with BRAM walks its first-kind kernels. CLB comes
-    last in every kind order, so the CLB stage alone takes the window:
+    last in every kind order, so the CLB stage alone tests the window:
     later stages only widen or heighten a rect, so an earlier stage's
-    misfit may still grow into a fit.
+    misfit may still grow into a fit. Under a window, each boundary between
+    two stages drops the rects that no longer can (``_may_fit``, with the
+    need of the stage it feeds): a rect w wide from row0 whose (w + n) /
+    (rows - row0) exceeds the window's top, n being the columns of the next
+    stage's kind it must still add at that height. Every rect grown from it
+    would misfit, so no list changes (``_expand_or_cross`` says why); with
+    no window, every rect is walked.
     """
     first, *rest = kinds = _kind_order(req)
     clb = ResourceKind.CLB
@@ -468,8 +531,11 @@ def _last_stage(
     else:
         layers = _paired_rects(fabric, req.of(first))
     for kind in rest:
+        need = req.of(kind)
+        if ar_bounds is not None:
+            layers = _may_fit(fabric, layers, need, kind, ar_bounds[1])
         window = ar_bounds if kind is clb else None
-        layers = _expand_or_cross(fabric, layers, req.of(kind), kind, first, window)
+        layers = _expand_or_cross(fabric, layers, need, kind, first, window)
     return layers
 
 

@@ -225,6 +225,18 @@ def test_merge_row_kernels_matches_walk(data):
 # The one rect of a paired module, 3 wide by 1 tall, misfits: the window,
 # not the fabric, is to blame.
 @example(Fabric(1, "DBC"), ResourceVector(1, 1, 1), (0.2, 0.7))
+# Every stage after the first walks only kernels that may still fit. The
+# BRAM kernel (0, 0, 0, 0) needs one CLB column at the full height 2, so
+# its bound is (1 + 1) / 2, exactly the window's top: it must be walked,
+# since its rect at the device top, (0, 0, 1, 1), fits.
+@example(Fabric(2, "BC"), ResourceVector(1, 1, 0), (0.5, 1.0))
+# The reserved BRAM tile (3, 0) stops the walk from (0, 0, 0, 0) at row 2,
+# below the device top. Its bound still takes the height to the top, 2 / 4,
+# and keeps it; the walk's 3-tall rect (0, 0, 2, 1) fits.
+@example(Fabric(4, "BC", [Rect(3, 0, 3, 0)]), ResourceVector(1, 1, 0), (0.5, 0.7))
+# A window whose top is below 1 / rows drops every kernel at the first
+# stage boundary; the window is still to blame.
+@example(Fabric(2, "DBC"), ResourceVector(1, 1, 1), (0.1, 0.4))
 def test_module_placements_match_walk(fab, req, ar_bounds):
     module = ModuleSpec("m", req)
     try:

@@ -24,6 +24,13 @@ hashes were taken from the tessellation that priced every rect and
 generated every module's list on its own, before it shared lists between
 equal requirements and skipped rects already seen.
 
+``data/windowed_candidates.sha256`` pins the SDR candidate lists on fx70t
+under three aspect-ratio windows, and under the default window with a
+reserved hard block, in order: every rect with its wastage in list order,
+then the list's tie order, so a change that only reorders a windowed list
+shows up. The hashes were taken from the tessellation that tested the
+window in its last expansion only.
+
 ``data/solver_log.sha256`` pins the ``--solver-log`` records, timings
 dropped, of SDR with and without the aspect-ratio window and of the
 generated scaling design, so every halving's model size and objective is
@@ -119,6 +126,32 @@ def test_generated_candidate_lists_are_pinned_in_order(digest, options):
     candidates = generate_placements(fabric, design, None)
     assert list(candidates) == [m.id for m in design.modules]
     assert ordered_candidate_digest(fabric, design, candidates) == digest
+
+
+def windowed_list_digest(candidates):
+    """sha256 over every module's list, modules in design order: its rects
+    with their wastages in list order, then its tie order."""
+    lines = []
+    for module_id, cands in candidates.items():
+        lines += [
+            f"{module_id} {' '.join(map(str, rect))} {wastage}"
+            for rect, wastage in zip(cands, cands.wastage, strict=True)
+        ]
+        lines.append(f"{module_id} ties {' '.join(map(str, cands.ties))}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("digest, options", golden_cases("windowed_candidates.sha256"))
+def test_windowed_sdr_lists_are_pinned_in_order(digest, options):
+    lo, hi, *block = options
+    fabric_text = fixture_path("fx70t.fabric").read_text()
+    if block:
+        fabric_text += f"reserved {' '.join(block)}\n"
+    fabric = parse_fabric(fabric_text)
+    design = parse_design(fixture_path("sdr.design").read_text())
+    candidates = generate_placements(fabric, design, (float(lo), float(hi)))
+    assert list(candidates) == [m.id for m in design.modules]
+    assert windowed_list_digest(candidates) == digest
 
 
 @pytest.mark.parametrize("digest, options", golden_cases("sdr_candidates.sha256"))

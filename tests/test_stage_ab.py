@@ -46,9 +46,10 @@ def test_one_tree_on_both_sides_times_every_sdr_case():
     for case in SDR_CASES:
         rows = [line.split() for line in lines if line.startswith(case)]
         assert [row[1] for row in rows] == ["A", "B"]
-        assert all(len(row) == 8 for row in rows)  # four stages, the run and the nodes
-        # one tree spends the same halving-search nodes on both sides
-        assert rows[0][-1].isdigit() and rows[0][-1] == rows[1][-1]
+        # four stages, the run, the nodes and the walks
+        assert all(len(row) == 9 for row in rows)
+        # one tree spends the same halving-search nodes and walks on both sides
+        assert all(cell.isdigit() for cell in rows[0][-2:]) and rows[0][-2:] == rows[1][-2:]
         # the case's win counts follow its B row: the run's, then each stage's
         first = next(k for k, line in enumerate(lines) if line.startswith(case))
         assert wins.fullmatch(lines[first + 2]), lines[first + 2]
@@ -68,21 +69,23 @@ def test_out_of_range_options_are_refused(option, message):
     assert out.stderr.endswith(f"error: {message}\n")
 
 
-def changed_copy(tmp_path, name, old, new):
-    """A copy of ``src/tilefp`` under ``tmp_path`` with ``old`` replaced by
-    ``new`` in module ``name``."""
+def changed_copy(tmp_path, name, changes):
+    """A copy of ``src/tilefp`` under ``tmp_path`` with each key of
+    ``changes`` replaced by its value in module ``name``."""
     copy = tmp_path / "src" / "tilefp"
     shutil.copytree(ROOT / "src" / "tilefp", copy, ignore=shutil.ignore_patterns("__pycache__"))
     module = copy / name
     text = module.read_text()
-    changed = text.replace(old, new)
-    assert changed != text
-    module.write_text(changed)
+    for old, new in changes.items():
+        changed = text.replace(old, new)
+        assert changed != text, old
+        text = changed
+    module.write_text(text)
     return tmp_path
 
 
 def test_differing_documents_print_no_timings(tmp_path):
-    changed = changed_copy(tmp_path, "place.py", 'f"total wastage ', 'f"total  wastage ')
+    changed = changed_copy(tmp_path, "place.py", {'f"total wastage ': 'f"total  wastage '})
     out = run_tool(ROOT, changed)
     assert out.returncode == 1
     lists, documents = out.stdout.splitlines()
@@ -97,7 +100,7 @@ def test_differing_candidate_lists_print_no_timings(tmp_path):
     # Reversed vertical groups leave every corpus document and solver-log
     # record as it is, so only the list check names a case.
     changed = changed_copy(
-        tmp_path, "tessellation.py", '{"vertical": vertical,', '{"vertical": vertical[::-1],'
+        tmp_path, "tessellation.py", {'{"vertical": vertical,': '{"vertical": vertical[::-1],'}
     )
     out = run_tool(ROOT, changed)
     assert out.returncode == 1
@@ -106,12 +109,13 @@ def test_differing_candidate_lists_print_no_timings(tmp_path):
 
 def test_listed_misfits_name_the_first_windowed_case(tmp_path):
     # A walk that keeps its misfits lists them: the SDR design's first
-    # requirement differs once the first window applies.
-    changed = changed_copy(
-        tmp_path, "tessellation.py",
-        "if ar_bounds is not None and not lo <= (c1 - c0 + 1) / height <= hi:",
-        "if False:",
-    )
+    # requirement differs once the first window applies. Its kernels too
+    # are kept whatever their width, or the misfits of the kernels that
+    # cannot fit are never reached.
+    changed = changed_copy(tmp_path, "tessellation.py", {
+        "if ar_bounds is not None and not lo <= (c1 - c0 + 1) / height <= hi:": "if False:",
+        "layers = _may_fit(fabric, layers, need, kind, ar_bounds[1])": "pass",
+    })
     out = run_tool(ROOT, changed)
     assert out.returncode == 1
     assert out.stdout == (

@@ -370,6 +370,32 @@ def test_paired_modules_walk_every_kernel_left():
     assert all(sorted(steps) == [-1, +1] for steps in walks.values())
 
 
+@pytest.mark.parametrize("ar_bounds, walks", [
+    (None, {DSP: 36, BRAM: 86, CLB: 341}),
+    ((0.2, 0.7), {DSP: 36, BRAM: 19, CLB: 123}),
+    ((0.5, 2.0), {DSP: 36, BRAM: 43, CLB: 240}),
+    ((0.9, 1.1), {DSP: 36, BRAM: 25, CLB: 172}),
+])
+def test_sdr_walks_only_kernels_that_may_fit_the_window(ar_bounds, walks):
+    """The SDR design's lists on fx70t take these ``_expand_horizontal``
+    walks per target kind. With no window every kernel is walked; under a
+    window a later stage walks only the kernels that may still grow into a
+    rect that fits, and the pinned lists stay as they are. A change to the
+    pruning may lower these counts only with every list unchanged."""
+    fabric = parse_fabric(fixture_path("fx70t.fabric").read_text())
+    design = parse_design(fixture_path("sdr.design").read_text())
+    counted = dict.fromkeys(ResourceKind, 0)
+    walk = tessellation._expand_horizontal
+
+    def spy(fabric, kernel, needed, target, *args):
+        counted[target] += 1
+        return walk(fabric, kernel, needed, target, *args)
+
+    with mock.patch.object(tessellation, "_expand_horizontal", spy):
+        generate_placements(fabric, design, ar_bounds)
+    assert counted == walks
+
+
 def test_generate_placements_minimal_two_column_case():
     fab = parse_fabric("rows 2\ncolumns CC\n")
     design = Design([ModuleSpec("m", ResourceVector(2, 0, 0))])

@@ -32,11 +32,13 @@ collector off, A first in even rounds and B first in odd ones. Per case
 and side it prints the median milliseconds of four stages (tessellation:
 ``generate_placements``; anchors: ``compute_anchors``; scoring: ``_rank``
 and ``order_modules``; search: ``_place``) and of the whole run, the
-first run's halving-search nodes, and in how many rounds B was faster
-than A, over the whole run and in each stage. Both trees must define
-those ``place`` names, which are wrapped in timers; the nodes are counted
-by wrapping ``bipartition._solve_branch_and_bound``, whatever its
-parameters.
+documents run's halving-search nodes and its calls of
+``tessellation._expand_horizontal`` (walks), and in how many rounds B was
+faster than A, over the whole run and in each stage. Both trees must
+define those ``place`` names, which are wrapped in timers; the nodes are
+counted by wrapping ``bipartition._solve_branch_and_bound``, whatever its
+parameters. The walks are counted in the documents run alone, so no timed
+round calls through a wrapper of ``_expand_horizontal``.
 
 Only the standard library is used, and ``perfbench/`` is only read.
 """
@@ -147,6 +149,26 @@ class Tree:
         for record in records:
             record.pop("solve_ms", None)
         return seconds, document, records
+
+    def walked_run(self, inputs: tuple) -> tuple[str, list[dict], int]:
+        """One untimed run's document (or error) and solver-log records, as
+        ``run`` gives them, and how many times it called
+        ``tessellation._expand_horizontal``."""
+        tessellation = self.tessellation
+        expand = tessellation._expand_horizontal
+        walks = 0
+
+        def counted(*args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return expand(*args, **kwargs)
+
+        tessellation._expand_horizontal = counted
+        try:
+            _, document, records = self.run(inputs)
+        finally:
+            tessellation._expand_horizontal = expand
+        return document, records, walks
 
     def candidate_list(self, fabric, req: tuple[int, int, int], ar_bounds) -> dict:
         """One requirement's list: its rects, wastages and summaries, or
@@ -309,11 +331,11 @@ def main(argv: list[str] | None = None) -> int:
             for case_id, (args, ar) in settings.items()
         }
     differ = []
-    nodes = {}
+    counts = {}  # per case: each side's halving-search nodes and walks
     for case_id, pair in inputs.items():
-        (_, doc_a, log_a), (_, doc_b, log_b) = (tree.run(i) for tree, i in zip(sides, pair))
-        nodes[case_id] = [tree.nodes for tree in sides]
-        if doc_a != doc_b or log_a != log_b:
+        runs = [tree.walked_run(i) for tree, i in zip(sides, pair)]
+        counts[case_id] = [(tree.nodes, walks) for tree, (_, _, walks) in zip(sides, runs)]
+        if runs[0][:2] != runs[1][:2]:
             differ.append(case_id)
     if differ:
         print(f"outputs differ on {', '.join(differ)}: no timings")
@@ -339,11 +361,13 @@ def main(argv: list[str] | None = None) -> int:
 
     columns = [*STAGES, "run"]
     print(f"median ms of {opts.rounds} rounds, GC off, first side alternating")
-    print(f"{'case':<22}{'side':<6}" + "".join(f"{c:>14}" for c in [*columns, "nodes"]))
+    print(
+        f"{'case':<22}{'side':<6}" + "".join(f"{c:>14}" for c in [*columns, "nodes", "walks"])
+    )
     for case_id, (taken_a, taken_b) in samples.items():
-        for label, taken, spent in zip("AB", (taken_a, taken_b), nodes[case_id]):
+        for label, taken, (spent, walks) in zip("AB", (taken_a, taken_b), counts[case_id]):
             cells = "".join(f"{statistics.median(taken[c]) * 1000:>14.1f}" for c in columns)
-            print(f"{case_id:<22}{label:<6}{cells}{spent:>14}")
+            print(f"{case_id:<22}{label:<6}{cells}{spent:>14}{walks:>14}")
         wins = {c: sum(b < a for a, b in zip(taken_a[c], taken_b[c])) for c in columns}
         stages = ", ".join(f"{stage} {wins[stage]}" for stage in STAGES)
         change = statistics.median(taken_b["run"]) / statistics.median(taken_a["run"]) - 1
